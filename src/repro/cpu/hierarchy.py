@@ -6,145 +6,22 @@ decrypt-to-verify window survives into the caches, which is exactly what
 the authentication control points gate on.
 
 ``ifetch``/``load``/``store`` return a plain ``(data_time, verify_time)``
-tuple.  The overwhelmingly common L1/L2 hit case allocates nothing but
-that tuple: the caches' ``hit_line`` fast path replaces the
-``CacheAccess``/``LineTiming`` objects the hierarchy used to build per
-access (the verify component is always ``>= data_time`` on the returned
-tuple, as before).
-
-The three entry points are built by :func:`_make_l1_path` as closures
-that inline the TLB and L1 probes over the caches' internal tag dicts:
-the common all-hits case is one function call with no attribute chasing,
-instead of the five-deep ``load -> _l1_access -> translate_latency ->
-hit_line -> hit_line`` chain.  The closures must mirror
-:meth:`repro.cache.cache.Cache.hit_line` exactly; the golden parity
-suite (``tests/perf``) pins that equivalence.
+tuple.  All three go through one walk, :meth:`MemoryHierarchy._l1_access`:
+TLB translation, the L1 ``hit_line`` probe, and on a miss
+:meth:`MemoryHierarchy._l1_miss` (allocate, write back, fill from L2).
+The common L1/L2 hit case allocates nothing but that tuple; the verify
+component is always ``>= data_time``.  The shared-pass prepass
+(:mod:`repro.cpu.prepass`) mirrors this walk decision for decision, and
+the golden parity suite (``tests/perf``) pins both.
 """
 
-from repro.cache.cache import Cache, LineState
+from repro.cache.cache import Cache
 from repro.cache.tlb import Tlb
 from repro.mem.controller import MemoryController
 from repro.obs.events import L2_MISS, LANE_MEM, MSHR_STALL
 from repro.secure.engine import SecureMemoryEngine
 from repro.secure.metadata import MetadataLayout
 from repro.util.statistics import StatGroup
-
-
-def _make_l1_path(hierarchy, l1, tlb, is_write):
-    """Build the flattened TLB+L1 fast path for one access kind.
-
-    Everything the per-access code touches is captured in closure cells:
-    no ``self`` lookups, no sub-calls on the TLB-hit/L1-hit path.  The
-    probe/recency/stat behaviour is a manual inline of
-    ``Tlb.translate_latency`` and ``Cache.hit_line``; misses fall back to
-    :meth:`MemoryHierarchy._l1_miss`.
-    """
-    l1_sets = l1._sets
-    l1_num_sets = l1.num_sets
-    l1_line_bytes = l1.line_bytes
-    l1_latency = l1.latency
-    l1_hits = l1.stats.counter("hits")
-    l1_misses = l1.stats.counter("misses")
-    l1_evictions = l1.stats.counter("evictions")
-    l1_wb_count = l1.stats.counter("writebacks")
-    l1_assoc = l1.assoc
-    tlb_cache = tlb._cache
-    tlb_sets = tlb_cache._sets
-    tlb_num_sets = tlb_cache.num_sets
-    tlb_page_bytes = tlb_cache.line_bytes
-    tlb_hits = tlb_cache.stats.counter("hits")
-    tlb_fill = tlb_cache.fill
-    tlb_miss_latency = tlb.miss_latency
-    l2 = hierarchy.l2
-    l2_sets = l2._sets
-    l2_num_sets = l2.num_sets
-    l2_line_bytes = l2.line_bytes
-    l2_latency = l2.latency
-    l2_hits = l2.stats.counter("hits")
-    l2_miss = hierarchy._l2_miss
-    l1_writeback = hierarchy._l1_writeback
-
-    def access(addr, cycle, gate_time=0):
-        # ---- TLB probe (inline Tlb.translate_latency) ----------------
-        page = addr // tlb_page_bytes
-        tlb_set = tlb_sets[page % tlb_num_sets]
-        tlb_tag = page // tlb_num_sets
-        tlb_line = tlb_set.get(tlb_tag)
-        if tlb_line is not None:
-            tlb_hits.value += 1
-            del tlb_set[tlb_tag]
-            tlb_set[tlb_tag] = tlb_line
-        else:
-            tlb_fill(addr)
-            cycle += tlb_miss_latency
-        # ---- L1 probe (inline Cache.hit_line) ------------------------
-        line_addr = addr // l1_line_bytes
-        set_index = line_addr % l1_num_sets
-        cache_set = l1_sets[set_index]
-        tag = line_addr // l1_num_sets
-        line = cache_set.get(tag)
-        if line is not None:
-            l1_hits.value += 1
-            del cache_set[tag]
-            cache_set[tag] = line
-            if is_write:
-                line.dirty = True
-            data_time = line.data_time
-            l1_done = cycle + l1_latency
-            if l1_done > data_time:
-                data_time = l1_done
-            verify_time = line.verify_time
-            return (data_time,
-                    verify_time if verify_time > data_time else data_time)
-        # ---- L1 miss: allocate, write back, probe L2 (inline) --------
-        # (inline Cache.fill, reusing the index/tag computed above; the
-        # evicted LineState is recycled exactly as fill does)
-        l1_misses.value += 1
-        if len(cache_set) >= l1_assoc:
-            victim = cache_set.pop(next(iter(cache_set)))
-            l1_evictions.value += 1
-            if victim.dirty:
-                l1_wb_count.value += 1
-                l1_writeback(
-                    (victim.tag * l1_num_sets + set_index) * l1_line_bytes,
-                    cycle)
-            victim.tag = tag
-            victim.dirty = is_write
-            victim.data_time = 0
-            victim.verify_time = 0
-            line = victim
-        else:
-            line = LineState(tag)
-            if is_write:
-                line.dirty = True
-        cache_set[tag] = line
-        l1_done = cycle + l1_latency
-        l2_cycle = l1_done + l2_latency
-        l2_line_addr = addr // l2_line_bytes
-        l2_set = l2_sets[l2_line_addr % l2_num_sets]
-        l2_tag = l2_line_addr // l2_num_sets
-        l2_line = l2_set.get(l2_tag)
-        if l2_line is not None:
-            l2_hits.value += 1
-            del l2_set[l2_tag]
-            l2_set[l2_tag] = l2_line
-            data_time = l2_line.data_time
-            if l2_cycle > data_time:
-                data_time = l2_cycle
-            verify_time = l2_line.verify_time
-            if verify_time < data_time:
-                verify_time = data_time
-        else:
-            data_time, verify_time = l2_miss(addr, l2_cycle, gate_time)
-        if l1_done > data_time:
-            data_time = l1_done
-        if data_time > verify_time:
-            verify_time = data_time
-        line.data_time = data_time
-        line.verify_time = verify_time
-        return (data_time, verify_time)
-
-    return access
 
 
 class MemoryHierarchy:
@@ -198,15 +75,38 @@ class MemoryHierarchy:
         self._mshr_index = 0
         self._mshr_stalls = self.stats.counter("mshr_stall_events")
         self._prefetches = self.stats.counter("prefetch_issued")
-        #: Flattened access paths (see :func:`_make_l1_path`).
-        #: ``ifetch(pc, cycle, gate_time=0)`` fetches the I-line holding
-        #: ``pc``; ``load``/``store`` access the D-side; all three return
-        #: ``(data_time, verify_time)``.
-        self.ifetch = _make_l1_path(self, self.l1i, self.itlb, False)
-        self.load = _make_l1_path(self, self.l1d, self.dtlb, False)
-        self.store = _make_l1_path(self, self.l1d, self.dtlb, True)
 
     # ------------------------------------------------------------------
+
+    def ifetch(self, pc, cycle, gate_time=0):
+        """Fetch the I-line holding ``pc``; ``(data_time, verify_time)``."""
+        return self._l1_access(self.l1i, self.itlb, pc, cycle, gate_time,
+                               False)
+
+    def load(self, addr, cycle, gate_time=0):
+        """D-side read of ``addr``; ``(data_time, verify_time)``."""
+        return self._l1_access(self.l1d, self.dtlb, addr, cycle, gate_time,
+                               False)
+
+    def store(self, addr, cycle, gate_time=0):
+        """D-side write of ``addr``; ``(data_time, verify_time)``."""
+        return self._l1_access(self.l1d, self.dtlb, addr, cycle, gate_time,
+                               True)
+
+    def _l1_access(self, l1, tlb, addr, cycle, gate_time, is_write):
+        """TLB translation, then the L1 probe; misses go to
+        :meth:`_l1_miss`.  Returns ``(data_time, verify_time)``."""
+        cycle += tlb.translate_latency(addr)
+        line = l1.hit_line(addr, is_write)
+        if line is None:
+            return self._l1_miss(l1, addr, cycle, gate_time, is_write)
+        data_time = line.data_time
+        l1_done = cycle + l1.latency
+        if l1_done > data_time:
+            data_time = l1_done
+        verify_time = line.verify_time
+        return (data_time,
+                verify_time if verify_time > data_time else data_time)
 
     def _clamp(self, addr):
         """Fold any address into the protected region."""
@@ -294,8 +194,8 @@ class MemoryHierarchy:
     def _l1_miss(self, l1, addr, cycle, gate_time, is_write):
         """L1 miss slow path: allocate, write back, fill from L2.
 
-        ``cycle`` already includes the TLB translation latency (the fast
-        path charged it before probing L1).
+        ``cycle`` already includes the TLB translation latency
+        (:meth:`_l1_access` charged it before probing L1).
         """
         line, victim_addr, victim_dirty = l1.fill(addr, is_write)
         if victim_dirty:

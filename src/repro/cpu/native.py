@@ -12,8 +12,8 @@ through :mod:`ctypes`.
 
 Everything is integer arithmetic, so the native replay is
 *bit-identical* to the pure-Python one: the differential suite in
-``tests/cpu/`` pins native == python == legacy, and ``repro perf
---check`` gates the pinned goldens.  The kernel is strictly optional --
+``tests/cpu/`` pins native == python == legacy, and ``repro perf``
+gates the pinned goldens.  The kernel is strictly optional --
 no C compiler, a failed compile, or ``REPRO_NATIVE=0`` in the
 environment all fall back to the pure-Python replay with identical
 results (``REPRO_NATIVE=require`` turns an unavailable kernel into an

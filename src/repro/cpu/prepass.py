@@ -11,7 +11,7 @@ each policy evaluation replays only the timing arithmetic over the
 recorded outcomes (:mod:`repro.cpu.shared_kernel`).
 
 :func:`build_prepass` performs that walk.  It mirrors, decision for
-decision, the structural half of ``hierarchy._make_l1_path`` /
+decision, the structural half of ``hierarchy._l1_access`` /
 ``hierarchy._l2_miss`` / ``engine.fetch_line`` / ``engine.write_line``
 and records the outcomes on flat per-access / per-miss / per-DRAM-op
 columns (the same structure-of-arrays discipline as
@@ -44,7 +44,7 @@ LVL_MISS = 2
 def prepass_supported(config):
     """Can this configuration be evaluated through the shared kernel?
 
-    The structural walk mirrors the counter-mode fast path only; the
+    The structural walk mirrors the counter-mode fetch path only; the
     exotic configurations keep their legacy per-policy path (they are
     exercised by dedicated experiments, not the broad sweeps).
     """

@@ -10,7 +10,7 @@ per-policy cost is pure cycle arithmetic.
 
 The pipeline loop is a line-for-line mirror of
 :meth:`repro.cpu.core.TimestampCore.run`, and the memory replay mirrors
-the timing half of ``hierarchy._make_l1_path`` / ``_l2_miss`` /
+the timing half of ``hierarchy._l1_access`` / ``_l2_miss`` /
 ``engine.fetch_line``: the differential equivalence suite and the perf
 goldens pin cycles and every ``StatGroup`` counter bit-identical to the
 legacy path.

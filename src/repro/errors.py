@@ -38,11 +38,6 @@ class SimulationError(ReproError):
     """Raised when the timing simulator reaches an inconsistent state."""
 
 
-class CheckpointError(ReproError):
-    """Raised when a persisted artifact (sweep checkpoint, run manifest)
-    is malformed or has an incompatible format version."""
-
-
 class JobError(ReproError):
     """Raised when a job fails terminally under a fail-fast policy.
 

@@ -182,8 +182,10 @@ def iter_group_results(group, skip=(), tracer=None, profiler=None,
     structural prepass (:mod:`repro.cpu.prepass`) feeds the shared
     timestamp kernel once per policy.  Members outside the envelope
     (address obfuscation, non-ctr encryption, hash tree, prefetching)
-    run the legacy per-policy simulator on the same cached trace.  Both
-    paths produce results bit-identical to :func:`execute_job`.
+    run the legacy per-policy simulator on the same cached trace, and so
+    does every member when an enabled ``tracer`` is passed (the shared
+    kernel emits no events).  Both paths produce results bit-identical
+    to :func:`execute_job`.
 
     ``skip`` is a set of member job_ids to leave out (mid-group resume:
     the retry loop passes the members already journaled).
@@ -248,7 +250,10 @@ def iter_group_results(group, skip=(), tracer=None, profiler=None,
         tracegen = active_cache.gen_seconds - gen_before
         active_cache.count_group_reuse(len(to_run) - 1)
         policies = {m.policy: make_policy(m.policy) for m in to_run}
-        if (prepass_supported(group.config)
+        # A traced run takes the legacy path for every member: only the
+        # legacy simulator emits the simulated machine's events.
+        tracing = tracer is not None and tracer.enabled
+        if (not tracing and prepass_supported(group.config)
                 and any(policy_supported(p) for p in policies.values())):
             prepass = _shared_prepass(group, trace, store,
                                       profiler=profiler)

@@ -39,8 +39,9 @@ Bit-identity contract: a loaded trace/prepass exposes the same column
 values (``memoryview('q')`` instead of tuples/lists -- same ints, same
 order), and a loaded result rebuilds through the same
 ``StatGroup.from_dict`` path journal resume already trusts, so warm
-results are byte-identical to cold ones.  ``repro perf`` measures and
-``repro chaos --store`` gates exactly that.
+results are byte-identical to cold ones.  ``repro chaos --store``
+gates exactly that, and ``bench/run.py`` gates every warm figure run on
+the cold run's series digest.
 
 The store is **off by default**: it activates only via the ``--store``
 CLI flag or the ``REPRO_STORE`` environment variable (which forked pool

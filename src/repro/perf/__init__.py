@@ -1,23 +1,12 @@
-"""Performance benchmarking and timing-parity verification.
+"""Timing-parity verification.
 
-``repro perf`` measures the simulator's replay throughput
-(instructions/sec) over a pinned (benchmark x policy) matrix and writes a
-``BENCH_<stamp>.json`` report; ``repro perf --check`` re-verifies that
-the optimised hot path still reproduces the pinned golden cycle counts
-and stats digests bit-identically.
+``repro perf`` re-verifies that the simulator still reproduces the
+pinned golden cycle counts and stats digests bit-identically, through
+both the legacy and the shared-pass path.  Throughput is measured by the
+``bench/`` harness.
 """
 
-from repro.perf.bench import (
-    BENCH_BENCHMARKS,
-    BENCH_INSTRUCTIONS,
-    BENCH_POLICIES,
-    BENCH_WARMUP,
-    check_goldens,
-    render_table,
-    run_matrix,
-    time_cell,
-    write_report,
-)
+from repro.perf.bench import check_goldens
 from repro.perf.golden import (
     GOLDEN_BENCHMARKS,
     GOLDEN_CYCLES,
@@ -25,28 +14,24 @@ from repro.perf.golden import (
     GOLDEN_INSTRUCTIONS,
     GOLDEN_POLICIES,
     GOLDEN_WARMUP,
-    PRE_PR_BASELINE,
+    LEGACY_ONLY_CYCLES,
+    LEGACY_ONLY_DIGESTS,
     golden_cells,
+    legacy_only_cells,
     stats_digest,
 )
 
 __all__ = [
-    "BENCH_BENCHMARKS",
-    "BENCH_INSTRUCTIONS",
-    "BENCH_POLICIES",
-    "BENCH_WARMUP",
     "GOLDEN_BENCHMARKS",
     "GOLDEN_CYCLES",
     "GOLDEN_DIGESTS",
     "GOLDEN_INSTRUCTIONS",
     "GOLDEN_POLICIES",
     "GOLDEN_WARMUP",
-    "PRE_PR_BASELINE",
+    "LEGACY_ONLY_CYCLES",
+    "LEGACY_ONLY_DIGESTS",
     "check_goldens",
     "golden_cells",
-    "render_table",
-    "run_matrix",
+    "legacy_only_cells",
     "stats_digest",
-    "time_cell",
-    "write_report",
 ]

@@ -14,15 +14,18 @@ The digests are computed over a JSON round-trip of the payload (bucket
 keys normalised to strings, canonical key order), so they are stable
 across the process boundary and the checkpoint journal.
 
-``PRE_PR_BASELINE`` records the replay throughput of the simulator
-*before* the packed-trace/O(1)-LRU/flattened-hierarchy optimisation
-round, measured with the same methodology ``repro perf`` uses (see
-:mod:`repro.perf.bench`): the timed region is ``TimestampCore.run`` only,
-with trace generation and simulator construction excluded.
+``LEGACY_ONLY_CYCLES`` / ``LEGACY_ONLY_DIGESTS`` pin one benchmark under
+each configuration outside the shared-pass envelope (hash tree,
+prefetching, CBC, address obfuscation).  Only the legacy simulator
+evaluates those, so these cells are what keeps its memory-system walk
+honest beyond the default configuration.
 """
 
 import hashlib
 import json
+from dataclasses import replace
+
+from repro.config import SimConfig
 
 GOLDEN_BENCHMARKS = ("mcf", "swim", "twolf")
 GOLDEN_POLICIES = ("decrypt-only", "authen-then-issue",
@@ -72,16 +75,26 @@ GOLDEN_DIGESTS = {
         "fd2b8f407cf0cc327ce2cee6ad33730b4211cdb027f125dd07c6bb2f21d40c49",
 }
 
-#: Replay throughput before the optimisation round this suite guards
-#: (object-per-instruction trace iteration, O(assoc) LRU scans, five-deep
-#: per-access call chains).  Aggregate over the default ``repro perf``
-#: matrix (3 benchmarks x 4 policies, 20000 instructions + 5000 warmup),
-#: mean of interleaved pre/post runs on the reference container.
-PRE_PR_BASELINE = {
-    "instructions_per_second": 178171,
-    "matrix": "3 benchmarks x 4 policies, n=20000 warmup=5000",
-    "timed_region": "TimestampCore.run (trace generation and simulator "
-                    "construction excluded)",
+#: Benchmark of the out-of-envelope cells, keyed
+#: ``"<bench>/<config variant>/<policy>"``.
+LEGACY_ONLY_BENCHMARK = "mcf"
+
+LEGACY_ONLY_CYCLES = {
+    "mcf/hash-tree/authen-then-commit": 361780,
+    "mcf/prefetch-2/authen-then-commit": 92164,
+    "mcf/cbc/authen-then-commit": 150182,
+    "mcf/default/commit+obfuscation": 146017,
+}
+
+LEGACY_ONLY_DIGESTS = {
+    "mcf/hash-tree/authen-then-commit":
+        "0f999d7d36d1dde470b4edab3edfc8dc12a86e399c2e7469fc62680c8fbb8312",
+    "mcf/prefetch-2/authen-then-commit":
+        "cbb91e29e86bd4ac3d7c90b3a0cf1597ed4f41287da299f0b879a32781961a18",
+    "mcf/cbc/authen-then-commit":
+        "c08a684963f41d62721cc154a7972820af33f487bd614e830a0febe70ab2dfac",
+    "mcf/default/commit+obfuscation":
+        "a6cbaedb6bd74c90c653162b92a357461fecc341aacf06a05a0294293bb3c0ab",
 }
 
 
@@ -90,6 +103,25 @@ def golden_cells():
     for bench in GOLDEN_BENCHMARKS:
         for policy in GOLDEN_POLICIES:
             yield bench, policy
+
+
+def legacy_only_cells():
+    """The pinned out-of-envelope cells: ``(key, benchmark, config,
+    policy)``, with the same instruction and warmup counts as the
+    golden matrix."""
+    base = SimConfig()
+    variants = (
+        ("hash-tree", base.with_secure(hash_tree_enabled=True),
+         "authen-then-commit"),
+        ("prefetch-2", replace(base, prefetch_degree=2),
+         "authen-then-commit"),
+        ("cbc", base.with_secure(encryption_mode="cbc"),
+         "authen-then-commit"),
+        ("default", base, "commit+obfuscation"),
+    )
+    for variant, config, policy in variants:
+        key = "%s/%s/%s" % (LEGACY_ONLY_BENCHMARK, variant, policy)
+        yield key, LEGACY_ONLY_BENCHMARK, config, policy
 
 
 def stats_digest(stats_dict, miss_summary):

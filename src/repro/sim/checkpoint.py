@@ -1,24 +1,15 @@
-"""Persist sweep results: whole-sweep JSON plus a per-job resume journal.
+"""Per-job resume journal plus the atomic-write helper it shares.
 
-Experiment runs are minutes-long; checkpointing lets EXPERIMENTS.md
-regeneration, notebooks and regression comparisons reuse results without
-re-simulating.  Checkpoints are versioned (``format_version``) and carry
-each run's full :class:`~repro.util.statistics.StatGroup` snapshot, so a
-saved sweep can answer the same questions as a live one; ``load_sweep``
-refuses files written by an incompatible version with a
-:class:`~repro.errors.CheckpointError` instead of a cryptic KeyError.
-
-Two granularities:
-
-- :func:`save_sweep` / :func:`load_sweep` persist a *finished* sweep
-  (written atomically: write-then-rename, never a torn file).
-- :class:`JobJournal` is an append-only JSONL journal the executors
-  write one line to per completed :class:`~repro.exec.job.SimJob`; an
-  interrupted sweep re-run against the same journal skips every
-  ``job_id`` already on disk and rebuilds those results without
-  simulating.  Records are CRC32-sealed; corrupt lines are quarantined
-  into a ``.rej`` sidecar instead of silently trusted or fatally
-  rejected (see ``docs/robustness.md``).
+Experiment runs are minutes-long; :class:`JobJournal` is an append-only
+JSONL journal the executors write one line to per completed
+:class:`~repro.exec.job.SimJob`.  An interrupted sweep re-run against
+the same journal skips every ``job_id`` already on disk and rebuilds
+those results without simulating, each with its full
+:class:`~repro.util.statistics.StatGroup` snapshot.  Records are
+CRC32-sealed; corrupt lines are quarantined into a ``.rej`` sidecar
+instead of silently trusted or fatally rejected (see
+``docs/robustness.md``).  Rewrites go through :func:`atomic_write_text`
+(write-then-rename, never a torn file).
 """
 
 import itertools
@@ -27,7 +18,6 @@ import os
 import socket
 import zlib
 
-from repro.errors import CheckpointError
 from repro.util.statistics import StatGroup
 
 _HOST = socket.gethostname()
@@ -70,107 +60,6 @@ def atomic_write_text(path, text):
         except OSError:
             pass
         raise
-
-#: Bump when the checkpoint shape changes incompatibly.
-#: v1: unversioned seed format (no stats, no format_version field).
-#: v2: adds format_version and per-run "stats" StatGroup snapshots.
-FORMAT_VERSION = 2
-
-
-def sweep_to_dict(sweep):
-    """Flatten a finished PolicySweep into a JSON-able dict.
-
-    ``policies`` records the policies that actually ran (baseline
-    included when it was injected), in deterministic execution order.
-    Runs carry their ``job_id`` and the top level the executor backend,
-    when the sweep went through the job pipeline.
-    """
-    job_ids = getattr(sweep, "job_ids", {})
-    runs = []
-    for (benchmark, policy), result in sorted(sweep.results.items()):
-        runs.append({
-            "benchmark": benchmark,
-            "policy": policy,
-            "job_id": job_ids.get((benchmark, policy)),
-            "instructions": result.instructions,
-            "cycles": result.cycles,
-            "ipc": result.ipc,
-            "miss_rates": result.miss_summary,
-            "stats": result.stats.as_dict(),
-        })
-    return {
-        "format_version": FORMAT_VERSION,
-        "benchmarks": list(sweep.benchmarks),
-        "policies": list(getattr(sweep, "executed_policies",
-                                 sweep.policies)),
-        "num_instructions": sweep.num_instructions,
-        "warmup": sweep.warmup,
-        "seed": sweep.seed,
-        "backend": getattr(sweep, "backend", None),
-        "runs": runs,
-    }
-
-
-def save_sweep(sweep, path):
-    """Write a finished sweep to ``path`` as JSON (atomically)."""
-    atomic_write_text(path, json.dumps(sweep_to_dict(sweep), indent=1,
-                                       sort_keys=True))
-
-
-class SweepView:
-    """Read-only view over a saved sweep with the PolicySweep accessors."""
-
-    def __init__(self, payload):
-        version = payload.get("format_version")
-        if version != FORMAT_VERSION:
-            raise CheckpointError(
-                "sweep checkpoint has format_version %r; this build reads "
-                "version %d -- regenerate the checkpoint with save_sweep"
-                % (version, FORMAT_VERSION))
-        try:
-            self.benchmarks = payload["benchmarks"]
-            self.policies = payload["policies"]
-            self.num_instructions = payload["num_instructions"]
-            self.warmup = payload["warmup"]
-            self.seed = payload["seed"]
-            runs = payload["runs"]
-            self._ipc = {
-                (run["benchmark"], run["policy"]): run["ipc"]
-                for run in runs
-            }
-            self._stats = {
-                (run["benchmark"], run["policy"]): run.get("stats", {})
-                for run in runs
-            }
-        except KeyError as missing:
-            raise CheckpointError(
-                "sweep checkpoint is missing key %s" % missing) from None
-
-    def ipc(self, benchmark, policy):
-        return self._ipc[(benchmark, policy)]
-
-    def stats(self, benchmark, policy):
-        """The run's persisted StatGroup snapshot (name -> value/buckets)."""
-        return self._stats[(benchmark, policy)]
-
-    def normalized(self, benchmark, policy, baseline="decrypt-only"):
-        base = self.ipc(benchmark, baseline)
-        return self.ipc(benchmark, policy) / base if base else 0.0
-
-    def average_normalized(self, policy, baseline="decrypt-only"):
-        values = [self.normalized(b, policy, baseline)
-                  for b in self.benchmarks]
-        return sum(values) / len(values)
-
-
-def load_sweep(path):
-    """Load a saved sweep as a :class:`SweepView`.
-
-    Raises :class:`~repro.errors.CheckpointError` when the file was
-    written by an incompatible format version or is missing fields.
-    """
-    with open(path) as handle:
-        return SweepView(json.load(handle))
 
 
 #: Bump when a journal line's shape changes incompatibly.

@@ -18,6 +18,9 @@ from repro.exec import (
 )
 from repro.exec.job import MultiPolicySimJob
 from repro.exec.retry import STATUS_OK, STATUS_RESUMED
+from repro.obs.events import COMMIT, ISSUE
+from repro.obs.sinks import MemorySink
+from repro.obs.tracer import Tracer
 from repro.sim.checkpoint import JobJournal
 
 BENCHMARKS = ("gzip", "mcf")
@@ -85,6 +88,30 @@ class TestGroupedExecutionParity:
         for group in GROUPS:
             for member in group.member_jobs:
                 assert outcomes[member.job_id].status == STATUS_OK
+
+
+class TestTracedGroup:
+    def test_traced_envelope_member_emits_machine_events(self,
+                                                         plain_results):
+        """A tracer reaches the simulated machine in a grouped run too:
+        the envelope member takes the legacy path instead of the
+        event-free shared kernel."""
+        policy = "authen-then-commit"
+        group = build_job_groups(["gzip"], [policy],
+                                 num_instructions=N, warmup=W)
+        plain = build_jobs(["gzip"], [policy],
+                           num_instructions=N, warmup=W)
+        grouped_sink, plain_sink = MemorySink(), MemorySink()
+        grouped = SerialExecutor().run(group, tracer=Tracer([grouped_sink]))
+        SerialExecutor().run(plain, tracer=Tracer([plain_sink]))
+        for kind in (ISSUE, COMMIT):
+            count = len(grouped_sink.by_kind(kind))
+            assert count > 0
+            assert count == len(plain_sink.by_kind(kind))
+        by_id = {job.job_id: result for job, result
+                 in plain_results.items()}
+        (member, result), = grouped.items()
+        assert result.cycles == by_id[member.job_id].cycles
 
 
 class TestGroupResume:

@@ -6,7 +6,7 @@ import pytest
 
 from repro.exec import ParallelExecutor, SerialExecutor
 from repro.obs.export import build_sweep_manifest
-from repro.sim.checkpoint import JobJournal, sweep_to_dict
+from repro.sim.checkpoint import JobJournal
 from repro.sim.sweep import BASELINE, PolicySweep
 
 
@@ -43,9 +43,14 @@ class TestBaselineOrdering:
         assert {run["policy"] for run in manifest["runs"]} == \
             {"authen-then-commit", BASELINE}
 
-    def test_checkpoint_reflects_injected_baseline(self):
-        payload = sweep_to_dict(small_sweep().run())
-        assert payload["policies"] == ["authen-then-commit", BASELINE]
+    def test_checkpoint_reflects_injected_baseline(self, tmp_path):
+        journal = JobJournal(tmp_path / "sweep.jsonl")
+        sweep = small_sweep().run(journal=journal)
+        assert sweep.executed_policies == ["authen-then-commit", BASELINE]
+        reopened = JobJournal(tmp_path / "sweep.jsonl")
+        assert sorted(entry["policy"]
+                      for entry in reopened.accounting().values()) == \
+            sorted(["authen-then-commit", BASELINE])
 
 
 class TestManifestJobMetadata:
@@ -56,9 +61,11 @@ class TestManifestJobMetadata:
         ids = [run["job_id"] for run in manifest["runs"]]
         assert all(ids) and len(set(ids)) == len(ids)
 
-    def test_checkpoint_carries_job_ids(self):
-        payload = sweep_to_dict(small_sweep().run())
-        assert all(run["job_id"] for run in payload["runs"])
+    def test_checkpoint_carries_job_ids(self, tmp_path):
+        sweep = small_sweep()
+        sweep.run(journal=JobJournal(tmp_path / "sweep.jsonl"))
+        reopened = JobJournal(tmp_path / "sweep.jsonl")
+        assert reopened.completed_ids == {job.job_id for job in sweep.jobs()}
 
 
 class TestBackendEquivalence:

@@ -1,117 +1,56 @@
-"""Perf-harness tests: matrix runner, report writer, CLI wiring."""
+"""`repro perf` CLI (the golden-parity check) and store-phase identity."""
 
-import json
-
-from repro.perf.bench import (render_table, run_matrix, time_cell,
-                              write_report)
-from repro.perf.golden import PRE_PR_BASELINE
-
-
-def small_matrix():
-    return run_matrix(benchmarks=("swim",),
-                      policies=("decrypt-only", "authen-then-commit"),
-                      num_instructions=1200, warmup=400, repeats=1)
-
-
-class TestTimeCell:
-    def test_reports_throughput_and_timing(self):
-        cell = time_cell("swim", "decrypt-only", num_instructions=1200,
-                         warmup=400, repeats=2)
-        assert cell["instructions_simulated"] == 1600
-        assert cell["instructions_measured"] == 1200
-        assert cell["wall_seconds"] > 0
-        assert cell["instructions_per_second"] > 0
-        assert cell["cycles"] > 0
-        assert cell["ipc"] > 0
-
-    def test_timing_is_deterministic_in_cycles(self):
-        a = time_cell("swim", "decrypt-only", num_instructions=1200,
-                      warmup=400)
-        b = time_cell("swim", "decrypt-only", num_instructions=1200,
-                      warmup=400)
-        assert a["cycles"] == b["cycles"]
-        assert a["ipc"] == b["ipc"]
-
-
-class TestRunMatrix:
-    def test_cells_and_aggregate(self):
-        report = small_matrix()
-        assert len(report["cells"]) == 2
-        agg = report["aggregate"]
-        assert agg["instructions"] == 2 * 1600
-        assert agg["instructions_per_second"] > 0
-        assert report["speedup_vs_baseline"] == (
-            agg["instructions_per_second"]
-            / PRE_PR_BASELINE["instructions_per_second"])
-
-    def test_render_table_mentions_every_cell(self):
-        report = small_matrix()
-        table = render_table(report)
-        assert "decrypt-only" in table
-        assert "authen-then-commit" in table
-        assert "speedup" in table
-
-
-class TestWriteReport:
-    def test_report_round_trips(self, tmp_path):
-        report = small_matrix()
-        path = write_report(report, path=str(tmp_path / "BENCH_test.json"))
-        payload = json.loads(open(path).read())
-        assert payload["baseline"]["instructions_per_second"] == \
-            PRE_PR_BASELINE["instructions_per_second"]
-        assert len(payload["cells"]) == 2
-        assert "generated_at" in payload
-
-    def test_default_path_is_stamped(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        path = write_report(small_matrix())
-        assert "BENCH_" in path and path.endswith(".json")
+import pytest
 
 
 class TestCli:
     def test_perf_check_exits_clean(self, capsys):
         from repro.cli import main
 
-        assert main(["perf", "--check"]) == 0
-        assert "parity OK" in capsys.readouterr().out
+        assert main(["perf"]) == 0
+        out = capsys.readouterr().out
+        assert "parity OK" in out
+        assert "4 out-of-envelope cells" in out
 
-    def test_perf_writes_report(self, tmp_path, capsys):
+    def test_perf_takes_no_options(self):
         from repro.cli import main
 
-        out = str(tmp_path / "bench.json")
-        code = main(["perf", "-n", "1200", "--warmup", "400",
-                     "--repeats", "1", "--out", out])
-        assert code == 0
-        payload = json.loads(open(out).read())
-        assert payload["speedup_vs_baseline"] > 0
-        assert "inst/s" in capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            main(["perf", "--check"])
+
+    def test_perf_fails_on_drift(self, capsys, monkeypatch):
+        from repro.cli import main
+        from repro.perf import bench
+
+        monkeypatch.setattr(bench, "check_goldens",
+                            lambda: ["mcf/decrypt-only [legacy]: drift"])
+        assert main(["perf"]) == 1
+        assert "golden parity FAILED" in capsys.readouterr().err
 
 
 class TestStoreBench:
     def test_phases_identical_and_warm_hits(self, tmp_path):
-        from repro.perf.bench import render_store_table, run_store_bench
+        from repro.exec import (ArtifactStore, SerialExecutor, TraceCache,
+                                build_jobs, set_active_store)
+        from repro.exec.chaos import result_digest
 
-        report = run_store_bench(benchmarks=("gzip",),
-                                 policies=("decrypt-only",
-                                           "authen-then-commit"),
-                                 num_instructions=1500, warmup=750,
-                                 store_dir=str(tmp_path / "store"))
-        assert report["identical"]
-        assert report["warm_store_hits"] == report["jobs"]
-        assert report["warm_wall_seconds"] > 0
-        assert report["store_bytes"] > 0
-        text = render_store_table(report)
-        assert "no-store" in text
-        assert "bit-identical" in text
-
-    def test_cli_store_bench_flag(self, capsys, tmp_path, monkeypatch):
-        from repro.cli import main
-
-        monkeypatch.chdir(tmp_path)
-        code = main(["perf", "-n", "1500", "--warmup", "750",
-                     "--repeats", "1", "--no-group", "--no-json",
-                     "--store-bench"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "artifact store (no-store vs cold vs warm):" in out
-        assert "bit-identical across all three phases" in out
+        jobs = build_jobs(["gzip"], ["decrypt-only", "authen-then-commit"],
+                          num_instructions=1500, warmup=750)
+        store = ArtifactStore(tmp_path / "store")
+        previous = set_active_store(None)
+        try:
+            no_store = SerialExecutor(cache=TraceCache()).run(jobs)
+            set_active_store(store)
+            cold = SerialExecutor(cache=TraceCache()).run(jobs)
+            warm_exec = SerialExecutor(cache=TraceCache())
+            warm = warm_exec.run(jobs)
+        finally:
+            set_active_store(previous)
+        for job in jobs:
+            want = result_digest(no_store[job])
+            assert result_digest(cold[job]) == want
+            assert result_digest(warm[job]) == want
+        assert sum(outcome.store_hit
+                   for outcome in warm_exec.last_outcomes.values()) == \
+            len(jobs)
+        assert store.stats()["total_bytes"] > 0

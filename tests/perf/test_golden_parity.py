@@ -1,9 +1,9 @@
 """Golden timing-parity suite.
 
-The hot-path optimisations (packed traces, O(1) LRU, flattened hierarchy
-and engine fast paths, issue-calendar pruning) must be *timing-neutral*:
-cycle counts, IPC and every StatGroup counter bit-identical to the
-pinned reference.  These tests re-run the golden matrix cell by cell.
+The hot-path optimisations (packed traces, O(1) LRU, issue-calendar
+pruning) must be *timing-neutral*: cycle counts, IPC and every StatGroup
+counter bit-identical to the pinned reference.  These tests re-run the
+golden matrix and the out-of-envelope cells cell by cell.
 """
 
 import pytest
@@ -15,16 +15,20 @@ from repro.perf.golden import (
     GOLDEN_DIGESTS,
     GOLDEN_INSTRUCTIONS,
     GOLDEN_WARMUP,
+    LEGACY_ONLY_CYCLES,
+    LEGACY_ONLY_DIGESTS,
     golden_cells,
+    legacy_only_cells,
     stats_digest,
 )
 from repro.sim.runner import build_simulator
 
 CELLS = list(golden_cells())
+LEGACY_ONLY = list(legacy_only_cells())
 
 
-def run_cell(bench, policy):
-    config = SimConfig()
+def run_cell(bench, policy, config=None):
+    config = config or SimConfig()
     trace = cached_trace(bench, GOLDEN_INSTRUCTIONS + GOLDEN_WARMUP,
                          config.seed)
     core, hier = build_simulator(config, policy)
@@ -51,6 +55,16 @@ class TestGoldenParity:
         key = "%s/%s" % (bench, policy)
         digest = stats_digest(result.stats.as_dict(), hier.miss_summary())
         assert digest == GOLDEN_DIGESTS[key]
+
+    @pytest.mark.parametrize("key,bench,config,policy", LEGACY_ONLY,
+                             ids=[cell[0] for cell in LEGACY_ONLY])
+    def test_legacy_only_cell(self, key, bench, config, policy):
+        """Hash tree, prefetching, CBC and obfuscation run only through
+        the legacy simulator; their walk is pinned here."""
+        result, hier = run_cell(bench, policy, config)
+        assert result.cycles == LEGACY_ONLY_CYCLES[key]
+        assert stats_digest(result.stats.as_dict(),
+                            hier.miss_summary()) == LEGACY_ONLY_DIGESTS[key]
 
     def test_check_goldens_is_clean(self):
         from repro.perf.bench import check_goldens
