@@ -516,118 +516,24 @@ def _cmd_diff(args):
 
 
 def _cmd_chaos(args):
-    from repro.exec.chaos import (ALL_FAULTS, run_chaos, run_dist_chaos,
-                                  run_figures_chaos, run_group_chaos,
-                                  run_store_chaos)
+    from repro.errors import ReproError
+    from repro.exec.chaos import run_campaign
     from repro.obs import write_json
 
-    scale = _scale(args)
-    if args.dist:
-        from repro.errors import ReproError
-
-        try:
-            report = run_dist_chaos(
-                benchmarks=args.benchmark or ["gzip", "mcf"],
-                policies=args.policy or ["decrypt-only",
-                                         "authen-then-commit",
-                                         "authen-then-issue"],
-                num_instructions=scale["num_instructions"],
-                warmup=scale["warmup"], seed=args.seed,
-                workdir=args.workdir)
-        except ReproError as exc:
-            print("error: %s" % exc, file=sys.stderr)
-            return 2
-        print(report.render())
-        if args.emit_json:
-            write_json(report.as_dict(), args.emit_json)
-            print("chaos report written to %s" % args.emit_json)
-        return 0 if report.identical else 1
-
-    if args.store:
-        from repro.errors import ReproError
-
-        try:
-            report = run_store_chaos(
-                benchmarks=args.benchmark or ["gzip", "mcf"],
-                policies=args.policy or ["decrypt-only",
-                                         "authen-then-commit",
-                                         "authen-then-issue"],
-                num_instructions=scale["num_instructions"],
-                warmup=scale["warmup"], seed=args.seed,
-                workdir=args.workdir)
-        except ReproError as exc:
-            print("error: %s" % exc, file=sys.stderr)
-            return 2
-        print(report.render())
-        if args.emit_json:
-            write_json(report.as_dict(), args.emit_json)
-            print("chaos report written to %s" % args.emit_json)
-        return 0 if report.identical else 1
-
-    if args.group:
-        from repro.errors import ReproError
-
-        try:
-            report = run_group_chaos(
-                benchmarks=args.benchmark or ["gzip", "mcf"],
-                policies=args.policy or ["decrypt-only",
-                                         "authen-then-commit",
-                                         "authen-then-issue",
-                                         "authen-then-write"],
-                num_instructions=scale["num_instructions"],
-                warmup=scale["warmup"], seed=args.seed,
-                workers=args.jobs, timeout=args.timeout,
-                workdir=args.workdir)
-        except ReproError as exc:
-            print("error: %s" % exc, file=sys.stderr)
-            return 2
-        print(report.render())
-        if args.emit_json:
-            write_json(report.as_dict(), args.emit_json)
-            print("chaos report written to %s" % args.emit_json)
-        return 0 if report.identical else 1
-
-    if args.figures:
-        from repro.errors import ReproError
-
-        names = [name.strip() for name in args.figures.split(",")
-                 if name.strip()]
-        try:
-            report = run_figures_chaos(
-                figures=names,
-                benchmarks=args.benchmark or ["gzip", "mcf"],
-                num_instructions=scale["num_instructions"],
-                warmup=scale["warmup"], seed=args.seed,
-                workers=args.jobs, workdir=args.workdir)
-        except ReproError as exc:
-            print("error: %s" % exc, file=sys.stderr)
-            return 2
-        print(report.render())
-        if args.emit_json:
-            write_json(report.as_dict(), args.emit_json)
-            print("chaos report written to %s" % args.emit_json)
-        return 0 if report.identical else 1
-
-    if args.faults:
+    faults = None
+    if args.faults is not None:
         faults = tuple(f.strip() for f in args.faults.split(",")
                        if f.strip())
-        unknown = set(faults) - set(ALL_FAULTS)
-        if unknown:
-            print("error: unknown fault(s) %s (choose from %s)"
-                  % (", ".join(sorted(unknown)), ", ".join(ALL_FAULTS)),
-                  file=sys.stderr)
-            return 2
-    else:
-        faults = ALL_FAULTS
-    policies = args.policy or ["decrypt-only", "authen-then-commit",
-                               "authen-then-issue"]
-    report = run_chaos(benchmarks=args.benchmark or ["gzip"],
-                       policies=policies,
-                       num_instructions=scale["num_instructions"],
-                       warmup=scale["warmup"], seed=args.seed,
-                       faults=faults, workers=args.jobs,
-                       hang_seconds=args.hang_seconds,
-                       timeout=args.timeout, workdir=args.workdir)
+    try:
+        report = run_campaign(args.campaign, benchmarks=args.benchmark,
+                              policies=args.policy, faults=faults,
+                              seed=args.seed, workers=args.jobs,
+                              hang_seconds=args.hang_seconds,
+                              timeout=args.timeout, workdir=args.workdir,
+                              **_scale(args))
+    except ReproError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
     print(report.render())
     if args.emit_json:
         write_json(report.as_dict(), args.emit_json)
@@ -783,8 +689,6 @@ def _cmd_store(args):
 
 
 def _cmd_worker(args):
-    import os
-
     from repro.exec import run_worker
     from repro.exec.dist import ensure_spool, request_stop
 
@@ -795,26 +699,11 @@ def _cmd_worker(args):
               % args.spool)
         return 0
     _activate_store(args)
-    on_record = None
-    die_after = os.environ.get("REPRO_WORKER_DIE_AFTER")
-    if die_after:
-        # Chaos/CI hook: SIGKILL this worker right after its Nth
-        # journal append -- mid-unit by construction -- so host-death
-        # recovery can be exercised from a plain shell script.
-        import signal
-
-        budget = [int(die_after)]
-
-        def on_record(job, result):
-            budget[0] -= 1
-            if budget[0] <= 0:
-                os.kill(os.getpid(), signal.SIGKILL)
-
     summary = run_worker(args.spool, host_id=args.host_id,
                          poll=args.poll,
                          lease_timeout=args.lease_timeout,
                          idle_exit=args.idle_exit,
-                         max_units=args.max_units, on_record=on_record,
+                         max_units=args.max_units,
                          log=lambda line: print(line, file=sys.stderr))
     print("worker %s: %d unit(s), %d member result(s), %d error(s)"
           % (summary["host_id"], summary["units"], summary["members"],
@@ -1016,51 +905,40 @@ def build_parser():
     p.set_defaults(func=_cmd_diff)
 
     p = sub.add_parser("chaos",
-                       help="fault-injection harness: run a sweep under "
-                            "injected worker kills, hangs and journal "
-                            "corruption; verify bit-identical recovery")
+                       help="fault-injection harness: run a campaign of "
+                            "injected faults and verify bit-identical "
+                            "recovery against a fault-free serial run")
+    p.add_argument("--campaign", default="sweep",
+                   choices=("sweep", "group", "figures", "store", "dist"),
+                   help="sweep (default): worker kills, hangs, a broken "
+                        "pool, ENOSPC and a corrupted journal; group: a "
+                        "mid-group kill and exact resume; figures: a "
+                        "worker kill mid fig8; store: corrupt entries "
+                        "and a stale lock; dist: host death, a split "
+                        "journal and a vanished fleet")
     p.add_argument("--benchmark", action="append", default=None,
                    choices=sorted(SPEC2000_PROFILES),
-                   help="benchmark(s) to sweep (default: gzip)")
+                   help="benchmark(s) to sweep (default: the "
+                        "campaign's grid)")
     p.add_argument("-p", "--policy", action="append",
                    choices=available_policies())
     p.add_argument("--seed", type=int, default=0,
                    help="chaos schedule seed (default 0)")
     p.add_argument("--faults", metavar="CSV", default=None,
-                   help="comma-separated fault kinds (default: all): "
-                        "worker-kill, job-exception, hang, "
-                        "journal-truncate, journal-bitflip, "
-                        "pool-init-failure, journal-enospc")
-    p.add_argument("--figures", metavar="CSV", default=None,
-                   help="run the figures chaos smoke instead: "
-                        "regenerate these artifacts (e.g. fig8) with a "
-                        "worker kill injected and verify byte-identical "
-                        "output")
-    p.add_argument("--group", action="store_true",
-                   help="run the grouped-pipeline campaign instead: "
-                        "worker-kill a multi-policy group mid-"
-                        "evaluation and gate that journal resume "
-                        "re-runs only the unfinished policy "
-                        "evaluations bit-identically")
-    p.add_argument("--store", action="store_true",
-                   help="run the artifact-store campaign instead: "
-                        "corrupt store entries (truncation, bit flip) "
-                        "and plant a stale single-flight lock, then "
-                        "gate that quarantine + regeneration keep "
-                        "results bit-identical")
-    p.add_argument("--dist", action="store_true",
-                   help="run the multi-host campaign instead: a worker "
-                        "daemon SIGKILLed mid-unit, two daemons "
-                        "appending one journal segment (then torn), "
-                        "and a vanished fleet must all heal to "
-                        "bit-identical results")
+                   help="sweep campaign only: comma-separated fault "
+                        "kinds (default: all): worker-kill, "
+                        "job-exception, hang, journal-truncate, "
+                        "journal-bitflip, pool-init-failure, "
+                        "journal-enospc")
     p.add_argument("-j", "--jobs", type=int, default=2,
                    help="worker processes for the faulty phase "
                         "(default 2)")
     p.add_argument("--hang-seconds", type=float, default=2.0,
                    help="how long the injected hang sleeps")
-    p.add_argument("--timeout", type=float, default=0.75,
-                   help="per-attempt timeout used to break the hang")
+    p.add_argument("--timeout", type=float, default=None,
+                   help="per-attempt timeout (default: 0.75 for sweep, "
+                        "which breaks the hang; 30 for group and "
+                        "figures)")
     p.add_argument("--workdir", metavar="DIR", default=None,
                    help="keep journal/sidecar artifacts here instead "
                         "of a temp dir")

@@ -2,23 +2,37 @@
 
 The paper argues a secure processor must keep producing correct results
 while memory misbehaves; this module holds the sweep infrastructure to
-the same standard.  Instead of hoping the retry/journal machinery works,
-:func:`run_chaos` *injects* the failure modes -- killed workers, raised
-exceptions, artificial hangs, journal truncation and bit flips, plus the
-infrastructure faults (a pool initializer that dies, a journal append
-hitting ENOSPC) -- from a seeded schedule, then asserts the sweep still
-converges to results bit-identical to a fault-free serial run (cycles,
-IPC and the sha256 stats digest of every job).
-:func:`run_figures_chaos` holds ``repro figures`` to the same standard:
-a worker kill mid-regeneration must still yield byte-identical text
-artifacts.  :func:`run_store_chaos` does the same for the persistent
-artifact store: truncated and bit-flipped entries plus a stale
-single-flight lock from a dead process must cost quarantine and one
-regeneration, never a wrong number.  :func:`run_dist_chaos` extends the
-standard across hosts: a worker daemon SIGKILLed mid-unit, a journal
-segment two daemons appended concurrently (then torn mid-record), and a
-fleet that vanishes entirely must all heal to results bit-identical to
-``SerialExecutor`` -- with the victim's leased jobs re-run exactly once.
+the same standard.  Instead of hoping the retry/journal/store/spool
+machinery works, a campaign *injects* the failure modes from a seeded
+schedule, then compares what came back against a fault-free serial
+reference -- sha256 digests of every job's cycles, IPC inputs and stats
+(or of every artifact's bytes) must match exactly.
+
+Every campaign is one row of :data:`CAMPAIGNS` driven by one runner,
+:func:`run_campaign`: fault schedule x backend x gate, where the gate is
+digest equality with the serial reference plus the row's named gates.
+A row supplies only what differs -- its default grid, its fault phases
+and its gates; the runner validates the grid, computes the reference,
+sets up the workdir and the retry-then-skip policy, diffs every result
+set the phases produced and hashes them into ``stats_digest``:
+
+- ``sweep``: killed workers, raised exceptions, hangs, a pool
+  initializer that dies and a journal append hitting ENOSPC, then a torn
+  and bit-flipped journal the healing run must resume from;
+- ``group``: a worker kill against a mid-group member of the grouped
+  (decode once, evaluate N) path, then a mid-group abort whose resume
+  must re-run only the unfinished members;
+- ``figures``: a worker kill mid ``fig8`` regeneration, gated on
+  byte-identical artifacts;
+- ``store``: truncated and bit-flipped artifact-store entries plus a
+  stale single-flight lock from a dead process;
+- ``dist``: a worker daemon SIGKILLed mid-unit, a journal segment two
+  daemons appended concurrently (then torn), and a vanished fleet.
+
+Every row carries a ``fault_fired`` gate backed by evidence the phases
+collect (a retried target, a pool rebuild, a ``JOURNAL_DEGRADED`` event,
+a quarantine), so a campaign whose faults never fired fails instead of
+passing vacuously.
 
 Determinism is the point: a :class:`ChaosPlan` is a pure function of
 ``(job list, seed, fault kinds)``, so a failing chaos run is exactly
@@ -29,10 +43,13 @@ the driver for serial/degraded execution); job faults fire on a job's
 sweep.
 """
 
+import collections
+import contextlib
 import dataclasses
 import hashlib
 import json
 import os
+import shutil
 import signal
 import socket
 import time
@@ -43,9 +60,10 @@ from repro.exec.executor import (
     SerialExecutor,
     set_attempt_hook,
 )
-from repro.exec.job import build_jobs
+from repro.exec.job import build_job_groups, build_jobs
 from repro.exec.retry import (
     RETRY_THEN_SKIP,
+    STATUS_FAILED,
     STATUS_RESUMED,
     FailurePolicy,
 )
@@ -81,6 +99,11 @@ JOURNAL_FAULTS = (FAULT_JOURNAL_TRUNCATE, FAULT_JOURNAL_BITFLIP)
 INFRA_FAULTS = (FAULT_POOL_INIT, FAULT_JOURNAL_ENOSPC)
 ALL_FAULTS = JOB_FAULTS + JOURNAL_FAULTS + INFRA_FAULTS
 
+#: Attempts the retry-then-skip policy grants every campaign job.
+MAX_ATTEMPTS = 4
+#: Heartbeat age past which the dist driver declares a worker host dead.
+LEASE_TIMEOUT = 1.0
+
 
 class ChaosPlan:
     """A seeded, picklable fault schedule (the executors' attempt hook).
@@ -105,12 +128,12 @@ class ChaosPlan:
         """The fault to fire for this attempt (None for no fault).
 
         Keys in ``job_faults`` may be job_ids or ``benchmark/policy``
-        pairs -- the latter lets callers (the figures chaos smoke) target
-        a job without precomputing its configuration-dependent job_id.
-        Grouped execution keeps this targeting surface: the executors
-        fire the attempt hook once per *member* evaluation, so a fault
-        keyed by a member's job_id or cell lands inside whichever
-        grouped job carries it.
+        pairs -- the latter lets a campaign target a grid cell without
+        precomputing its configuration-dependent job_id.  Grouped
+        execution keeps this targeting surface: the executors fire the
+        attempt hook once per *member* evaluation, so a fault keyed by a
+        member's job_id or cell lands inside whichever grouped job
+        carries it.
         """
         if attempt != 1:
             return None
@@ -176,19 +199,24 @@ def build_plan(jobs, seed, faults=ALL_FAULTS, hang_seconds=2.0):
 
     Each requested job-fault kind is assigned to one distinct job,
     chosen by a named RNG stream off ``seed`` -- same inputs, same
-    schedule, on every machine.
+    schedule, on every machine.  Asking for more job faults than there
+    are jobs is an error: the surplus faults could never fire.
     """
     unknown = set(faults) - set(ALL_FAULTS)
     if unknown:
         raise ReproError("unknown fault kind(s): %s (expected %s)"
                          % (", ".join(sorted(unknown)),
                             ", ".join(ALL_FAULTS)))
+    requested = [kind for kind in JOB_FAULTS if kind in faults]
+    if len(requested) > len(jobs):
+        raise ReproError("%d job fault(s) requested (%s) but the grid has "
+                         "only %d job(s); each job fault needs a job of "
+                         "its own" % (len(requested), ", ".join(requested),
+                                      len(jobs)))
     rng = DeterministicRng(seed).stream("chaos.targets")
     available = [job.job_id for job in jobs]
     job_faults = {}
-    for kind in JOB_FAULTS:
-        if kind not in faults or not available:
-            continue
+    for kind in requested:
         job_faults[available.pop(rng.randrange(len(available)))] = kind
     journal_faults = tuple(k for k in JOURNAL_FAULTS if k in faults)
     infra_faults = tuple(k for k in INFRA_FAULTS if k in faults)
@@ -279,661 +307,467 @@ def result_digest(result):
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
+def _digests(results):
+    """``{job_id: digest}`` for an executor's ``{job: RunResult}``."""
+    return {job.job_id: result_digest(result)
+            for job, result in results.items()}
+
+
+# ---- the report --------------------------------------------------------
+
 @dataclasses.dataclass
 class ChaosReport:
-    """Outcome of one chaos campaign (see :func:`run_chaos`)."""
+    """Outcome of one campaign -- the same shape for every row."""
 
-    identical: bool
+    campaign: str
+    identical: bool         # no mismatch, no failure, every gate held
     seed: int
-    faults: tuple
+    benchmarks: tuple
+    policies: tuple
     total_jobs: int
-    injected: dict          # job_id -> fault kind
-    journal_corruption: list
-    attempts: dict          # job_id -> attempts across both phases
+    injected: dict          # target -> fault kind
+    attempts: dict          # job_id -> most attempts any phase needed
     failures: list          # JobResult dicts for terminal failures
-    mismatches: list        # job_ids whose digest diverged
-    quarantined_lines: int
-    resumed_jobs: int
-    reexecuted_jobs: int
-    pool_rebuilds: int
-    degraded: bool
-    retry_events: int
-    failed_events: int
-    degraded_events: int
-    stats_digest: str       # sha256 over the per-job digests, in order
-    journal_path: str
-    rej_path: str
-    journal_degraded_events: int = 0
+    mismatches: list        # "phase:key" whose digest diverged/went missing
+    notes: list             # what the fault phases did, in order
+    counters: dict          # evidence name -> int
+    gates: dict             # gate name -> bool
+    stats_digest: str       # sha256 over every produced digest, in order
+    kind: str = "chaos"
 
     def as_dict(self):
         return dataclasses.asdict(self)
 
     def render(self):
-        lines = ["chaos campaign: seed=%d faults=%s"
-                 % (self.seed, ",".join(self.faults))]
+        lines = ["chaos campaign %s: seed=%d, %d benchmark(s) x %d "
+                 "policies, %d job(s)"
+                 % (self.campaign, self.seed, len(self.benchmarks),
+                    len(self.policies), self.total_jobs)]
         lines.append("  injected: %s" % (
-            ", ".join("%s->%s" % (kind, job_id)
-                      for job_id, kind in sorted(self.injected.items(),
+            ", ".join("%s->%s" % (kind, target)
+                      for target, kind in sorted(self.injected.items(),
                                                  key=lambda kv: kv[1]))
             or "none"))
-        for note in self.journal_corruption:
-            lines.append("  journal: %s" % note)
+        lines.extend("  %s" % note for note in self.notes)
         retried = sum(1 for n in self.attempts.values() if n > 1)
-        lines.append("  %d job(s): %d retried, %d resumed from journal, "
-                     "%d re-executed after quarantine"
-                     % (self.total_jobs, retried, self.resumed_jobs,
-                        self.reexecuted_jobs))
-        lines.append("  pool rebuilds: %d%s; events: %d retry, %d "
-                     "failed, %d degraded"
-                     % (self.pool_rebuilds,
-                        " (degraded to serial)" if self.degraded else "",
-                        self.retry_events, self.failed_events,
-                        self.degraded_events))
-        if self.journal_degraded_events:
-            lines.append("  journal degraded mid-sweep (%d event(s)): "
-                         "append failed, run finished unjournaled"
-                         % self.journal_degraded_events)
-        if self.quarantined_lines:
-            lines.append("  quarantined %d journal line(s) -> %s"
-                         % (self.quarantined_lines, self.rej_path))
+        lines.append("  %d job(s) retried" % retried)
+        if self.counters:
+            lines.append("  counters: " + ", ".join(
+                "%s=%d" % item for item in sorted(self.counters.items())))
+        lines.append("  gates: " + ", ".join(
+            "%s %s" % (name, "ok" if held else "FAILED")
+            for name, held in self.gates.items()))
         if self.failures:
             lines.append("  TERMINAL FAILURES: %s" % self.failures)
         lines.append("  stats digest: %s" % self.stats_digest)
+        failed_gates = [name for name, held in self.gates.items()
+                        if not held]
         lines.append("verdict: %s" % (
             "bit-identical to the fault-free serial run"
             if self.identical else
             "DIVERGED from the fault-free serial run: %s"
-            % (self.mismatches or "(missing results)")))
+            % (self.mismatches or failed_gates or "(terminal failures)")))
         return "\n".join(lines)
 
 
-def run_chaos(benchmarks=("gzip",),
-              policies=("decrypt-only", "authen-then-commit",
-                        "authen-then-issue"),
-              num_instructions=1500, warmup=750, seed=0,
-              faults=ALL_FAULTS, workers=2, hang_seconds=2.0,
-              timeout=0.75, max_attempts=4, workdir=None, tracer=None):
-    """Run one chaos campaign; returns a :class:`ChaosReport`.
+# ---- the shared runner -------------------------------------------------
 
-    Three phases:
+class _Run:
+    """One campaign in flight: inputs for its phases, evidence for its
+    report.  Phases append to ``injected``/``notes`` and fill
+    ``counters``/``gates``; :meth:`settle` folds executor outcomes in."""
 
-    1. *Reference*: the job grid runs clean and serial; per-job digests
-       are the ground truth.
-    2. *Fault phase*: the same grid runs against a journal with the
-       seeded job faults armed (pool workers get the plan via the pool
-       initializer; the driver gets it for serial/degraded execution)
-       under a retry-then-skip policy with a per-attempt timeout.
-    3. *Recovery phase*: the journal is corrupted per the schedule,
-       then the grid is re-run against it -- quarantined and lost
-       records must be re-simulated, everything else resumed.
+    def __init__(self, benchmarks, policies, jobs, num_instructions,
+                 warmup, seed, plan, workers, policy, workdir):
+        self.benchmarks = benchmarks
+        self.policies = policies
+        self.jobs = jobs
+        self.job_ids = [job.job_id for job in jobs]
+        self.num_instructions = num_instructions
+        self.warmup = warmup
+        self.seed = seed
+        self.plan = plan
+        self.workers = workers
+        self.policy = policy
+        self.workdir = workdir
+        self.injected = {}
+        self.attempts = {}
+        self.failures = []
+        self.notes = []
+        self.counters = {}
+        self.gates = {}
 
-    The campaign passes when phase 3's results are bit-identical to
-    phase 1's for every job and nothing failed terminally.
+    def path(self, name):
+        """``workdir/name``, cleared of whatever an earlier campaign in
+        the same workdir left there."""
+        path = os.path.join(self.workdir, name)
+        if os.path.isdir(path):
+            shutil.rmtree(path)
+        elif os.path.exists(path):
+            os.remove(path)
+        return path
+
+    def groups(self):
+        return build_job_groups(list(self.benchmarks), list(self.policies),
+                                num_instructions=self.num_instructions,
+                                warmup=self.warmup)
+
+    def count_pool(self, executor):
+        """Record a pool's losses as counters; returns its rebuilds."""
+        self.counters["pool_rebuilds"] = getattr(executor, "rebuilds", 0)
+        self.counters["degraded"] = int(getattr(executor, "degraded",
+                                                False))
+        return self.counters["pool_rebuilds"]
+
+    def settle(self, executor):
+        """Fold one executor run's outcomes into the report."""
+        for job_id, outcome in executor.last_outcomes.items():
+            self.attempts[job_id] = max(self.attempts.get(job_id, 0),
+                                        outcome.attempts)
+            if outcome.status == STATUS_FAILED:
+                self.failures.append(outcome.as_dict())
+
+
+@contextlib.contextmanager
+def _armed(plan, workers):
+    """Arm ``plan`` in this process and in every pool worker; yields a
+    pool executor for ``workers > 1``, else a serial one."""
+    previous = set_attempt_hook(plan)
+    try:
+        if workers > 1:
+            executor = ParallelExecutor(workers,
+                                        initializer=_install_in_worker,
+                                        initargs=(plan,))
+        else:
+            executor = SerialExecutor()
+        with executor:
+            yield executor
+    finally:
+        set_attempt_hook(previous)
+
+
+def _serial_reference(run):
+    return _digests(SerialExecutor().run(run.jobs))
+
+
+@dataclasses.dataclass(frozen=True)
+class Campaign:
+    """One row of :data:`CAMPAIGNS`: only what differs between campaigns.
+
+    ``phases(run)`` injects the faults, records evidence on ``run`` and
+    returns ``[(phase label, {key: digest})]`` -- every result set the
+    campaign produced, each diffed against ``reference(run)``.
     """
+
+    benchmarks: tuple       # default grid
+    policies: tuple         # () -- the campaign fixes its own policies
+    phases: object
+    reference: object = _serial_reference
+    faults: tuple = ()      # selectable fault kinds (fixed when empty)
+    timeout: float = None   # default per-attempt budget, seconds
+    min_grid: tuple = (1, 1)   # (benchmarks, policies) the phases need
+    why: str = ""
+
+
+def run_campaign(campaign="sweep", benchmarks=None, policies=None,
+                 num_instructions=1500, warmup=750, seed=0, faults=None,
+                 workers=2, hang_seconds=2.0, timeout=None, workdir=None):
+    """Run one row of :data:`CAMPAIGNS`; returns a :class:`ChaosReport`.
+
+    ``None`` for ``benchmarks``, ``policies``, ``faults`` or ``timeout``
+    takes the row's default.  Raises :class:`ReproError` before any
+    simulation for an unknown campaign, an undersized grid or a fault
+    request the row cannot honour.
+    """
+    row = CAMPAIGNS.get(campaign)
+    if row is None:
+        raise ReproError("unknown campaign %r (choose from %s)"
+                         % (campaign, ", ".join(CAMPAIGNS)))
+    if policies and not row.policies:
+        raise ReproError("campaign %s fixes its own policies; -p/--policy "
+                         "does not apply" % campaign)
+    if faults is not None and not row.faults:
+        raise ReproError("campaign %s injects a fixed fault schedule; "
+                         "--faults applies only to the sweep campaign"
+                         % campaign)
+    benchmarks = tuple(benchmarks or row.benchmarks)
+    policies = tuple(policies or row.policies)
+    min_benchmarks, min_policies = row.min_grid
+    if len(benchmarks) < min_benchmarks or (
+            row.policies and len(policies) < min_policies):
+        raise ReproError("campaign %s needs >= %d benchmark(s) and >= %d "
+                         "policies: %s" % (campaign, min_benchmarks,
+                                           min_policies, row.why))
+    faults = tuple(row.faults if faults is None else faults)
+    if row.faults and not faults:
+        raise ReproError("campaign %s needs at least one fault kind"
+                         % campaign)
+    jobs = build_jobs(list(benchmarks), list(policies),
+                      num_instructions=num_instructions, warmup=warmup)
+    plan = (build_plan(jobs, seed, faults, hang_seconds=hang_seconds)
+            if faults else None)
+
+    if workdir is None:
+        import tempfile
+
+        workdir = tempfile.mkdtemp(prefix="repro-chaos-%s-" % campaign)
+    os.makedirs(workdir, exist_ok=True)
+    policy = FailurePolicy(mode=RETRY_THEN_SKIP, max_attempts=MAX_ATTEMPTS,
+                           timeout=row.timeout if timeout is None
+                           else timeout,
+                           backoff_base=0.01, backoff_max=0.05,
+                           jitter_seed=seed)
+    run = _Run(benchmarks, policies, jobs, num_instructions, warmup, seed,
+               plan, workers, policy, workdir)
+    reference = row.reference(run)
+    produced = row.phases(run)
+
+    mismatches = []
+    digests = []
+    for label, results in produced:
+        for key, want in reference.items():
+            got = results.get(key)
+            if got is not None:
+                digests.append(got)
+            if got != want:
+                mismatches.append("%s:%s" % (label, key))
+    return ChaosReport(
+        campaign=campaign,
+        identical=(not mismatches and not run.failures
+                   and all(run.gates.values())),
+        seed=seed,
+        benchmarks=run.benchmarks,
+        policies=run.policies,
+        total_jobs=len(run.job_ids),
+        injected=run.injected,
+        attempts=run.attempts,
+        failures=run.failures,
+        mismatches=mismatches,
+        notes=run.notes,
+        counters=run.counters,
+        gates=run.gates,
+        stats_digest=hashlib.sha256("".join(digests).encode()).hexdigest(),
+    )
+
+
+# ---- sweep: job faults, infra faults, journal corruption ---------------
+
+def _sweep_phases(run):
+    """Run the grid with the seeded faults armed against a journal, tear
+    and flip the journal, then heal serially by resuming from it --
+    quarantined and lost records must re-simulate, the rest resume."""
     from repro.obs import MemorySink, Tracer
     from repro.sim.checkpoint import JobJournal
 
-    jobs = build_jobs(list(benchmarks), list(policies),
-                      num_instructions=num_instructions, warmup=warmup)
-    reference = SerialExecutor().run(jobs)
-    ref_digests = {job.job_id: result_digest(reference[job])
-                   for job in jobs}
-
-    if workdir is None:
-        import tempfile
-
-        workdir = tempfile.mkdtemp(prefix="repro-chaos-")
-    os.makedirs(workdir, exist_ok=True)
-    journal_path = os.path.join(workdir, "chaos.journal")
-    for stale in (journal_path, journal_path + ".rej"):
-        if os.path.exists(stale):
-            os.remove(stale)
-
-    plan = build_plan(jobs, seed, faults, hang_seconds=hang_seconds)
-    sentinel = os.path.join(workdir, "pool-init.sentinel")
-    if os.path.exists(sentinel):
-        os.remove(sentinel)
+    plan = run.plan
+    journal_path = run.path("chaos.journal")
+    run.path("chaos.journal.rej")   # and its quarantine sidecar
     if FAULT_POOL_INIT in plan.infra_faults:
-        plan.arm_init_fault(sentinel)
-    policy = FailurePolicy(mode=RETRY_THEN_SKIP,
-                           max_attempts=max_attempts, timeout=timeout,
-                           backoff_base=0.01, backoff_max=0.05,
-                           jitter_seed=seed)
-    sink = MemorySink()
-    own_tracer = tracer if tracer is not None else Tracer([sink])
-
-    # Phase 2: run with faults armed.
-    attempts = {}
-    failures = []
+        plan.arm_init_fault(run.path("pool-init.sentinel"))
     if FAULT_JOURNAL_ENOSPC in plan.infra_faults:
-        phase2_journal = _enospc_journal(journal_path)
+        journal = _enospc_journal(journal_path)
     else:
-        phase2_journal = JobJournal(journal_path)
-    previous = set_attempt_hook(plan)
-    try:
-        if workers and workers > 1:
-            executor = ParallelExecutor(
-                workers, initializer=_install_in_worker,
-                initargs=(plan,))
-        else:
-            executor = SerialExecutor()
-        with executor:
-            executor.run(jobs, journal=phase2_journal,
-                         tracer=own_tracer, failure_policy=policy)
-            for job_id, outcome in executor.last_outcomes.items():
-                attempts[job_id] = outcome.attempts
-                if outcome.status == "failed":
-                    failures.append(outcome.as_dict())
-            pool_rebuilds = getattr(executor, "rebuilds", 0)
-            degraded = getattr(executor, "degraded", False)
-    finally:
-        set_attempt_hook(previous)
+        journal = JobJournal(journal_path)
+    run.injected.update(plan.job_faults)
+    sink = MemorySink()
+    tracer = Tracer([sink])
+    with _armed(plan, run.workers) as executor:
+        executor.run(run.jobs, journal=journal, tracer=tracer,
+                     failure_policy=run.policy)
+        run.settle(executor)
+        rebuilds = run.count_pool(executor)
+    faulted_attempts = dict(run.attempts)
 
-    # Phase 3: corrupt the journal, then heal by resuming (no faults
-    # armed: the hook is restored, workers are fresh).
-    corruption = corrupt_journal(journal_path, plan.journal_faults, seed)
+    corruption = corrupt_journal(journal_path, plan.journal_faults,
+                                 run.seed)
+    run.notes.extend("journal: %s" % note for note in corruption)
     journal = JobJournal(journal_path)
     healer = SerialExecutor()
-    final = healer.run(jobs, journal=journal, tracer=own_tracer,
-                       failure_policy=policy)
-    resumed = reexecuted = 0
-    for job_id, outcome in healer.last_outcomes.items():
-        if outcome.status == STATUS_RESUMED:
-            resumed += 1
-        else:
-            reexecuted += 1
-            attempts[job_id] = attempts.get(job_id, 0) + outcome.attempts
-            if outcome.status == "failed":
-                failures.append(outcome.as_dict())
+    final = healer.run(run.jobs, journal=journal, tracer=tracer,
+                       failure_policy=run.policy)
+    run.settle(healer)
 
-    mismatches = []
-    digests = []
-    for job in jobs:
-        if job not in final:
-            mismatches.append(job.job_id)
-            continue
-        digest = result_digest(final[job])
-        digests.append(digest)
-        if digest != ref_digests[job.job_id]:
-            mismatches.append(job.job_id)
-    stats_digest = hashlib.sha256(
-        "".join(digests).encode()).hexdigest()
+    events = collections.Counter(event.kind for event in sink.events)
+    resumed = sum(1 for outcome in healer.last_outcomes.values()
+                  if outcome.status == STATUS_RESUMED)
+    if events[JOURNAL_DEGRADED]:
+        run.notes.append("journal degraded mid-sweep (%d event(s)): "
+                         "append failed, run finished unjournaled"
+                         % events[JOURNAL_DEGRADED])
+    run.counters.update(
+        retry_events=events[JOB_RETRY], failed_events=events[JOB_FAILED],
+        degraded_events=events[BACKEND_DEGRADED],
+        journal_degraded_events=events[JOURNAL_DEGRADED],
+        quarantined=journal.quarantined_lines, resumed=resumed,
+        reexecuted=len(run.jobs) - resumed)
 
-    events = sink.events if tracer is None else ()
-    return ChaosReport(
-        identical=not mismatches and not failures,
-        seed=seed,
-        faults=tuple(faults),
-        total_jobs=len(jobs),
-        injected=dict(plan.job_faults),
-        journal_corruption=corruption,
-        attempts=attempts,
-        failures=failures,
-        mismatches=mismatches,
-        quarantined_lines=journal.quarantined_lines,
-        resumed_jobs=resumed,
-        reexecuted_jobs=reexecuted,
-        pool_rebuilds=pool_rebuilds,
-        degraded=degraded,
-        retry_events=sum(1 for e in events if e.kind == JOB_RETRY),
-        failed_events=sum(1 for e in events if e.kind == JOB_FAILED),
-        degraded_events=sum(1 for e in events
-                            if e.kind == BACKEND_DEGRADED),
-        stats_digest=stats_digest,
-        journal_path=journal_path,
-        rej_path=journal.rej_path,
-        journal_degraded_events=sum(1 for e in events
-                                    if e.kind == JOURNAL_DEGRADED),
-    )
+    fired = {kind: faulted_attempts.get(job_id, 0) > 1
+             for job_id, kind in plan.job_faults.items()}
+    fired[FAULT_JOURNAL_TRUNCATE] = any(
+        note.startswith("truncated") for note in corruption)
+    fired[FAULT_JOURNAL_BITFLIP] = any(
+        note.startswith("flipped") for note in corruption)
+    fired[FAULT_POOL_INIT] = rebuilds >= 1
+    fired[FAULT_JOURNAL_ENOSPC] = events[JOURNAL_DEGRADED] >= 1
+    requested = (tuple(plan.job_faults.values()) + plan.journal_faults
+                 + plan.infra_faults)
+    silent = [kind for kind in requested if not fired[kind]]
+    if silent:
+        run.notes.append("never fired: %s" % ", ".join(silent))
+    run.gates["fault_fired"] = not silent
+    return [("heal", _digests(final))]
 
 
-@dataclasses.dataclass
-class GroupChaosReport:
-    """Outcome of one :func:`run_group_chaos` campaign."""
+# ---- group: mid-group kill, exact resume -------------------------------
 
-    identical: bool
-    seed: int
-    benchmarks: tuple
-    policies: tuple
-    victim: str             # "benchmark/policy" cell the faults target
-    total_members: int
-    pool_rebuilds: int      # worker-kill phase pool losses
-    degraded: bool          # worker-kill phase fell back to serial
-    journaled_before_kill: int
-    resume_exact: bool      # resume re-ran ONLY the unfinished members
-    resumed_members: int
-    reexecuted_members: int
-    mismatches: list        # member job_ids whose digest diverged
-    failures: list          # terminal JobResult dicts from any phase
-    stats_digest: str
-    workdir: str
+def _group_phases(run):
+    """Grouped path under a mid-group member fault, twice.
 
-    def as_dict(self):
-        return dataclasses.asdict(self)
-
-    def render(self):
-        lines = ["grouped chaos campaign: seed=%d victim=%s"
-                 % (self.seed, self.victim)]
-        lines.append("  %d benchmark group(s) x %d policies "
-                     "(%d member evaluations)"
-                     % (len(self.benchmarks), len(self.policies),
-                        self.total_members))
-        lines.append("  worker-kill phase: %d pool rebuild(s)%s, "
-                     "results complete"
-                     % (self.pool_rebuilds,
-                        " (degraded to serial)" if self.degraded
-                        else ""))
-        lines.append("  mid-group kill: %d member(s) journaled before "
-                     "the fault; resume re-ran %d, resumed %d -- %s"
-                     % (self.journaled_before_kill,
-                        self.reexecuted_members, self.resumed_members,
-                        "exactly the unfinished members"
-                        if self.resume_exact else
-                        "WRONG member set re-executed"))
-        if self.failures:
-            lines.append("  TERMINAL FAILURES: %s" % self.failures)
-        lines.append("  stats digest: %s" % self.stats_digest)
-        lines.append("verdict: %s" % (
-            "bit-identical to the fault-free per-job run"
-            if self.identical else
-            "DIVERGED from the fault-free per-job run: %s"
-            % (self.mismatches or "(resume or failure gate)")))
-        return "\n".join(lines)
-
-
-def run_group_chaos(benchmarks=("gzip", "mcf"),
-                    policies=("decrypt-only", "authen-then-commit",
-                              "authen-then-issue", "authen-then-write"),
-                    num_instructions=1500, warmup=750, seed=0,
-                    workers=2, timeout=30.0, max_attempts=4,
-                    workdir=None):
-    """Chaos campaign for the grouped (decode once, evaluate N) path.
-
-    Three phases against a fault-free *per-job* serial reference:
-
-    1. *Worker-kill phase*: the grouped sweep runs on a worker pool with
-       a ``worker-kill`` armed against a mid-group member (second
-       policy of the first benchmark's group).  The pool keeps dying --
-       a killed worker never charges an attempt -- until the executor
-       degrades to in-process execution, where the kill downgrades to
-       an :class:`InjectedFault` the retry policy heals.  Results must
-       come back complete and bit-identical.
-    2. *Mid-group kill*: the same grouped sweep runs serially under
+    1. *Worker kill*: the grouped sweep runs on the pool with a
+       ``worker-kill`` armed against the victim member (second policy of
+       the first group).  A killed worker never charges an attempt, so
+       the pool keeps dying until the executor degrades to in-process
+       execution, where the kill downgrades to an :class:`InjectedFault`
+       the retry policy heals.
+    2. *Mid-group abort*: the grouped sweep runs serially under
        fail-fast with an exception armed against the same member; the
-       run aborts mid-group, leaving a journal holding exactly the
-       members that completed before the fault (incremental mid-group
-       journaling).
-    3. *Resume gate*: the grouped sweep re-runs against that torn
-       journal.  The gate: every journaled member resumes from disk,
-       **only** the unfinished evaluations re-run, and the merged
-       results are bit-identical to the reference.
+       abort leaves a journal holding exactly the members finished
+       before it.  Resuming from it must re-run **only** the unfinished
+       members (the ``resume_exact`` gate).
     """
-    from repro.exec.job import build_job_groups
     from repro.sim.checkpoint import JobJournal
 
-    benchmarks = list(benchmarks)
-    policies = list(policies)
-    if len(policies) < 3:
-        raise ReproError("run_group_chaos needs >= 3 policies so the "
-                         "fault can land mid-group")
-    jobs = build_jobs(benchmarks, policies,
-                      num_instructions=num_instructions, warmup=warmup)
-    groups = build_job_groups(benchmarks, policies,
-                              num_instructions=num_instructions,
-                              warmup=warmup)
-    reference = SerialExecutor().run(jobs)
-    ref_digests = {job.job_id: result_digest(reference[job])
-                   for job in jobs}
-
-    if workdir is None:
-        import tempfile
-
-        workdir = tempfile.mkdtemp(prefix="repro-groupchaos-")
-    os.makedirs(workdir, exist_ok=True)
-
+    groups = run.groups()
     victim_index = 1   # second member: mid-group, never the first
-    victim = "%s/%s" % (benchmarks[0], policies[victim_index])
-    failures = []
+    victim = groups[0].member_jobs[victim_index].job_id
+    cell = "%s/%s" % (run.benchmarks[0], run.policies[victim_index])
+    run.injected["%s (pool)" % cell] = FAULT_WORKER_KILL
+    run.injected["%s (mid-group)" % cell] = FAULT_JOB_EXCEPTION
 
-    # Phase 1: worker-kill against the victim member, grouped, on a
-    # pool.  Heals via pool rebuild -> degradation -> in-process retry.
-    plan = ChaosPlan(seed, {victim: FAULT_WORKER_KILL})
-    retry_policy = FailurePolicy(mode=RETRY_THEN_SKIP,
-                                 max_attempts=max_attempts,
-                                 timeout=timeout, backoff_base=0.01,
-                                 backoff_max=0.05, jitter_seed=seed)
-    kill_journal = os.path.join(workdir, "group-kill.journal")
-    if os.path.exists(kill_journal):
-        os.remove(kill_journal)
-    previous = set_attempt_hook(plan)
-    try:
-        if workers and workers > 1:
-            executor = ParallelExecutor(
-                workers, initializer=_install_in_worker,
-                initargs=(plan,))
-        else:
-            executor = SerialExecutor()
-        with executor:
-            killed = executor.run(groups,
-                                  journal=JobJournal(kill_journal),
-                                  failure_policy=retry_policy)
-            pool_rebuilds = getattr(executor, "rebuilds", 0)
-            degraded = getattr(executor, "degraded", False)
-            failures.extend(outcome.as_dict() for outcome
-                            in executor.failures.values())
-    finally:
-        set_attempt_hook(previous)
-    kill_mismatches = [
-        member.job_id
-        for group in groups for member in group.member_jobs
-        if member not in killed
-        or result_digest(killed[member]) != ref_digests[member.job_id]]
+    with _armed(ChaosPlan(run.seed, {victim: FAULT_WORKER_KILL}),
+                run.workers) as executor:
+        killed = executor.run(
+            groups, journal=JobJournal(run.path("group-kill.journal")),
+            failure_policy=run.policy)
+        run.settle(executor)
+        rebuilds = run.count_pool(executor)
+    kill_fired = rebuilds >= 1 or run.attempts.get(victim, 0) > 1
 
-    # Phase 2: abort mid-group under fail-fast, leaving a torn journal.
-    resume_journal = os.path.join(workdir, "group-resume.journal")
-    if os.path.exists(resume_journal):
-        os.remove(resume_journal)
-    plan2 = ChaosPlan(seed, {victim: FAULT_JOB_EXCEPTION})
-    previous = set_attempt_hook(plan2)
-    try:
-        SerialExecutor().run(groups, journal=JobJournal(resume_journal),
-                             failure_policy=FailurePolicy())
-        raise ReproError("mid-group fault never fired (victim %s "
-                         "matched no member)" % victim)
-    except InjectedFault:
-        pass
-    finally:
-        set_attempt_hook(previous)
-    journaled = set(JobJournal(resume_journal).completed_ids)
-    expected_prefix = {member.job_id for member
-                       in groups[0].member_jobs[:victim_index]}
+    resume_path = run.path("group-resume.journal")
+    aborted = False
+    with _armed(ChaosPlan(run.seed, {victim: FAULT_JOB_EXCEPTION}),
+                1) as executor:
+        try:
+            executor.run(groups, journal=JobJournal(resume_path),
+                         failure_policy=FailurePolicy())
+        except InjectedFault:
+            aborted = True
+    journaled = set(JobJournal(resume_path).completed_ids)
+    expected = {member.job_id for member
+                in groups[0].member_jobs[:victim_index]}
 
-    # Phase 3: resume.  Only the unfinished members may re-run.
     healer = SerialExecutor()
-    final = healer.run(groups, journal=JobJournal(resume_journal),
-                       failure_policy=retry_policy)
-    resumed = {job_id for job_id, outcome
-               in healer.last_outcomes.items()
+    final = healer.run(groups, journal=JobJournal(resume_path),
+                       failure_policy=run.policy)
+    run.settle(healer)
+    resumed = {job_id for job_id, outcome in healer.last_outcomes.items()
                if outcome.status == STATUS_RESUMED}
-    reexecuted = {job_id for job_id, outcome
-                  in healer.last_outcomes.items()
-                  if outcome.status != STATUS_RESUMED}
-    failures.extend(outcome.as_dict() for outcome
-                    in healer.failures.values())
-    resume_exact = (journaled == expected_prefix
-                    and resumed == journaled
-                    and reexecuted == set(ref_digests) - journaled)
-
-    mismatches = []
-    digests = []
-    for job in jobs:
-        match = next((result for member, result in final.items()
-                      if member.job_id == job.job_id), None)
-        if match is None:
-            mismatches.append(job.job_id)
-            continue
-        digest = result_digest(match)
-        digests.append(digest)
-        if digest != ref_digests[job.job_id]:
-            mismatches.append(job.job_id)
-    mismatches.extend(job_id for job_id in kill_mismatches
-                      if job_id not in mismatches)
-    stats_digest = hashlib.sha256("".join(digests).encode()).hexdigest()
-
-    return GroupChaosReport(
-        identical=(not mismatches and not failures and resume_exact),
-        seed=seed,
-        benchmarks=tuple(benchmarks),
-        policies=tuple(policies),
-        victim=victim,
-        total_members=len(jobs),
-        pool_rebuilds=pool_rebuilds,
-        degraded=degraded,
-        journaled_before_kill=len(journaled),
-        resume_exact=resume_exact,
-        resumed_members=len(resumed),
-        reexecuted_members=len(reexecuted),
-        mismatches=mismatches,
-        failures=failures,
-        stats_digest=stats_digest,
-        workdir=workdir,
-    )
+    reexecuted = set(healer.last_outcomes) - resumed
+    run.counters.update(journaled_before_kill=len(journaled),
+                        resumed=len(resumed), reexecuted=len(reexecuted))
+    run.gates["fault_fired"] = kill_fired and aborted
+    run.gates["resume_exact"] = (
+        journaled == expected and resumed == journaled
+        and reexecuted == set(run.job_ids) - journaled)
+    return [("pool", _digests(killed)), ("resume", _digests(final))]
 
 
-@dataclasses.dataclass
-class FiguresChaosReport:
-    """Outcome of one :func:`run_figures_chaos` campaign."""
+# ---- figures: worker kill mid-regeneration -----------------------------
 
-    identical: bool
-    seed: int
-    figures: tuple
-    benchmarks: tuple
-    injected: dict          # target key -> fault kind
-    mismatches: list        # artifact names whose bytes diverged
-    failures: int           # terminal failures in the faulted run
-    pool_rebuilds: int
-    degraded: bool
-    reference_dir: str
-    faulted_dir: str
-
-    def as_dict(self):
-        return dataclasses.asdict(self)
-
-    def render(self):
-        lines = ["figures chaos campaign: seed=%d figures=%s"
-                 % (self.seed, ",".join(self.figures))]
-        lines.append("  injected: %s" % (
-            ", ".join("%s->%s" % (kind, key)
-                      for key, kind in sorted(self.injected.items(),
-                                              key=lambda kv: kv[1]))
-            or "none"))
-        lines.append("  pool rebuilds: %d%s; terminal failures: %d"
-                     % (self.pool_rebuilds,
-                        " (degraded to serial)" if self.degraded else "",
-                        self.failures))
-        lines.append("verdict: %s" % (
-            "artifacts byte-identical to the fault-free serial run"
-            if self.identical else
-            "artifacts DIVERGED from the fault-free serial run: %s"
-            % (self.mismatches or "(terminal failures)")))
-        return "\n".join(lines)
+def _artifact_digests(summary):
+    digests = {}
+    for name, path in summary["artifact_paths"].items():
+        with open(path, "rb") as handle:
+            digests[name] = hashlib.sha256(handle.read()).hexdigest()
+    return digests
 
 
-def run_figures_chaos(figures=("fig8",), benchmarks=("gzip", "mcf"),
-                      num_instructions=1200, warmup=600, seed=0,
-                      workers=2, timeout=30.0, max_attempts=4,
-                      target_policy="authen-then-issue", workdir=None):
-    """Chaos smoke for ``repro figures``: kill a worker mid-regeneration
-    under a retry policy, assert the artifacts come out byte-identical.
+def _regenerate_fig8(run, out, **kwargs):
+    from repro.experiments.figures import run_figures
 
-    Two phases: a clean serial :func:`~repro.experiments.figures.\
-run_figures` produces the reference artifacts, then the same figure set
-    regenerates on a worker pool with a ``worker-kill`` armed against
-    the first benchmark's first job (targeted by ``benchmark/policy``
-    key, so no job_id precomputation).  The kill never charges an
-    attempt, so the pool keeps dying until the executor degrades to
-    serial execution -- where the plan downgrades the kill to an
-    :class:`InjectedFault` that the retry policy heals.  The campaign
-    passes when every ``<name>.txt`` is byte-for-byte the reference and
-    nothing failed terminally.
-    """
-    from repro.experiments.figures import ARTIFACTS, run_figures
-
-    figures = tuple(figures)
-    unknown = set(figures) - set(ARTIFACTS)
-    if unknown:
-        raise ReproError("unknown figure(s): %s (expected %s)"
-                         % (", ".join(sorted(unknown)),
-                            ", ".join(ARTIFACTS)))
-    if workdir is None:
-        import tempfile
-
-        workdir = tempfile.mkdtemp(prefix="repro-figchaos-")
-    os.makedirs(workdir, exist_ok=True)
-    scale = dict(num_instructions=num_instructions, warmup=warmup,
-                 benchmarks=tuple(benchmarks))
-
-    reference = run_figures(figures, os.path.join(workdir, "reference"),
-                            jobs=1, **scale)
-
-    # ``target_policy`` must name a policy the chosen figure set really
-    # sweeps (the default matches fig8's reference policy) -- a key that
-    # matches no job would make the campaign pass without ever injecting.
-    target = "%s/%s" % (benchmarks[0], target_policy)
-    plan = ChaosPlan(seed, {target: FAULT_WORKER_KILL})
-    policy = FailurePolicy(mode=RETRY_THEN_SKIP,
-                           max_attempts=max_attempts, timeout=timeout,
-                           backoff_base=0.01, backoff_max=0.05,
-                           jitter_seed=seed)
-    previous = set_attempt_hook(plan)
-    try:
-        with ParallelExecutor(workers, initializer=_install_in_worker,
-                              initargs=(plan,)) as executor:
-            faulted = run_figures(
-                figures, os.path.join(workdir, "faulted"),
-                executor=executor, failure_policy=policy, **scale)
-            pool_rebuilds = executor.rebuilds
-            degraded = executor.degraded
-    finally:
-        set_attempt_hook(previous)
-
-    mismatches = []
-    for name in figures:
-        with open(reference["artifact_paths"][name], "rb") as handle:
-            want = handle.read()
-        with open(faulted["artifact_paths"][name], "rb") as handle:
-            got = handle.read()
-        if want != got:
-            mismatches.append(name)
-    failures = faulted["total_failures"]
-    return FiguresChaosReport(
-        identical=not mismatches and not failures,
-        seed=seed,
-        figures=figures,
-        benchmarks=tuple(benchmarks),
-        injected=dict(plan.job_faults),
-        mismatches=mismatches,
-        failures=failures,
-        pool_rebuilds=pool_rebuilds,
-        degraded=degraded,
-        reference_dir=os.path.join(workdir, "reference"),
-        faulted_dir=os.path.join(workdir, "faulted"),
-    )
+    return run_figures(("fig8",), run.path(out),
+                       num_instructions=run.num_instructions,
+                       warmup=run.warmup, benchmarks=run.benchmarks,
+                       **kwargs)
 
 
-@dataclasses.dataclass
-class StoreChaosReport:
-    """Outcome of one :func:`run_store_chaos` campaign."""
+def _figures_reference(run):
+    """Serial ``fig8``; its manifest names the jobs fig8 really runs."""
+    summary = _regenerate_fig8(run, "reference", jobs=1)
+    jobs = summary["entries"][0]["jobs"]
+    run.job_ids = sorted(job["job_id"] for job in jobs)
+    run.policies = tuple(sorted({job["policy"] for job in jobs}))
+    return _artifact_digests(summary)
 
-    identical: bool
-    seed: int
-    benchmarks: tuple
-    policies: tuple
-    injected: dict          # entry basename -> fault kind
-    quarantined: int        # entries quarantined during the heal run
-    lock_breaks: int        # stale single-flight locks broken
-    store_hits: int         # heal-run jobs served from intact entries
-    regenerated: int        # heal-run jobs that had to re-simulate
-    total_jobs: int
-    mismatches: list        # job_ids whose digest diverged (any phase)
-    stats_digest: str
-    workdir: str
 
-    def as_dict(self):
-        return dataclasses.asdict(self)
+def _figures_phases(run):
+    """Regenerate ``fig8`` on the pool with a worker kill armed against
+    one of its own jobs (seed-chosen from the reference manifest, so the
+    target always exists); artifacts must come back byte-identical."""
+    rng = DeterministicRng(run.seed).stream("chaos.targets")
+    target = run.job_ids[rng.randrange(len(run.job_ids))]
+    run.injected[target] = FAULT_WORKER_KILL
+    with _armed(ChaosPlan(run.seed, {target: FAULT_WORKER_KILL}),
+                run.workers) as executor:
+        faulted = _regenerate_fig8(run, "faulted", executor=executor,
+                                   failure_policy=run.policy)
+        rebuilds = run.count_pool(executor)
+    for job in faulted["entries"][0]["jobs"]:
+        run.attempts[job["job_id"]] = job["attempts"]
+        if job["status"] == STATUS_FAILED:
+            run.failures.append(job)
+    run.gates["fault_fired"] = (rebuilds >= 1
+                                or run.attempts.get(target, 0) > 1)
+    return [("faulted", _artifact_digests(faulted))]
 
-    def render(self):
-        lines = ["store chaos campaign: seed=%d" % self.seed]
-        lines.append("  %d benchmark(s) x %d policies (%d jobs) through "
-                     "a populated artifact store"
-                     % (len(self.benchmarks), len(self.policies),
-                        self.total_jobs))
-        lines.append("  injected: %s" % (
-            ", ".join("%s->%s" % (kind, name[:12])
-                      for name, kind in sorted(self.injected.items(),
-                                               key=lambda kv: kv[1]))
-            or "none"))
-        lines.append("  heal run: %d quarantined, %d stale lock(s) "
-                     "broken, %d store hit(s), %d regenerated"
-                     % (self.quarantined, self.lock_breaks,
-                        self.store_hits, self.regenerated))
-        lines.append("  stats digest: %s" % self.stats_digest)
-        lines.append("verdict: %s" % (
-            "bit-identical to the store-free run; corruption was "
-            "quarantined and regenerated"
-            if self.identical else
-            "FAILED: %s" % (self.mismatches
-                            or "(quarantine/lock-break gate)")))
-        return "\n".join(lines)
 
+# ---- store: torn entry, flipped bit, stale lock ------------------------
 
 def _exit_immediately():
     """Target whose prompt death leaves a provably-dead lock owner pid."""
 
 
-def run_store_chaos(benchmarks=("gzip", "mcf"),
-                    policies=("decrypt-only", "authen-then-commit",
-                              "authen-then-issue"),
-                    num_instructions=1500, warmup=750, seed=0,
-                    workdir=None):
-    """Chaos campaign for the persistent artifact store.
+def _store_phases(run):
+    """Populate a store cold, sabotage one job's entries, heal.
 
-    Four phases, all serial (the store's cross-process behaviour is
-    exercised through real files, not a pool):
-
-    1. *Reference*: the sweep with no store -- the digests every later
-       phase must reproduce.
-    2. *Populate*: the same sweep against an empty store (cold), filling
-       the trace and result tiers.
-    3. *Corrupt*: the first job's trace entry is truncated mid-payload,
-       its result entry gets one byte flipped, and a single-flight lock
-       for the truncated trace is planted with the pid of a process that
-       has already exited -- the killed-worker-left-a-lock case.
-    4. *Heal*: the sweep reruns against the damaged store.  The gate:
-       both corrupt entries are quarantined (never misread), the stale
-       lock is broken rather than waited out, every undamaged job is
-       served from the store, exactly the damaged job re-simulates, and
-       all digests are bit-identical to the reference.
+    All serial: the store's cross-process behaviour is exercised through
+    real files, not a pool.  The victim's result entry gets a flipped
+    bit (forcing a re-simulation), its trace entry is truncated (forcing
+    regeneration) and a single-flight lock with a dead owner pid is
+    planted on that trace.  The heal run must quarantine both entries,
+    break the lock and serve every other job from the result tier.
     """
     import multiprocessing
 
     from repro.exec.cache import TraceCache
     from repro.exec.store import ArtifactStore, set_active_store
 
-    benchmarks = list(benchmarks)
-    policies = list(policies)
-    jobs = build_jobs(benchmarks, policies,
-                      num_instructions=num_instructions, warmup=warmup)
-    if workdir is None:
-        import tempfile
-
-        workdir = tempfile.mkdtemp(prefix="repro-storechaos-")
-    os.makedirs(workdir, exist_ok=True)
-    store_dir = os.path.join(workdir, "store")
+    store_dir = run.path("store")
 
     def run_jobs(store):
         previous = set_active_store(store)
         try:
             executor = SerialExecutor(cache=TraceCache())
-            results = executor.run(jobs)
+            results = executor.run(run.jobs, failure_policy=run.policy)
         finally:
             set_active_store(previous)
+        run.settle(executor)
         return executor, results
-
-    _, reference = run_jobs(None)
-    ref_digests = {job.job_id: result_digest(reference[job])
-                   for job in jobs}
 
     populate_store = ArtifactStore(store_dir)
     _, populated = run_jobs(populate_store)
-    mismatches = [job.job_id for job in jobs
-                  if result_digest(populated[job])
-                  != ref_digests[job.job_id]]
 
-    # Corruption targets one job end to end: flipping its result forces
-    # a re-simulation, which forces a read of its (truncated) trace,
-    # which forces regeneration under the (stale-locked) single flight.
-    victim = jobs[0]
+    victim = run.jobs[0]
     trace_entry = populate_store.trace_name(
         victim.benchmark, victim.trace_length, victim.effective_seed)
     trace_path = os.path.join(store_dir, "traces", trace_entry)
@@ -957,108 +791,32 @@ def run_store_chaos(benchmarks=("gzip", "mcf"),
         # mean nothing here), which is its own satellite-tested path.
         json.dump({"pid": proc.pid, "host": socket.gethostname(),
                    "created": time.time()}, handle)
-    injected = {trace_entry: "entry-truncate",
-                result_entry: "entry-bitflip",
-                os.path.basename(lock_path): "stale-lock"}
+    run.injected.update({trace_entry: "entry-truncate",
+                         result_entry: "entry-bitflip",
+                         os.path.basename(lock_path): "stale-lock"})
 
     heal_store = ArtifactStore(store_dir)
     healer, healed = run_jobs(heal_store)
-    for job in jobs:
-        if (job not in healed
-                or result_digest(healed[job]) != ref_digests[job.job_id]):
-            if job.job_id not in mismatches:
-                mismatches.append(job.job_id)
     store_hits = sum(1 for outcome in healer.last_outcomes.values()
                      if outcome.store_hit)
     quarantined = heal_store.counters["quarantined"]
     lock_breaks = heal_store.counters["lock_breaks"]
-    digests = [ref_digests[job.job_id] for job in jobs]
-    stats_digest = hashlib.sha256("".join(digests).encode()).hexdigest()
-
-    return StoreChaosReport(
-        identical=(not mismatches
-                   and quarantined >= 2
-                   and lock_breaks >= 1
-                   and store_hits == len(jobs) - 1),
-        seed=seed,
-        benchmarks=tuple(benchmarks),
-        policies=tuple(policies),
-        injected=injected,
-        quarantined=quarantined,
-        lock_breaks=lock_breaks,
-        store_hits=store_hits,
-        regenerated=len(jobs) - store_hits,
-        total_jobs=len(jobs),
-        mismatches=mismatches,
-        stats_digest=stats_digest,
-        workdir=workdir,
-    )
+    run.counters.update(quarantined=quarantined, lock_breaks=lock_breaks,
+                        store_hits=store_hits,
+                        regenerated=len(run.jobs) - store_hits)
+    run.gates.update({
+        "fault_fired": quarantined >= 1,
+        "quarantined>=2": quarantined >= 2,
+        "lock_breaks>=1": lock_breaks >= 1,
+        "store_hits==total_jobs-1": store_hits == len(run.jobs) - 1,
+    })
+    return [("populate", _digests(populated)), ("heal", _digests(healed))]
 
 
-@dataclasses.dataclass
-class DistChaosReport:
-    """Outcome of one :func:`run_dist_chaos` campaign."""
+# ---- dist: host death, split journal, vanished fleet -------------------
 
-    identical: bool
-    seed: int
-    benchmarks: tuple
-    policies: tuple
-    total_members: int
-    # host-death campaign
-    host_losses: int        # hosts the driver declared dead
-    lease_breaks: int       # expired leases released back to the spool
-    victim_records: int     # members the victim journaled before dying
-    exactly_once: bool      # every member executed once across segments
-    duplicates: list        # member job_ids executed more than once
-    death_mismatches: list  # digest divergence in the host-death phase
-    # split-journal campaign
-    split_records: int      # intact records after the torn-tail resume
-    split_quarantined: int  # lines quarantined (must be the tear alone)
-    split_resumed: int      # members resumed, not re-simulated
-    split_mismatches: list
-    # degrade-to-local campaign
-    degraded_ok: bool       # empty fleet finished in-process, identical
-    failures: list          # terminal JobResult dicts from any phase
-    stats_digest: str
-    workdir: str
-
-    def as_dict(self):
-        return dataclasses.asdict(self)
-
-    def render(self):
-        lines = ["dist chaos campaign: seed=%d" % self.seed]
-        lines.append("  %d benchmark group(s) x %d policies (%d member "
-                     "jobs) over a shared spool"
-                     % (len(self.benchmarks), len(self.policies),
-                        self.total_members))
-        lines.append("  host death: victim journaled %d member(s) then "
-                     "died; %d host loss(es), %d lease break(s), "
-                     "re-run exactly once: %s"
-                     % (self.victim_records, self.host_losses,
-                        self.lease_breaks,
-                        "yes" if self.exactly_once
-                        else "NO %s" % self.duplicates))
-        lines.append("  split journal: %d intact record(s), %d "
-                     "quarantined, %d resumed without re-simulation"
-                     % (self.split_records, self.split_quarantined,
-                        self.split_resumed))
-        lines.append("  degrade-to-local: %s"
-                     % ("empty fleet finished in-process, bit-identical"
-                        if self.degraded_ok else "FAILED"))
-        if self.failures:
-            lines.append("  TERMINAL FAILURES: %s" % self.failures)
-        lines.append("  stats digest: %s" % self.stats_digest)
-        mismatches = self.death_mismatches + self.split_mismatches
-        lines.append("verdict: %s" % (
-            "bit-identical to the fault-free serial run across every "
-            "campaign" if self.identical else
-            "FAILED: %s" % (mismatches or "(recovery gate)")))
-        return "\n".join(lines)
-
-
-def _dist_worker_main(spool, host_id, die_after=None, poll=0.05,
-                      lease_timeout=1.0):
-    """Child-process entry for the dist campaigns' worker daemons.
+def _dist_worker_main(spool, host_id, die_after=None):
+    """Child-process entry for the dist campaign's worker daemons.
 
     ``die_after=N`` SIGKILLs the process right after its Nth journal
     append -- mid-unit by construction when units are multi-member
@@ -1071,77 +829,37 @@ def _dist_worker_main(spool, host_id, die_after=None, poll=0.05,
 
     def on_record(member, result):
         state["records"] += 1
-        if die_after is not None and state["records"] >= die_after:
+        if state["records"] >= die_after:
             os.kill(os.getpid(), signal.SIGKILL)
 
-    dist.run_worker(spool, host_id=host_id, poll=poll,
-                    lease_timeout=lease_timeout,
+    dist.run_worker(spool, host_id=host_id, poll=0.05,
+                    lease_timeout=LEASE_TIMEOUT,
                     on_record=on_record if die_after is not None
                     else None)
 
 
-def run_dist_chaos(benchmarks=("gzip", "mcf"),
-                   policies=("decrypt-only", "authen-then-commit",
-                             "authen-then-issue"),
-                   num_instructions=1500, warmup=750, seed=0,
-                   lease_timeout=1.0, workdir=None):
-    """Chaos campaign for the multi-host work-stealing backend.
-
-    A fault-free serial run establishes per-member digests, then three
-    campaigns over real worker processes and spool directories:
+def _dist_phases(run):
+    """Three fault phases over real worker processes and spools.
 
     1. *Host death*: a victim worker claims a group, journals exactly
-       one member and SIGKILLs itself; a survivor worker plus the
-       driver must detect the expired lease (``HOST_LOST``), re-claim
-       the unit, skip the member the victim already published, and
-       finish the sweep.  Gate: bit-identical results, at least one
-       host loss, and every member executed *exactly once* across all
-       journal segments.
-    2. *Split journal*: two worker daemons share one ``--host-id`` so
-       their appends interleave in a single journal segment; after the
-       run the segment gets a torn partial record appended (the
-       mid-write kill).  Re-opening it as a ``JobJournal`` plus a
-       serial heal run must quarantine exactly the tear, resume every
-       member from the concurrently-written records, and stay
-       bit-identical after ``compact``.
+       one member and SIGKILLs itself; a survivor plus the driver must
+       detect the expired lease (``HOST_LOST``), re-claim the unit, skip
+       the member the victim already published, and finish -- every
+       member executed *exactly once* across all journal segments.
+    2. *Split journal*: two daemons share one ``--host-id`` so their
+       appends interleave in a single segment, which then gets a torn
+       partial record appended.  Re-opening it must quarantine exactly
+       the tear, and a serial heal run must resume every member.
     3. *Degrade to local*: a driver over an empty spool with no workers
-       must degrade to in-process execution and still produce
-       bit-identical results.
+       must degrade to in-process execution.
     """
     import multiprocessing
 
     from repro.exec import dist
-    from repro.exec.job import build_job_groups
     from repro.sim.checkpoint import JobJournal
 
-    benchmarks = list(benchmarks)
-    policies = list(policies)
-    if len(benchmarks) < 2:
-        raise ReproError("dist chaos needs >= 2 benchmarks (the "
-                         "survivor must have work while the victim "
-                         "dies)")
-    if len(policies) < 2:
-        raise ReproError("dist chaos needs >= 2 policies (the victim "
-                         "must die mid-group, after its first member)")
-    jobs = build_jobs(benchmarks, policies,
-                      num_instructions=num_instructions, warmup=warmup)
-    groups = build_job_groups(benchmarks, policies,
-                              num_instructions=num_instructions,
-                              warmup=warmup)
-    member_ids = {job.job_id for job in jobs}
-    reference = SerialExecutor().run(jobs)
-    ref_digests = {job.job_id: result_digest(reference[job])
-                   for job in jobs}
-
-    if workdir is None:
-        import tempfile
-
-        workdir = tempfile.mkdtemp(prefix="repro-distchaos-")
-    os.makedirs(workdir, exist_ok=True)
-    failures = []
-    retry_policy = FailurePolicy(mode=RETRY_THEN_SKIP, max_attempts=4,
-                                 backoff_base=0.01, backoff_max=0.05,
-                                 jitter_seed=seed)
+    groups = run.groups()
+    member_ids = set(run.job_ids)
 
     def reap(proc, timeout=60):
         proc.join(timeout=timeout)
@@ -1149,37 +867,37 @@ def run_dist_chaos(benchmarks=("gzip", "mcf"),
             proc.kill()
             proc.join()
 
-    def mismatched(results):
-        return sorted(job.job_id for job in jobs
-                      if job not in results
-                      or result_digest(results[job])
-                      != ref_digests[job.job_id])
+    def drive(spool, workers, degrade_after=120.0):
+        for worker in workers:
+            worker.start()
+        driver = dist.DistExecutor(spool, poll=0.05,
+                                   lease_timeout=LEASE_TIMEOUT,
+                                   degrade_after=degrade_after)
+        try:
+            results = driver.run(groups, failure_policy=run.policy)
+        finally:
+            if workers:
+                dist.request_stop(spool)
+            for worker in workers:
+                reap(worker)
+        run.settle(driver)
+        return driver, results
 
-    # ---- campaign 1: host death ---------------------------------------
-    spool_death = os.path.join(workdir, "spool-death")
+    def worker(spool, host_id, **kwargs):
+        return multiprocessing.Process(target=_dist_worker_main,
+                                       args=(spool, host_id), kwargs=kwargs)
+
+    # Phase 1: host death.
+    spool_death = run.path("spool-death")
     dist.ensure_spool(spool_death)
     dist.spool_jobs(spool_death, groups)
-    victim = multiprocessing.Process(
-        target=_dist_worker_main, args=(spool_death, "victim"),
-        kwargs={"die_after": 1, "lease_timeout": lease_timeout})
+    victim = worker(spool_death, "victim", die_after=1)
     victim.start()
     reap(victim)   # it SIGKILLs itself after its first journal append
-    survivor = multiprocessing.Process(
-        target=_dist_worker_main, args=(spool_death, "survivor"),
-        kwargs={"lease_timeout": lease_timeout})
-    survivor.start()
-    driver = dist.DistExecutor(spool_death, poll=0.05,
-                               lease_timeout=lease_timeout,
-                               degrade_after=120.0)
-    try:
-        death_results = driver.run(groups, failure_policy=retry_policy)
-    finally:
-        dist.request_stop(spool_death)
-        reap(survivor)
-    failures.extend(outcome.as_dict()
-                    for outcome in driver.failures.values())
-    death_mismatches = mismatched(death_results)
-    counts = {}
+    run.injected["victim"] = "host-death"
+    driver, death_results = drive(spool_death,
+                                  [worker(spool_death, "survivor")])
+    counts = collections.Counter()
     victim_records = 0
     journals_dir = os.path.join(spool_death, "journals")
     for name in sorted(os.listdir(journals_dir)):
@@ -1187,89 +905,76 @@ def run_dist_chaos(benchmarks=("gzip", "mcf"),
             continue
         records = dist.JournalTail(
             os.path.join(journals_dir, name)).poll()
-        for record in records:
-            counts[record["job_id"]] = counts.get(record["job_id"], 0) + 1
+        counts.update(record["job_id"] for record in records)
         if name == "victim.journal":
             victim_records = len(records)
     duplicates = sorted(job_id for job_id, n in counts.items() if n > 1)
-    exactly_once = (set(counts) == member_ids and not duplicates)
+    if duplicates:
+        run.notes.append("executed more than once: %s"
+                         % ", ".join(duplicates))
 
-    # ---- campaign 2: split journal ------------------------------------
-    spool_split = os.path.join(workdir, "spool-split")
+    # Phase 2: split journal.
+    spool_split = run.path("spool-split")
     dist.ensure_spool(spool_split)
-    twins = [multiprocessing.Process(
-        target=_dist_worker_main, args=(spool_split, "shared"),
-        kwargs={"lease_timeout": lease_timeout}) for _ in range(2)]
-    for twin in twins:
-        twin.start()
-    driver2 = dist.DistExecutor(spool_split, poll=0.05,
-                                lease_timeout=lease_timeout,
-                                degrade_after=120.0)
-    try:
-        split_results = driver2.run(groups, failure_policy=retry_policy)
-    finally:
-        dist.request_stop(spool_split)
-        for twin in twins:
-            reap(twin)
-    failures.extend(outcome.as_dict()
-                    for outcome in driver2.failures.values())
-    split_mismatches = mismatched(split_results)
+    _, split_results = drive(spool_split, [worker(spool_split, "shared"),
+                                           worker(spool_split, "shared")])
     segment = dist.segment_path(spool_split, "shared")
     with open(segment, "ab") as handle:
         # A mid-write kill: valid prefix of a record, no newline.
         handle.write(b'{"journal_version": 2, "job_id": "torn-wri')
+    run.injected["shared.journal"] = "torn-append"
     journal = JobJournal(segment)   # workers are gone: safe to rewrite
     split_quarantined = journal.quarantined_lines
     journal.compact(keep_ids=member_ids)
     healer = SerialExecutor()
-    healed = healer.run(jobs, journal=JobJournal(segment),
-                        failure_policy=retry_policy)
-    failures.extend(outcome.as_dict()
-                    for outcome in healer.failures.values())
+    healed = healer.run(run.jobs, journal=JobJournal(segment),
+                        failure_policy=run.policy)
+    run.settle(healer)
     split_resumed = sum(1 for outcome in healer.last_outcomes.values()
                         if outcome.status == STATUS_RESUMED)
-    split_mismatches += [job_id for job_id in mismatched(healed)
-                         if job_id not in split_mismatches]
-    split_records = len(journal)
 
-    # ---- campaign 3: degrade to local ---------------------------------
-    spool_local = os.path.join(workdir, "spool-local")
-    driver3 = dist.DistExecutor(spool_local, poll=0.05,
-                                lease_timeout=lease_timeout,
-                                degrade_after=0.3)
-    local_results = driver3.run(groups, failure_policy=retry_policy)
-    failures.extend(outcome.as_dict()
-                    for outcome in driver3.failures.values())
-    degraded_ok = driver3.degraded and not mismatched(local_results)
+    # Phase 3: degrade to local.
+    run.injected["fleet"] = "vanished"
+    local, local_results = drive(run.path("spool-local"), [],
+                                 degrade_after=0.3)
 
-    digests = [ref_digests[job.job_id] for job in jobs]
-    stats_digest = hashlib.sha256("".join(digests).encode()).hexdigest()
-    return DistChaosReport(
-        identical=(not death_mismatches
-                   and not split_mismatches
-                   and not failures
-                   and driver.host_losses >= 1
-                   and victim_records >= 1
-                   and exactly_once
-                   and split_quarantined == 1
-                   and split_resumed == len(jobs)
-                   and degraded_ok),
-        seed=seed,
-        benchmarks=tuple(benchmarks),
-        policies=tuple(policies),
-        total_members=len(jobs),
-        host_losses=driver.host_losses,
-        lease_breaks=driver.lease_breaks,
-        victim_records=victim_records,
-        exactly_once=exactly_once,
-        duplicates=duplicates,
-        death_mismatches=death_mismatches,
-        split_records=split_records,
-        split_quarantined=split_quarantined,
-        split_resumed=split_resumed,
-        split_mismatches=split_mismatches,
-        degraded_ok=degraded_ok,
-        failures=failures,
-        stats_digest=stats_digest,
-        workdir=workdir,
-    )
+    run.counters.update(host_losses=driver.host_losses,
+                        lease_breaks=driver.lease_breaks,
+                        victim_records=victim_records,
+                        duplicates=len(duplicates),
+                        split_records=len(journal),
+                        split_quarantined=split_quarantined,
+                        split_resumed=split_resumed,
+                        degraded=int(local.degraded))
+    run.gates.update({
+        "fault_fired": (driver.host_losses >= 1 and split_quarantined >= 1
+                        and local.degraded),
+        "victim_records>=1": victim_records >= 1,
+        "exactly_once": set(counts) == member_ids and not duplicates,
+        "split_quarantined==1": split_quarantined == 1,
+        "split_resumed==total_jobs": split_resumed == len(run.jobs),
+    })
+    return [("host-death", _digests(death_results)),
+            ("split-journal", _digests(split_results)),
+            ("split-heal", _digests(healed)),
+            ("degrade-to-local", _digests(local_results))]
+
+
+_POLICIES = ("decrypt-only", "authen-then-commit", "authen-then-issue")
+
+#: Every chaos campaign, by ``repro chaos --campaign`` name.
+CAMPAIGNS = {
+    "sweep": Campaign(("gzip",), _POLICIES, _sweep_phases,
+                      faults=ALL_FAULTS, timeout=0.75),
+    "group": Campaign(("gzip", "mcf"), _POLICIES + ("authen-then-write",),
+                      _group_phases, timeout=30.0, min_grid=(1, 3),
+                      why="the fault must land mid-group, after the "
+                          "first member and before the last"),
+    "figures": Campaign(("gzip", "mcf"), (), _figures_phases,
+                        reference=_figures_reference, timeout=30.0),
+    "store": Campaign(("gzip", "mcf"), _POLICIES, _store_phases),
+    "dist": Campaign(("gzip", "mcf"), _POLICIES, _dist_phases,
+                     min_grid=(2, 2),
+                     why="the survivor must have work while the victim "
+                         "dies, and the victim must die mid-group"),
+}

@@ -29,7 +29,7 @@ crashed pool worker, and emits a ``HOST_LOST`` event.  If every worker
 vanishes, the driver degrades to in-process execution rather than wait
 forever.  Because ``execute_job`` is a pure function of the job spec,
 every one of those paths is bit-identical to ``SerialExecutor`` --
-``repro chaos --dist`` gates exactly that.
+``repro chaos --campaign dist`` gates exactly that.
 
 Spool layout::
 

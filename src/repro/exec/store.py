@@ -39,7 +39,7 @@ Bit-identity contract: a loaded trace/prepass exposes the same column
 values (``memoryview('q')`` instead of tuples/lists -- same ints, same
 order), and a loaded result rebuilds through the same
 ``StatGroup.from_dict`` path journal resume already trusts, so warm
-results are byte-identical to cold ones.  ``repro chaos --store``
+results are byte-identical to cold ones.  ``repro chaos --campaign store``
 gates exactly that, and ``bench/run.py`` gates every warm figure run on
 the cold run's series digest.
 

@@ -32,12 +32,8 @@ KNOWN_KINDS = ("sweep", "figures", "run", "run-set", "chaos", "metrics")
 def sniff_kind(payload):
     """Classify one loaded JSON artifact; raises ReproError if unknown."""
     kind = payload.get("kind")
-    if kind in ("sweep", "figures", "run", "run-set", "metrics"):
+    if kind in KNOWN_KINDS:
         return kind
-    if "stats_digest" in payload and "faults" in payload:
-        return "chaos"
-    if "reference_dir" in payload and "figures" in payload:
-        return "chaos"  # figures-chaos report
     if "families" in payload:
         return "metrics"
     raise ReproError(
@@ -58,6 +54,7 @@ def _new_report():
         "cache": None,      # {"hits", "misses", "hit_rate", ...}
         "store": None,      # artifact-store traffic (hits, bytes, ...)
         "hosts": None,      # dist backend host health (per-host merges)
+        "chaos": [],        # per campaign: verdict, counters, gates
         "degradations": [],
         "metrics_families": None,
     }
@@ -139,40 +136,30 @@ def _ingest_run_set(report, payload):
 def _ingest_chaos(report, payload, key_names):
     """Fold a chaos report in; ``key_names`` maps job_id -> (bench,
     policy) when a journal was supplied (chaos reports only carry ids).
+    Every campaign has the same shape, so counters and gates fold in
+    generically.
     """
-    attempts = payload.get("attempts") or {}
-    failed_ids = {f.get("job_id") for f in payload.get("failures", ())}
-    for job_id, count in sorted(attempts.items()):
-        status = "failed" if job_id in failed_ids else "ok"
+    failures = {f.get("job_id"): f for f in payload.get("failures", ())}
+    for job_id, count in sorted((payload.get("attempts") or {}).items()):
+        failure = failures.get(job_id)
+        status = "failed" if failure else "ok"
         _count_status(report["jobs"], status, count)
         benchmark, policy = key_names.get(job_id, (job_id, None))
-        error = None
-        if job_id in failed_ids:
-            for failure in payload["failures"]:
-                if failure.get("job_id") == job_id:
-                    error = failure.get("error")
-        _add_cell(report, benchmark, policy, status, count, error)
-    report["jobs"]["resumed"] += payload.get("resumed_jobs", 0)
-    for job_id, kind in sorted((payload.get("injected") or {}).items()):
+        _add_cell(report, benchmark, policy, status, count,
+                  failure.get("error") if failure else None)
+    counters = payload.get("counters") or {}
+    report["jobs"]["resumed"] += counters.get("resumed", 0)
+    for target, kind in sorted((payload.get("injected") or {}).items()):
         report["degradations"].append(
-            "chaos: injected %s into job %s" % (kind, job_id))
-    for note in payload.get("journal_corruption", ()):
-        report["degradations"].append("chaos: journal %s" % note)
-    if payload.get("pool_rebuilds"):
-        report["degradations"].append(
-            "worker pool rebuilt %d time(s) after worker loss"
-            % payload["pool_rebuilds"])
-    if payload.get("degraded"):
-        report["degradations"].append(
-            "backend degraded to serial execution mid-run")
-    if payload.get("journal_degraded_events"):
-        report["degradations"].append(
-            "journal append failed mid-run (%d event(s)); run finished "
-            "unjournaled" % payload["journal_degraded_events"])
-    if payload.get("quarantined_lines"):
-        report["degradations"].append(
-            "quarantined %d corrupt journal line(s)"
-            % payload["quarantined_lines"])
+            "chaos: injected %s into %s" % (kind, target))
+    for note in payload.get("notes", ()):
+        report["degradations"].append("chaos: %s" % note)
+    report["chaos"].append({
+        "campaign": payload.get("campaign"),
+        "identical": payload.get("identical"),
+        "counters": counters,
+        "gates": payload.get("gates") or {},
+    })
 
 
 def _ingest_metrics(report, payload):
@@ -531,6 +518,18 @@ def render_report(report, top=10):
         for host, merged in sorted(hosts.get("jobs_by_host",
                                              {}).items()):
             lines.append("  %-24s %d job(s) merged" % (host, merged))
+
+    for chaos in report["chaos"]:
+        lines.append("")
+        lines.append("chaos campaign %s: %s"
+                     % (chaos["campaign"], "bit-identical"
+                        if chaos["identical"] else "DIVERGED"))
+        if chaos["counters"]:
+            lines.append("  counters: " + ", ".join(
+                "%s=%s" % item for item in sorted(chaos["counters"].items())))
+        lines.append("  gates: " + (", ".join(
+            "%s %s" % (name, "ok" if held else "FAILED")
+            for name, held in chaos["gates"].items()) or "none"))
 
     lines.append("")
     if report["degradations"]:

@@ -18,7 +18,7 @@ from repro.exec.chaos import (
     build_plan,
     corrupt_journal,
     result_digest,
-    run_chaos,
+    run_campaign,
 )
 from repro.sim.checkpoint import JobJournal
 
@@ -102,40 +102,99 @@ class TestCorruptJournal:
 
 class TestRunChaos:
     def test_serial_exception_campaign_converges(self, tmp_path):
-        report = run_chaos(num_instructions=600, warmup=300, seed=1,
-                           faults=(FAULT_JOB_EXCEPTION,
-                                   FAULT_JOURNAL_TRUNCATE),
-                           workers=1, workdir=str(tmp_path))
+        report = run_campaign("sweep", num_instructions=600, warmup=300,
+                              seed=1, faults=(FAULT_JOB_EXCEPTION,
+                                              FAULT_JOURNAL_TRUNCATE),
+                              workers=1, workdir=str(tmp_path))
         assert report.identical
         assert report.failures == []
         assert FAULT_JOB_EXCEPTION in report.injected.values()
-        assert report.quarantined_lines == 1
+        assert report.counters["quarantined"] == 1
         # The injected job took >1 attempt; everyone else took 1.
         assert any(n > 1 for n in report.attempts.values())
         assert report.as_dict()["stats_digest"] == report.stats_digest
+        assert report.as_dict()["kind"] == "chaos"
+        assert report.gates == {"fault_fired": True}
         assert "bit-identical" in report.render()
 
     def test_full_campaign_with_worker_kills_converges(self, tmp_path):
-        report = run_chaos(num_instructions=600, warmup=300, seed=0,
-                           workers=2, hang_seconds=1.0, timeout=0.5,
-                           workdir=str(tmp_path))
+        report = run_campaign("sweep", num_instructions=600, warmup=300,
+                              seed=0, faults=ALL_FAULTS, workers=2,
+                              hang_seconds=1.0, timeout=0.5,
+                              workdir=str(tmp_path))
         assert report.identical
         assert report.failures == []
         assert sorted(report.injected.values()) == sorted(
             [FAULT_WORKER_KILL, FAULT_JOB_EXCEPTION, FAULT_HANG])
-        assert report.pool_rebuilds >= 1  # the kill broke the pool
-        assert report.retry_events >= 1
-        assert report.quarantined_lines >= 1
-        assert len(report.journal_corruption) == 2
+        assert report.counters["pool_rebuilds"] >= 1  # the kill broke it
+        assert report.counters["retry_events"] >= 1
+        assert report.counters["quarantined"] >= 1
+        assert len([note for note in report.notes
+                    if note.startswith("journal: ")]) == 2
+        assert report.gates["fault_fired"]
 
     def test_campaign_is_reproducible(self, tmp_path):
         kwargs = dict(num_instructions=600, warmup=300, seed=3,
                       faults=(FAULT_JOB_EXCEPTION,), workers=1)
-        one = run_chaos(workdir=str(tmp_path / "a"), **kwargs)
-        two = run_chaos(workdir=str(tmp_path / "b"), **kwargs)
+        one = run_campaign("sweep", workdir=str(tmp_path / "a"), **kwargs)
+        two = run_campaign("sweep", workdir=str(tmp_path / "b"), **kwargs)
         assert one.stats_digest == two.stats_digest
         assert one.injected == two.injected
         assert one.attempts == two.attempts
+
+
+class TestVacuousFaults:
+    """A campaign whose requested faults never fired must not pass."""
+
+    def test_more_job_faults_than_jobs_rejected(self):
+        with pytest.raises(ReproError, match="only 1 job"):
+            build_plan(JOBS[:1], seed=0)
+
+    def test_cli_single_job_grid_exits_two(self, capsys):
+        from repro.cli import main
+
+        code = main(["chaos", "--benchmark", "gzip", "-p", "decrypt-only",
+                     "-j", "1", "-n", "600", "--warmup", "300"])
+        assert code == 2
+        assert "each job fault needs a job of its own" in \
+            capsys.readouterr().err
+
+    def test_infra_faults_that_cannot_fire_fail_the_gate(self, capsys,
+                                                         tmp_path):
+        from repro.cli import main
+
+        # A serial backend has no pool to break, and one job never
+        # reaches the journal's second append: neither fault fires.
+        code = main(["chaos", "--benchmark", "gzip", "-p", "decrypt-only",
+                     "--faults", "job-exception,pool-init-failure,"
+                                 "journal-enospc",
+                     "-j", "1", "-n", "600", "--warmup", "300",
+                     "--workdir", str(tmp_path)])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "never fired: pool-init-failure, journal-enospc" in out
+        assert "fault_fired FAILED" in out
+
+    def test_figures_target_is_a_job_fig8_runs(self, tmp_path):
+        report = run_campaign("figures", benchmarks=("gzip",),
+                              num_instructions=600, warmup=300, workers=1,
+                              workdir=str(tmp_path))
+        assert report.identical
+        (target,) = report.injected
+        assert target in report.attempts   # one of fig8's own jobs
+        assert report.attempts[target] > 1
+        assert report.total_jobs == len(report.attempts) > 0
+
+    def test_figures_fault_that_never_fires_fails(self, tmp_path,
+                                                  monkeypatch):
+        monkeypatch.setattr(ChaosPlan, "__call__",
+                            lambda self, job, attempt: None)
+        report = run_campaign("figures", benchmarks=("gzip",),
+                              num_instructions=600, warmup=300, workers=1,
+                              workdir=str(tmp_path))
+        assert report.mismatches == []
+        assert report.gates == {"fault_fired": False}
+        assert not report.identical
 
 
 class TestResultDigest:
@@ -161,13 +220,58 @@ class TestChaosCli:
         assert "bit-identical" in out
         payload = json.loads(report_path.read_text())
         assert payload["identical"] is True
-        assert payload["faults"] == ["job-exception", "journal-bitflip"]
+        assert payload["campaign"] == "sweep"
+        assert sorted(payload["injected"].values()) == ["job-exception"]
+        assert payload["notes"][0].startswith("journal: flipped")
 
     def test_cli_rejects_unknown_fault(self, capsys):
         from repro.cli import main
 
         assert main(["chaos", "--faults", "gremlins"]) == 2
         assert "unknown fault" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["--campaign", "store", "--faults", "worker-kill"],
+        ["--campaign", "figures", "-p", "decrypt-only"],
+        ["--campaign", "dist", "--benchmark", "gzip"],
+        ["--faults", ""],
+    ])
+    def test_cli_rejects_invalid_combinations(self, capsys, argv):
+        from repro.cli import main
+
+        assert main(["chaos"] + argv) == 2
+        assert "error: campaign" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--group", "--store", "--dist"])
+    def test_old_mode_flags_are_gone(self, capsys, flag):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["chaos", flag])
+        assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("campaign,argv", [
+    ("sweep", ["--faults", "job-exception,journal-truncate", "-j", "1"]),
+    ("group", ["--benchmark", "gzip", "-j", "1"]),
+    ("figures", ["--benchmark", "gzip", "-j", "1"]),
+    ("store", ["--benchmark", "gzip"]),
+    ("dist", ["--benchmark", "gzip", "--benchmark", "mcf",
+              "-p", "decrypt-only", "-p", "authen-then-commit"]),
+])
+def test_every_campaign_report_feeds_repro_report(capsys, tmp_path,
+                                                  campaign, argv):
+    from repro.cli import main
+
+    report_path = tmp_path / "report.json"
+    assert main(["chaos", "--campaign", campaign, "-n", "600",
+                 "--warmup", "300", "--workdir", str(tmp_path / "work"),
+                 "--emit-json", str(report_path)] + argv) == 0
+    capsys.readouterr()
+    assert main(["report", str(report_path)]) == 0
+    out = capsys.readouterr().out
+    assert "chaos campaign %s: bit-identical" % campaign in out
+    assert "fault_fired ok" in out
 
 
 class TestInfraFaults:
@@ -217,135 +321,110 @@ class TestInfraFaults:
     def test_pool_init_campaign_converges(self, tmp_path):
         from repro.exec.chaos import FAULT_POOL_INIT
 
-        report = run_chaos(policies=("decrypt-only",
-                                     "authen-then-commit"),
-                           num_instructions=600, warmup=300, seed=0,
-                           faults=(FAULT_POOL_INIT,), workers=2,
-                           workdir=str(tmp_path))
+        report = run_campaign("sweep", policies=("decrypt-only",
+                                                 "authen-then-commit"),
+                              num_instructions=600, warmup=300, seed=0,
+                              faults=(FAULT_POOL_INIT,), workers=2,
+                              workdir=str(tmp_path))
         assert report.identical
-        assert report.pool_rebuilds >= 1
+        assert report.counters["pool_rebuilds"] >= 1
         assert report.failures == []
 
     def test_enospc_campaign_converges(self, tmp_path):
         from repro.exec.chaos import FAULT_JOURNAL_ENOSPC
 
-        report = run_chaos(policies=("decrypt-only",
-                                     "authen-then-commit"),
-                           num_instructions=600, warmup=300, seed=0,
-                           faults=(FAULT_JOURNAL_ENOSPC,), workers=1,
-                           workdir=str(tmp_path))
+        report = run_campaign("sweep", policies=("decrypt-only",
+                                                 "authen-then-commit"),
+                              num_instructions=600, warmup=300, seed=0,
+                              faults=(FAULT_JOURNAL_ENOSPC,), workers=1,
+                              workdir=str(tmp_path))
         assert report.identical
-        assert report.journal_degraded_events == 1
+        assert report.counters["journal_degraded_events"] == 1
         # The journal died after one record: phase 3 re-simulates the
         # lost jobs instead of resuming them.
-        assert report.reexecuted_jobs >= 1
+        assert report.counters["reexecuted"] >= 1
         assert "journal degraded" in report.render()
 
 
 class TestFiguresChaos:
     def test_worker_kill_yields_identical_artifacts(self, tmp_path):
-        from repro.exec.chaos import run_figures_chaos
-
-        report = run_figures_chaos(figures=("fig8",),
-                                   benchmarks=("gzip",),
-                                   num_instructions=600, warmup=300,
-                                   workers=2, workdir=str(tmp_path))
+        report = run_campaign("figures", benchmarks=("gzip",),
+                              num_instructions=600, warmup=300,
+                              workers=2, workdir=str(tmp_path))
         assert report.identical
-        assert report.failures == 0
+        assert report.failures == []
         assert report.mismatches == []
         assert FAULT_WORKER_KILL in report.injected.values()
-        assert report.pool_rebuilds >= 1
-        assert "byte-identical" in report.render()
-
-    def test_unknown_figure_rejected(self):
-        from repro.exec.chaos import run_figures_chaos
-
-        with pytest.raises(ReproError):
-            run_figures_chaos(figures=("fig99",))
+        assert report.counters["pool_rebuilds"] >= 1
+        assert "bit-identical" in report.render()
 
     def test_cli_figures_smoke(self, capsys, tmp_path):
         from repro.cli import main
 
-        code = main(["chaos", "--figures", "fig8",
+        code = main(["chaos", "--campaign", "figures",
                      "--benchmark", "gzip",
                      "-n", "600", "--warmup", "300",
                      "--workdir", str(tmp_path)])
         assert code == 0
-        assert "byte-identical" in capsys.readouterr().out
-
-    def test_cli_figures_rejects_unknown(self, capsys):
-        from repro.cli import main
-
-        assert main(["chaos", "--figures", "fig99"]) == 2
-        assert "unknown figure" in capsys.readouterr().err
+        assert "bit-identical" in capsys.readouterr().out
 
 
 class TestGroupChaos:
     def test_serial_mid_group_campaign_converges(self, tmp_path):
-        from repro.exec.chaos import run_group_chaos
-
-        report = run_group_chaos(benchmarks=("gzip",),
-                                 num_instructions=600, warmup=300,
-                                 seed=0, workers=1,
-                                 workdir=str(tmp_path))
+        report = run_campaign("group", benchmarks=("gzip",),
+                              num_instructions=600, warmup=300,
+                              seed=0, workers=1, workdir=str(tmp_path))
         assert report.identical
-        assert report.resume_exact
+        assert report.gates == {"fault_fired": True, "resume_exact": True}
         assert report.failures == []
         assert report.mismatches == []
         # The kill landed mid-group: at least one member was journaled
         # before the fault, and resume re-ran only the rest.
-        assert report.journaled_before_kill == 1
-        assert report.resumed_members == 1
-        assert (report.reexecuted_members
-                == report.total_members - report.resumed_members)
+        assert report.counters["journaled_before_kill"] == 1
+        assert report.counters["resumed"] == 1
+        assert (report.counters["reexecuted"]
+                == report.total_jobs - report.counters["resumed"])
         assert "bit-identical" in report.render()
-        assert report.as_dict()["victim"] == report.victim
 
     def test_pool_worker_kill_campaign_converges(self, tmp_path):
-        from repro.exec.chaos import run_group_chaos
-
-        report = run_group_chaos(benchmarks=("gzip", "mcf"),
-                                 num_instructions=600, warmup=300,
-                                 seed=0, workers=2,
-                                 workdir=str(tmp_path))
+        report = run_campaign("group", benchmarks=("gzip", "mcf"),
+                              num_instructions=600, warmup=300,
+                              seed=0, workers=2, workdir=str(tmp_path))
         assert report.identical
-        assert report.pool_rebuilds >= 1   # the kill broke the pool
+        assert report.counters["pool_rebuilds"] >= 1  # the kill broke it
         assert report.failures == []
 
     def test_needs_enough_policies_for_a_mid_group_fault(self):
-        from repro.exec.chaos import run_group_chaos
-
-        with pytest.raises(ReproError):
-            run_group_chaos(policies=("decrypt-only", "lazy"))
+        with pytest.raises(ReproError, match="mid-group"):
+            run_campaign("group", policies=("decrypt-only", "lazy"))
 
     def test_cli_group_smoke(self, capsys, tmp_path):
         from repro.cli import main
 
-        code = main(["chaos", "--group", "--benchmark", "gzip",
+        code = main(["chaos", "--campaign", "group", "--benchmark", "gzip",
                      "-n", "600", "--warmup", "300",
                      "--workdir", str(tmp_path)])
         assert code == 0
         out = capsys.readouterr().out
-        assert "exactly the unfinished members" in out
+        assert "resume_exact ok" in out
         assert "bit-identical" in out
 
 
 class TestStoreChaos:
     def test_campaign_quarantines_and_regenerates(self, tmp_path):
-        from repro.exec.chaos import run_store_chaos
-
-        report = run_store_chaos(benchmarks=("gzip",),
-                                 num_instructions=600, warmup=300,
-                                 seed=0, workdir=str(tmp_path))
+        report = run_campaign("store", benchmarks=("gzip",),
+                              num_instructions=600, warmup=300,
+                              seed=0, workdir=str(tmp_path))
         assert report.identical
         assert report.mismatches == []
         # Both damaged entries (trace + result) were quarantined, the
         # dead-pid lock was broken, and exactly the damaged job paid a
         # re-simulation -- every other job came straight from the store.
-        assert report.quarantined == 2
-        assert report.lock_breaks >= 1
-        assert report.regenerated == 1
-        assert report.store_hits == report.total_jobs - 1
+        assert report.counters["quarantined"] == 2
+        assert report.counters["lock_breaks"] >= 1
+        assert report.counters["regenerated"] == 1
+        assert report.counters["store_hits"] == report.total_jobs - 1
+        assert all(report.gates.values())
         assert "bit-identical" in report.render()
         assert set(report.as_dict()["injected"].values()) == {
             "entry-truncate", "entry-bitflip", "stale-lock"}
@@ -353,24 +432,45 @@ class TestStoreChaos:
     def test_quarantine_evidence_left_on_disk(self, tmp_path):
         import os
 
-        from repro.exec.chaos import run_store_chaos
-
-        report = run_store_chaos(benchmarks=("gzip",),
-                                 num_instructions=600, warmup=300,
-                                 workdir=str(tmp_path))
+        report = run_campaign("store", benchmarks=("gzip",),
+                              num_instructions=600, warmup=300,
+                              workdir=str(tmp_path))
         assert report.identical
         quarantine = os.path.join(str(tmp_path), "store", "quarantine")
         assert len(os.listdir(quarantine)) == 2
         assert os.path.exists(os.path.join(str(tmp_path), "store",
                                            "quarantine.rej"))
 
+    def test_stats_digest_hashes_the_produced_results(self, tmp_path,
+                                                      monkeypatch):
+        import dataclasses
+
+        from repro.exec import chaos
+
+        kwargs = dict(benchmarks=("gzip",), num_instructions=600,
+                      warmup=300)
+        clean = run_campaign("store", workdir=str(tmp_path / "a"),
+                             **kwargs)
+        # Skew only the reference: every cell now mismatches, but the
+        # digest describes what the heal produced, so it cannot move.
+        row = chaos.CAMPAIGNS["store"]
+        skewed_row = dataclasses.replace(
+            row, reference=lambda run: dict.fromkeys(row.reference(run),
+                                                     "0" * 64))
+        monkeypatch.setitem(chaos.CAMPAIGNS, "store", skewed_row)
+        skewed = run_campaign("store", workdir=str(tmp_path / "b"),
+                              **kwargs)
+        assert not skewed.identical
+        assert len(skewed.mismatches) == 2 * skewed.total_jobs
+        assert skewed.stats_digest == clean.stats_digest
+
     def test_cli_store_smoke(self, capsys, tmp_path):
         from repro.cli import main
 
-        code = main(["chaos", "--store", "--benchmark", "gzip",
+        code = main(["chaos", "--campaign", "store", "--benchmark", "gzip",
                      "-n", "600", "--warmup", "300",
                      "--workdir", str(tmp_path)])
         assert code == 0
         out = capsys.readouterr().out
-        assert "store chaos campaign" in out
+        assert "chaos campaign store" in out
         assert "bit-identical" in out

@@ -24,7 +24,7 @@ from repro.exec import (
     build_jobs,
     run_worker,
 )
-from repro.exec.chaos import result_digest, run_dist_chaos
+from repro.exec.chaos import result_digest, run_campaign
 from repro.exec.dist import (
     JournalTail,
     completed_job_ids,
@@ -229,12 +229,13 @@ class TestDistExecutor:
 
 class TestDistChaos:
     def test_campaigns_heal_bit_identically(self, tmp_path):
-        report = run_dist_chaos(num_instructions=N, warmup=WARMUP,
-                                seed=1, workdir=str(tmp_path / "chaos"))
+        report = run_campaign("dist", num_instructions=N, warmup=WARMUP,
+                              seed=1, workdir=str(tmp_path / "chaos"))
         assert report.identical, report.render()
-        assert report.host_losses >= 1
-        assert report.victim_records >= 1
-        assert report.exactly_once
-        assert report.split_quarantined == 1
-        assert report.split_resumed == report.total_members
-        assert report.degraded_ok
+        assert report.counters["host_losses"] >= 1
+        assert report.counters["victim_records"] >= 1
+        assert report.gates["exactly_once"]
+        assert report.counters["split_quarantined"] == 1
+        assert report.counters["split_resumed"] == report.total_jobs
+        assert report.counters["degraded"] == 1
+        assert all(report.gates.values())

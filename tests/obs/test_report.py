@@ -65,12 +65,15 @@ class TestSniffing:
     def test_kinds(self):
         assert sniff_kind({"kind": "sweep"}) == "sweep"
         assert sniff_kind({"kind": "metrics"}) == "metrics"
-        assert sniff_kind({"stats_digest": "x", "faults": []}) == "chaos"
+        assert sniff_kind({"kind": "chaos"}) == "chaos"
         assert sniff_kind({"families": {}}) == "metrics"
         from repro.errors import ReproError
 
         with pytest.raises(ReproError):
             sniff_kind({"mystery": True})
+        # Chaos reports carry their kind; shape guessing is gone.
+        with pytest.raises(ReproError):
+            sniff_kind({"stats_digest": "x", "faults": []})
 
 
 class TestBuildReport:
@@ -211,15 +214,15 @@ class TestReportCli:
         # Acceptance: a chaos run (worker kill + retries) surfaces its
         # retries and degradations in the report.
         from repro.cli import main
-        from repro.exec.chaos import FAULT_WORKER_KILL, run_chaos
+        from repro.exec.chaos import FAULT_WORKER_KILL, run_campaign
         from repro.obs.export import write_json
 
-        chaos = run_chaos(benchmarks=["gzip"],
-                          policies=["decrypt-only",
-                                    "authen-then-commit"],
-                          num_instructions=600, warmup=300, seed=0,
-                          faults=(FAULT_WORKER_KILL,), workers=2,
-                          workdir=tmp_path)
+        chaos = run_campaign("sweep", benchmarks=["gzip"],
+                             policies=["decrypt-only",
+                                       "authen-then-commit"],
+                             num_instructions=600, warmup=300, seed=0,
+                             faults=(FAULT_WORKER_KILL,), workers=2,
+                             workdir=tmp_path)
         chaos_json = tmp_path / "chaos.json"
         write_json(chaos.as_dict(), chaos_json)
         journal = str(tmp_path / "chaos.journal")
@@ -227,7 +230,9 @@ class TestReportCli:
                      "--journal", journal]) == 0
         out = capsys.readouterr().out
         assert "health by benchmark x policy:" in out
-        assert "worker pool rebuilt" in out
+        assert "chaos campaign sweep: bit-identical" in out
+        assert "pool_rebuilds=" in out and "pool_rebuilds=0" not in out
+        assert "fault_fired ok" in out
         assert "chaos: injected worker-kill" in out
         # Journal-supplied names: rows show benchmark/policy, not ids.
         assert "gzip" in out
@@ -237,6 +242,9 @@ class TestReportCli:
         report = json.loads(capsys.readouterr().out)
         assert report["jobs"]["retried"] >= 1  # the killed job re-ran
         assert any("worker-kill" in d for d in report["degradations"])
+        (campaign,) = report["chaos"]
+        assert campaign["counters"]["pool_rebuilds"] >= 1
+        assert campaign["gates"] == {"fault_fired": True}
 
 
 class TestStoreReporting:
