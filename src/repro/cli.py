@@ -186,8 +186,8 @@ def _cmd_run(args):
     import time
 
     from repro.config import SimConfig
-    from repro.exec import ParallelExecutor, build_jobs, execute_job
-    from repro.exec.job import build_job_groups
+    from repro.exec import (MultiPolicySimJob, ParallelExecutor,
+                            SerialExecutor, execute_job)
     from repro.obs import (ChromeTraceSink, JobMetrics, PhaseProfiler,
                            Tracer, build_run_manifest,
                            build_run_set_manifest, write_json)
@@ -195,7 +195,7 @@ def _cmd_run(args):
     config = SimConfig().with_l2_size(args.l2 * 1024)
     if args.hash_tree:
         config = config.with_secure(hash_tree_enabled=True)
-    policies = args.policy or list(_DEFAULT_POLICIES)
+    policies = list(dict.fromkeys(args.policy or _DEFAULT_POLICIES))
     scale = _scale(args)
     profiler = PhaseProfiler()
     try:
@@ -207,9 +207,12 @@ def _cmd_run(args):
         return 2
     tracer = Tracer([chrome]) if chrome is not None else None
 
-    jobs = build_jobs([args.benchmark], policies, config=config,
-                      num_instructions=scale["num_instructions"],
-                      warmup=scale["warmup"])
+    # One group: the trace is decoded once and fanned out to every
+    # requested policy, results keyed per member job.
+    group = MultiPolicySimJob(args.benchmark, policies, config=config,
+                              num_instructions=scale["num_instructions"],
+                              warmup=scale["warmup"])
+    jobs = group.member_jobs
     num_workers = args.jobs
     if chrome is not None and (num_workers > 1 or args.spool):
         print("note: --trace-out records per-run events, which only the "
@@ -220,40 +223,26 @@ def _cmd_run(args):
     metrics = _metrics_registry(args)
     _activate_store(args, metrics)
     dist = _dist_executor(args)
-    if dist is not None:
-        groups = build_job_groups([args.benchmark], policies,
-                                  config=config,
-                                  num_instructions=scale[
-                                      "num_instructions"],
-                                  warmup=scale["warmup"])
-        with dist as executor:
-            results = executor.run(groups, profiler=profiler,
-                                   metrics=metrics)
-    elif num_workers > 1:
-        # One grouped job: the worker decodes the trace once and fans it
-        # out to every requested policy (results keyed per member job,
-        # identical to the per-job expansion below).
-        groups = build_job_groups([args.benchmark], policies,
-                                  config=config,
-                                  num_instructions=scale[
-                                      "num_instructions"],
-                                  warmup=scale["warmup"])
-        with ParallelExecutor(num_workers) as executor:
-            results = executor.run(groups, profiler=profiler,
-                                   metrics=metrics)
-    else:
+    if chrome is not None:
+        # Traced: one member at a time, because each member's events
+        # must land in its own Chrome process, opened before it runs.
         results = {}
         jm = JobMetrics(metrics)
         jm.pending.set(len(jobs))
         for job in jobs:
-            if chrome is not None:
-                chrome.begin_process("%s/%s" % (args.benchmark, job.policy))
+            chrome.begin_process("%s/%s" % (args.benchmark, job.policy))
             job_started = time.perf_counter()
             result = execute_job(job, tracer=tracer, profiler=profiler)
             results[job] = result
             jm.observe_completed(result,
                                  time.perf_counter() - job_started)
             jm.pending.dec()
+    else:
+        executor = dist or (ParallelExecutor(num_workers)
+                            if num_workers > 1 else SerialExecutor())
+        with executor:
+            results = executor.run([group], profiler=profiler,
+                                   metrics=metrics)
 
     baseline = None
     recorded = []

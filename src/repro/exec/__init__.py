@@ -2,8 +2,9 @@
 
 Every experiment in this repository is a Cartesian product of
 benchmark x policy x config.  This package gives that product one
-pipeline: describe each point as a frozen :class:`SimJob`, execute it
-with the pure :func:`execute_job`, and drive whole sets through an
+pipeline: describe each point as a frozen :class:`SimJob` (or one
+benchmark under N policies as a :class:`MultiPolicySimJob`, the unit
+every executor runs), and drive whole sets through an
 :class:`Executor` -- serial in-process or fanned out over a process
 pool -- with optional resume via a
 :class:`~repro.sim.checkpoint.JobJournal`.  See
@@ -28,7 +29,6 @@ from repro.exec.job import (
     SimJob,
     build_job_groups,
     build_jobs,
-    stable_hash,
 )
 from repro.exec.retry import (
     FAIL_FAST,
@@ -54,7 +54,6 @@ __all__ = [
     "MultiPolicySimJob",
     "build_jobs",
     "build_job_groups",
-    "stable_hash",
     "execute_job",
     "iter_group_results",
     "Executor",

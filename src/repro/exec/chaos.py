@@ -769,7 +769,7 @@ def _store_phases(run):
 
     victim = run.jobs[0]
     trace_entry = populate_store.trace_name(
-        victim.benchmark, victim.trace_length, victim.effective_seed)
+        victim.benchmark, victim.trace_length, victim.seed)
     trace_path = os.path.join(store_dir, "traces", trace_entry)
     with open(trace_path, "r+b") as handle:
         handle.truncate(max(os.path.getsize(trace_path) // 3, 40))

@@ -5,7 +5,7 @@ module scales the same job pipeline across hosts with nothing but a
 shared filesystem (NFS, a bind mount, or plain ``/tmp`` for tests):
 
 - The **driver** (:class:`DistExecutor`) serializes pending
-  :class:`~repro.exec.job.SimJob` / ``MultiPolicySimJob`` units into
+  :class:`~repro.exec.job.MultiPolicySimJob` units into
   ``<spool>/jobs/``, then polls the spool, merging results and
   declaring dead hosts.
 - **Workers** (``repro worker --spool DIR --host-id NAME``, i.e.
@@ -27,7 +27,7 @@ victim already journaled), the driver charges the unit one attempt
 under its :class:`~repro.exec.retry.FailurePolicy` exactly like a
 crashed pool worker, and emits a ``HOST_LOST`` event.  If every worker
 vanishes, the driver degrades to in-process execution rather than wait
-forever.  Because ``execute_job`` is a pure function of the job spec,
+forever.  Because execution is a pure function of the job spec,
 every one of those paths is bit-identical to ``SerialExecutor`` --
 ``repro chaos --campaign dist`` gates exactly that.
 
@@ -51,8 +51,7 @@ import threading
 import time
 
 from repro.errors import ReproError
-from repro.exec.executor import Executor, execute_job, iter_group_results
-from repro.exec.job import MultiPolicySimJob
+from repro.exec.executor import Executor, iter_group_results
 from repro.exec.retry import attempt_deadline
 from repro.sim.checkpoint import (
     JobJournal,
@@ -372,17 +371,12 @@ def _execute_unit(unit, journal, done_ids, timeout=None, on_record=None,
         if on_record is not None:
             on_record(member, result)
 
-    if isinstance(unit, MultiPolicySimJob):
-        skip = done_ids & {m.job_id for m in unit.member_jobs}
-        with attempt_deadline(timeout):
-            for member, result in iter_group_results(unit, skip=skip):
-                if heartbeat is not None and heartbeat.lost:
-                    break
-                publish(member, result)
-    elif unit.job_id not in done_ids:
-        with attempt_deadline(timeout):
-            result = execute_job(unit)
-        publish(unit, result)
+    skip = done_ids & {m.job_id for m in unit.member_jobs}
+    with attempt_deadline(timeout):
+        for member, result in iter_group_results(unit, skip=skip):
+            if heartbeat is not None and heartbeat.lost:
+                break
+            publish(member, result)
     return count
 
 
@@ -519,28 +513,24 @@ class DistExecutor(Executor):
     adjudicates host death.
 
     ``lease_timeout`` declares a host dead (must match the workers');
-    ``host_timeout`` bounds census freshness; after ``degrade_after``
-    seconds with zero live workers the driver finishes the remainder
-    in-process (``local_fallback=False`` disables that and waits
-    forever -- only sensible when workers are guaranteed to arrive).
+    a census heartbeat counts as live for twice that (at least 2 s).
+    After ``degrade_after`` seconds with zero live workers the driver
+    finishes the remainder in-process.
     """
 
     backend = "dist"
     jobs = 1
 
     def __init__(self, spool, host_id=None, poll=0.2,
-                 lease_timeout=DEFAULT_LEASE_TIMEOUT, host_timeout=None,
-                 degrade_after=None, local_fallback=True):
+                 lease_timeout=DEFAULT_LEASE_TIMEOUT, degrade_after=None):
         super().__init__()
         self.spool = ensure_spool(spool)
         self.host_id = host_id or "driver-%s-%d" % (HOSTNAME, os.getpid())
         self.poll = poll
         self.lease_timeout = lease_timeout
-        self.host_timeout = (host_timeout if host_timeout is not None
-                             else max(2.0 * lease_timeout, 2.0))
+        self.host_timeout = max(2.0 * lease_timeout, 2.0)
         self.degrade_after = (degrade_after if degrade_after is not None
                               else max(4.0 * lease_timeout, 10.0))
-        self.local_fallback = local_fallback
         self.host_losses = 0
         self.lease_breaks = 0
         self.degraded = False
@@ -565,11 +555,8 @@ class DistExecutor(Executor):
         outstanding = {}  # unit_id -> set of unsettled member job_ids
         for unit in pending:
             units[unit.job_id] = unit
-            member_jobs = (unit.member_jobs
-                           if isinstance(unit, MultiPolicySimJob)
-                           else (unit,))
             ids = set()
-            for member in member_jobs:
+            for member in unit.member_jobs:
                 members[member.job_id] = (unit.job_id, member)
                 ids.add(member.job_id)
             outstanding[unit.job_id] = ids
@@ -607,8 +594,7 @@ class DistExecutor(Executor):
             now = time.monotonic()
             if live:
                 last_alive = now
-            elif (self.local_fallback
-                    and now - last_alive >= self.degrade_after):
+            elif now - last_alive >= self.degrade_after:
                 self._run_local(units, members, outstanding, results,
                                 state, attempts, spooled_at)
                 last_alive = time.monotonic()
@@ -805,21 +791,15 @@ class DistExecutor(Executor):
                 continue
             try:
                 unit = units[unit_id]
-                prior = attempts.get(unit_id, 0)
-                if isinstance(unit, MultiPolicySimJob):
-                    live_policies = [member.policy
-                                     for member in unit.member_jobs
-                                     if member.job_id in ids]
-                    trimmed = (unit
-                               if len(live_policies) == len(unit.policies)
-                               else unit.subset(live_policies))
-                    self._run_group(trimmed, results, state,
-                                    prior_attempts=prior,
-                                    started=spooled_at[unit_id])
-                else:
-                    self._run_one(unit, results, state,
-                                  prior_attempts=prior,
-                                  started=spooled_at[unit_id])
+                live_policies = [member.policy
+                                 for member in unit.member_jobs
+                                 if member.job_id in ids]
+                trimmed = (unit
+                           if len(live_policies) == len(unit.policies)
+                           else unit.subset(live_policies))
+                self._run_group(trimmed, results, state,
+                                prior_attempts=attempts.get(unit_id, 0),
+                                started=spooled_at[unit_id])
                 outstanding.pop(unit_id, None)
                 try:
                     os.unlink(_job_path(self.spool, unit_id))

@@ -1,34 +1,36 @@
 """Job execution backends: one pipeline, serial or multiprocess.
 
-``execute_job`` is the single place a :class:`~repro.exec.job.SimJob`
-becomes a :class:`~repro.cpu.core.RunResult`: trace from the cache,
-fresh simulator, run, derived metrics.  It is a pure function of the job
-(all simulator state is private to the call), which is what makes the
-two backends interchangeable: :class:`SerialExecutor` runs jobs in-order
+The unit of work is a :class:`~repro.exec.job.MultiPolicySimJob`: one
+benchmark trace evaluated under N policies.  :meth:`Executor.run`
+normalises every plain :class:`~repro.exec.job.SimJob` into its
+one-member group at entry, so :func:`iter_group_results` is the single
+place a job becomes a :class:`~repro.cpu.core.RunResult`: one cached
+trace and one structural prepass (:mod:`repro.cpu.prepass`) fanned out
+to N shared-kernel policy evaluations, with the legacy simulator for
+members outside that envelope.  It is a pure function of the group (all
+simulator state is private to the call), which is what makes the
+backends interchangeable: :class:`SerialExecutor` runs groups in-order
 in-process, :class:`ParallelExecutor` fans them out over a
 ``ProcessPoolExecutor`` -- and both produce bit-identical cycle counts
 and stats for the same job set.
 
-Grouped jobs: a :class:`~repro.exec.job.MultiPolicySimJob` routes
-through :func:`iter_group_results` instead -- one cached trace and one
-structural prepass (:mod:`repro.cpu.prepass`) fanned out to N
-shared-kernel policy evaluations inside a single worker.  Each member
-evaluation is journaled as the plain :class:`~repro.exec.job.SimJob` it
-replaces, under the identical job_id, so resume/retry/chaos/telemetry
-see exactly the per-job stream they always did; the serial backend
-journals members incrementally, so a kill mid-group re-runs only the
-unfinished evaluations.
+Each member evaluation is journaled as the plain
+:class:`~repro.exec.job.SimJob` it stands for, under the identical
+job_id, so resume/retry/chaos/telemetry see one per-job stream whatever
+the grouping; the serial backend journals members incrementally, so a
+kill mid-group re-runs only the unfinished evaluations.
 
-Fault tolerance: both backends drive every job through the
+Fault tolerance: both backends drive every member through the
 :class:`~repro.exec.retry.FailurePolicy` handed to :meth:`Executor.run`
 -- per-attempt timeouts, bounded retries with deterministic backoff, and
 skip-and-report semantics -- and record a per-job
 :class:`~repro.exec.retry.JobResult` in ``executor.last_outcomes``.
 The parallel backend additionally survives killed workers: a broken
-pool is torn down and rebuilt with every incomplete job resubmitted,
-and after ``max_rebuilds`` consecutive pool losses the remaining jobs
-degrade to in-process serial execution instead of aborting the sweep.
-Because ``execute_job`` is pure, none of this perturbs results.
+pool is torn down and rebuilt with every incomplete group resubmitted,
+and after :data:`MAX_POOL_REBUILDS` consecutive pool losses the
+remaining groups degrade to in-process serial execution instead of
+aborting the sweep.  Because execution is pure, none of this perturbs
+results.
 
 Observability: each completed job emits a ``JOB_DONE`` event on the
 ``jobs`` lane of the supplied tracer and credits the profiler; retries,
@@ -73,6 +75,10 @@ from repro.obs.metrics import JobMetrics
 #: Installed by the chaos harness; None in production runs.
 _ATTEMPT_HOOK = None
 
+#: Consecutive pool losses :class:`ParallelExecutor` absorbs before it
+#: finishes the run in-process.
+MAX_POOL_REBUILDS = 2
+
 
 def set_attempt_hook(hook):
     """Install ``hook(job, attempt)`` for this process; returns the old
@@ -116,60 +122,15 @@ def _store_hit_accounting(started):
     }
 
 
-def execute_job(job, tracer=None, profiler=None, cache=None, store=None):
-    """Run one job and return its RunResult (with ``.metrics`` attached).
+def execute_job(job, tracer=None, profiler=None, cache=None):
+    """Run one plain job as its one-member group; returns its RunResult.
 
-    Pure with respect to ``job``: every call builds a private simulator,
-    so results do not depend on execution order or backend.
-
-    ``store`` (default: the process-wide
-    :func:`~repro.exec.store.active_store`) short-circuits the whole
-    call when it holds a completed result for this ``job_id`` under the
-    current code fingerprint -- the rebuild goes through the same
-    record shape journal resume uses, so a warm result is bit-identical
-    to a simulated one.  Fresh completions are published back.
-
-    Resource accounting rides along on ``result.accounting`` -- wall
-    and tracegen seconds, whether the trace came from cache, whether
-    the result was a store hit, and the process's peak RSS.  It is
-    measured here, inside the worker for the pool backend, because the
-    accounting has to cross the pickle boundary with the result; it
-    never touches simulated state.
+    A convenience over :func:`iter_group_results` for single runs: no
+    retries and no journal, but the same store, trace cache and
+    evaluation path every executor takes.
     """
-    from repro.exec.store import active_store
-    from repro.sim.metrics import collect_metrics
-    from repro.sim.runner import build_simulator
-
-    started = time.perf_counter()
-    store = store if store is not None else active_store()
-    if store is not None:
-        result = store.load_result(job)
-        if result is not None:
-            result.accounting = _store_hit_accounting(started)
-            return result
-    active_cache = cache if cache is not None else GLOBAL_CACHE
-    hits_before = active_cache.hits
-    gen_before = active_cache.gen_seconds
-    trace = cached_trace(job.benchmark, job.trace_length,
-                         job.effective_seed, profiler=profiler,
-                         cache=active_cache)
-    core, hierarchy = build_simulator(job.config, job.policy, tracer=tracer)
-    result = core.run(trace, warmup=job.warmup, profiler=profiler)
-    if profiler is not None:
-        with profiler.phase("metrics"):
-            result.metrics = collect_metrics(result, hierarchy)
-    else:
-        result.metrics = collect_metrics(result, hierarchy)
-    result.accounting = {
-        "wall_seconds": round(time.perf_counter() - started, 6),
-        "tracegen_seconds": round(active_cache.gen_seconds - gen_before,
-                                  6),
-        "cache_hit": active_cache.hits > hits_before,
-        "store_hit": False,
-        "peak_rss_kb": _peak_rss_kb(),
-    }
-    if store is not None:
-        store.save_result(job, result)
+    [(_, result)] = iter_group_results(job.as_group(), tracer=tracer,
+                                       profiler=profiler, cache=cache)
     return result
 
 
@@ -184,22 +145,26 @@ def iter_group_results(group, skip=(), tracer=None, profiler=None,
     (address obfuscation, non-ctr encryption, hash tree, prefetching)
     run the legacy per-policy simulator on the same cached trace, and so
     does every member when an enabled ``tracer`` is passed (the shared
-    kernel emits no events).  Both paths produce results bit-identical
-    to :func:`execute_job`.
+    kernel emits no events).  The two paths are bit-identical (the
+    differential suite and ``repro perf`` pin this).
 
     ``skip`` is a set of member job_ids to leave out (mid-group resume:
     the retry loop passes the members already journaled).
 
     The attempt hook fires once per *member*, right before its
-    evaluation, exactly as the ungrouped pipeline fires it per job --
-    fault injection keyed by member job_id or (benchmark, policy) cell
-    keeps working unchanged.  ``attempt_of(member)`` supplies the
-    attempt number the hook reports (default: 1).
+    evaluation, so fault injection keyed by a member's job_id or
+    (benchmark, policy) cell lands on that member whatever group
+    carries it.  ``attempt_of(member)`` supplies the attempt number the
+    hook reports (default: 1).
 
-    Accounting mirrors the ungrouped pipeline: the first executed member
-    carries the group's shared cost (tracegen plus prepass) and the
-    cache-lookup verdict; every later member is a pure cache reuse
-    (``cache_hit`` True, zero tracegen), which
+    Resource accounting rides along on each ``result.accounting`` --
+    wall and tracegen seconds, whether the trace came from cache,
+    whether the result was a store hit, and the process's peak RSS --
+    measured here, inside the worker for the pool backend, because it
+    has to cross the pickle boundary with the result.  The first
+    executed member carries the group's shared cost (tracegen plus
+    prepass) and the cache-lookup verdict; every later member is a pure
+    cache reuse (``cache_hit`` True, zero tracegen), which
     :meth:`~repro.exec.cache.TraceCache.count_group_reuse` also charges
     to the cache counters.
 
@@ -211,8 +176,7 @@ def iter_group_results(group, skip=(), tracer=None, profiler=None,
     prepass itself is store-backed too: loaded when present, built and
     published (under a single-flight lock) when not.
     """
-    from repro.cpu.prepass import (build_prepass, policy_supported,
-                                   prepass_supported)
+    from repro.cpu.prepass import policy_supported, prepass_supported
     from repro.cpu.shared_kernel import replay_policy
     from repro.exec.store import active_store
     from repro.policies import make_policy
@@ -244,7 +208,7 @@ def iter_group_results(group, skip=(), tracer=None, profiler=None,
         hits_before = active_cache.hits
         gen_before = active_cache.gen_seconds
         trace = cached_trace(group.benchmark, group.trace_length,
-                             group.effective_seed, profiler=profiler,
+                             group.seed, profiler=profiler,
                              cache=active_cache)
         first_cache_hit = active_cache.hits > hits_before
         tracegen = active_cache.gen_seconds - gen_before
@@ -323,35 +287,28 @@ def _shared_prepass(group, trace, store, profiler=None):
         return build()
     packed = trace.packed()
     prepass = store.load_prepass(group.benchmark, group.trace_length,
-                                 group.effective_seed, group.config,
+                                 group.seed, group.config,
                                  group.warmup, packed)
     if prepass is not None:
         return prepass
     name = store.prepass_name(group.benchmark, group.trace_length,
-                              group.effective_seed, group.config,
+                              group.seed, group.config,
                               group.warmup)
     with store.single_flight("prepass", name):
         prepass = store.load_prepass(group.benchmark, group.trace_length,
-                                     group.effective_seed, group.config,
+                                     group.seed, group.config,
                                      group.warmup, packed)
         if prepass is not None:
             return prepass
         prepass = build()
         store.save_prepass(prepass, group.benchmark, group.trace_length,
-                           group.effective_seed, group.config,
+                           group.seed, group.config,
                            group.warmup)
     return prepass
 
 
-def _pool_worker(job, attempt=1):
-    """Top-level worker entry (must be picklable by ProcessPoolExecutor)."""
-    if _ATTEMPT_HOOK is not None:
-        _ATTEMPT_HOOK(job, attempt)
-    return job.job_id, execute_job(job)
-
-
 def _pool_worker_group(group, attempt=1):
-    """Pool entry for grouped jobs: runs every member, returns the list.
+    """Pool entry: runs every member of ``group``, returns the list.
 
     The ``[(member_job_id, result), ...]`` list crosses the pickle
     boundary whole, so a pool group attempt is all-or-nothing: a worker
@@ -380,6 +337,10 @@ class Executor:
     def run(self, jobs, journal=None, tracer=None, profiler=None,
             progress=None, failure_policy=None, metrics=None):
         """Execute ``jobs``; returns ``{job: RunResult}``.
+
+        ``jobs`` may mix plain :class:`~repro.exec.job.SimJob` jobs and
+        :class:`~repro.exec.job.MultiPolicySimJob` groups; either way
+        the mapping is keyed per member job (a plain job keys itself).
 
         ``journal`` (a :class:`~repro.sim.checkpoint.JobJournal`) makes
         the call resumable: jobs whose ``job_id`` the journal already
@@ -422,24 +383,22 @@ class Executor:
             return True
 
         for job in jobs:
-            if isinstance(job, MultiPolicySimJob):
-                # Groups resume member-wise: journaled members come back
-                # from disk and the group is trimmed to the rest, so a
-                # rerun pays only the evaluations that never finished.
-                total += len(job.policies)
-                remaining = [member.policy for member in job.member_jobs
-                             if not resume(member)]
-                if remaining:
-                    pending.append(job
-                                   if len(remaining) == len(job.policies)
-                                   else job.subset(remaining))
-            else:
-                total += 1
-                if not resume(job):
-                    pending.append(job)
-        pending_units = sum(len(job.policies)
-                            if isinstance(job, MultiPolicySimJob) else 1
-                            for job in pending)
+            # The one type test: a plain job runs as its one-member
+            # group, whose member equals the job, so results and
+            # outcomes stay keyed as the caller submitted them.
+            group = (job if isinstance(job, MultiPolicySimJob)
+                     else job.as_group())
+            # Groups resume member-wise: journaled members come back
+            # from disk and the group is trimmed to the rest, so a
+            # rerun pays only the evaluations that never finished.
+            total += len(group.policies)
+            remaining = [member.policy for member in group.member_jobs
+                         if not resume(member)]
+            if remaining:
+                pending.append(group
+                               if len(remaining) == len(group.policies)
+                               else group.subset(remaining))
+        pending_units = sum(len(group.policies) for group in pending)
         state = _RunState(total, total - pending_units, journal,
                           tracer, profiler, progress,
                           failure_policy or FailurePolicy(), outcomes,
@@ -462,49 +421,18 @@ class Executor:
     def _execute(self, pending, results, state):
         raise NotImplementedError
 
-    def _run_one(self, job, results, state, run_tracer=None, cache=None,
-                 prior_attempts=0, started=None):
-        """In-process attempt loop for one job under the failure policy.
-
-        Shared by the serial backend and the pool backend's degraded
-        path.  ``prior_attempts``/``started`` carry bookkeeping from
-        attempts the pool already spent on the job.
-        """
-        policy = state.policy
-        attempt = prior_attempts
-        start = started if started is not None else time.perf_counter()
-        while True:
-            attempt += 1
-            try:
-                with attempt_deadline(policy.timeout):
-                    if _ATTEMPT_HOOK is not None:
-                        _ATTEMPT_HOOK(job, attempt)
-                    result = execute_job(job, tracer=run_tracer,
-                                         profiler=state.profiler,
-                                         cache=cache)
-            except Exception as exc:
-                if policy.should_retry(attempt):
-                    delay = policy.backoff(job.job_id, attempt)
-                    state.retry(job, attempt, exc, delay)
-                    if delay:
-                        time.sleep(delay)
-                    continue
-                state.fail(job, attempt, time.perf_counter() - start, exc)
-                return
-            results[job] = result
-            state.complete(job, result, attempts=attempt,
-                           wall=time.perf_counter() - start)
-            return
-
     def _run_group(self, group, results, state, run_tracer=None,
                    cache=None, prior_attempts=0, started=None):
-        """In-process attempt loop for one grouped job.
+        """In-process attempt loop for one group under the failure policy.
+
+        Shared by the serial backend and the pool and dist backends'
+        degraded paths; ``prior_attempts``/``started`` carry bookkeeping
+        from attempts a pool or fleet already spent on the group.
 
         Members are journaled incrementally (``state.complete`` fires
         after each member, before the next starts), so a kill mid-group
         loses only the in-flight member, and a retry after a mid-group
-        fault re-runs only the members that never completed -- the
-        grouped analogue of per-job journaling.
+        fault re-runs only the members that never completed.
 
         Retries are charged *per member*, not per group: a pass aborts
         at its first failing member (members execute in order, so that
@@ -512,7 +440,7 @@ class Executor:
         charged the attempt, and the next pass resumes from it.  A
         member that exhausts the failure policy is failed individually
         and the rest of the group still runs -- the same semantics N
-        ungrouped jobs would have had.
+        one-member groups would have had.
         """
         policy = state.policy
         start = started if started is not None else time.perf_counter()
@@ -694,14 +622,9 @@ class SerialExecutor(Executor):
         # backend's contribution alone.
         cache = self._cache if self._cache is not None else GLOBAL_CACHE
         evictions_before = cache.evictions
-        for job in pending:
-            if isinstance(job, MultiPolicySimJob):
-                self._run_group(job, results, state,
-                                run_tracer=state.tracer,
-                                cache=self._cache)
-            else:
-                self._run_one(job, results, state,
-                              run_tracer=state.tracer, cache=self._cache)
+        for group in pending:
+            self._run_group(group, results, state, run_tracer=state.tracer,
+                            cache=self._cache)
         state.jm.cache_evictions.inc(cache.evictions - evictions_before)
 
 
@@ -709,8 +632,8 @@ class ParallelExecutor(Executor):
     """``ProcessPoolExecutor`` fan-out over ``jobs`` worker processes.
 
     Workers regenerate traces through their own per-process cache (see
-    :mod:`repro.exec.cache`) and return pickled ``RunResult``s; results
-    are keyed by job, so output is deterministic no matter which worker
+    :mod:`repro.exec.cache`) and return each group's pickled
+    ``RunResult``s; results are keyed by member job, so output is deterministic no matter which worker
     finishes first.  The pool is created lazily and reused across
     ``run`` calls until :meth:`close`, so ablation grids amortise the
     fork cost over the whole parameter grid.
@@ -718,14 +641,14 @@ class ParallelExecutor(Executor):
     Crash isolation: a worker death (OOM kill, segfault, chaos
     injection) breaks the whole ``ProcessPoolExecutor``; this backend
     responds by killing the stragglers, rebuilding the pool and
-    resubmitting every incomplete job -- no attempt is charged, because
-    the pool cannot say whose worker died.  A job that outlives the
-    policy timeout *is* charged an attempt: its deadline identifies it,
-    the pool is rebuilt around the hung worker and the job re-enters
-    the retry loop.  After ``max_rebuilds`` consecutive pool losses the
-    remaining jobs run serially in-process (``BACKEND_DEGRADED``), so a
-    persistently hostile environment slows a sweep down rather than
-    aborting it.
+    resubmitting every incomplete group -- no attempt is charged,
+    because the pool cannot say whose worker died.  A group that
+    outlives the policy timeout *is* charged an attempt: its deadline
+    identifies it, the pool is rebuilt around the hung worker and the
+    group re-enters the retry loop.  After :data:`MAX_POOL_REBUILDS`
+    consecutive pool losses the remaining groups run serially in-process
+    (``BACKEND_DEGRADED``), so a persistently hostile environment slows
+    a sweep down rather than aborting it.
 
     ``initializer``/``initargs`` are forwarded to every worker process
     (the chaos harness uses this to install its fault plan).
@@ -733,11 +656,9 @@ class ParallelExecutor(Executor):
 
     backend = "process"
 
-    def __init__(self, jobs=None, initializer=None, initargs=(),
-                 max_rebuilds=2):
+    def __init__(self, jobs=None, initializer=None, initargs=()):
         super().__init__()
         self.jobs = jobs if jobs else (os.cpu_count() or 1)
-        self.max_rebuilds = max_rebuilds
         self.rebuilds = 0
         self.degraded = False
         self._initializer = initializer
@@ -785,11 +706,9 @@ class ParallelExecutor(Executor):
                 while queue and len(inflight) < self.jobs:
                     job = queue[0]
                     attempt = attempts.get(job.job_id, 0) + 1
-                    worker = (_pool_worker_group
-                              if isinstance(job, MultiPolicySimJob)
-                              else _pool_worker)
                     try:
-                        future = pool.submit(worker, job, attempt)
+                        future = pool.submit(_pool_worker_group, job,
+                                             attempt)
                     except RuntimeError:  # pool broke under us
                         break
                     queue.pop(0)
@@ -833,21 +752,14 @@ class ParallelExecutor(Executor):
                     else:
                         wall = (time.perf_counter()
                                 - first_start[job.job_id])
-                        if isinstance(job, MultiPolicySimJob):
-                            members = {member.job_id: member
-                                       for member in job.member_jobs}
-                            for member_id, member_result in result:
-                                member = members[member_id]
-                                results[member] = member_result
-                                state.complete(
-                                    member, member_result,
-                                    attempts=attempts[job.job_id],
-                                    wall=wall)
-                        else:
-                            results[job] = result
-                            state.complete(
-                                job, result,
-                                attempts=attempts[job.job_id], wall=wall)
+                        members = {member.job_id: member
+                                   for member in job.member_jobs}
+                        for member_id, member_result in result:
+                            member = members[member_id]
+                            results[member] = member_result
+                            state.complete(member, member_result,
+                                           attempts=attempts[job.job_id],
+                                           wall=wall)
 
                 now = time.monotonic()
                 expired = [future
@@ -856,12 +768,11 @@ class ParallelExecutor(Executor):
                 for future in expired:
                     job, _ = inflight.pop(future)
                     broke = True  # its worker is wedged; rebuild
+                    victim = job.member_jobs[0].job_id
                     exc = JobTimeoutError(
                         "job %s attempt %d exceeded %.3fs timeout"
-                        % (job.job_id, attempts[job.job_id],
-                           policy.timeout),
-                        job_id=job.job_id,
-                        attempts=attempts[job.job_id])
+                        % (victim, attempts[job.job_id], policy.timeout),
+                        job_id=victim, attempts=attempts[job.job_id])
                     self._attempt_failed(job, exc, attempts, first_start,
                                          queue, state)
 
@@ -882,47 +793,42 @@ class ParallelExecutor(Executor):
                 state.profiler.add("execute",
                                    time.perf_counter() - start)
 
-    def _attempt_failed(self, job, exc, attempts, first_start, queue,
+    def _attempt_failed(self, group, exc, attempts, first_start, queue,
                         state):
-        """Route one failed attempt through the policy (retry or fail)."""
-        count = attempts[job.job_id]
+        """Route one failed group attempt through the policy.
+
+        A pool attempt is all-or-nothing, so no member has settled: the
+        retry is charged to the first member -- the first unsettled one,
+        as ``_run_group`` and the dist driver charge it -- and a terminal
+        failure fails every member under its own job_id.
+        """
+        count = attempts[group.job_id]
+        victim = group.member_jobs[0]
         policy = state.policy
         if policy.should_retry(count):
-            delay = policy.backoff(job.job_id, count)
-            state.retry(job, count, exc, delay)
+            delay = policy.backoff(victim.job_id, count)
+            state.retry(victim, count, exc, delay)
             if delay:
                 time.sleep(delay)
-            queue.append(job)
+            queue.append(group)
         else:
-            wall = time.perf_counter() - first_start[job.job_id]
-            if isinstance(job, MultiPolicySimJob):
-                # A pool group attempt is all-or-nothing, so a terminal
-                # failure fails every member (each gets its own
-                # JOB_FAILED outcome under its legacy job_id).
-                for member in job.member_jobs:
-                    state.fail(member, count, wall, exc)
-            else:
-                state.fail(job, count, wall, exc)
+            wall = time.perf_counter() - first_start[group.job_id]
+            for member in group.member_jobs:
+                state.fail(member, count, wall, exc)
 
     def _maybe_degrade(self, rebuilds, queue, results, state, attempts,
                        first_start):
         """After too many pool losses, finish the run serially."""
-        if rebuilds <= self.max_rebuilds:
+        if rebuilds <= MAX_POOL_REBUILDS:
             return False
         self.degraded = True
         state.degraded("process pool broke %d times" % rebuilds,
                        remaining=len(queue))
         while queue:
-            job = queue.pop(0)
-            if isinstance(job, MultiPolicySimJob):
-                self._run_group(job, results, state,
-                                prior_attempts=attempts.get(job.job_id,
-                                                            0),
-                                started=first_start.get(job.job_id))
-            else:
-                self._run_one(job, results, state,
-                              prior_attempts=attempts.get(job.job_id, 0),
-                              started=first_start.get(job.job_id))
+            group = queue.pop(0)
+            self._run_group(group, results, state,
+                            prior_attempts=attempts.get(group.job_id, 0),
+                            started=first_start.get(group.job_id))
         return True
 
     def describe(self):

@@ -20,17 +20,6 @@ from repro.policies.registry import available_policies
 from repro.workloads.spec import get_profile
 
 
-def stable_hash(text):
-    """A process-independent 63-bit integer hash of ``text``.
-
-    ``hash()`` is salted per interpreter (PYTHONHASHSEED), so per-job
-    seed derivation uses this instead -- the same job_id must map to
-    the same derived seed in every worker and on every rerun.
-    """
-    digest = hashlib.sha256(str(text).encode()).digest()
-    return int.from_bytes(digest[:8], "big") >> 1
-
-
 @dataclasses.dataclass(frozen=True)
 class SimJob:
     """One (benchmark, policy, config) simulation at a fixed scale.
@@ -48,12 +37,6 @@ class SimJob:
     num_instructions: int = 20_000
     warmup: int = 0
     seed: int = None
-    #: Opt-in per-job RNG stream: when True the trace is generated from
-    #: ``seed + stable_hash(job_id)`` instead of ``seed``, so repeated
-    #: specs that differ only in seed draw decorrelated streams.  Off by
-    #: default so the shared trace-cache key (and every historical
-    #: job_id) is untouched.
-    decorrelate: bool = False
 
     def __post_init__(self):
         if self.seed is None:
@@ -73,24 +56,6 @@ class SimJob:
     def trace_length(self):
         return self.num_instructions + self.warmup
 
-    @property
-    def effective_seed(self):
-        """The seed trace generation actually uses.
-
-        Equal to ``seed`` unless ``decorrelate`` is set, in which case
-        an independent stream is derived per job spec.  Because the
-        derived seed feeds the trace-cache key, decorrelated jobs get
-        their own cache entries without perturbing the shared ones.
-        """
-        if not self.decorrelate:
-            return self.seed
-        return self.seed + stable_hash(self.job_id)
-
-    @property
-    def trace_key(self):
-        """The trace-cache key: everything trace generation depends on."""
-        return (self.benchmark, self.trace_length, self.effective_seed)
-
     @cached_property
     def job_id(self):
         """Stable 16-hex-digit content hash of the full job spec.
@@ -108,13 +73,16 @@ class SimJob:
             "warmup": self.warmup,
             "seed": self.seed,
         }
-        if self.decorrelate:
-            # Only present when set, so every pre-existing job_id (and
-            # therefore every journal written before the flag existed)
-            # stays valid.
-            payload["decorrelate"] = True
         canonical = json.dumps(payload, sort_keys=True, default=str)
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+
+    def as_group(self):
+        """This job as the one-member :class:`MultiPolicySimJob` every
+        executor runs it as; the group's only member equals ``self``."""
+        return MultiPolicySimJob(
+            benchmark=self.benchmark, policies=(self.policy,),
+            config=self.config, num_instructions=self.num_instructions,
+            warmup=self.warmup, seed=self.seed)
 
     def __repr__(self):
         return "SimJob(%s/%s, n=%d+%d, seed=%s, id=%s)" % (
@@ -132,12 +100,8 @@ class MultiPolicySimJob:
     journaled -- each member evaluation is recorded as the plain
     :class:`SimJob` it replaces, under the *identical* content-hash
     ``job_id``, so journals, resume, retry accounting and telemetry are
-    oblivious to grouping.
-
-    Decorrelated jobs cannot be grouped: ``decorrelate`` derives a
-    distinct seed (hence a distinct trace) per (benchmark, policy) spec,
-    which is precisely the sharing this job exists to exploit.  Build
-    plain jobs for those.
+    oblivious to grouping.  It is the only unit executors run: a plain
+    job executes as its one-member group (:meth:`SimJob.as_group`).
     """
 
     benchmark: str
@@ -175,15 +139,6 @@ class MultiPolicySimJob:
     @property
     def trace_length(self):
         return self.num_instructions + self.warmup
-
-    @property
-    def effective_seed(self):
-        return self.seed
-
-    @property
-    def trace_key(self):
-        """Shared by every member: one cache entry serves the group."""
-        return (self.benchmark, self.trace_length, self.effective_seed)
 
     @cached_property
     def member_jobs(self):
@@ -233,13 +188,12 @@ class MultiPolicySimJob:
 
 
 def build_jobs(benchmarks, policies, config=None, num_instructions=20_000,
-               warmup=0, seed=None, decorrelate=False):
+               warmup=0, seed=None):
     """The benchmark-major job list for a sweep (deterministic order)."""
     config = config or SimConfig()
     return [
         SimJob(benchmark=benchmark, policy=policy, config=config,
-               num_instructions=num_instructions, warmup=warmup, seed=seed,
-               decorrelate=decorrelate)
+               num_instructions=num_instructions, warmup=warmup, seed=seed)
         for benchmark in benchmarks
         for policy in policies
     ]

@@ -106,9 +106,9 @@ class JobResult:
     (None unless ``status`` is failed).
 
     ``cache_hit``, ``store_hit`` and ``peak_rss_kb`` carry the per-job
-    resource accounting measured inside ``execute_job`` (None when the
-    job never produced a result, e.g. terminal failures or old journal
-    records).  Like ``wall_time`` they are *volatile*: backend-,
+    resource accounting measured inside ``iter_group_results`` (None
+    when the job never produced a result, e.g. terminal failures or old
+    journal records).  Like ``wall_time`` they are *volatile*: backend-,
     machine- and store-state-dependent, so manifest comparisons must
     strip them.
     """

@@ -60,7 +60,13 @@ import zlib
 from array import array
 from contextlib import contextmanager
 
-from repro.sim.checkpoint import _record_crc, atomic_write_text, tmp_suffix
+from repro.sim.checkpoint import (
+    _record_crc,
+    atomic_write_text,
+    completion_record,
+    result_from_record,
+    tmp_suffix,
+)
 
 #: Environment variable naming the store root (inherited by workers).
 STORE_ENV = "REPRO_STORE"
@@ -584,10 +590,11 @@ class ArtifactStore:
     def load_result(self, job):
         """Rebuild the completed run for ``job``, or None.
 
-        The record shape and rebuild mirror
-        :meth:`~repro.sim.checkpoint.JobJournal.result` -- the path
-        journal resume already trusts for bit-identical reruns.
-        Accounting is *not* restored: the caller attaches fresh
+        The record and its rebuild are the journal's
+        (:func:`~repro.sim.checkpoint.completion_record` and
+        :func:`~repro.sim.checkpoint.result_from_record`) -- the path
+        journal resume already trusts for bit-identical reruns.  The
+        record carries no accounting: the caller attaches fresh
         accounting describing this (store-hit) execution.
         """
         path = self._path("results", self.result_name(job) + ".json")
@@ -616,49 +623,15 @@ class ArtifactStore:
             self._quarantine(path, "crc32/key mismatch")
             self._miss("result")
             return None
-        from repro.cpu.core import RunResult
-        from repro.util.statistics import StatGroup
-
-        result = RunResult(
-            record["name"],
-            record["policy_name"],
-            record["instructions"],
-            record["cycles"],
-            StatGroup.from_dict(record["stats"], name="sim"),
-            dict(record["miss_rates"]),
-        )
-        if record.get("metrics") is not None:
-            from repro.sim.metrics import RunMetrics
-
-            result.metrics = RunMetrics(**record["metrics"])
+        result = result_from_record(record)
         self._hit("result", len(text))
         self._touch(path)
         return result
 
     def save_result(self, job, result):
-        record = {
-            "store_version": RESULT_VERSION,
-            "job_id": job.job_id,
-            "fingerprint": code_fingerprint("result"),
-            "benchmark": job.benchmark,
-            "policy": job.policy,
-            "seed": job.seed,
-            "warmup": job.warmup,
-            "name": result.name,
-            "policy_name": result.policy_name,
-            "instructions": result.instructions,
-            "cycles": result.cycles,
-            "ipc": result.ipc,
-            "miss_rates": dict(result.miss_summary),
-            "stats": result.stats.as_dict(),
-            "metrics": (result.metrics.as_dict()
-                        if getattr(result, "metrics", None) is not None
-                        else None),
-        }
-        # Same canonicalisation as the journal: one JSON round trip so
-        # the CRC covers exactly the text a reader re-canonicalises.
-        record = json.loads(json.dumps(record))
-        record["crc32"] = _record_crc(record)
+        record = completion_record(job, result,
+                                   store_version=RESULT_VERSION,
+                                   fingerprint=code_fingerprint("result"))
         text = json.dumps(record, sort_keys=True)
         path = self._path("results", self.result_name(job) + ".json")
         try:
@@ -668,44 +641,6 @@ class ArtifactStore:
             return False
         self._wrote(len(text))
         return True
-
-    def iter_results(self, current_only=True):
-        """Read-side listing of the result tier (for the serving layer).
-
-        Yields one light dict per stored result -- the foreign keys a
-        server needs to answer "which (benchmark, policy, scale) cells
-        are warm?" without rebuilding RunResults: job_id, benchmark,
-        policy, seed, warmup, instructions, cycles, ipc, plus
-        ``current`` (does the record's code fingerprint match the
-        running code -- stale records would miss on load) and the entry
-        mtime.  Unreadable or unsealed records are skipped silently;
-        :meth:`verify` is the loud path for those.
-        """
-        current = code_fingerprint("result")
-        for path, st in list(self._entries("results")):
-            try:
-                with open(path) as handle:
-                    record = json.load(handle)
-            except (OSError, ValueError):
-                continue
-            if (not isinstance(record, dict)
-                    or record.get("store_version") != RESULT_VERSION
-                    or record.get("crc32") != _record_crc(record)):
-                continue
-            if current_only and record.get("fingerprint") != current:
-                continue
-            yield {
-                "job_id": record.get("job_id"),
-                "benchmark": record.get("benchmark"),
-                "policy": record.get("policy"),
-                "seed": record.get("seed"),
-                "warmup": record.get("warmup"),
-                "instructions": record.get("instructions"),
-                "cycles": record.get("cycles"),
-                "ipc": record.get("ipc"),
-                "current": record.get("fingerprint") == current,
-                "mtime": st.st_mtime,
-            }
 
     # -- single-flight locks --------------------------------------------
 

@@ -102,10 +102,8 @@ def build_sweep_manifest(sweep, profiler=None):
     ``policy_labels`` resolves each name through the registry -- the
     manifest records the resolved policy set, not just the request.
     Each run carries its :class:`~repro.exec.job.SimJob` ``job_id`` and
-    the top level records the executor ``backend`` and whether execution
-    was ``grouped`` (one decoded trace fanned out per benchmark), which
-    is how two manifests produced by different backends or pipeline
-    shapes stay comparable.
+    the top level records the executor ``backend``, which is how two
+    manifests produced by different backends stay comparable.
     """
     from repro.policies.registry import policy_label
 
@@ -160,7 +158,6 @@ def build_sweep_manifest(sweep, profiler=None):
         "warmup": sweep.warmup,
         "seed": sweep.seed,
         "backend": getattr(sweep, "backend", None),
-        "grouped": getattr(sweep, "grouped", None),
         "git": git_describe(),
         "config": config_to_dict(sweep.config),
         "phases": profiler.as_dict() if profiler is not None else {},

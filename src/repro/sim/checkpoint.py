@@ -114,13 +114,48 @@ def parse_record(raw):
     return record, None
 
 
+def completion_record(job, result, **envelope):
+    """The sealed record of one finished job, as every tier persists it.
+
+    The journal and the store's result tier share this body; each adds
+    only its own ``envelope`` fields (the journal's ``journal_version``
+    and ``accounting``, the store's ``store_version`` and
+    ``fingerprint``).  The record is normalised through one JSON round
+    trip (int dict keys become strings) before sealing, so its
+    ``crc32`` covers exactly the text a reader will re-canonicalise.
+    :func:`result_from_record` is the inverse.
+    """
+    record = dict(
+        envelope,
+        job_id=job.job_id,
+        benchmark=job.benchmark,
+        policy=job.policy,
+        seed=job.seed,
+        warmup=job.warmup,
+        name=result.name,
+        policy_name=result.policy_name,
+        instructions=result.instructions,
+        cycles=result.cycles,
+        ipc=result.ipc,
+        miss_rates=dict(result.miss_summary),
+        stats=result.stats.as_dict(),
+        metrics=(result.metrics.as_dict()
+                 if getattr(result, "metrics", None) is not None
+                 else None),
+    )
+    record = json.loads(json.dumps(record))
+    record["crc32"] = _record_crc(record)
+    return record
+
+
 def result_from_record(record):
-    """Rebuild a live RunResult from one validated journal record.
+    """Rebuild a live RunResult from one validated completion record.
 
     The rebuilt result carries a real :class:`StatGroup` and the
     persisted :class:`~repro.sim.metrics.RunMetrics`, so sweep
     accessors and manifests work the same whether a run was simulated,
-    resumed locally, or merged from another host's journal segment.
+    resumed locally, merged from another host's journal segment or
+    served from the store (whose records carry no ``accounting``).
     """
     from repro.cpu.core import RunResult
 
@@ -225,34 +260,13 @@ class JobJournal:
 
     def record(self, job, result):
         """Append one completed job (flushed immediately, CRC-sealed)."""
-        record = {
-            "journal_version": JOURNAL_VERSION,
-            "job_id": job.job_id,
-            "benchmark": job.benchmark,
-            "policy": job.policy,
-            "seed": job.seed,
-            "warmup": job.warmup,
-            "name": result.name,
-            "policy_name": result.policy_name,
-            "instructions": result.instructions,
-            "cycles": result.cycles,
-            "ipc": result.ipc,
-            "miss_rates": dict(result.miss_summary),
-            "stats": result.stats.as_dict(),
-            "metrics": (result.metrics.as_dict()
-                        if getattr(result, "metrics", None) is not None
-                        else None),
-            # Per-job resource accounting (wall/tracegen seconds, cache
-            # hit, peak RSS).  An *additive* v2 field: old readers
-            # ignore it, old records come back with accounting None,
-            # and it is CRC-covered like everything else.
-            "accounting": getattr(result, "accounting", None),
-        }
-        # Normalise through one JSON round trip (int dict keys become
-        # strings) so the CRC is computed over exactly the text a
-        # reader will re-canonicalise.
-        record = json.loads(json.dumps(record))
-        record["crc32"] = _record_crc(record)
+        # ``accounting`` is per-job resource accounting (wall/tracegen
+        # seconds, cache hit, peak RSS): an *additive* v2 field -- old
+        # readers ignore it, old records come back with accounting
+        # None, and it is CRC-covered like everything else.
+        record = completion_record(
+            job, result, journal_version=JOURNAL_VERSION,
+            accounting=getattr(result, "accounting", None))
         # One os.write of the whole line on an O_APPEND descriptor:
         # concurrent appenders to the same journal (two workers sharing
         # a host-id on one spool) interleave at line granularity, never

@@ -1,18 +1,14 @@
 """Experiment sweeps: benchmarks x policies through the job pipeline.
 
 A :class:`PolicySweep` describes one benchmark x policy grid, expands it
-into job specs and hands them to an
-:class:`~repro.exec.executor.Executor` -- serial by default, or a
-process pool via ``run(executor=...)`` / the ``REPRO_JOBS`` env var.
-
-By default the grid is expanded *grouped*: one
-:class:`~repro.exec.job.MultiPolicySimJob` per benchmark decodes the
-trace once and evaluates every policy against it through the shared
-timestamp kernel (``run(grouped=False)`` keeps the historical
-one-job-per-cell expansion; results are bit-identical either way, and
-both shapes journal under the same per-cell job_ids).  Results
-normalise against the decrypt-only baseline (the paper's Figure 7
-presentation) or against authen-then-issue (Figures 8/11/13).
+into one :class:`~repro.exec.job.MultiPolicySimJob` per benchmark --
+decode the trace once, evaluate every policy against it through the
+shared timestamp kernel -- and hands them to an
+:class:`~repro.exec.executor.Executor`: serial by default, or a process
+pool via ``run(executor=...)`` / the ``REPRO_JOBS`` env var.  Each
+(benchmark, policy) cell journals under its own plain-job job_id.
+Results normalise against the decrypt-only baseline (the paper's
+Figure 7 presentation) or against authen-then-issue (Figures 8/11/13).
 """
 
 from repro.config import SimConfig
@@ -42,7 +38,6 @@ class PolicySweep:
         self.job_outcomes = {}  # job_id -> JobResult (attempts, status)
         self.executed_policies = list(self.policies)
         self.backend = None     # executor.describe() of the last run
-        self.grouped = None     # whether the last run used grouped jobs
 
     def policy_order(self, include_baseline=True):
         """Deterministic execution order for the sweep's policies.
@@ -61,7 +56,7 @@ class PolicySweep:
         """The sweep's per-cell job list (benchmark-major, deterministic).
 
         This is the journal-facing view: one :class:`SimJob` id per
-        (benchmark, policy) cell, whether or not execution is grouped.
+        (benchmark, policy) cell -- the members of :meth:`job_groups`.
         """
         return build_jobs(self.benchmarks,
                           self.policy_order(include_baseline),
@@ -79,7 +74,7 @@ class PolicySweep:
 
     def run(self, include_baseline=True, profiler=None, tracer=None,
             executor=None, journal=None, progress=None,
-            failure_policy=None, metrics=None, grouped=True):
+            failure_policy=None, metrics=None):
         """Execute the sweep; returns self for chaining.
 
         ``executor`` picks the backend (default: serial, or whatever
@@ -99,24 +94,16 @@ class PolicySweep:
         (a :class:`~repro.obs.metrics.MetricsRegistry`) receives the
         execution-layer families plus a per-cell
         ``repro_sweep_cells_total{benchmark,policy,status}`` rollup.
-
-        ``grouped`` (default True) runs each benchmark as one
-        :class:`~repro.exec.job.MultiPolicySimJob` -- decode once,
-        evaluate every policy -- instead of one job per cell; cycle
-        counts, stats, journal records and per-cell bookkeeping are
-        identical either way.
         """
         jobs = self.jobs(include_baseline)
-        units = self.job_groups(include_baseline) if grouped else jobs
         with executor_scope(executor) as active:
-            results = active.run(units, journal=journal, tracer=tracer,
+            results = active.run(self.job_groups(include_baseline), journal=journal, tracer=tracer,
                                  profiler=profiler, progress=progress,
                                  failure_policy=failure_policy,
                                  metrics=metrics)
             self.backend = active.describe()
             self.job_outcomes.update(active.last_outcomes)
         self.executed_policies = self.policy_order(include_baseline)
-        self.grouped = grouped
         for job in jobs:
             self.job_ids[(job.benchmark, job.policy)] = job.job_id
             if job in results:

@@ -178,7 +178,7 @@ class TestDistExecutor:
         policy = FailurePolicy(mode=RETRY_THEN_SKIP, max_attempts=2,
                                backoff_base=0.0, backoff_max=0.0)
         executor = DistExecutor(spool, poll=0.01, lease_timeout=5.0,
-                                degrade_after=60.0, local_fallback=False)
+                                degrade_after=60.0)
         victim_id = groups[0].job_id
         box = {}
 

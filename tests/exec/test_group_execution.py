@@ -1,10 +1,12 @@
 """Grouped (decode once, evaluate N) execution pipeline tests.
 
-One :class:`MultiPolicySimJob` must be observably indistinguishable
-from the N plain jobs it replaces: identical member job_ids, identical
-results on every backend, journal-compatible resume that re-runs only
-unfinished members, and cache accounting that credits the in-group
-trace reuse.
+Every job executes as a :class:`MultiPolicySimJob` -- a plain job as
+its one-member group -- so the reference here is the legacy simulator
+driven directly (trace, ``build_simulator``, ``core.run``,
+``collect_metrics``), outside every executor.  Groups and plain jobs
+must match it on every backend, keep the plain jobs' member job_ids,
+resume member-wise from a journal, and credit the in-group trace reuse
+to the cache accounting.
 """
 
 import pytest
@@ -22,6 +24,10 @@ from repro.obs.events import COMMIT, ISSUE
 from repro.obs.sinks import MemorySink
 from repro.obs.tracer import Tracer
 from repro.sim.checkpoint import JobJournal
+from repro.sim.metrics import collect_metrics
+from repro.sim.runner import build_simulator
+from repro.workloads.spec import get_profile
+from repro.workloads.tracegen import generate_trace
 
 BENCHMARKS = ("gzip", "mcf")
 POLICIES = ("decrypt-only", "authen-then-commit", "authen-then-issue",
@@ -33,9 +39,30 @@ GROUPS = build_job_groups(BENCHMARKS, POLICIES,
 PLAIN = build_jobs(BENCHMARKS, POLICIES, num_instructions=N, warmup=W)
 
 
+def legacy_result(job, tracer=None):
+    """``job`` on the legacy simulator, driven directly."""
+    trace = generate_trace(get_profile(job.benchmark), job.trace_length,
+                           seed=job.seed)
+    core, hierarchy = build_simulator(job.config, job.policy, tracer=tracer)
+    result = core.run(trace, warmup=job.warmup)
+    result.metrics = collect_metrics(result, hierarchy)
+    return result
+
+
 @pytest.fixture(scope="module")
 def plain_results():
-    return SerialExecutor().run(PLAIN)
+    return {job: legacy_result(job) for job in PLAIN}
+
+
+def assert_matches_oracle(results, oracle):
+    by_id = {job.job_id: result for job, result in oracle.items()}
+    assert {job.job_id for job in results} == set(by_id)
+    for job, result in results.items():
+        legacy = by_id[job.job_id]
+        assert result.cycles == legacy.cycles
+        assert result.stats.as_dict() == legacy.stats.as_dict()
+        assert result.miss_summary == legacy.miss_summary
+        assert result.metrics.as_dict() == legacy.metrics.as_dict()
 
 
 class TestGroupSpec:
@@ -60,26 +87,17 @@ class TestGroupSpec:
 
 class TestGroupedExecutionParity:
     def test_serial_grouped_identical_to_plain(self, plain_results):
-        grouped = SerialExecutor().run(GROUPS)
-        assert {job.job_id for job in grouped} == \
-            {job.job_id for job in plain_results}
-        by_id = {job.job_id: result for job, result
-                 in plain_results.items()}
-        for member, result in grouped.items():
-            legacy = by_id[member.job_id]
-            assert result.cycles == legacy.cycles
-            assert result.stats.as_dict() == legacy.stats.as_dict()
-            assert result.miss_summary == legacy.miss_summary
+        assert_matches_oracle(SerialExecutor().run(GROUPS), plain_results)
 
     def test_parallel_grouped_identical_to_plain(self, plain_results):
         with ParallelExecutor(2) as executor:
             grouped = executor.run(GROUPS)
-        by_id = {job.job_id: result for job, result
-                 in plain_results.items()}
-        for member, result in grouped.items():
-            legacy = by_id[member.job_id]
-            assert result.cycles == legacy.cycles
-            assert result.stats.as_dict() == legacy.stats.as_dict()
+        assert_matches_oracle(grouped, plain_results)
+
+    def test_plain_jobs_keyed_as_submitted(self, plain_results):
+        results = SerialExecutor().run(PLAIN)
+        assert list(results) == PLAIN
+        assert_matches_oracle(results, plain_results)
 
     def test_member_outcomes_recorded_individually(self):
         executor = SerialExecutor()
@@ -99,11 +117,9 @@ class TestTracedGroup:
         policy = "authen-then-commit"
         group = build_job_groups(["gzip"], [policy],
                                  num_instructions=N, warmup=W)
-        plain = build_jobs(["gzip"], [policy],
-                           num_instructions=N, warmup=W)
         grouped_sink, plain_sink = MemorySink(), MemorySink()
         grouped = SerialExecutor().run(group, tracer=Tracer([grouped_sink]))
-        SerialExecutor().run(plain, tracer=Tracer([plain_sink]))
+        legacy_result(group[0].member_jobs[0], tracer=Tracer([plain_sink]))
         for kind in (ISSUE, COMMIT):
             count = len(grouped_sink.by_kind(kind))
             assert count > 0
@@ -141,6 +157,30 @@ class TestGroupResume:
                  in plain_results.items()}
         for member, result in results.items():
             assert result.cycles == by_id[member.job_id].cycles
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_plain_jobs_resume_member_wise(self, tmp_path, plain_results,
+                                           workers):
+        """Plain jobs take the group path, journal resume included:
+        journaled jobs come back from disk, the rest execute, and both
+        match the oracle."""
+        path = tmp_path / "journal.jsonl"
+        journal = JobJournal(path)
+        seeded = PLAIN[::3]
+        for job in seeded:
+            journal.record(job, plain_results[job])
+        executor = (SerialExecutor() if workers == 1
+                    else ParallelExecutor(workers))
+        with executor:
+            results = executor.run(PLAIN, journal=JobJournal(path))
+        seeded_ids = {job.job_id for job in seeded}
+        assert {job_id: outcome.status for job_id, outcome
+                in executor.last_outcomes.items()} == {
+            job.job_id: (STATUS_RESUMED if job.job_id in seeded_ids
+                         else STATUS_OK) for job in PLAIN}
+        assert_matches_oracle(results, plain_results)
+        assert JobJournal(path).completed_ids == \
+            {job.job_id for job in PLAIN}
 
     def test_rerun_after_full_journal_executes_nothing(self, tmp_path):
         path = tmp_path / "journal.jsonl"

@@ -77,7 +77,17 @@ class TestJobSpec:
         job = SimJob("gzip", "decrypt-only", num_instructions=1000,
                      warmup=500, seed=9)
         assert job.trace_length == 1500
-        assert job.trace_key == ("gzip", 1500, 9)
+        # The trace cache and store key a job's trace by exactly this.
+        group = job.as_group()
+        assert (group.benchmark, group.trace_length, group.seed) == \
+            ("gzip", 1500, 9)
+
+    def test_as_group_has_the_job_as_its_only_member(self):
+        job = SimJob("gzip", "authen-then-commit", num_instructions=1000,
+                     warmup=500, seed=9)
+        (member,) = job.as_group().member_jobs
+        assert member == job
+        assert member.job_id == job.job_id
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ConfigError, match="unknown policy"):
@@ -114,48 +124,3 @@ class TestBuildJobs:
                           num_instructions=100, seed=5)
         assert jobs[0].config is config
         assert jobs[0].seed == 5
-
-
-class TestDecorrelate:
-    def test_off_by_default_and_id_preserved(self):
-        plain = SimJob("gzip", "decrypt-only", num_instructions=1000,
-                       warmup=0, seed=2006)
-        assert plain.decorrelate is False
-        assert plain.effective_seed == plain.seed
-        # Historical job_ids must not change for decorrelate=False specs.
-        assert plain.job_id == SimJob("gzip", "decrypt-only",
-                                      num_instructions=1000, warmup=0,
-                                      seed=2006).job_id
-
-    def test_decorrelated_seed_is_stable_and_per_job(self):
-        from repro.exec import stable_hash
-
-        a = SimJob("gzip", "decrypt-only", seed=7, decorrelate=True)
-        b = SimJob("gzip", "authen-then-commit", seed=7, decorrelate=True)
-        assert a.effective_seed == 7 + stable_hash(a.job_id)
-        assert a.effective_seed != b.effective_seed
-        # Same spec -> same stream, on any machine (sha256, not hash()).
-        assert a.effective_seed == SimJob("gzip", "decrypt-only", seed=7,
-                                          decorrelate=True).effective_seed
-
-    def test_decorrelate_feeds_id_and_trace_key(self):
-        plain = SimJob("gzip", "decrypt-only", seed=7)
-        split = SimJob("gzip", "decrypt-only", seed=7, decorrelate=True)
-        assert plain.job_id != split.job_id
-        assert plain.trace_key != split.trace_key
-        assert split.trace_key == ("gzip", split.trace_length,
-                                   split.effective_seed)
-
-    def test_build_jobs_passthrough(self):
-        jobs = build_jobs(["gzip"], ["decrypt-only"],
-                          num_instructions=100, decorrelate=True)
-        assert all(job.decorrelate for job in jobs)
-
-    def test_decorrelated_runs_still_simulate(self):
-        from repro.exec import SerialExecutor
-
-        jobs = build_jobs(["gzip"], ["decrypt-only"],
-                          num_instructions=600, warmup=300,
-                          decorrelate=True)
-        results = SerialExecutor().run(jobs)
-        assert results[jobs[0]].cycles > 0

@@ -11,7 +11,9 @@ from repro.exec import (
     STATUS_OK,
     STATUS_RESUMED,
     FailurePolicy,
+    ParallelExecutor,
     SerialExecutor,
+    build_job_groups,
     build_jobs,
     set_attempt_hook,
 )
@@ -196,6 +198,34 @@ class TestSerialFailurePolicy:
             outcome = executor.last_outcomes[job.job_id]
             assert outcome.status == STATUS_RESUMED
             assert outcome.attempts == 0
+
+
+class TestPoolFailurePolicy:
+    def test_group_retry_is_charged_to_a_member(self):
+        """A failed pool attempt of a group retries under a member's
+        job_id -- the id outcomes, journals and reports carry -- never
+        under the group's own."""
+        group, = build_job_groups(
+            ["gzip"], ["decrypt-only", "authen-then-commit",
+                       "authen-then-issue"],
+            num_instructions=600, warmup=300)
+        victim = group.member_jobs[1]
+        sink = MemorySink()
+        policy = FailurePolicy(mode=RETRY_THEN_SKIP, max_attempts=2,
+                               backoff_base=0.0)
+        with ParallelExecutor(
+                2, initializer=set_attempt_hook,
+                initargs=(FailFirst(1, [victim.job_id]),)) as executor:
+            results = executor.run([group], tracer=Tracer([sink]),
+                                   failure_policy=policy)
+        member_ids = {member.job_id for member in group.member_jobs}
+        retries = [e for e in sink.events if e.kind == JOB_RETRY]
+        assert len(retries) == 1
+        assert retries[0].args["job_id"] in member_ids
+        assert set(results) == set(group.member_jobs)
+        assert {job_id: outcome.attempts for job_id, outcome
+                in executor.last_outcomes.items()} == \
+            dict.fromkeys(member_ids, 2)
 
 
 class TestAttemptDeadlineNesting:

@@ -536,44 +536,3 @@ class TestStatsAndEnv:
 
 def _noop():
     """Exit immediately: its reaped pid proves a lock owner is dead."""
-
-
-class TestIterResults:
-    def test_lists_sealed_records(self, store):
-        job = JOBS[0]
-        assert store.save_result(job, execute_job(job))
-        [row] = list(store.iter_results())
-        assert row["job_id"] == job.job_id
-        assert row["benchmark"] == job.benchmark
-        assert row["policy"] == job.policy
-        assert row["seed"] == job.seed
-        assert row["warmup"] == job.warmup
-        assert row["cycles"] > 0
-        assert row["ipc"] > 0
-        assert row["current"] is True
-        assert row["mtime"] > 0
-
-    def test_skips_corrupt_records(self, store):
-        job = JOBS[0]
-        assert store.save_result(job, execute_job(job))
-        path = store._path("results", store.result_name(job) + ".json")
-        with open(path, "a") as handle:
-            handle.write("garbage")
-        assert list(store.iter_results()) == []
-
-    def test_stale_fingerprints_filtered_unless_asked(self, store):
-        from repro.sim.checkpoint import _record_crc
-
-        job = JOBS[0]
-        assert store.save_result(job, execute_job(job))
-        path = store._path("results", store.result_name(job) + ".json")
-        with open(path) as handle:
-            record = json.load(handle)
-        record["fingerprint"] = "stale"
-        record.pop("crc32")
-        record["crc32"] = _record_crc(record)
-        with open(path, "w") as handle:
-            json.dump(record, handle)
-        assert list(store.iter_results()) == []
-        [row] = list(store.iter_results(current_only=False))
-        assert row["current"] is False
