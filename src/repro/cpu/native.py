@@ -1,27 +1,31 @@
-"""Optional native (C) build of the shared timestamp kernel.
+"""Native (C) shared timestamp kernel: the one replay of a prepass.
 
 The decode-once/evaluate-many pipeline makes the per-policy replay the
 hot loop of every multi-policy sweep: one
 :class:`~repro.cpu.prepass.TracePrepass` is walked once per registered
 policy, and the walk is pure int64 arithmetic over flat columns -- a
 shape the system C compiler turns into code an order of magnitude
-faster than the CPython interpreter loop.  This module carries a
-line-for-line C port of the pure-Python kernel in
-:mod:`repro.cpu.shared_kernel`, compiles it at first use, and drives it
-through :mod:`ctypes`.
+faster than the CPython interpreter loop.  This module carries that
+loop as one C translation unit, a line-for-line mirror of
+:meth:`repro.cpu.core.TimestampCore.run` and of the timing half of the
+memory walk; compiles it at first use; and drives it through
+:mod:`ctypes`.  :func:`config_block` is the one derivation of the
+scalars it consumes.
 
-Everything is integer arithmetic, so the native replay is
-*bit-identical* to the pure-Python one: the differential suite in
-``tests/cpu/`` pins native == python == legacy, and ``repro perf``
-gates the pinned goldens.  The kernel is strictly optional --
-no C compiler, a failed compile, or ``REPRO_NATIVE=0`` in the
-environment all fall back to the pure-Python replay with identical
-results (``REPRO_NATIVE=require`` turns an unavailable kernel into an
-error, for CI jobs that must measure the native path).
+Everything is integer arithmetic, so the replay is *bit-identical* to
+the legacy simulator: the differential suite in ``tests/cpu/`` pins
+native == legacy for every policy, and ``repro perf`` gates the pinned
+goldens.  The kernel needs a C compiler (``CC``, default ``cc``).  When
+none works, :func:`native_available` is False and the grouped executor
+runs every member on the legacy simulator instead, with identical
+results; ``REPRO_NATIVE=require`` turns an unavailable kernel into an
+error, for CI jobs and benchmarks that must measure the native path.
+``REPRO_NATIVE`` accepts only ``auto`` (the default) and ``require``.
 
 The compiled object is cached as
-``<tmpdir>/repro-kernel-<source-hash>.so``; each machine compiles once
-and process-pool workers just dlopen the cached object.  The prepass
+``<cache>/repro-kernel-<source-hash>.so`` (``REPRO_NATIVE_CACHE``,
+default the system temp dir); each machine compiles once and
+process-pool workers just dlopen the cached object.  The prepass
 columns are marshalled to flat int64 arrays once per trace
 (``array('q')``; no third-party deps) and reused across all N policy
 replays of a group.
@@ -34,16 +38,18 @@ import subprocess
 import tempfile
 from array import array
 
-#: Scalar block layouts -- keep in lockstep with the CFG_*/OUT_*
-#: defines in the C source.
-_CFG_SLOTS = 43
+from repro.cpu.core import _CALENDAR_PRUNE_INTERVAL, _UNIT_LATENCY
+from repro.errors import ConfigError
+
+#: Output block size -- keep in lockstep with the OUT_* enum in the C
+#: source (config_block() follows its CFG_* enum the same way).
 _OUT_SLOTS = 12
 
 _C_SOURCE = r"""
 #include <stdint.h>
 #include <stdlib.h>
 
-/* Scalar config block layout (mirror of _pack_cfg in native.py). */
+/* Scalar config block layout (mirror of config_block in native.py). */
 enum {
     CFG_NUM_INSTS, CFG_WARMUP, CFG_N_ACCESSES, CFG_N_MISSES,
     CFG_GATE_ISSUE, CFG_GATE_COMMIT, CFG_GATE_FETCH, CFG_GATE_STORE,
@@ -677,22 +683,26 @@ done:
 }
 """
 
+
+#: Config-block slots the stats assembly reads back (CFG_* enum above).
+CFG_AUTH_ENABLED = 10
+CFG_DUR_LINE = 11
+CFG_DUR_META = 12
+
 _lib = None
-_lib_tried = False
+_load_error = None
 
 
 def _mode():
-    """``auto`` (default), ``off`` (REPRO_NATIVE=0) or ``require``."""
-    raw = os.environ.get("REPRO_NATIVE", "auto").strip().lower()
-    if raw in ("0", "off", "no", "false"):
-        return "off"
-    if raw in ("require", "force"):
+    """``auto`` (the default) or ``require``, from ``REPRO_NATIVE``."""
+    raw = os.environ.get("REPRO_NATIVE", "").strip().lower()
+    if raw in ("", "auto"):
+        return "auto"
+    if raw == "require":
         return "require"
-    return "auto"
-
-
-def _compiler():
-    return os.environ.get("CC", "cc")
+    raise ConfigError(
+        "REPRO_NATIVE=%r: expected 'auto' (the default) or 'require'"
+        % os.environ["REPRO_NATIVE"])
 
 
 def _ensure_compiled():
@@ -706,12 +716,17 @@ def _ensure_compiled():
     os.makedirs(cache, exist_ok=True)
     fd, c_path = tempfile.mkstemp(suffix=".c", dir=cache)
     tmp_so = c_path[:-2] + ".so"
+    command = [os.environ.get("CC", "cc"), "-O2", "-shared", "-fPIC",
+               "-o", tmp_so, c_path]
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(_C_SOURCE)
-        subprocess.run(
-            [_compiler(), "-O2", "-shared", "-fPIC", "-o", tmp_so, c_path],
-            check=True, capture_output=True, timeout=120)
+        done = subprocess.run(command, capture_output=True, timeout=120)
+        if done.returncode != 0:
+            tail = done.stderr.decode(errors="replace").strip()[-400:]
+            raise RuntimeError("compile `%s` exited with status %d%s"
+                               % (" ".join(command), done.returncode,
+                                  ": " + tail if tail else ""))
         os.replace(tmp_so, so_path)  # atomic: racing workers both win
     finally:
         for leftover in (c_path, tmp_so):
@@ -723,38 +738,51 @@ def _ensure_compiled():
 
 
 def _load():
-    """The loaded kernel, or None when off/unavailable (memoised)."""
-    global _lib, _lib_tried
-    if _lib_tried:
-        return _lib
-    _lib_tried = True
-    if _mode() == "off":
-        return None
-    try:
-        lib = ctypes.CDLL(_ensure_compiled())
-        fn = lib.repro_replay
-        fn.restype = ctypes.c_int64
-        fn.argtypes = [ctypes.c_void_p] * 18
-        _lib = lib
-    except Exception:
-        _lib = None
-    if _lib is None and _mode() == "require":
-        raise RuntimeError(
-            "REPRO_NATIVE=require but the native kernel could not be "
-            "compiled/loaded (is a C compiler installed?)")
+    """The loaded kernel (memoised); raises RuntimeError if it cannot load.
+
+    The error names the failed step (the compile command with its exit
+    status and stderr tail, or the dlopen failure) and chains the
+    original exception.  A failure is memoised too, so a machine with
+    no compiler tries once per process.
+    """
+    global _lib, _load_error
+    if _lib is None and _load_error is None:
+        try:
+            lib = ctypes.CDLL(_ensure_compiled())
+            lib.repro_replay.restype = ctypes.c_int64
+            lib.repro_replay.argtypes = [ctypes.c_void_p] * 18
+            _lib = lib
+        except Exception as exc:  # no compiler, failed compile, bad .so
+            _load_error = exc
+    if _lib is None:
+        raise RuntimeError("the native replay kernel could not be built "
+                           "or loaded: %s" % _load_error) from _load_error
     return _lib
 
 
 def native_available():
-    """True when the compiled kernel is (or can be made) loadable."""
-    return _load() is not None
+    """True when the compiled kernel is (or can be made) loadable.
+
+    Under ``REPRO_NATIVE=require`` an unloadable kernel raises instead
+    of returning False, so a job that must measure the native path
+    cannot quietly run on the legacy simulator.
+    """
+    mode = _mode()
+    try:
+        _load()
+    except RuntimeError as exc:
+        if mode == "require":
+            raise RuntimeError("REPRO_NATIVE=require, but %s" % exc) \
+                from exc.__cause__
+        return False
+    return True
 
 
 def reset():
-    """Forget the memoised load state (tests toggle REPRO_NATIVE)."""
-    global _lib, _lib_tried
+    """Forget the memoised load state (tests toggle CC and the cache)."""
+    global _lib, _load_error
     _lib = None
-    _lib_tried = False
+    _load_error = None
 
 
 def _addr(arr):
@@ -801,44 +829,61 @@ def _buffers(prepass):
     return buf
 
 
-def _pack_cfg(prepass, c):
-    """The scalar config block (CFG_* layout in the C source)."""
-    cfg = array("q", bytes(8 * _CFG_SLOTS))
-    values = [
+def config_block(prepass, policy, config):
+    """The kernel's scalar config block, in the C source's CFG_* order.
+
+    The one derivation of every scalar the replay consumes from
+    ``(prepass, policy, config)``: the gate flags, the bus and MAC
+    latencies they imply, and the core and cache geometry.
+    """
+    core = config.core
+    secure = config.secure
+    dram = config.dram
+    auth = policy.authentication
+    line_bytes = config.l2.line_bytes
+    mac_rider = secure.mac_bits // 8 if auth else 0
+    beat = dram.bus_multiplier
+    cas = dram.cas_cycles
+    if secure.mac_scheme == "gmac":
+        mac_latency = secure.gmac_latency
+        mac_throughput = max(1, secure.gmac_latency // 2)
+    else:
+        mac_latency = secure.hmac_latency
+        mac_throughput = secure.mac_throughput
+    return array("q", [
         prepass.num_instructions, prepass.warmup,
         prepass.n_accesses, prepass.n_misses,
-        int(c["gate_issue"]), int(c["gate_commit"]),
-        int(c["gate_fetch"]), int(c["gate_store"]),
-        int(c["precise_fetch"]), int(c["drain_fetch"]),
-        int(c["auth_enabled"]),
-        c["dur_line"], c["dur_meta"],
-        c["ras"][0], c["ras"][1], c["ras"][2],
-        c["mac_latency"], c["mac_throughput"], c["queue_depth"],
-        c["decrypt_latency"], c["xor_latency"],
-        c["l1i_latency"], c["l1d_latency"], c["l2_latency"],
-        c["num_banks"], c["mshr_entries"],
-        c["fetch_width"], c["issue_width"], c["commit_width"],
-        c["ruu_size"], c["lsq_size"], c["depth"], c["penalty"],
-        c["sb_size"],
-    ] + list(c["unit_latency"]) + [c["prune_interval"]]
-    for i, value in enumerate(values):
-        cfg[i] = value
-    return cfg
+        policy.gate_issue, policy.gate_commit,
+        policy.gate_fetch, policy.gate_store,
+        policy.gate_fetch and policy.fetch_mode == "precise",
+        policy.gate_fetch and policy.fetch_mode == "drain",
+        auth,
+        -(-(line_bytes + mac_rider) // dram.bus_width_bytes) * beat,
+        -(-line_bytes // dram.bus_width_bytes) * beat,
+        cas, dram.rcd_cycles + cas,
+        dram.rp_cycles + dram.rcd_cycles + cas,
+        mac_latency, mac_throughput, secure.auth_queue_depth,
+        secure.decrypt_latency,
+        1,  # XOR latency: DecryptionEngine default, not config-routed
+        config.l1i.latency, config.l1d.latency, config.l2.latency,
+        dram.num_banks, max(1, config.mshr_entries),
+        core.fetch_width, core.issue_width, core.commit_width,
+        core.ruu_entries, core.lsq_entries, core.pipeline_depth,
+        core.branch_mispredict_penalty, secure.store_buffer_entries,
+        *(_UNIT_LATENCY.get(code, 0) for code in range(8)),
+        _CALENDAR_PRUNE_INTERVAL,
+    ])
 
 
-def replay(prepass, c):
-    """Run the native kernel; returns the output payload dict, or None.
+def replay(prepass, cfg):
+    """Run the kernel over ``prepass``; returns the output payload dict.
 
-    ``c`` is the constants dict from
-    :func:`repro.cpu.shared_kernel._policy_constants`.  A None return
-    (kernel off, unavailable, or an internal allocation failure) tells
-    the caller to use the pure-Python loop instead.
+    ``cfg`` is :func:`config_block` for the policy being replayed.
+    Raises RuntimeError when the kernel cannot load and MemoryError
+    when the kernel's own allocations fail.
     """
     lib = _load()
-    if lib is None:
-        return None
     buf = _buffers(prepass)
-    cfg = _pack_cfg(prepass, c)
     n_misses = prepass.n_misses
     lat_out = array("q", bytes(8 * (n_misses + 1)))
     gap_out = array("q", bytes(8 * (n_misses + 1)))
@@ -848,13 +893,14 @@ def replay(prepass, c):
         *[_addr(column) for column in buf],
         _addr(lat_out), _addr(gap_out), _addr(out))
     if rc != 0:
-        return None
+        raise MemoryError("native replay kernel failed to allocate its "
+                          "working state (status %d)" % rc)
     read_lat_buckets = {}
     for m in range(n_misses):
         lat = lat_out[m]
         read_lat_buckets[lat] = read_lat_buckets.get(lat, 0) + 1
     gap_buckets = {}
-    if c["auth_enabled"]:
+    if cfg[CFG_AUTH_ENABLED]:
         for m in range(out[11]):
             gap = gap_out[m]
             gap_buckets[gap] = gap_buckets.get(gap, 0) + 1

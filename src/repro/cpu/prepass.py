@@ -8,7 +8,8 @@ on the address stream and its order, never on the policy's gating terms.
 Policies change *when* things happen (cycle arithmetic), not *what*
 happens.  So the walk over caches and banks can run once per trace, and
 each policy evaluation replays only the timing arithmetic over the
-recorded outcomes (:mod:`repro.cpu.shared_kernel`).
+recorded outcomes (:mod:`repro.cpu.shared_kernel`, which runs the C
+kernel of :mod:`repro.cpu.native`).
 
 :func:`build_prepass` performs that walk.  It mirrors, decision for
 decision, the structural half of ``hierarchy._l1_access`` /
@@ -20,8 +21,9 @@ equivalence suite (``tests/cpu/test_shared_kernel.py``) and the perf
 goldens pin the mirror bit-identically against the legacy path.
 
 Supported configurations are gated by :func:`prepass_supported`; the
-grouped executor falls back to the legacy per-policy path for the rest
-(CBC mode, hash trees, address obfuscation, prefetching).
+grouped executor runs the legacy per-policy path for the rest (CBC
+mode, hash trees, address obfuscation, prefetching), and builds no
+prepass at all when the native kernel cannot be built.
 """
 
 from repro.secure.metadata import MetadataLayout

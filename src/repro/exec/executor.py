@@ -157,9 +157,15 @@ def iter_group_results(group, skip=(), tracer=None, profiler=None,
     carries it.  ``attempt_of(member)`` supplies the attempt number the
     hook reports (default: 1).
 
+    Members replay over one shared prepass in the native kernel when
+    the config and policy are inside the envelope, the run is untraced
+    and the kernel loads; every other member runs on the legacy
+    simulator, with identical results.
+
     Resource accounting rides along on each ``result.accounting`` --
     wall and tracegen seconds, whether the trace came from cache,
-    whether the result was a store hit, and the process's peak RSS --
+    whether the result was a store hit, the evaluation ``path``
+    (``"native"`` or ``"legacy"``) and the process's peak RSS --
     measured here, inside the worker for the pool backend, because it
     has to cross the pickle boundary with the result.  The first
     executed member carries the group's shared cost (tracegen plus
@@ -176,6 +182,7 @@ def iter_group_results(group, skip=(), tracer=None, profiler=None,
     prepass itself is store-backed too: loaded when present, built and
     published (under a single-flight lock) when not.
     """
+    from repro.cpu import native
     from repro.cpu.prepass import policy_supported, prepass_supported
     from repro.cpu.shared_kernel import replay_policy
     from repro.exec.store import active_store
@@ -215,10 +222,12 @@ def iter_group_results(group, skip=(), tracer=None, profiler=None,
         active_cache.count_group_reuse(len(to_run) - 1)
         policies = {m.policy: make_policy(m.policy) for m in to_run}
         # A traced run takes the legacy path for every member: only the
-        # legacy simulator emits the simulated machine's events.
+        # legacy simulator emits the simulated machine's events.  So
+        # does a machine where the native kernel cannot be built.
         tracing = tracer is not None and tracer.enabled
         if (not tracing and prepass_supported(group.config)
-                and any(policy_supported(p) for p in policies.values())):
+                and any(policy_supported(p) for p in policies.values())
+                and native.native_available()):
             prepass = _shared_prepass(group, trace, store,
                                       profiler=profiler)
         shared_seconds = time.perf_counter() - started
@@ -235,7 +244,9 @@ def iter_group_results(group, skip=(), tracer=None, profiler=None,
         member_start = time.perf_counter()
         policy = policies[member.policy]
         hierarchy = None
-        if prepass is not None and policy_supported(policy):
+        path = ("native" if prepass is not None
+                and policy_supported(policy) else "legacy")
+        if path == "native":
             result = replay_policy(prepass, policy, group.config,
                                    trace_name=getattr(trace, "name",
                                                       "trace"),
@@ -259,6 +270,7 @@ def iter_group_results(group, skip=(), tracer=None, profiler=None,
                                       6),
             "cache_hit": first_cache_hit if position == 0 else True,
             "store_hit": False,
+            "path": path,
             "peak_rss_kb": _peak_rss_kb(),
         }
         if store is not None:

@@ -11,7 +11,9 @@ artifacts a run leaves behind -- no re-simulation.  Feed it any mix of:
 
 plus optionally the job journal (``--journal``), which contributes the
 per-job resource accounting (wall/tracegen seconds, cache hits, peak
-RSS) that powers the slowest-jobs table and the distributions.
+RSS, evaluation path) that powers the slowest-jobs table, the
+distributions and the count of jobs per path (native kernel or legacy
+simulator).
 
 The report has two forms: :func:`render_report` (text, table style
 shared with the sweep tables) and the raw :func:`build_report` dict
@@ -53,6 +55,7 @@ def _new_report():
         "rss": None,        # {"count", "mean_kb", "max_kb"}
         "cache": None,      # {"hits", "misses", "hit_rate", ...}
         "store": None,      # artifact-store traffic (hits, bytes, ...)
+        "paths": None,      # evaluated jobs per path ("native", "legacy")
         "hosts": None,      # dist backend host health (per-host merges)
         "chaos": [],        # per campaign: verdict, counters, gates
         "degradations": [],
@@ -273,6 +276,7 @@ def _ingest_journal(report, journal_path, top):
     rss_hist = HistogramMetric(resolution=1.0)
     tracegen_hist = HistogramMetric(resolution=1e-3)
     hits = misses = store_hits = 0
+    paths = {}
     costed = []
     for job_id, info in records.items():
         accounting = info.get("accounting")
@@ -285,6 +289,9 @@ def _ingest_journal(report, journal_path, top):
         rss = accounting.get("peak_rss_kb")
         if rss:
             rss_hist.observe(rss)
+        path = accounting.get("path")
+        if path:
+            paths[path] = paths.get(path, 0) + 1
         if accounting.get("store_hit"):
             # Result served straight from the artifact store: the job
             # never consulted the trace cache, so it belongs in neither
@@ -337,6 +344,8 @@ def _ingest_journal(report, journal_path, top):
         }
     if store_hits:
         report["store"] = {"result_short_circuits": store_hits}
+    if paths:
+        report["paths"] = dict(sorted(paths.items()))
     return key_names
 
 
@@ -490,6 +499,11 @@ def render_report(report, top=10):
                                if evictions is not None else "",
                                ", ~%ss tracegen saved" % _fmt(saved)
                                if saved else ""))
+
+    paths = report.get("paths")
+    if paths:
+        lines.append("evaluation path: " + ", ".join(
+            "%d %s" % (count, path) for path, count in paths.items()))
 
     store = report.get("store")
     if store is not None:

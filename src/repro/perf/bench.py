@@ -1,15 +1,19 @@
 """Golden timing-parity check behind ``repro perf``.
 
 :func:`check_goldens` re-runs the pinned golden matrix *through both
-paths* -- the legacy simulator and the decode-once shared pass -- plus
-the out-of-envelope cells only the legacy simulator evaluates, and
-compares cycle counts and full stats digests against the pinned values.
-That is the bit-identical timing-neutrality contract every hot-path
-change must keep.  Throughput is measured by the ``bench/`` harness, not
-here.
+paths* -- the legacy simulator and the decode-once shared pass, whose
+replay is the native kernel -- plus the out-of-envelope cells only the
+legacy simulator evaluates, and compares cycle counts and full stats
+digests against the pinned values.  That is the bit-identical
+timing-neutrality contract every hot-path change must keep.  On a
+machine where the native kernel cannot be built the shared column is
+skipped, and ``repro perf`` says so; ``REPRO_NATIVE=require`` makes
+that an error instead.  Throughput is measured by the ``bench/``
+harness, not here.
 """
 
 from repro.config import SimConfig
+from repro.cpu.native import native_available
 from repro.cpu.prepass import build_prepass
 from repro.cpu.shared_kernel import replay_policy
 from repro.exec.cache import cached_trace
@@ -60,21 +64,27 @@ def check_goldens():
     outcomes must reproduce the pinned cycle count *and* full stats
     digest bit-identically.  The out-of-envelope cells
     (:func:`~repro.perf.golden.legacy_only_cells`) are checked too,
-    through the legacy path that evaluates them.  An empty list means
-    clean; each mismatch is a human-readable string naming the cell, the
-    path that drifted and what drifted.
+    through the legacy path that evaluates them.  The shared column is
+    checked only when :func:`~repro.cpu.native.native_available`, and
+    ``repro perf`` reports a skipped column.  An empty list means clean;
+    each mismatch is a human-readable string naming the cell, the path
+    that drifted and what drifted.
     """
     config = SimConfig()
     mismatches = []
     total = GOLDEN_INSTRUCTIONS + GOLDEN_WARMUP
+    shared_column = native_available()
     for bench in GOLDEN_BENCHMARKS:
         trace = cached_trace(bench, total, config.seed)
-        prepass = build_prepass(trace, config, warmup=GOLDEN_WARMUP)
+        if shared_column:
+            prepass = build_prepass(trace, config, warmup=GOLDEN_WARMUP)
         for policy in GOLDEN_POLICIES:
             key = "%s/%s" % (bench, policy)
             pinned = GOLDEN_CYCLES[key], GOLDEN_DIGESTS[key]
             mismatches += _verify_cell(
                 key, "legacy", *_run_legacy(config, policy, trace), *pinned)
+            if not shared_column:
+                continue
             shared = replay_policy(prepass, make_policy(policy), config,
                                    trace_name=getattr(trace, "name",
                                                       "trace"))

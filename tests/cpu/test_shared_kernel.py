@@ -1,11 +1,12 @@
 """Differential equivalence suite for the shared timestamp kernel.
 
 The merge gate of the decode-once/evaluate-many pipeline: every
-registered policy, replayed from one structural prepass, must be
-*bit-identical* -- cycles, every StatGroup counter, the miss summary --
-to the legacy per-policy simulator on the same trace.  The native (C)
-build of the kernel is additionally pinned bit-identical to the
-pure-Python loop whenever a compiler is available.
+registered policy, replayed from one structural prepass through the
+native (C) kernel, must be *bit-identical* -- cycles, every StatGroup
+counter, the miss summary -- to the legacy per-policy simulator on the
+same trace.  The replay needs a C compiler; without one the suite
+skips, and the grouped executor runs the legacy simulator instead
+(``tests/exec/test_group_execution.py`` covers that path).
 """
 
 import pytest
@@ -14,11 +15,14 @@ from repro.config import SimConfig
 from repro.cpu import native
 from repro.cpu.prepass import (build_prepass, policy_supported,
                                prepass_supported)
-from repro.cpu.shared_kernel import (_policy_constants, _replay_python,
-                                     replay_policy)
+from repro.cpu.shared_kernel import replay_policy
 from repro.exec.cache import cached_trace
 from repro.policies import available_policies, make_policy
 from repro.sim.runner import build_simulator
+
+needs_kernel = pytest.mark.skipif(
+    not native.native_available(),
+    reason="replay_policy needs the native kernel (no C compiler)")
 
 BENCHMARKS = ("mcf", "swim")
 NUM_INSTRUCTIONS = 1200
@@ -49,6 +53,7 @@ def _legacy(config, trace, policy_name):
 class TestSharedPassEquivalence:
     """Shared-pass replay == legacy simulator, for every policy."""
 
+    @needs_kernel
     @pytest.mark.parametrize("policy_name", available_policies())
     @pytest.mark.parametrize("bench", BENCHMARKS)
     def test_bit_identical_to_legacy(self, prepasses, config, bench,
@@ -76,6 +81,7 @@ class TestSharedPassEquivalence:
     def test_default_config_inside_envelope(self, config):
         assert prepass_supported(config)
 
+    @needs_kernel
     def test_prepass_reused_across_policies(self, prepasses, config):
         """One prepass serves every policy: replays do not mutate it."""
         trace, prepass = prepasses["mcf"]
@@ -88,46 +94,66 @@ class TestSharedPassEquivalence:
                 dict(prepass.miss_summary)) == before
 
 
+@needs_kernel
 class TestNativeKernel:
-    """Native (C) replay == pure-Python replay, payload for payload."""
+    """The kernel's Python face: buffer caching and failure handling."""
 
-    @pytest.mark.skipif(not native.native_available(),
-                        reason="no C compiler / native kernel disabled")
-    @pytest.mark.parametrize("policy_name", available_policies())
-    def test_payload_identical_to_python(self, prepasses, config,
-                                         policy_name):
-        policy = make_policy(policy_name)
-        if not policy_supported(policy):
-            pytest.skip("policy outside the shared-pass envelope")
-        _trace, prepass = prepasses["mcf"]
-        constants = _policy_constants(policy, config)
-        payload = native.replay(prepass, constants)
-        assert payload is not None
-        assert payload == _replay_python(prepass, constants)
-
-    @pytest.mark.skipif(not native.native_available(),
-                        reason="no C compiler / native kernel disabled")
     def test_buffers_cached_on_prepass(self, prepasses, config):
         _trace, prepass = prepasses["swim"]
-        constants = _policy_constants(make_policy("decrypt-only"), config)
-        native.replay(prepass, constants)
+        cfg = native.config_block(prepass, make_policy("decrypt-only"),
+                                  config)
+        native.replay(prepass, cfg)
         first = prepass._native
-        native.replay(prepass, constants)
+        native.replay(prepass, cfg)
         assert prepass._native is first
 
-    def test_env_kill_switch(self, prepasses, config, monkeypatch):
-        """REPRO_NATIVE=0 forces the pure-Python loop (and back)."""
-        monkeypatch.setenv("REPRO_NATIVE", "0")
-        native.reset()
-        try:
-            assert not native.native_available()
-            constants = _policy_constants(make_policy("decrypt-only"),
-                                          config)
-            assert native.replay(prepasses["mcf"][1], constants) is None
-            # replay_policy transparently falls back.
-            result = replay_policy(prepasses["mcf"][1],
-                                   make_policy("decrypt-only"), config)
-            assert result.cycles > 0
-        finally:
-            monkeypatch.delenv("REPRO_NATIVE", raising=False)
-            native.reset()
+    def test_kernel_failure_raises(self, prepasses, config, monkeypatch):
+        """A failed kernel run raises; there is no second loop to try."""
+
+        class FailingKernel:
+            @staticmethod
+            def repro_replay(*args):
+                return -1
+
+        monkeypatch.setattr(native, "_lib", FailingKernel())
+        with pytest.raises(MemoryError):
+            replay_policy(prepasses["mcf"][1],
+                          make_policy("decrypt-only"), config)
+
+
+class TestKernelLoading:
+    """``REPRO_NATIVE`` values and the errors of a kernel that cannot load."""
+
+    def test_require_error_names_failed_compile(self, no_compiler,
+                                                monkeypatch):
+        monkeypatch.setenv("REPRO_NATIVE", "require")
+        with pytest.raises(RuntimeError) as info:
+            native.native_available()
+        message = str(info.value)
+        assert "REPRO_NATIVE=require" in message
+        assert "compile `false -O2" in message
+        assert "exited with status 1" in message
+        assert info.value.__cause__ is not None
+
+    def test_auto_reports_unavailable(self, no_compiler):
+        assert not native.native_available()
+
+    def test_replay_policy_raises_without_kernel(self, no_compiler,
+                                                 config):
+        trace = cached_trace("mcf", NUM_INSTRUCTIONS + WARMUP, config.seed)
+        prepass = build_prepass(trace, config, warmup=WARMUP)
+        with pytest.raises(RuntimeError, match="could not be built"):
+            replay_policy(prepass, make_policy("decrypt-only"), config)
+
+    @pytest.mark.parametrize("value", ["0", "off", "force"])
+    def test_other_values_rejected(self, monkeypatch, value):
+        from repro.errors import ConfigError
+
+        monkeypatch.setenv("REPRO_NATIVE", value)
+        with pytest.raises(ConfigError, match="'auto'.*'require'"):
+            native.native_available()
+
+    @pytest.mark.parametrize("value", ["", "auto"])
+    def test_auto_spellings_accepted(self, monkeypatch, value):
+        monkeypatch.setenv("REPRO_NATIVE", value)
+        native.native_available()

@@ -18,6 +18,8 @@ from repro.exec import (
     build_job_groups,
     build_jobs,
 )
+from repro.cpu import native
+from repro.exec.executor import iter_group_results
 from repro.exec.job import MultiPolicySimJob
 from repro.exec.retry import STATUS_OK, STATUS_RESUMED
 from repro.obs.events import COMMIT, ISSUE
@@ -52,6 +54,12 @@ def legacy_result(job, tracer=None):
 @pytest.fixture(scope="module")
 def plain_results():
     return {job: legacy_result(job) for job in PLAIN}
+
+
+@pytest.fixture(scope="module")
+def native_run():
+    """``GROUPS[0]`` evaluated before any test can hide the compiler."""
+    return dict(iter_group_results(GROUPS[0]))
 
 
 def assert_matches_oracle(results, oracle):
@@ -128,6 +136,48 @@ class TestTracedGroup:
                  in plain_results.items()}
         (member, result), = grouped.items()
         assert result.cycles == by_id[member.job_id].cycles
+
+
+class TestEvaluationPath:
+    """Each evaluated member records the path that produced it."""
+
+    @pytest.mark.skipif(not native.native_available(),
+                        reason="no C compiler: no native path")
+    def test_envelope_member_native_obfuscation_legacy(self):
+        group, = build_job_groups(
+            ["gzip"], ["authen-then-commit", "commit+obfuscation"],
+            num_instructions=N, warmup=W)
+        paths = {member.policy: result.accounting["path"]
+                 for member, result in iter_group_results(group)}
+        assert paths == {"authen-then-commit": "native",
+                         "commit+obfuscation": "legacy"}
+
+    def test_traced_run_is_legacy(self):
+        group, = build_job_groups(["gzip"], ["authen-then-commit"],
+                                  num_instructions=N, warmup=W)
+        (_member, result), = iter_group_results(
+            group, tracer=Tracer([MemorySink()]))
+        assert result.accounting["path"] == "legacy"
+
+    def test_no_compiler_runs_legacy_identically(self, native_run,
+                                                 no_compiler, monkeypatch,
+                                                 plain_results):
+        """Without a compiler a group builds no prepass, runs every
+        member on the legacy simulator and matches the native run."""
+        group = GROUPS[0]
+
+        def no_prepass(*args, **kwargs):
+            raise AssertionError("prepass built with no kernel")
+
+        monkeypatch.setattr("repro.exec.executor._shared_prepass",
+                            no_prepass)
+        slow = dict(iter_group_results(group))
+        assert {m.policy: r.accounting["path"] for m, r in slow.items()} \
+            == dict.fromkeys(group.policies, "legacy")
+        assert_matches_oracle(slow, native_run)
+        assert_matches_oracle(slow, {job: result for job, result
+                                     in plain_results.items()
+                                     if job.benchmark == group.benchmark})
 
 
 class TestGroupResume:

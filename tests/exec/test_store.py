@@ -10,6 +10,7 @@ import time
 import pytest
 
 from repro.config import SimConfig
+from repro.cpu import native
 from repro.cpu.prepass import build_prepass
 from repro.exec import (
     ArtifactStore,
@@ -102,6 +103,9 @@ class TestPrepassRoundTrip:
         assert loaded.miss_summary == built.miss_summary
         assert loaded.packed is trace.packed()
 
+    @pytest.mark.skipif(not native.native_available(),
+                        reason="replay_policy needs the native kernel "
+                               "(no C compiler)")
     def test_replay_identical_through_loaded_prepass(self, store):
         from repro.cpu.shared_kernel import replay_policy
         from repro.policies import make_policy

@@ -100,6 +100,9 @@ class TestBuildReport:
         assert report["wall"]["count"] == 3
         assert report["wall"]["p50"] is not None
         assert report["cache"]["hits"] + report["cache"]["misses"] == 3
+        # Every journaled job says which path evaluated it.
+        assert set(report["paths"]) <= {"native", "legacy"}
+        assert sum(report["paths"].values()) == 3
         # The metrics snapshot contributes family headlines: one retry
         # event per injected job (the healed and the doomed one).
         assert report["metrics_families"][
@@ -127,6 +130,7 @@ class TestBuildReport:
         assert "permanently broken cell" in text
         assert "slowest 3 job(s)" in text
         assert "wall time per job: n=3" in text
+        assert "evaluation path: " in text
         assert "degradations: none" in text
         assert "metrics snapshot:" in text
 
