@@ -11,6 +11,7 @@ from repro.attacks.disclosing_kernel import (
     SECRET_VALUE,
 )
 from repro.attacks.harness import (
+    ALL_ATTACKS,
     FETCH_CHANNEL_ATTACKS,
     prevents_fetch_side_channel,
     run_attack,
@@ -170,3 +171,83 @@ class TestTable2Empirical:
     def test_unknown_attack_rejected(self):
         with pytest.raises(ValueError):
             run_attack("rowhammer", "authen-then-commit")
+
+
+# Every cell of ALL_ATTACKS x TABLE2_POLICIES as (leaked, detected,
+# details).  Only LEAK/blocked reaches the Table 2 series, so this pin is
+# what catches a change to a crypto primitive or the functional machine
+# that moves detection or the binary search's trial count.
+_BLOCKED = (False, True, {})
+_LEAKED = (True, True, {})
+_CONTROL_FLOW_LEAK = (True, False, {})
+_SEARCH_BLOCKED = (False, True, {"recovered": None, "trials": 1})
+_SEARCH_RECOVERED = (True, True, {"recovered": 0x5A5, "trials": 12})
+
+ATTACK_MATRIX = {
+    "authen-then-issue": {
+        "pointer-conversion": _BLOCKED,
+        "binary-search": _SEARCH_BLOCKED,
+        "disclosing-kernel": _BLOCKED,
+        "disclosing-kernel-data": _BLOCKED,
+        "page-mask": _BLOCKED,
+        "disclosing-kernel-io": _BLOCKED,
+        "cbc-pointer-conversion": _BLOCKED,
+        "control-flow": _CONTROL_FLOW_LEAK,
+    },
+    "authen-then-write": {
+        "pointer-conversion": _LEAKED,
+        "binary-search": _SEARCH_RECOVERED,
+        "disclosing-kernel": _LEAKED,
+        "disclosing-kernel-data": _LEAKED,
+        "page-mask": _LEAKED,
+        "disclosing-kernel-io": _LEAKED,
+        "cbc-pointer-conversion": _LEAKED,
+        "control-flow": _CONTROL_FLOW_LEAK,
+    },
+    "authen-then-commit": {
+        "pointer-conversion": _LEAKED,
+        "binary-search": _SEARCH_RECOVERED,
+        "disclosing-kernel": _LEAKED,
+        "disclosing-kernel-data": _LEAKED,
+        "page-mask": _LEAKED,
+        "disclosing-kernel-io": _BLOCKED,
+        "cbc-pointer-conversion": _LEAKED,
+        "control-flow": _CONTROL_FLOW_LEAK,
+    },
+    "commit+fetch": {
+        "pointer-conversion": _BLOCKED,
+        "binary-search": _SEARCH_BLOCKED,
+        "disclosing-kernel": _BLOCKED,
+        "disclosing-kernel-data": _BLOCKED,
+        "page-mask": _BLOCKED,
+        "disclosing-kernel-io": _BLOCKED,
+        "cbc-pointer-conversion": _BLOCKED,
+        "control-flow": _CONTROL_FLOW_LEAK,
+    },
+    "commit+obfuscation": {
+        "pointer-conversion": _BLOCKED,
+        "binary-search": _SEARCH_BLOCKED,
+        "disclosing-kernel": _BLOCKED,
+        "disclosing-kernel-data": _BLOCKED,
+        "page-mask": _BLOCKED,
+        "disclosing-kernel-io": _BLOCKED,
+        "cbc-pointer-conversion": _BLOCKED,
+        "control-flow": (False, False, {}),
+    },
+}
+
+
+class TestAttackMatrixPin:
+    def test_matrix_covers_every_cell(self):
+        assert tuple(ATTACK_MATRIX) == TABLE2_POLICIES
+        for row in ATTACK_MATRIX.values():
+            assert tuple(row) == ALL_ATTACKS
+
+    @pytest.mark.parametrize("policy,attack", [
+        (policy, attack)
+        for policy in ATTACK_MATRIX for attack in ATTACK_MATRIX[policy]
+    ])
+    def test_outcome_pinned(self, policy, attack):
+        result = run_attack(attack, policy)
+        outcome = (result.leaked, result.detected, result.details)
+        assert outcome == ATTACK_MATRIX[policy][attack]
