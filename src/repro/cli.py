@@ -434,8 +434,8 @@ def _cmd_figures(args):
                               warmup=scale["warmup"], jobs=args.jobs,
                               executor=dist,
                               failure_policy=_failure_policy(args),
-                              log=print, metrics=metrics,
-                              emit_json=args.emit_json)
+                              log=lambda line: print(line, file=sys.stderr),
+                              metrics=metrics, emit_json=args.emit_json)
     finally:
         if dist is not None:
             dist.close()

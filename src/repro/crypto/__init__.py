@@ -1,13 +1,13 @@
 """Cryptographic substrate.
 
-Everything here is implemented from scratch (no ``hashlib``/``hmac``
-imports in the primitives) because the attack suite needs to manipulate
-real ciphertext and the paper's latency analysis (Table 1) is parameterised
-by the ciphers' structure:
+The cipher is implemented from scratch because the attack suite
+manipulates real ciphertext and the paper's latency analysis (Table 1) is
+parameterised by the ciphers' structure.  The MAC's hash is the standard
+library's SHA-256: the attacks tamper with ciphertext, never with the
+hash, and the latency model needs only its padded block count.
 
 - :mod:`repro.crypto.aes` -- AES-128/192/256 block cipher (Rijndael).
-- :mod:`repro.crypto.sha256` -- SHA-256 compression function and digest.
-- :mod:`repro.crypto.hmac` -- HMAC and truncated MACs over any hash.
+- :mod:`repro.crypto.hmac` -- HMAC-SHA-256 and truncated MACs.
 - :mod:`repro.crypto.modes` -- ECB, CBC and counter (CTR) modes.
 - :mod:`repro.crypto.cbc_mac` -- CBC-MAC for the Table 1 comparison.
 - :mod:`repro.crypto.latency` -- the latency model used by the timing
@@ -26,12 +26,9 @@ from repro.crypto.modes import (
     ecb_decrypt,
     ecb_encrypt,
 )
-from repro.crypto.sha256 import Sha256, sha256
 
 __all__ = [
     "AES",
-    "Sha256",
-    "sha256",
     "hmac_sha256",
     "truncated_mac",
     "cbc_mac",

@@ -7,10 +7,15 @@ an 80 ns reference decryption latency).  This implementation is the
 tampers with.  Timing is modelled separately in
 :mod:`repro.crypto.latency`.
 
-The implementation follows FIPS-197: byte-oriented state, S-box generated
-from the GF(2^8) inverse plus affine transform, and the standard
-SubBytes/ShiftRows/MixColumns/AddRoundKey round structure.
+The S-box is generated from the GF(2^8) inverse plus affine transform
+(FIPS-197).  Encryption uses the 32-bit table-lookup round of the
+Rijndael specification: four 256-entry tables fold SubBytes, ShiftRows
+and MixColumns into four lookups and XORs per state column.  Decryption
+keeps the byte-oriented InvShiftRows/InvSubBytes/InvMixColumns round, so
+decrypt(encrypt(x)) == x checks one formulation against the other.
 """
+
+import struct
 
 _ROUNDS_BY_KEYLEN = {16: 10, 24: 12, 32: 14}
 
@@ -66,6 +71,22 @@ def _gmul(a, b):
     return _EXP[_LOG[a] + _LOG[b]]
 
 
+def _build_t_tables():
+    """Encryption tables T0..T3: T0[x] is the MixColumns column of S(x)."""
+    t0 = []
+    for value in _SBOX:
+        double = _gmul(value, 2)
+        t0.append(
+            (double << 24) | (value << 16) | (value << 8) | (double ^ value)
+        )
+    return [
+        [((w >> n) | (w << (32 - n))) & 0xFFFFFFFF for w in t0]
+        for n in (0, 8, 16, 24)
+    ]
+
+
+_T0, _T1, _T2, _T3 = _build_t_tables()
+
 _RCON = [0x01]
 while len(_RCON) < 14:
     _last = _RCON[-1]
@@ -92,7 +113,14 @@ class AES:
             )
         self.key = key
         self.rounds = _ROUNDS_BY_KEYLEN[len(key)]
-        self._round_keys = self._expand_key(key)
+        words = self._expand_key(key)
+        # Encryption reads the schedule as 32-bit big-endian words,
+        # decryption as one 16-byte list per round.
+        self._key_words = [int.from_bytes(bytes(w), "big") for w in words]
+        self._round_keys = [
+            [b for w in words[4 * rnd : 4 * rnd + 4] for b in w]
+            for rnd in range(self.rounds + 1)
+        ]
 
     def _expand_key(self, key):
         """FIPS-197 key schedule; returns a list of 4-byte words."""
@@ -110,57 +138,65 @@ class AES:
             words.append([a ^ b for a, b in zip(words[i - nk], temp)])
         return words
 
-    def _round_key(self, round_index):
-        words = self._round_keys[4 * round_index : 4 * round_index + 4]
-        return [words[c][r] for c in range(4) for r in range(4)]
-
-    # State layout: column-major list of 16 bytes (state[4*c + r]).
+    # State layout: column-major list of 16 bytes (state[4*c + r]); the
+    # encrypt path holds column c as the big-endian word s_c.
 
     def encrypt_block(self, block):
         """Encrypt one 16-byte block."""
         if len(block) != 16:
             raise ValueError("block must be 16 bytes, got %d" % len(block))
-        state = list(block)
-        state = [b ^ k for b, k in zip(state, self._round_key(0))]
-        for rnd in range(1, self.rounds):
-            state = self._sub_bytes(state, _SBOX)
-            state = self._shift_rows(state)
-            state = self._mix_columns(state)
-            state = [b ^ k for b, k in zip(state, self._round_key(rnd))]
-        state = self._sub_bytes(state, _SBOX)
-        state = self._shift_rows(state)
-        state = [b ^ k for b, k in zip(state, self._round_key(self.rounds))]
-        return bytes(state)
+        t0, t1, t2, t3 = _T0, _T1, _T2, _T3
+        k = self._key_words
+        s0, s1, s2, s3 = struct.unpack(">4I", block)
+        s0 ^= k[0]
+        s1 ^= k[1]
+        s2 ^= k[2]
+        s3 ^= k[3]
+        for i in range(4, 4 * self.rounds, 4):
+            s0, s1, s2, s3 = (
+                t0[s0 >> 24] ^ t1[(s1 >> 16) & 0xFF]
+                ^ t2[(s2 >> 8) & 0xFF] ^ t3[s3 & 0xFF] ^ k[i],
+                t0[s1 >> 24] ^ t1[(s2 >> 16) & 0xFF]
+                ^ t2[(s3 >> 8) & 0xFF] ^ t3[s0 & 0xFF] ^ k[i + 1],
+                t0[s2 >> 24] ^ t1[(s3 >> 16) & 0xFF]
+                ^ t2[(s0 >> 8) & 0xFF] ^ t3[s1 & 0xFF] ^ k[i + 2],
+                t0[s3 >> 24] ^ t1[(s0 >> 16) & 0xFF]
+                ^ t2[(s1 >> 8) & 0xFF] ^ t3[s2 & 0xFF] ^ k[i + 3],
+            )
+        # Final round: SubBytes and ShiftRows without MixColumns.
+        sb = _SBOX
+        i = 4 * self.rounds
+        return struct.pack(
+            ">4I",
+            ((sb[s0 >> 24] << 24) | (sb[(s1 >> 16) & 0xFF] << 16)
+             | (sb[(s2 >> 8) & 0xFF] << 8) | sb[s3 & 0xFF]) ^ k[i],
+            ((sb[s1 >> 24] << 24) | (sb[(s2 >> 16) & 0xFF] << 16)
+             | (sb[(s3 >> 8) & 0xFF] << 8) | sb[s0 & 0xFF]) ^ k[i + 1],
+            ((sb[s2 >> 24] << 24) | (sb[(s3 >> 16) & 0xFF] << 16)
+             | (sb[(s0 >> 8) & 0xFF] << 8) | sb[s1 & 0xFF]) ^ k[i + 2],
+            ((sb[s3 >> 24] << 24) | (sb[(s0 >> 16) & 0xFF] << 16)
+             | (sb[(s1 >> 8) & 0xFF] << 8) | sb[s2 & 0xFF]) ^ k[i + 3],
+        )
 
     def decrypt_block(self, block):
         """Decrypt one 16-byte block."""
         if len(block) != 16:
             raise ValueError("block must be 16 bytes, got %d" % len(block))
-        state = list(block)
-        state = [b ^ k for b, k in zip(state, self._round_key(self.rounds))]
+        keys = self._round_keys
+        state = [b ^ k for b, k in zip(block, keys[self.rounds])]
         for rnd in range(self.rounds - 1, 0, -1):
             state = self._inv_shift_rows(state)
             state = self._sub_bytes(state, _INV_SBOX)
-            state = [b ^ k for b, k in zip(state, self._round_key(rnd))]
+            state = [b ^ k for b, k in zip(state, keys[rnd])]
             state = self._inv_mix_columns(state)
         state = self._inv_shift_rows(state)
         state = self._sub_bytes(state, _INV_SBOX)
-        state = [b ^ k for b, k in zip(state, self._round_key(0))]
+        state = [b ^ k for b, k in zip(state, keys[0])]
         return bytes(state)
 
     @staticmethod
     def _sub_bytes(state, box):
         return [box[b] for b in state]
-
-    @staticmethod
-    def _shift_rows(state):
-        out = list(state)
-        for r in range(1, 4):
-            row = [state[4 * c + r] for c in range(4)]
-            row = row[r:] + row[:r]
-            for c in range(4):
-                out[4 * c + r] = row[c]
-        return out
 
     @staticmethod
     def _inv_shift_rows(state):
@@ -170,17 +206,6 @@ class AES:
             row = row[-r:] + row[:-r]
             for c in range(4):
                 out[4 * c + r] = row[c]
-        return out
-
-    @staticmethod
-    def _mix_columns(state):
-        out = [0] * 16
-        for c in range(4):
-            col = state[4 * c : 4 * c + 4]
-            out[4 * c + 0] = _gmul(col[0], 2) ^ _gmul(col[1], 3) ^ col[2] ^ col[3]
-            out[4 * c + 1] = col[0] ^ _gmul(col[1], 2) ^ _gmul(col[2], 3) ^ col[3]
-            out[4 * c + 2] = col[0] ^ col[1] ^ _gmul(col[2], 2) ^ _gmul(col[3], 3)
-            out[4 * c + 3] = _gmul(col[0], 3) ^ col[1] ^ col[2] ^ _gmul(col[3], 2)
         return out
 
     @staticmethod

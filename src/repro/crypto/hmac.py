@@ -1,24 +1,16 @@
-"""HMAC (RFC 2104 / FIPS 198) over SHA-256, plus MAC truncation.
+"""HMAC-SHA-256 (RFC 2104 / FIPS 198) and MAC truncation.
 
 The paper's reference MAC is a 64-bit truncated HMAC-SHA-256 per protected
-cache line (Section 5.2.3).
+cache line (Section 5.2.3).  The attacks tamper with ciphertext, never with
+the hash, so the functional MAC is the standard library's.
 """
 
-from repro.crypto.sha256 import Sha256
-
-_BLOCK_SIZE = 64
+import hmac
 
 
 def hmac_sha256(key, message):
     """Compute HMAC-SHA-256 of ``message`` under ``key``."""
-    key = bytes(key)
-    if len(key) > _BLOCK_SIZE:
-        key = Sha256(key).digest()
-    key = key.ljust(_BLOCK_SIZE, b"\x00")
-    ipad = bytes(b ^ 0x36 for b in key)
-    opad = bytes(b ^ 0x5C for b in key)
-    inner = Sha256(ipad).update(message).digest()
-    return Sha256(opad).update(inner).digest()
+    return hmac.digest(bytes(key), message, "sha256")
 
 
 def truncated_mac(key, message, mac_bits=64):

@@ -23,7 +23,15 @@ reference frequency 1 ns == 1 cycle, so the defaults (80 ns decrypt,
 
 from dataclasses import dataclass
 
-from repro.crypto.sha256 import padded_block_count
+
+def padded_block_count(length):
+    """Number of 512-bit blocks SHA-256 processes for ``length`` bytes.
+
+    FIPS 180-4 padding appends a 0x80 byte and the 8-byte bit length, then
+    zero-fills to a multiple of 64 bytes.  The verification engine's
+    latency scales with the number of compression rounds.
+    """
+    return (length + 9 + 63) // 64
 
 
 @dataclass(frozen=True)

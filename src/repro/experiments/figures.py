@@ -268,6 +268,7 @@ def run_figures(names, out_dir, num_instructions=12_000, warmup=12_000,
     ``repro_figure_jobs_total{figure,status}`` rollup per artifact.
     """
     import os
+    import time
 
     from repro.obs.export import (build_figures_manifest, write_json,
                                   write_json_atomic)
@@ -283,6 +284,7 @@ def run_figures(names, out_dir, num_instructions=12_000, warmup=12_000,
         for name in ARTIFACTS:   # registry order, not request order
             if name not in names:
                 continue
+            started = time.perf_counter()
             recorder = _OutcomeRecorder(inner,
                                         failure_policy=failure_policy,
                                         metrics=metrics)
@@ -326,8 +328,9 @@ def run_figures(names, out_dir, num_instructions=12_000, warmup=12_000,
                 for outcome in recorder.outcomes.values():
                     figure_jobs.labels(name, outcome.status).inc()
             if log is not None:
-                log("%-12s -> %s (%d job(s), %d failed)"
-                    % (name, path, len(manifest_jobs), len(failures)))
+                log("%-12s -> %s (%d job(s), %d failed, %.2fs)"
+                    % (name, path, len(manifest_jobs), len(failures),
+                       time.perf_counter() - started))
         backend = inner.describe()
     manifest = build_figures_manifest(entries, backend=backend,
                                       num_instructions=num_instructions,

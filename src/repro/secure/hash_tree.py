@@ -15,9 +15,10 @@ Two classes:
   (node-cache hits/misses, ancestor fetches, pipelined hashing).
 """
 
+import hashlib
+
 from repro.cache.cache import Cache
 from repro.config import CacheConfig
-from repro.crypto.sha256 import sha256
 from repro.errors import IntegrityError
 
 
@@ -53,15 +54,14 @@ class MerkleTree:
         return self._levels[-1][0]
 
     def _hash_leaf(self, index, data):
-        return sha256(b"leaf" + index.to_bytes(8, "big") + bytes(data))[
-            : self.hash_bytes
-        ]
+        material = b"leaf" + index.to_bytes(8, "big") + bytes(data)
+        return hashlib.sha256(material).digest()[: self.hash_bytes]
 
     def _hash_children(self, level, index, children):
         material = b"node" + level.to_bytes(2, "big") + index.to_bytes(8, "big")
         for child in children:
             material += child if child is not None else b"\x00" * self.hash_bytes
-        return sha256(material)[: self.hash_bytes]
+        return hashlib.sha256(material).digest()[: self.hash_bytes]
 
     def _recompute_node(self, level, index):
         if level == 0:

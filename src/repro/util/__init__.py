@@ -5,8 +5,6 @@ from repro.util.bitops import (
     bits_of,
     bytes_to_words_be,
     mask,
-    rotl32,
-    rotr32,
     set_bits,
     sign_extend,
     words_to_bytes_be,
@@ -20,8 +18,6 @@ __all__ = [
     "bits_of",
     "bytes_to_words_be",
     "mask",
-    "rotl32",
-    "rotr32",
     "set_bits",
     "sign_extend",
     "words_to_bytes_be",

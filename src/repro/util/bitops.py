@@ -39,18 +39,6 @@ def set_bits(value, low, width, field):
     return cleared | ((field & mask(width)) << low)
 
 
-def rotl32(value, amount):
-    """Rotate a 32-bit value left by ``amount`` bits."""
-    amount %= 32
-    value &= _WORD32
-    return ((value << amount) | (value >> (32 - amount))) & _WORD32 if amount else value
-
-
-def rotr32(value, amount):
-    """Rotate a 32-bit value right by ``amount`` bits."""
-    return rotl32(value, 32 - (amount % 32))
-
-
 def sign_extend(value, width):
     """Interpret the low ``width`` bits of ``value`` as a signed integer.
 

@@ -74,6 +74,15 @@ class TestProperties:
 
     @settings(max_examples=15, deadline=None)
     @given(
+        key=st.binary(min_size=24, max_size=24),
+        block=st.binary(min_size=16, max_size=16),
+    )
+    def test_decrypt_inverts_encrypt_192(self, key, block):
+        aes = AES(key)
+        assert aes.decrypt_block(aes.encrypt_block(block)) == block
+
+    @settings(max_examples=15, deadline=None)
+    @given(
         key=st.binary(min_size=32, max_size=32),
         block=st.binary(min_size=16, max_size=16),
     )

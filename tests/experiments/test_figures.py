@@ -1,6 +1,7 @@
 """``repro figures``: registry, shared-executor fan-out, CLI, failures."""
 
 import json
+import re
 
 import pytest
 
@@ -53,6 +54,20 @@ class TestRunFigures:
         assert manifest["artifacts"] == ["table1", "fig6"]
         assert manifest["total_failures"] == 0
         assert summary["total_failures"] == 0
+
+    def test_log_reports_each_artifact_wall_time(self, tmp_path):
+        lines = []
+        run_figures(["table1", "fig6"], str(tmp_path), log=lines.append,
+                    **SCALE)
+        assert len(lines) == 2
+        for name, line in zip(("table1", "fig6"), lines):
+            match = re.fullmatch(
+                r"(\S+) +-> (\S+) \((\d+) job\(s\), 0 failed, "
+                r"(\d+\.\d\d)s\)", line)
+            assert match, line
+            assert match.group(1) == name
+            assert match.group(2) == str(tmp_path / ("%s.txt" % name))
+            assert float(match.group(4)) >= 0.0
 
     def test_parallel_is_byte_identical_to_serial(self, tmp_path):
         serial = run_figures(["fig8"], str(tmp_path / "s"), jobs=1,
@@ -127,7 +142,12 @@ class TestFiguresCli:
         assert code == 0
         assert (tmp_path / "fig6.txt").exists()
         assert (tmp_path / "table1.txt").exists()
-        assert "figures manifest written" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert "figures manifest written" in captured.out
+        # Per-artifact progress lines carry wall time, so they go to
+        # stderr and leave stdout deterministic.
+        assert "table1" not in captured.out
+        assert re.search(r"fig6 +-> .*, \d+\.\d\ds\)", captured.err)
 
     def test_cli_rejects_unknown_artifact(self, capsys, tmp_path):
         from repro.cli import main

@@ -9,8 +9,6 @@ from repro.util.bitops import (
     bits_of,
     bytes_to_words_be,
     mask,
-    rotl32,
-    rotr32,
     set_bits,
     sign_extend,
     words_to_bytes_be,
@@ -35,15 +33,6 @@ class TestBitops:
     def test_set_bits(self):
         assert set_bits(0, 4, 4, 0xF) == 0xF0
         assert set_bits(0xFF, 0, 4, 0) == 0xF0
-
-    @settings(max_examples=50, deadline=None)
-    @given(value=st.integers(0, 2**32 - 1), amount=st.integers(0, 64))
-    def test_rotl_rotr_inverse(self, value, amount):
-        assert rotr32(rotl32(value, amount), amount) == value
-
-    def test_rotl_known(self):
-        assert rotl32(0x80000000, 1) == 1
-        assert rotr32(1, 1) == 0x80000000
 
     def test_sign_extend(self):
         assert sign_extend(0xFFFF, 16) == -1
