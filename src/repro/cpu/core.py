@@ -33,7 +33,7 @@ from repro.obs.events import (
     STORE_RELEASED,
 )
 from repro.util.statistics import StatGroup
-from repro.workloads.trace import Op, pack_instructions
+from repro.workloads.trace import Op
 
 _UNIT_LATENCY = {
     Op.IALU: 1,
@@ -101,11 +101,9 @@ class TimestampCore:
     def run(self, trace, warmup=0, profiler=None):
         """Replay ``trace`` and return a :class:`RunResult`.
 
-        ``trace`` is replayed via its packed columnar form
-        (:meth:`~repro.workloads.trace.Trace.packed`); a bare iterable of
-        :class:`~repro.workloads.trace.TraceInst` is packed on the fly.
-        The hot loop iterates parallel columns, so per-instruction cost
-        is one tuple unpack instead of six attribute lookups.
+        The hot loop iterates the trace's parallel columns
+        (:meth:`~repro.workloads.trace.Trace.packed`), so per-instruction
+        cost is one tuple unpack.
 
         The first ``warmup`` instructions warm the caches, TLBs, counter
         cache and branch state but are excluded from the reported cycle
@@ -120,8 +118,7 @@ class TimestampCore:
         hier = self.hierarchy
         engine = hier.engine
 
-        packed = trace.packed() if hasattr(trace, "packed") \
-            else pack_instructions(trace)
+        packed = trace.packed()
         num_insts = len(packed)
 
         fetch_width = cfg.fetch_width

@@ -40,6 +40,7 @@ from array import array
 
 from repro.cpu.core import _CALENDAR_PRUNE_INTERVAL, _UNIT_LATENCY
 from repro.errors import ConfigError
+from repro.workloads.trace import int64_columns
 
 #: Output block size -- keep in lockstep with the OUT_* enum in the C
 #: source (config_block() follows its CFG_* enum the same way).
@@ -798,21 +799,13 @@ def _buffers(prepass):
     buf = getattr(prepass, "_native", None)
     if buf is not None:
         return buf
-    packed = prepass.packed
-    n = prepass.num_instructions
-    flat = []
-    src_off = array("q", bytes(8 * (n + 1)))
-    offset = 0
-    for i, srcs in enumerate(packed.srcss):
-        offset += len(srcs)
-        src_off[i + 1] = offset
-        flat.extend(srcs)
+    trace = int64_columns(prepass.packed)
     buf = (
-        array("q", packed.ops),
-        array("q", packed.dests),
-        src_off,
-        array("q", flat or [0]),
-        array("q", (1 if m else 0 for m in packed.mispredicts)),
+        trace["ops"],
+        trace["dests"],
+        trace["src_off"],
+        trace["src_val"] or array("q", [0]),
+        trace["mispredicts"],
         # if_flags is a bytearray; array('q', bytearray) would reinterpret
         # raw bytes, so convert element-wise.
         array("q", (1 if f else 0 for f in prepass.if_flags)),

@@ -42,7 +42,6 @@ from repro.exec.retry import (
 )
 from repro.exec.store import (
     ArtifactStore,
-    StoredTrace,
     active_store,
     code_fingerprint,
     default_store_path,
@@ -77,7 +76,6 @@ __all__ = [
     "STATUS_RESUMED",
     "STATUS_FAILED",
     "ArtifactStore",
-    "StoredTrace",
     "active_store",
     "set_active_store",
     "default_store_path",

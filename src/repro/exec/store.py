@@ -67,6 +67,7 @@ from repro.sim.checkpoint import (
     result_from_record,
     tmp_suffix,
 )
+from repro.workloads.trace import PackedTrace, Trace, int64_columns
 
 #: Environment variable naming the store root (inherited by workers).
 STORE_ENV = "REPRO_STORE"
@@ -263,12 +264,13 @@ def _read_entry(path):
 class _LazySrcs:
     """CSR-decoded source-register column (row ``i`` is a small slice).
 
-    ``PackedTrace.srcss`` is a tuple of variable-length tuples, which
+    ``PackedTrace.srcss`` is a column of variable-length tuples, which
     has no flat int64 encoding -- so the file stores CSR offsets plus a
-    flattened value column, and this wrapper hands consumers zero-copy
-    per-row slices.  The replay loops only ever take ``len`` and
-    iterate a row's sources, which memoryview slices support with the
-    same values in the same order.
+    flattened value column (:func:`~repro.workloads.trace.int64_columns`),
+    and this wrapper hands consumers zero-copy per-row slices.  The
+    replay loops only ever take ``len`` and iterate a row's sources,
+    which memoryview slices support with the same values in the same
+    order.
     """
 
     __slots__ = ("_offsets", "_values")
@@ -291,31 +293,6 @@ class _LazySrcs:
         values = self._values
         for index in range(len(offsets) - 1):
             yield values[offsets[index]:offsets[index + 1]]
-
-
-class StoredTrace:
-    """A trace rebuilt from a store entry (zero-copy columns).
-
-    Duck-types the slice of :class:`~repro.workloads.trace.Trace` the
-    execution paths touch: ``packed()``, ``name``, ``footprint_bytes``,
-    ``suite`` and ``len``.  The per-instruction objects were never
-    serialized, so iteration over individual ``TraceInst`` is not
-    available -- replay reads columns only.
-    """
-
-    __slots__ = ("name", "footprint_bytes", "suite", "_packed")
-
-    def __init__(self, name, footprint_bytes, suite, packed):
-        self.name = name
-        self.footprint_bytes = footprint_bytes
-        self.suite = suite
-        self._packed = packed
-
-    def __len__(self):
-        return len(self._packed)
-
-    def packed(self):
-        return self._packed
 
 
 #: Prepass int64 columns, in file order (``if_flags`` is a byte column
@@ -467,46 +444,28 @@ class ArtifactStore:
             self._quarantine(path, "key/fingerprint mismatch")
             self._miss("trace")
             return None
-        from repro.workloads.trace import PackedTrace
-
         packed = PackedTrace(cols["pcs"], cols["ops"], cols["dests"],
                              _LazySrcs(cols["src_off"], cols["src_val"]),
                              cols["addrs"], cols["mispredicts"])
         self._hit("trace", os.path.getsize(path))
         self._touch(path)
-        return StoredTrace(meta.get("name", benchmark),
-                           meta.get("footprint_bytes", 0),
-                           meta.get("suite", ""), packed)
+        return Trace(meta.get("name", benchmark), packed,
+                     footprint_bytes=meta.get("footprint_bytes", 0),
+                     suite=meta.get("suite", ""))
 
     def save_trace(self, trace, benchmark, trace_length, seed):
         """Publish one generated trace; False if the write failed."""
-        packed = trace.packed()
-        src_off = array("q", [0])
-        src_val = array("q")
-        for srcs in packed.srcss:
-            src_val.extend(srcs)
-            src_off.append(len(src_val))
-        columns = [
-            ("pcs", "q", array("q", packed.pcs).tobytes()),
-            ("ops", "q", array("q", packed.ops).tobytes()),
-            ("dests", "q", array("q", packed.dests).tobytes()),
-            ("addrs", "q", array("q", packed.addrs).tobytes()),
-            ("mispredicts", "q",
-             array("q", [1 if m else 0
-                         for m in packed.mispredicts]).tobytes()),
-            ("src_off", "q", src_off.tobytes()),
-            ("src_val", "q", src_val.tobytes()),
-        ]
+        columns = [(name, "q", values.tobytes()) for name, values
+                   in int64_columns(trace.packed()).items()]
         header = {
             "kind": "trace",
             "fingerprint": code_fingerprint("trace"),
             "key": {"benchmark": benchmark, "length": trace_length,
                     "seed": seed},
-            "rows": len(packed),
-            "meta": {"name": getattr(trace, "name", benchmark),
-                     "footprint_bytes": getattr(trace, "footprint_bytes",
-                                                0),
-                     "suite": getattr(trace, "suite", "")},
+            "rows": len(trace),
+            "meta": {"name": trace.name,
+                     "footprint_bytes": trace.footprint_bytes,
+                     "suite": trace.suite},
         }
         path = self._path("traces", self.trace_name(benchmark, trace_length,
                                                     seed))

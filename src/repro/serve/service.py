@@ -161,12 +161,16 @@ class FigureService:
         return os.path.join(self.out_dir, name + suffix)
 
     def figure_state(self, name):
-        """warm | warming | failed | cold (lock held by caller)."""
-        if os.path.exists(self._artifact(name, "json")):
-            return "warm"
+        """warming | warm | failed | cold (lock held by caller).
+
+        A regeneration writes the artifact before it settles, so a key
+        still in ``_warming`` is warming even once the file exists.
+        """
         key = ("figure", name)
         if key in self._warming:
             return "warming"
+        if os.path.exists(self._artifact(name, "json")):
+            return "warm"
         if key in self._failed:
             return "failed"
         return "cold"
@@ -185,9 +189,10 @@ class FigureService:
         """``GET /figure/<name>[?format=txt]``.
 
         Warm: the artifact file's bytes, verbatim.  Cold: enqueue one
-        regeneration (coalescing concurrent requests) and 202.  A
-        parked failure is reported once (500) and cleared so the next
-        request retries.
+        regeneration (coalescing concurrent requests) and 202; the
+        answer stays 202 until that regeneration has settled, even
+        after its artifact is on disk.  A parked failure is reported
+        once (500) and cleared so the next request retries.
         """
         from repro.experiments.figures import ARTIFACTS
         if name not in ARTIFACTS:
@@ -200,11 +205,11 @@ class FigureService:
                                   % fmt}, JSON_TYPE
         key = ("figure", name)
         with self._lock:
-            warm = os.path.exists(self._artifact(name, "json"))
-            if not warm:
-                if key in self._warming:
-                    self._count("figure", 202)
-                    return 202, self._warming_body(name), JSON_TYPE
+            state = self.figure_state(name)
+            if state == "warming":
+                self._count("figure", 202)
+                return 202, self._warming_body(name), JSON_TYPE
+            if state != "warm":
                 error = self._failed.pop(key, None)
                 if error is not None:
                     self._count("figure", 500)

@@ -14,7 +14,7 @@ addition to the synthetic SPEC-like generators.
 
 from repro.cpu.branch import BimodalPredictor
 from repro.isa.instructions import OpClass
-from repro.workloads.trace import Op, Trace, TraceInst
+from repro.workloads.trace import Op, PackedTrace, Trace
 
 _OPCLASS_TO_OP = {
     OpClass.IALU: Op.IALU,
@@ -38,7 +38,7 @@ def capture_trace(machine, max_steps=10_000, name="captured",
     model.
     """
     predictor = predictor or BimodalPredictor()
-    records = []
+    packed = PackedTrace([], [], [], [], [], [])
     footprint_low = None
     footprint_high = None
 
@@ -66,18 +66,17 @@ def capture_trace(machine, max_steps=10_000, name="captured",
             if footprint_high is None or mem_vaddr > footprint_high:
                 footprint_high = mem_vaddr
 
-        records.append(TraceInst(
-            pc, op,
-            dest if dest is not None else -1,
-            srcs,
-            mem_vaddr if mem_vaddr >= 0 else -1,
-            mispredict,
-        ))
+        packed.pcs.append(pc)
+        packed.ops.append(op)
+        packed.dests.append(dest if dest is not None else -1)
+        packed.srcss.append(srcs)
+        packed.addrs.append(mem_vaddr if mem_vaddr >= 0 else -1)
+        packed.mispredicts.append(mispredict)
         if not alive:
             break
 
     footprint = 0
     if footprint_low is not None:
         footprint = footprint_high - footprint_low + 4
-    return Trace(name, records, footprint_bytes=footprint,
+    return Trace(name, packed, footprint_bytes=footprint,
                  suite="captured")

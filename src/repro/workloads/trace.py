@@ -5,6 +5,9 @@ replays it, so wrong-path effects are folded into the branch-mispredict
 redirect penalty (standard practice for trace-driven models).
 """
 
+from array import array
+from collections import Counter
+
 
 class Op:
     """Execution classes (small ints for speed in the hot loop)."""
@@ -31,17 +34,20 @@ class Op:
 
 
 class PackedTrace:
-    """Columnar (structure-of-arrays) view of an instruction stream.
+    """Columnar (structure-of-arrays) form of an instruction stream.
 
-    Six parallel tuples -- ``pcs``, ``ops``, ``dests``, ``srcss``,
+    Six parallel columns -- ``pcs``, ``ops``, ``dests``, ``srcss``,
     ``addrs``, ``mispredicts`` -- with row ``i`` holding the fields of
-    instruction ``i``.  The timing core iterates ``zip`` over these
-    columns instead of touching :class:`TraceInst` objects: one tuple
-    unpack per instruction replaces six attribute lookups plus the
-    ``is_mem`` property call, which is worth ~2x in the replay loop.
+    committed instruction ``i``: ``srcs`` are architectural source
+    register ids, ``dest`` is -1 when the instruction writes no register,
+    ``addr`` is the effective byte address of a load or store (-1
+    otherwise) and ``mispredict`` marks branches the front end predicted
+    wrongly.  The generators append straight to these columns and every
+    consumer reads them; there is no per-instruction object.
 
-    Rows are immutable; build a new trace rather than mutating one that
-    has already been packed.
+    A column is a list for a generated or captured trace and a
+    zero-copy view of the mapped file for one the artifact store
+    loaded.  Columns are never mutated once built.
     """
 
     __slots__ = ("pcs", "ops", "dests", "srcss", "addrs", "mispredicts")
@@ -68,85 +74,51 @@ class PackedTrace:
                 self.mispredicts)
 
 
-def pack_instructions(instructions):
-    """Pack any iterable of :class:`TraceInst` into a :class:`PackedTrace`."""
-    pcs = []
-    ops = []
-    dests = []
-    srcss = []
-    addrs = []
-    mispredicts = []
-    for inst in instructions:
-        pcs.append(inst.pc)
-        ops.append(inst.op)
-        dests.append(inst.dest)
-        srcss.append(inst.srcs)
-        addrs.append(inst.addr)
-        mispredicts.append(inst.mispredict)
-    return PackedTrace(tuple(pcs), tuple(ops), tuple(dests), tuple(srcss),
-                       tuple(addrs), tuple(mispredicts))
+def int64_columns(packed):
+    """The int64 encoding of a trace's columns, as ``array('q')`` values.
 
-
-class TraceInst:
-    """One committed instruction.
-
-    ``srcs`` are architectural source register ids; ``dest`` is -1 when
-    the instruction produces no register value.  ``addr`` is the effective
-    byte address for loads/stores (-1 otherwise).  ``mispredict`` marks
-    branches the front-end predicted wrongly (redirect penalty applies
-    when the branch resolves).
+    ``srcss`` becomes a CSR pair: ``src_val`` holds every row's sources
+    back to back and row ``i``'s are ``src_val[src_off[i]:src_off[i+1]]``.
+    ``mispredicts`` becomes 0/1.  The artifact store writes these arrays
+    and the native kernel reads them.  Built fresh on every call: a
+    cached copy would double each trace's footprint in the trace cache.
     """
-
-    __slots__ = ("pc", "op", "dest", "srcs", "addr", "mispredict")
-
-    def __init__(self, pc, op, dest=-1, srcs=(), addr=-1, mispredict=False):
-        self.pc = pc
-        self.op = op
-        self.dest = dest
-        self.srcs = srcs
-        self.addr = addr
-        self.mispredict = mispredict
-
-    @property
-    def is_mem(self):
-        return self.op == Op.LOAD or self.op == Op.STORE
-
-    def __repr__(self):
-        return "TraceInst(pc=0x%x, op=%s, dest=%d, srcs=%s, addr=0x%x)" % (
-            self.pc,
-            Op.NAMES.get(self.op, self.op),
-            self.dest,
-            self.srcs,
-            self.addr if self.addr >= 0 else 0,
-        )
+    src_off = array("q", bytes(8 * (len(packed) + 1)))
+    src_val = array("q")
+    for index, srcs in enumerate(packed.srcss, 1):
+        src_val.extend(srcs)
+        src_off[index] = len(src_val)
+    return {
+        "pcs": array("q", packed.pcs),
+        "ops": array("q", packed.ops),
+        "dests": array("q", packed.dests),
+        "addrs": array("q", packed.addrs),
+        "mispredicts": array("q", map(bool, packed.mispredicts)),
+        "src_off": src_off,
+        "src_val": src_val,
+    }
 
 
 class Trace:
-    """A named instruction trace plus workload metadata."""
+    """A named instruction trace: one :class:`PackedTrace` plus metadata."""
 
-    def __init__(self, name, instructions, footprint_bytes=0, suite=""):
+    __slots__ = ("name", "footprint_bytes", "suite", "_packed")
+
+    def __init__(self, name, packed, footprint_bytes=0, suite=""):
         self.name = name
-        self.instructions = instructions
         self.footprint_bytes = footprint_bytes
         self.suite = suite
-        self._packed = None
+        self._packed = packed
 
     def __len__(self):
-        return len(self.instructions)
-
-    def __iter__(self):
-        return iter(self.instructions)
+        return len(self._packed)
 
     def packed(self):
-        """The trace's :class:`PackedTrace` columns (built once, cached)."""
-        if self._packed is None or len(self._packed) != len(self.instructions):
-            self._packed = pack_instructions(self.instructions)
+        """The trace's :class:`PackedTrace` columns."""
         return self._packed
 
     def op_mix(self):
         """Fraction of instructions per op class (diagnostics)."""
-        counts = {}
-        for inst in self.instructions:
-            counts[inst.op] = counts.get(inst.op, 0) + 1
-        total = len(self.instructions) or 1
-        return {Op.NAMES[op]: count / total for op, count in counts.items()}
+        total = len(self) or 1
+        return {Op.NAMES[op]: count / total
+                for op, count in Counter(self._packed.ops).items()}

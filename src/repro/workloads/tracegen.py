@@ -16,7 +16,7 @@ Generation is deterministic given (profile, seed).
 """
 
 from repro.util.rng import DeterministicRng
-from repro.workloads.trace import Op, Trace, TraceInst
+from repro.workloads.trace import Op, PackedTrace, Trace
 
 DATA_BASE = 1 << 20           # data region starts at 1 MB
 HOT_BYTES = 8 * 1024          # hot set: comfortably L1-resident
@@ -24,7 +24,11 @@ _NUM_REGS = 64
 
 
 def generate_trace(profile, num_instructions, seed=2006, name=None):
-    """Generate ``num_instructions`` committed instructions for ``profile``."""
+    """Generate ``num_instructions`` committed instructions for ``profile``.
+
+    The rows are appended straight to the six :class:`PackedTrace`
+    columns.
+    """
     if num_instructions < 0:
         raise ValueError("num_instructions must be non-negative")
     rng = DeterministicRng(seed).stream("workload.%s" % profile.name)
@@ -36,6 +40,11 @@ def generate_trace(profile, num_instructions, seed=2006, name=None):
     p_branch = p_store + profile.branch_fraction
     p_fp = p_branch + profile.fp_fraction
     p_mul = p_fp + profile.mul_fraction
+    hot_fraction = profile.hot_fraction
+    stream_fraction = profile.stream_fraction
+    chase_fraction = profile.chase_fraction
+    mispredict_rate = profile.mispredict_rate
+    dependency_depth = profile.dependency_depth
 
     code_bytes = profile.code_bytes
     cold_bytes = max(profile.footprint_bytes, 64)
@@ -45,9 +54,15 @@ def generate_trace(profile, num_instructions, seed=2006, name=None):
     pc = 0
     stream_ptr = randrange(cold_bytes) & ~63
     recent_dests = [1]                  # ring of recent dest registers
-    recent_load_dests = [1]
+    recent_load_dests = [1]             # never empty
     next_reg = 1
-    out = []
+
+    pcs = []
+    ops = []
+    dests = []
+    srcss = []
+    addrs = []
+    mispredicts = []
 
     # Registers 56..63 are *induction* registers: loop counters and array
     # indices updated by short ALU self-chains, never by loads.  Addresses
@@ -58,7 +73,7 @@ def generate_trace(profile, num_instructions, seed=2006, name=None):
     def pick_src():
         # Geometric recency: deeper dependency_depth -> older sources ->
         # more independent work in flight.
-        depth = min(len(recent_dests), profile.dependency_depth)
+        depth = min(len(recent_dests), dependency_depth)
         return recent_dests[-1 - randrange(depth)] if depth else 0
 
     def pick_addr_src():
@@ -69,11 +84,16 @@ def generate_trace(profile, num_instructions, seed=2006, name=None):
         next_reg = next_reg % (_NUM_REGS - 9) + 1  # skip r0 and induction
         return next_reg
 
-    def data_address(is_store):
+    def pick_load_src():
+        # One of the last four loads' destinations.
+        return recent_load_dests[-1 - randrange(
+            min(len(recent_load_dests), 4))]
+
+    def data_address():
         nonlocal stream_ptr
-        if rand() < profile.hot_fraction:
+        if rand() < hot_fraction:
             return hot_base + (randrange(HOT_BYTES) & ~3)
-        if rand() < profile.stream_fraction:
+        if rand() < stream_fraction:
             stream_ptr = (stream_ptr + 8) % cold_bytes
             return cold_base + stream_ptr
         return cold_base + (randrange(cold_bytes) & ~3)
@@ -82,39 +102,36 @@ def generate_trace(profile, num_instructions, seed=2006, name=None):
         roll = rand()
         mispredict = False
         addr = -1
-        srcs = ()
         dest = -1
 
         if roll < p_load:
             op = Op.LOAD
             dest = pick_dest()
-            if recent_load_dests and rand() < profile.chase_fraction:
+            if rand() < chase_fraction:
                 # Pointer chase: address depends on an earlier load's value
                 # and lands somewhere cold (a fresh node).
-                srcs = (recent_load_dests[-1 - randrange(
-                    min(len(recent_load_dests), 4))],)
+                srcs = (pick_load_src(),)
                 addr = cold_base + (randrange(cold_bytes) & ~3)
             else:
                 srcs = (pick_addr_src(),)
-                addr = data_address(is_store=False)
+                addr = data_address()
             recent_load_dests.append(dest)
             if len(recent_load_dests) > 16:
                 del recent_load_dests[0]
         elif roll < p_store:
             op = Op.STORE
             srcs = (pick_addr_src(), pick_src())
-            addr = data_address(is_store=True)
+            addr = data_address()
         elif roll < p_branch:
             op = Op.BRANCH
             # Branches predominantly test recently loaded values (list
             # walks, compares against table entries): their resolution
             # then inherits the load's (policy-gated) availability.
-            if recent_load_dests and rand() < 0.5:
-                srcs = (recent_load_dests[-1 - randrange(
-                    min(len(recent_load_dests), 4))], pick_src())
+            if rand() < 0.5:
+                srcs = (pick_load_src(), pick_src())
             else:
                 srcs = (pick_src(),)
-            mispredict = rand() < profile.mispredict_rate
+            mispredict = rand() < mispredict_rate
         elif roll < p_fp:
             op = Op.FPU
             dest = pick_dest()
@@ -134,7 +151,12 @@ def generate_trace(profile, num_instructions, seed=2006, name=None):
             dest = pick_dest()
             srcs = (pick_src(), pick_src())
 
-        out.append(TraceInst(pc, op, dest, srcs, addr, mispredict))
+        pcs.append(pc)
+        ops.append(op)
+        dests.append(dest)
+        srcss.append(srcs)
+        addrs.append(addr)
+        mispredicts.append(mispredict)
         if dest >= 0:
             recent_dests.append(dest)
             if len(recent_dests) > 64:
@@ -151,7 +173,7 @@ def generate_trace(profile, num_instructions, seed=2006, name=None):
 
     return Trace(
         name or profile.name,
-        out,
+        PackedTrace(pcs, ops, dests, srcss, addrs, mispredicts),
         footprint_bytes=profile.footprint_bytes,
         suite=profile.suite,
     )

@@ -5,20 +5,21 @@ import pytest
 from repro.config import SimConfig
 from repro.sim.runner import build_simulator, run_trace
 from repro.workloads.spec import get_profile
-from repro.workloads.trace import Op, Trace, TraceInst
+from repro.workloads.trace import Op
 from repro.workloads.tracegen import generate_trace
+from tests.traces import row, trace_from_rows
 
 
 def alu(pc, dest, srcs=()):
-    return TraceInst(pc, Op.IALU, dest, srcs)
+    return row(pc, Op.IALU, dest, srcs)
 
 
 def load(pc, dest, addr, srcs=()):
-    return TraceInst(pc, Op.LOAD, dest, srcs, addr)
+    return row(pc, Op.LOAD, dest, srcs, addr)
 
 
 def run(insts, policy="decrypt-only", config=None):
-    return run_trace(Trace("t", insts), config or SimConfig(), policy)
+    return run_trace(trace_from_rows(insts), config or SimConfig(), policy)
 
 
 class TestBasicPipeline:
@@ -40,14 +41,14 @@ class TestBasicPipeline:
         assert result.ipc <= 1.05
 
     def test_mul_latency_slows_chain(self):
-        chain = [TraceInst(4 * i, Op.IMUL, 1, (1,)) for i in range(500)]
+        chain = [row(4 * i, Op.IMUL, 1, (1,)) for i in range(500)]
         fast = run([alu(4 * i, 1, (1,)) for i in range(500)])
         slow = run(chain)
         assert slow.ipc < fast.ipc
 
     def test_mispredicts_cost_cycles(self):
-        clean = [TraceInst(4 * i, Op.BRANCH, -1, (1,)) for i in range(500)]
-        dirty = [TraceInst(4 * i, Op.BRANCH, -1, (1,), -1, True)
+        clean = [row(4 * i, Op.BRANCH, -1, (1,)) for i in range(500)]
+        dirty = [row(4 * i, Op.BRANCH, -1, (1,), -1, True)
                  for i in range(500)]
         assert run(dirty).ipc < run(clean).ipc
 

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from repro.config import SimConfig
 from repro.sim.runner import run_trace
-from repro.workloads.trace import Op, Trace, TraceInst
+from repro.workloads.trace import Op
+from tests.traces import row, trace_from_rows
 
 
 @st.composite
@@ -27,9 +28,9 @@ def random_traces(draw, max_len=120):
         if op in (Op.LOAD, Op.STORE):
             addr = draw(st.integers(0, 1 << 22)) & ~3
         mispredict = op == Op.BRANCH and draw(st.booleans())
-        out.append(TraceInst(pc, op, dest, srcs, addr, mispredict))
+        out.append(row(pc, op, dest, srcs, addr, mispredict))
         pc = (pc + 4) % 4096
-    return Trace("random", out)
+    return trace_from_rows(out, name="random")
 
 
 POLICIES = ("decrypt-only", "authen-then-issue", "authen-then-commit",

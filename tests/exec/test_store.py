@@ -25,6 +25,7 @@ from repro.exec import (
 from repro.exec.chaos import result_digest
 from repro.exec.store import STORE_ENV, code_fingerprint, default_store_path
 from repro.workloads.spec import get_profile
+from repro.workloads.trace import Trace
 from repro.workloads.tracegen import generate_trace
 
 N = 1200
@@ -68,7 +69,15 @@ class TestTraceRoundTrip:
             [tuple(s) for s in want.srcss]
         assert loaded.name == trace.name
         assert loaded.footprint_bytes == trace.footprint_bytes
+        assert loaded.suite == trace.suite
         assert len(loaded) == len(trace)
+
+    def test_loads_a_plain_trace(self, store):
+        trace = _trace()
+        store.save_trace(trace, "gzip", len(trace), 12345)
+        loaded = store.load_trace("gzip", len(trace), 12345)
+        assert type(loaded) is Trace
+        assert loaded.op_mix() == trace.op_mix()
 
     def test_miss_on_absent_key(self, store):
         assert store.load_trace("gzip", 999, 1) is None

@@ -147,6 +147,41 @@ class TestFigureEndpoint:
         finally:
             service.close()
 
+    def test_figure_is_warm_only_after_its_regeneration_settles(
+            self, tmp_path):
+        """The artifact JSON lands before the drain counts the
+        regeneration: until the key leaves ``_warming`` the answer is
+        still 202, so a 200 always comes with the counter bumped."""
+        service = make_service(tmp_path)
+        written = threading.Event()
+        release = threading.Event()
+
+        def regenerate(key, payload):
+            os.makedirs(service.out_dir, exist_ok=True)
+            with open(service._artifact(key[1], "json"), "w") as handle:
+                handle.write("{}")
+            written.set()
+            assert release.wait(30.0)
+
+        service._regenerate = regenerate
+        try:
+            status, _, _ = service.figure("fig9")
+            assert status == 202
+            assert written.wait(30.0)
+            for _ in range(3):
+                status, body, _ = service.figure("fig9")
+                assert status == 202
+                assert body["status"] == "warming"
+                assert service.figure_state("fig9") == "warming"
+                assert service.regenerations == 0
+            release.set()
+            assert wait_warm(service, "fig9", timeout=30.0) == b"{}"
+            assert service.regenerations == 1
+            assert service.figure_state("fig9") == "warm"
+        finally:
+            release.set()
+            service.close()
+
     def test_failed_regeneration_reports_500_once_then_rearms(
             self, tmp_path, hook):
         def explode(job, attempt):

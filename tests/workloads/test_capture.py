@@ -32,24 +32,28 @@ class TestCapture:
     def test_addresses_recorded(self):
         _, trace = captured(programs.ARRAY_SUM,
                             data=programs.ARRAY_SUM_DATA)
-        loads = [i for i in trace if i.op == Op.LOAD]
-        assert loads[0].addr == 0x2000
-        assert loads[1].addr == 0x2004
+        loads = [addr for _, op, _, _, addr, _ in trace.packed().rows()
+                 if op == Op.LOAD]
+        assert loads[0] == 0x2000
+        assert loads[1] == 0x2004
         assert trace.footprint_bytes >= 64 * 4
 
     def test_branch_annotation(self):
         _, trace = captured(programs.FIBONACCI)
-        branches = [i for i in trace if i.op == Op.BRANCH]
+        branches = [mispredict
+                    for _, op, _, _, _, mispredict in trace.packed().rows()
+                    if op == Op.BRANCH]
         assert branches, "loop must contain branches"
         # The loop branch becomes predictable; only early iterations and
         # the final fall-through mispredict.
-        mispredicts = sum(i.mispredict for i in branches)
+        mispredicts = sum(branches)
         assert mispredicts < len(branches)
 
     def test_dataflow_registers_preserved(self):
         _, trace = captured(programs.FIBONACCI)
-        adds = [i for i in trace if i.op == Op.IALU and len(i.srcs) == 2]
-        assert any(i.dest >= 0 for i in adds)
+        adds = [dest for _, op, dest, srcs, _, _ in trace.packed().rows()
+                if op == Op.IALU and len(srcs) == 2]
+        assert any(dest >= 0 for dest in adds)
 
     def test_max_steps_truncates(self):
         machine = SecureMachine(make_policy("decrypt-only"))

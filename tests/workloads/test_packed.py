@@ -1,15 +1,14 @@
 """Packed (columnar) trace representation tests.
 
-``Trace.packed()`` is the hot-loop input format; it must be an exact,
-cached, columnar mirror of the ``TraceInst`` object stream.
+``PackedTrace`` is the only form a trace takes: the generators append
+straight to its columns, and the core, the prepass, the native kernel
+and the artifact store all read them.
 """
 
-from repro.config import SimConfig
-from repro.sim.runner import run_trace
-from repro.workloads.trace import (Op, PackedTrace, Trace, TraceInst,
-                                   pack_instructions)
+from repro.workloads.trace import Op, PackedTrace, int64_columns
 from repro.workloads.spec import get_profile
 from repro.workloads.tracegen import generate_trace
+from tests.traces import row, trace_from_rows
 
 
 def sample_trace(n=600, seed=11):
@@ -17,30 +16,11 @@ def sample_trace(n=600, seed=11):
 
 
 class TestPackEquivalence:
-    def test_rows_mirror_instructions(self):
-        trace = sample_trace()
-        packed = trace.packed()
-        assert len(packed) == len(trace)
-        for inst, row in zip(trace, packed.rows()):
-            pc, op, dest, srcs, addr, mispredict = row
-            assert pc == inst.pc
-            assert op == inst.op
-            assert dest == inst.dest
-            assert tuple(srcs) == tuple(inst.srcs)
-            assert addr == inst.addr
-            assert mispredict == inst.mispredict
-
     def test_columns_are_parallel(self):
         packed = sample_trace().packed()
         columns = packed.columns()
         lengths = {len(column) for column in columns}
         assert lengths == {len(packed)}
-
-    def test_pack_instructions_matches_trace_packed(self):
-        trace = sample_trace()
-        by_list = pack_instructions(list(trace))
-        by_trace = trace.packed()
-        assert list(by_list.rows()) == list(by_trace.rows())
 
     def test_packed_is_cached(self):
         trace = sample_trace()
@@ -51,25 +31,45 @@ class TestPackEquivalence:
 
 
 class TestReplayEquivalence:
-    def test_packed_and_object_iteration_same_cycles(self):
-        """Feeding the core a bare instruction list (packed on the fly)
-        must reproduce the Trace-driven run exactly."""
-        trace = sample_trace(n=800)
-        config = SimConfig()
-        via_trace = run_trace(trace, config, "authen-then-commit",
-                              warmup=200)
-        via_list = run_trace(list(trace), config, "authen-then-commit",
-                             warmup=200)
-        assert via_trace.cycles == via_list.cycles
-        assert via_trace.instructions == via_list.instructions
-        assert via_trace.stats.as_dict() == via_list.stats.as_dict()
-
     def test_handwritten_instructions_pack(self):
-        insts = [TraceInst(0, Op.IALU, 1),
-                 TraceInst(4, Op.LOAD, 2, (1,), 0x1000),
-                 TraceInst(8, Op.STORE, -1, (2,), 0x2000),
-                 TraceInst(12, Op.BRANCH, -1, (2,), -1, True)]
-        packed = pack_instructions(insts)
-        rows = list(packed.rows())
+        trace = trace_from_rows([row(0, Op.IALU, 1),
+                                 row(4, Op.LOAD, 2, (1,), 0x1000),
+                                 row(8, Op.STORE, -1, (2,), 0x2000),
+                                 row(12, Op.BRANCH, -1, (2,), -1, True)])
+        rows = list(trace.packed().rows())
+        assert len(trace) == 4
         assert rows[1][1] == Op.LOAD and rows[1][4] == 0x1000
         assert rows[3][5] is True
+
+
+class TestInt64Columns:
+    def test_csr_sources_and_flag_encoding(self):
+        trace = trace_from_rows([row(0, Op.IALU, 1),
+                                 row(4, Op.LOAD, 2, (1,), 0x1000),
+                                 row(8, Op.STORE, -1, (2, 7), 0x2000),
+                                 row(12, Op.BRANCH, -1, (2,), -1, True)])
+        columns = int64_columns(trace.packed())
+        assert list(columns["src_off"]) == [0, 0, 1, 3, 4]
+        assert list(columns["src_val"]) == [1, 2, 7, 2]
+        assert list(columns["mispredicts"]) == [0, 0, 0, 1]
+        assert list(columns["addrs"]) == [-1, 0x1000, 0x2000, -1]
+        assert all(column.typecode == "q" for column in columns.values())
+
+    def test_decodes_back_to_the_rows(self):
+        packed = sample_trace().packed()
+        columns = int64_columns(packed)
+        off, val = columns["src_off"], columns["src_val"]
+        assert len(off) == len(packed) + 1
+        for index, (pc, op, dest, srcs, addr, mispredict) in enumerate(
+                packed.rows()):
+            assert columns["pcs"][index] == pc
+            assert columns["ops"][index] == op
+            assert columns["dests"][index] == dest
+            assert tuple(val[off[index]:off[index + 1]]) == srcs
+            assert columns["addrs"][index] == addr
+            assert columns["mispredicts"][index] == mispredict
+
+    def test_empty_trace(self):
+        columns = int64_columns(trace_from_rows([]).packed())
+        assert list(columns["src_off"]) == [0]
+        assert not columns["src_val"] and not columns["pcs"]

@@ -12,8 +12,14 @@ from repro.workloads.spec import (
     get_profile,
     int_benchmarks,
 )
-from repro.workloads.trace import Op, Trace, TraceInst
+from repro.workloads.trace import Op
 from repro.workloads.tracegen import DATA_BASE, generate_trace
+from tests.traces import row, trace_from_rows
+
+
+def rows(trace):
+    """The trace's ``(pc, op, dest, srcs, addr, mispredict)`` rows."""
+    return list(trace.packed().rows())
 
 
 class TestProfiles:
@@ -47,19 +53,13 @@ class TestProfiles:
 
 
 class TestTraceContainer:
-    def test_trace_inst_repr_and_flags(self):
-        inst = TraceInst(0x100, Op.LOAD, dest=3, srcs=(1,), addr=0x2000)
-        assert inst.is_mem
-        assert "load" in repr(inst)
-        assert not TraceInst(0, Op.IALU).is_mem
-
     def test_trace_len_iter(self):
-        trace = Trace("t", [TraceInst(0, Op.IALU)] * 5)
+        trace = trace_from_rows([row(0, Op.IALU)] * 5)
         assert len(trace) == 5
-        assert sum(1 for _ in trace) == 5
+        assert sum(1 for _ in trace.packed().rows()) == 5
 
     def test_op_mix(self):
-        trace = Trace("t", [TraceInst(0, Op.LOAD), TraceInst(4, Op.IALU)])
+        trace = trace_from_rows([row(0, Op.LOAD), row(4, Op.IALU)])
         mix = trace.op_mix()
         assert mix["load"] == 0.5
 
@@ -69,15 +69,13 @@ class TestGenerator:
         p = get_profile("twolf")
         a = generate_trace(p, 500, seed=1)
         b = generate_trace(p, 500, seed=1)
-        assert [(i.pc, i.op, i.addr) for i in a] == [
-            (i.pc, i.op, i.addr) for i in b
-        ]
+        assert a.packed().columns() == b.packed().columns()
 
     def test_seed_changes_trace(self):
         p = get_profile("twolf")
         a = generate_trace(p, 500, seed=1)
         b = generate_trace(p, 500, seed=2)
-        assert [(i.pc, i.op) for i in a] != [(i.pc, i.op) for i in b]
+        assert a.packed().columns() != b.packed().columns()
 
     def test_requested_length(self):
         assert len(generate_trace(get_profile("gcc"), 321)) == 321
@@ -96,59 +94,63 @@ class TestGenerator:
         assert mix["fpu"] == pytest.approx(p.fp_fraction, abs=0.02)
 
     def test_mem_ops_have_addresses(self):
-        for inst in generate_trace(get_profile("art"), 2000):
-            if inst.is_mem:
-                assert inst.addr >= DATA_BASE
+        for _, op, _, _, addr, _ in rows(generate_trace(get_profile("art"),
+                                                       2000)):
+            if op in (Op.LOAD, Op.STORE):
+                assert addr >= DATA_BASE
             else:
-                assert inst.addr == -1
+                assert addr == -1
 
     def test_addresses_within_protected_region(self):
         p = get_profile("mcf")  # largest footprint
-        for inst in generate_trace(p, 5000):
-            if inst.is_mem:
-                assert inst.addr < 256 * 1024 * 1024
+        for _, op, _, _, addr, _ in rows(generate_trace(p, 5000)):
+            if op in (Op.LOAD, Op.STORE):
+                assert addr < 256 * 1024 * 1024
 
     def test_pcs_within_code_region(self):
         p = get_profile("gcc")
-        for inst in generate_trace(p, 5000):
-            assert 0 <= inst.pc < p.code_bytes
-            assert inst.pc % 4 == 0
+        for pc in generate_trace(p, 5000).packed().pcs:
+            assert 0 <= pc < p.code_bytes
+            assert pc % 4 == 0
 
     def test_mispredicts_only_on_branches(self):
-        for inst in generate_trace(get_profile("twolf"), 5000):
-            if inst.mispredict:
-                assert inst.op == Op.BRANCH
+        for _, op, _, _, _, mispredict in rows(
+                generate_trace(get_profile("twolf"), 5000)):
+            if mispredict:
+                assert op == Op.BRANCH
 
     def test_mispredict_rate_tracks_profile(self):
         p = get_profile("twolf")
         trace = generate_trace(p, 30_000)
-        branches = [i for i in trace if i.op == Op.BRANCH]
-        rate = sum(i.mispredict for i in branches) / len(branches)
+        branches = [r for r in rows(trace) if r[1] == Op.BRANCH]
+        rate = sum(r[5] for r in branches) / len(branches)
         assert rate == pytest.approx(p.mispredict_rate, abs=0.02)
 
     def test_loads_have_destinations(self):
-        for inst in generate_trace(get_profile("gap"), 2000):
-            if inst.op == Op.LOAD:
-                assert inst.dest > 0
+        for _, op, dest, _, _, _ in rows(generate_trace(get_profile("gap"),
+                                                       2000)):
+            if op == Op.LOAD:
+                assert dest > 0
 
     def test_chase_heavy_profile_has_load_dependent_loads(self):
         trace = generate_trace(get_profile("mcf"), 5000)
         load_dests = set()
         chases = 0
-        for inst in trace:
-            if inst.op == Op.LOAD:
-                if any(s in load_dests for s in inst.srcs):
+        for _, op, dest, srcs, _, _ in rows(trace):
+            if op == Op.LOAD:
+                if any(s in load_dests for s in srcs):
                     chases += 1
-                load_dests.add(inst.dest)
-            elif inst.dest in load_dests:
-                load_dests.discard(inst.dest)
-        loads = sum(1 for i in trace if i.op == Op.LOAD)
+                load_dests.add(dest)
+            elif dest in load_dests:
+                load_dests.discard(dest)
+        loads = trace.packed().ops.count(Op.LOAD)
         assert chases / loads > 0.15
 
     @settings(max_examples=10, deadline=None)
     @given(name=st.sampled_from(sorted(SPEC2000_PROFILES)))
     def test_sources_are_valid_registers(self, name):
-        for inst in generate_trace(get_profile(name), 300):
-            for src in inst.srcs:
+        for _, _, dest, srcs, _, _ in rows(generate_trace(get_profile(name),
+                                                         300)):
+            for src in srcs:
                 assert 0 <= src < 64
-            assert -1 <= inst.dest < 64
+            assert -1 <= dest < 64
