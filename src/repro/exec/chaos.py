@@ -741,11 +741,11 @@ def _store_phases(run):
     """Populate a store cold, sabotage one job's entries, heal.
 
     All serial: the store's cross-process behaviour is exercised through
-    real files, not a pool.  The victim's result entry gets a flipped
+    real files, not a pool.  The victim's result line gets a flipped
     bit (forcing a re-simulation), its trace entry is truncated (forcing
     regeneration) and a single-flight lock with a dead owner pid is
-    planted on that trace.  The heal run must quarantine both entries,
-    break the lock and serve every other job from the result tier.
+    planted on that trace.  The heal run must quarantine both, break
+    the lock and serve every other job from the result tier.
     """
     import multiprocessing
 
@@ -773,13 +773,13 @@ def _store_phases(run):
     trace_path = os.path.join(store_dir, "traces", trace_entry)
     with open(trace_path, "r+b") as handle:
         handle.truncate(max(os.path.getsize(trace_path) // 3, 40))
-    result_entry = populate_store.result_name(victim) + ".json"
-    result_path = os.path.join(store_dir, "results", result_entry)
+    result_path, at, length = populate_store._index[victim.job_id]
+    at += length // 2   # the middle of the victim's line
     with open(result_path, "r+b") as handle:
-        body = bytearray(handle.read())
-        body[len(body) // 2] ^= 0x01
-        handle.seek(0)
-        handle.write(bytes(body))
+        handle.seek(at)
+        flipped = handle.read(1)[0] ^ 0x01
+        handle.seek(at)
+        handle.write(bytes([flipped]))
     proc = multiprocessing.Process(target=_exit_immediately)
     proc.start()
     proc.join()
@@ -792,7 +792,7 @@ def _store_phases(run):
         json.dump({"pid": proc.pid, "host": socket.gethostname(),
                    "created": time.time()}, handle)
     run.injected.update({trace_entry: "entry-truncate",
-                         result_entry: "entry-bitflip",
+                         "result:" + victim.job_id: "entry-bitflip",
                          os.path.basename(lock_path): "stale-lock"})
 
     heal_store = ArtifactStore(store_dir)
@@ -856,7 +856,7 @@ def _dist_phases(run):
     import multiprocessing
 
     from repro.exec import dist
-    from repro.sim.checkpoint import JobJournal
+    from repro.sim.checkpoint import JobJournal, JournalTail
 
     groups = run.groups()
     member_ids = set(run.job_ids)
@@ -899,14 +899,10 @@ def _dist_phases(run):
                                   [worker(spool_death, "survivor")])
     counts = collections.Counter()
     victim_records = 0
-    journals_dir = os.path.join(spool_death, "journals")
-    for name in sorted(os.listdir(journals_dir)):
-        if not name.endswith(".journal"):
-            continue
-        records = dist.JournalTail(
-            os.path.join(journals_dir, name)).poll()
+    for host_id, path in dist.segments(spool_death):
+        records = JournalTail(path).poll()
         counts.update(record["job_id"] for record in records)
-        if name == "victim.journal":
+        if host_id == "victim":
             victim_records = len(records)
     duplicates = sorted(job_id for job_id, n in counts.items() if n > 1)
     if duplicates:

@@ -14,11 +14,13 @@ shared filesystem (NFS, a bind mount, or plain ``/tmp`` for tests):
   executing, and append each member result to their *own* per-host
   CRC-sealed :class:`~repro.sim.checkpoint.JobJournal` v2 segment
   (``<spool>/journals/<host_id>.journal``).
-- The driver tails every segment **read-only** (a live appender's file
-  must never be rewritten under it, so ``JobJournal``'s quarantine
-  pass is off-limits here -- see :class:`JournalTail`), rebuilds each
-  record into a live ``RunResult``, and re-journals it into its own
-  ``--checkpoint`` journal: the merge *is* the cross-host resume.
+- The driver tails every segment **read-only** through
+  :class:`~repro.sim.checkpoint.JournalTail`, the one completion-line
+  reader the artifact store's result tier also uses (a live appender's
+  file must never be rewritten under it, so ``JobJournal``'s
+  quarantine pass is off-limits here), rebuilds each record into a
+  live ``RunResult``, and re-journals it into its own ``--checkpoint``
+  journal: the merge *is* the cross-host resume.
 
 Host loss is a first-class fault, not a hang: a worker that stops
 heartbeating past ``lease_timeout`` has its lease released back to the
@@ -55,10 +57,10 @@ from repro.exec.executor import Executor, iter_group_results
 from repro.exec.retry import attempt_deadline
 from repro.sim.checkpoint import (
     JobJournal,
+    JournalTail,
+    append_line,
     atomic_write_text,
-    parse_record,
     result_from_record,
-    tmp_suffix,
 )
 
 HOSTNAME = socket.gethostname()
@@ -144,20 +146,8 @@ def spool_jobs(spool, units):
         path = _job_path(spool, unit.job_id)
         if os.path.exists(path):
             continue
-        tmp = path + tmp_suffix()
-        try:
-            with open(tmp, "wb") as handle:
-                handle.write(pickle.dumps(unit,
-                                          protocol=pickle.HIGHEST_PROTOCOL))
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, path)
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        atomic_write_text(path, pickle.dumps(
+            unit, protocol=pickle.HIGHEST_PROTOCOL))
         written.append(unit.job_id)
     return written
 
@@ -240,50 +230,15 @@ class _Heartbeat(threading.Thread):
 # ---- journal tailing --------------------------------------------------
 
 
-class JournalTail:
-    """Incremental read-only reader of one per-host journal segment.
-
-    Workers own their segment files -- they append live and their
-    ``JobJournal`` may rewrite on restart -- so the driver must never
-    open one as a :class:`JobJournal` (its quarantine pass atomically
-    rewrites the file, destroying a concurrent append).  This reader
-    only consumes complete newline-terminated lines past its offset,
-    validates each with the same CRC rules (:func:`parse_record`), and
-    counts invalid ones in ``bad_lines``; an unterminated tail (a write
-    in flight) is left for the next poll.
-    """
-
-    def __init__(self, path):
-        self.path = os.fspath(path)
-        self.offset = 0
-        self.bad_lines = 0
-
-    def poll(self):
-        """Validated records appended since the last poll."""
-        try:
-            size = os.path.getsize(self.path)
-        except OSError:
-            return []
-        if size <= self.offset:
-            return []
-        with open(self.path, "rb") as handle:
-            handle.seek(self.offset)
-            chunk = handle.read(size - self.offset)
-        end = chunk.rfind(b"\n")
-        if end < 0:
-            return []
-        self.offset += end + 1
-        records = []
-        for raw_line in chunk[:end + 1].splitlines():
-            raw = raw_line.decode(errors="replace").strip()
-            if not raw:
-                continue
-            record, _reason = parse_record(raw)
-            if record is None:
-                self.bad_lines += 1
-                continue
-            records.append(record)
-        return records
+def segments(spool):
+    """``(host_id, path)`` of every per-host journal segment, by name."""
+    journals = os.path.join(spool, "journals")
+    try:
+        names = sorted(os.listdir(journals))
+    except OSError:
+        return []
+    return [(name[:-len(".journal")], os.path.join(journals, name))
+            for name in names if name.endswith(".journal")]
 
 
 def completed_job_ids(spool):
@@ -292,18 +247,8 @@ def completed_job_ids(spool):
     What a claiming worker uses as its skip set, so a re-claimed group
     only re-runs the members its previous owner never published.
     """
-    done = set()
-    journals = os.path.join(spool, "journals")
-    try:
-        names = os.listdir(journals)
-    except OSError:
-        return done
-    for name in sorted(names):
-        if not name.endswith(".journal"):
-            continue
-        for record in JournalTail(os.path.join(journals, name)).poll():
-            done.add(record["job_id"])
-    return done
+    return {record["job_id"] for _, path in segments(spool)
+            for record in JournalTail(path).poll()}
 
 
 # ---- worker side ------------------------------------------------------
@@ -322,16 +267,10 @@ def _beat_host(spool, host_id, jobs_done, started):
 
 def _report_error(spool, unit_id, host_id, exc):
     """Append one attempt-failure line the driver will charge."""
-    line = json.dumps({"job_id": unit_id, "host_id": host_id,
-                       "error": repr(exc), "time": time.time()},
-                      sort_keys=True) + "\n"
     try:
-        fd = os.open(_error_path(spool, unit_id),
-                     os.O_CREAT | os.O_WRONLY | os.O_APPEND, 0o644)
-        try:
-            os.write(fd, line.encode())
-        finally:
-            os.close(fd)
+        append_line(_error_path(spool, unit_id), json.dumps(
+            {"job_id": unit_id, "host_id": host_id, "error": repr(exc),
+             "time": time.time()}, sort_keys=True))
     except OSError:
         pass
 
@@ -614,20 +553,10 @@ class DistExecutor(Executor):
     def _merge_segments(self, tails, members, outstanding, results,
                         state, attempts, spooled_at):
         """Pull fresh records from every per-host segment into results."""
-        journals = os.path.join(self.spool, "journals")
-        try:
-            names = sorted(os.listdir(journals))
-        except OSError:
-            names = []
         progressed = False
-        for name in names:
-            if not name.endswith(".journal"):
-                continue
-            path = os.path.join(journals, name)
-            if path not in tails:
-                tails[path] = JournalTail(path)
-            host_id = name[:-len(".journal")]
-            for record in tails[path].poll():
+        for host_id, path in segments(self.spool):
+            tail = tails.setdefault(path, JournalTail(path))
+            for record in tail.poll():
                 entry = members.get(record["job_id"])
                 if entry is None:
                     continue  # another run's record sharing the spool

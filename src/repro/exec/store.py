@@ -16,9 +16,11 @@ instead of once per process:
   *zero-copy* via ``mmap``: the int64 columns are ``memoryview`` casts
   straight into the page cache, so N concurrent workers share one
   physical copy of each trace instead of regenerating N times.
-- **Result tier** (``<root>/results``): completed run payloads keyed by
-  ``(job_id, code_fingerprint)`` in the journal-v2 record shape
-  (CRC-sealed canonical JSON), so a repeat sweep or figure run
+- **Result tier** (``<root>/results``): append-only segments of
+  completion records in the job journal's CRC-sealed line format, one
+  ``<fingerprint>-<host>-<pid>-<n>.journal`` per writing process and
+  code fingerprint, indexed by job_id on the first lookup (segments of
+  other fingerprints are never read), so a repeat sweep or figure run
   short-circuits simulation entirely and becomes I/O-bound.
 - **Single-flight generation** (``<root>/locks``): ``O_CREAT|O_EXCL``
   lock files coalesce concurrent requests for the same missing entry,
@@ -30,10 +32,11 @@ instead of once per process:
 
 Integrity follows the journal-v2 discipline: every entry is checksummed
 end to end, a failed check moves the entry into ``<root>/quarantine``
-(with the reason appended to ``quarantine.rej``) and reports a miss, and
-the caller regenerates -- corruption costs one recomputation, never a
-wrong number.  Because loads fall back to generation and saves swallow
-``OSError``, a broken store degrades to exactly the no-store behaviour.
+(a result line stays put and is logged once) with the reason appended
+to ``quarantine.rej`` and reports a miss, and the caller regenerates --
+corruption costs one recomputation, never a wrong number.  Because
+loads fall back to generation and saves swallow ``OSError``, a broken
+store degrades to exactly the no-store behaviour.
 
 Bit-identity contract: a loaded trace/prepass exposes the same column
 values (``memoryview('q')`` instead of tuples/lists -- same ints, same
@@ -49,23 +52,29 @@ workers inherit, mirroring ``REPRO_JOBS``/``REPRO_NATIVE``).
 """
 
 import dataclasses
+import errno
 import hashlib
+import itertools
 import json
 import mmap
 import os
 import socket
 import struct
+import threading
 import time
 import zlib
 from array import array
 from contextlib import contextmanager
 
 from repro.sim.checkpoint import (
-    _record_crc,
+    INCOMPATIBLE_VERSION,
+    JOURNAL_VERSION,
+    JournalTail,
+    append_line,
     atomic_write_text,
     completion_record,
+    parse_record,
     result_from_record,
-    tmp_suffix,
 )
 from repro.workloads.trace import PackedTrace, Trace, int64_columns
 
@@ -76,9 +85,6 @@ STORE_ENV = "REPRO_STORE"
 #: entries then fail validation and are regenerated, never misread.
 FORMAT_VERSION = 1
 
-#: Result-tier record shape version (journal-style JSON records).
-RESULT_VERSION = 1
-
 _MAGIC = b"RPAS"
 #: magic, format version, header length, header CRC32, payload length,
 #: payload CRC32 -- packed little-endian, zero-padded to 32 bytes so
@@ -87,6 +93,9 @@ _PREAMBLE = struct.Struct("<4sIIIQI")
 _PREAMBLE_LEN = 32
 
 _TIERS = ("traces", "prepass", "results")
+
+#: Numbers the result segments of one process (one per store).
+_SEGMENTS = itertools.count()
 
 
 class CorruptEntryError(Exception):
@@ -199,22 +208,7 @@ def _write_entry(path, header, columns):
     body += blob
     body += b"\x00" * ((-len(body)) % 8)
     body += payload
-    # Not pid-alone: two hosts sharing the store over a network
-    # filesystem can hold equal pids, and one process can stage the
-    # same entry twice -- the suffix folds in hostname + pid + counter.
-    tmp = path + tmp_suffix()
-    try:
-        with open(tmp, "wb") as handle:
-            handle.write(body)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    except OSError:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    atomic_write_text(path, bytes(body))
     return len(body)
 
 
@@ -305,15 +299,27 @@ _PREPASS_SCALARS = ("num_instructions", "warmup", "n_accesses", "n_misses",
                     "row_conflicts", "page_reencryptions")
 
 
+def _listed(rej_path, name, offset):
+    """True when the quarantine log already lists this result line."""
+    try:
+        with open(rej_path) as handle:
+            logged = [json.loads(line) for line in handle]
+    except (OSError, ValueError):
+        return False
+    return any(evidence.get("entry") == name
+               and evidence.get("offset") == offset for evidence in logged)
+
+
 class ArtifactStore:
     """One store root: three content-addressed tiers plus locks.
 
     Thread/process-safe by construction: entries are immutable once
-    published (atomic rename), readers validate checksums, and writers
-    of the same key write identical bytes.  Every public method is
-    total -- load failures return ``None`` (after quarantining corrupt
-    entries) and save failures return ``False``; the caller's
-    regeneration path is the error handler.
+    published (atomic rename; result segments only grow), readers
+    validate checksums, and writers of the same key write identical
+    bytes.  Every public method is total -- load failures return
+    ``None`` (after quarantining corrupt entries) and save failures
+    return ``False``; the caller's regeneration path is the error
+    handler.
     """
 
     def __init__(self, root, metrics=None, lock_timeout=60.0,
@@ -331,6 +337,12 @@ class ArtifactStore:
             "quarantined": 0, "write_errors": 0,
             "lock_waits": 0, "lock_breaks": 0,
         }
+        # Result tier: job_id -> (segment, offset, length), filled by the
+        # first lookup; segment -> (inode, tail) of the last poll; this
+        # process's own segment, created by its first save.
+        self._index, self._tails = {}, {}
+        self._segment, self._pid, self._lock = \
+            None, os.getpid(), threading.Lock()
         self._bind_metrics(metrics)
 
     def _bind_metrics(self, registry):
@@ -373,21 +385,33 @@ class ArtifactStore:
         self.counters["bytes_written"] += nbytes
         self._m_bytes_written.inc(nbytes)
 
-    def _quarantine(self, path, reason):
-        """Move a failed entry aside; keep the evidence, report a miss."""
+    def _quarantine(self, path, reason, offset=None):
+        """Move a failed entry aside; keep the evidence, report a miss.
+
+        A result line (``offset`` given) stays in its segment, which is
+        never rewritten; the evidence records where it is, once.  A line
+        ``quarantine.rej`` already lists is neither logged nor counted
+        again, so ``counters["quarantined"]`` counts first sightings
+        (two stores that find one line at the same moment both count it).
+        """
         name = os.path.basename(path)
-        try:
-            os.replace(path, os.path.join(self.root, "quarantine", name))
-        except OSError:
-            try:
-                os.unlink(path)
-            except OSError:
+        evidence = {"entry": name, "reason": reason}
+        rej_path = os.path.join(self.root, "quarantine.rej")
+        if offset is not None:
+            if _listed(rej_path, name, offset):
                 return
+            evidence["offset"] = offset
+        else:
+            try:
+                os.replace(path, os.path.join(self.root, "quarantine",
+                                              name))
+            except OSError:
+                try:
+                    os.unlink(path)
+                except OSError:
+                    return
         try:
-            with open(os.path.join(self.root, "quarantine.rej"),
-                      "a") as handle:
-                handle.write(json.dumps({"entry": name,
-                                         "reason": reason}) + "\n")
+            append_line(rej_path, json.dumps(evidence))
         except OSError:
             pass
         self.counters["quarantined"] += 1
@@ -414,10 +438,6 @@ class ArtifactStore:
                           "warmup": warmup,
                           "config": dataclasses.asdict(config),
                           "fingerprint": code_fingerprint("prepass")})
-
-    def result_name(self, job):
-        return _key_hash({"kind": "result", "job_id": job.job_id,
-                          "fingerprint": code_fingerprint("result")})
 
     def _path(self, tier, name):
         return os.path.join(self.root, tier, name)
@@ -546,59 +566,111 @@ class ArtifactStore:
 
     # -- result tier ----------------------------------------------------
 
+    def _result_lock(self):
+        """The result tier's lock; a forked child starts its own segment."""
+        if self._pid != os.getpid():
+            self._pid, self._lock, self._segment = \
+                os.getpid(), threading.Lock(), None
+        return self._lock
+
+    def _poll_results(self):
+        """Index where each current-fingerprint line appended since the
+        last poll is (never the record).
+
+        Segments of other code fingerprints are skipped by name, and a
+        segment is read only past where the last poll stopped.  A name
+        on a new inode, or shorter than that point, is a segment gc
+        removed and a process recreated: it is read again from its
+        start, and the index entries into the old file are dropped.
+        """
+        prefix = code_fingerprint("result") + "-"
+        for path, st in self._entries("results"):
+            if not os.path.basename(path).startswith(prefix):
+                continue
+            inode, tail = self._tails.get(path, (None, None))
+            if inode != st.st_ino or st.st_size < tail.offset:
+                tail = JournalTail(path)
+                self._tails[path] = (st.st_ino, tail)
+                self._index = {job_id: entry for job_id, entry
+                               in self._index.items() if entry[0] != path}
+            elif st.st_size == tail.offset:
+                continue
+            for offset, line, record, reason in tail.lines():
+                if record is not None:
+                    self._index[record["job_id"]] = (path, offset,
+                                                     len(line))
+                elif reason != INCOMPATIBLE_VERSION:
+                    self._quarantine(path, reason, offset)
+
     def load_result(self, job):
         """Rebuild the completed run for ``job``, or None.
 
-        The record and its rebuild are the journal's
-        (:func:`~repro.sim.checkpoint.completion_record` and
-        :func:`~repro.sim.checkpoint.result_from_record`) -- the path
-        journal resume already trusts for bit-identical reruns.  The
-        record carries no accounting: the caller attaches fresh
-        accounting describing this (store-hit) execution.
+        A job missing from the index polls the segments first, so other
+        processes' appends are found.  A hit re-reads and re-checks its
+        line and rebuilds it as journal resume does; the record carries
+        no accounting (the caller attaches this store hit's).  A line
+        that fails the check is quarantined unless a poll shows that
+        its segment was recreated since it was indexed.
         """
-        path = self._path("results", self.result_name(job) + ".json")
-        try:
-            with open(path) as handle:
-                text = handle.read()
-        except FileNotFoundError:
+        with self._result_lock():
+            if job.job_id not in self._index:
+                self._poll_results()
+            entry = self._index.get(job.job_id)
+        record = reason = None
+        if entry is not None:
+            path, offset, length = entry
+            try:
+                with open(path, "rb") as handle:
+                    handle.seek(offset)
+                    record, reason = parse_record(handle.read(length))
+            except OSError:
+                pass   # the segment was evicted by gc
+        if (record is None or record["job_id"] != job.job_id
+                or record.get("fingerprint") != code_fingerprint("result")):
+            if reason not in (None, INCOMPATIBLE_VERSION):
+                with self._result_lock():
+                    self._poll_results()   # a recreated segment?
+                    moved = self._index.get(job.job_id) != entry
+                if not moved:
+                    self._quarantine(path, reason, offset)
+            self._index.pop(job.job_id, None)
             self._miss("result")
             return None
-        except OSError as exc:
-            self._quarantine(path, str(exc))
-            self._miss("result")
-            return None
-        try:
-            record = json.loads(text)
-            if not isinstance(record, dict):
-                raise ValueError("not a JSON object")
-        except ValueError:
-            self._quarantine(path, "unparseable JSON (torn write?)")
-            self._miss("result")
-            return None
-        if (record.get("store_version") != RESULT_VERSION
-                or record.get("job_id") != job.job_id
-                or record.get("fingerprint") != code_fingerprint("result")
-                or record.get("crc32") != _record_crc(record)):
-            self._quarantine(path, "crc32/key mismatch")
-            self._miss("result")
-            return None
-        result = result_from_record(record)
-        self._hit("result", len(text))
+        self._hit("result", length)
         self._touch(path)
-        return result
+        return result_from_record(record)
 
     def save_result(self, job, result):
-        record = completion_record(job, result,
-                                   store_version=RESULT_VERSION,
-                                   fingerprint=code_fingerprint("result"))
-        text = json.dumps(record, sort_keys=True)
-        path = self._path("results", self.result_name(job) + ".json")
-        try:
-            atomic_write_text(path, text)
-        except OSError:
-            self.counters["write_errors"] += 1
-            return False
-        self._wrote(len(text))
+        """Append ``job``'s record to this process's own segment.
+
+        The segment, ``<fingerprint>-<host>-<pid>-<n>.journal``, is made
+        with ``O_EXCL`` by the first save (a name already taken is
+        skipped) and never recreated: once gc has evicted it, the next
+        save starts a new one.  The fingerprint is fixed per process.
+        """
+        fingerprint = code_fingerprint("result")
+        text = json.dumps(completion_record(
+            job, result, journal_version=JOURNAL_VERSION,
+            fingerprint=fingerprint), sort_keys=True)
+        with self._result_lock():
+            while True:
+                path, new = self._segment, self._segment is None
+                if new:
+                    path = self._path("results", "%s-%s-%d-%d.journal" % (
+                        fingerprint, socket.gethostname(), os.getpid(),
+                        next(_SEGMENTS)))
+                try:
+                    offset, length = append_line(
+                        path, text, os.O_CREAT | os.O_EXCL if new else 0)
+                    break
+                except OSError as exc:
+                    self._segment = None   # taken, evicted, or torn
+                    if exc.errno != (errno.EEXIST if new else errno.ENOENT):
+                        self.counters["write_errors"] += 1
+                        return False
+            self._segment = path
+            self._index[job.job_id] = (path, offset, length)
+        self._wrote(length)
         return True
 
     # -- single-flight locks --------------------------------------------
@@ -726,7 +798,8 @@ class ArtifactStore:
             yield path, st
 
     def stats(self):
-        """Entry counts and byte totals per tier, plus live counters."""
+        """Entry counts and byte totals per tier, plus result records and
+        corrupt result lines (which also count as quarantined)."""
         tiers = {}
         total_bytes = 0
         for tier in _TIERS:
@@ -737,7 +810,16 @@ class ArtifactStore:
                 nbytes += st.st_size
             tiers[tier] = {"entries": entries, "bytes": nbytes}
             total_bytes += nbytes
-        quarantined = sum(1 for _ in self._entries("quarantine"))
+        records = corrupt = 0
+        for path, _ in self._entries("results"):
+            for _, _, record, reason in JournalTail(path).lines():
+                if record is not None:
+                    records += 1
+                elif reason != INCOMPATIBLE_VERSION:
+                    corrupt += 1
+        tiers["results"].update(records=records, corrupt=corrupt)
+        # A corrupt result line stays in its segment: count it here.
+        quarantined = sum(1 for _ in self._entries("quarantine")) + corrupt
         return {
             "root": self.root,
             "tiers": tiers,
@@ -747,11 +829,11 @@ class ArtifactStore:
         }
 
     def verify(self):
-        """Re-validate every entry; quarantine corruption, count staleness.
+        """Re-validate every entry and result line; count staleness.
 
-        Stale entries (written by an older code fingerprint) are
-        structurally sound but unreachable -- their key hash no longer
-        matches any lookup -- so they are left for ``gc`` to age out.
+        Stale entries (an older code fingerprint or record format) are
+        structurally sound but unreachable, so they are left for ``gc``
+        to age out.
         """
         report = {"checked": 0, "ok": 0, "corrupt": 0, "stale": 0}
         fingerprints = {"traces": code_fingerprint("trace"),
@@ -771,38 +853,32 @@ class ArtifactStore:
                     report["ok"] += 1
         current = code_fingerprint("result")
         for path, _ in list(self._entries("results")):
-            report["checked"] += 1
-            try:
-                with open(path) as handle:
-                    record = json.load(handle)
-                if not isinstance(record, dict):
-                    raise ValueError("not a JSON object")
-                if record.get("crc32") != _record_crc(record):
-                    raise ValueError("crc32 mismatch")
-            except (OSError, ValueError) as exc:
-                self._quarantine(path, "verify: %s" % exc)
-                report["corrupt"] += 1
-                continue
-            if record.get("fingerprint") != current:
-                report["stale"] += 1
-            else:
-                report["ok"] += 1
+            for offset, _, record, reason in JournalTail(path).lines(
+                    final=True):
+                report["checked"] += 1
+                if record is None and reason != INCOMPATIBLE_VERSION:
+                    self._quarantine(path, "verify: %s" % reason, offset)
+                    report["corrupt"] += 1
+                elif record and record.get("fingerprint") == current:
+                    report["ok"] += 1
+                else:
+                    report["stale"] += 1
         return report
 
     def gc(self, max_bytes):
         """Evict least-recently-used entries until the store fits.
 
         Recency is file mtime, refreshed on every load hit, so a
-        size-capped store keeps what current sweeps actually touch.
-        Entries touched within the last ``stale_lock_seconds`` are
-        pinned outright: a fresh mtime means some process just loaded
-        or published the entry, and a concurrent single-flight waiter
-        that observed that hit may be about to ``open()`` the path --
-        unlinking it here would turn its hit into a spurious
-        regeneration.  The pin horizon matches the lock-staleness
-        horizon because that is how long the protocol lets an observer
-        act on what it saw.  Quarantined entries and locks never count
-        against the cap and are not collected here.
+        size-capped store keeps what current sweeps actually touch (a
+        result segment goes whole).  Entries touched within the last
+        ``stale_lock_seconds`` are pinned outright: a fresh mtime means
+        some process just loaded or published the entry, and a
+        concurrent single-flight waiter that observed that hit may be
+        about to ``open()`` the path -- unlinking it here would turn its
+        hit into a spurious regeneration.  The pin horizon matches the
+        lock-staleness horizon because that is how long the protocol
+        lets an observer act on what it saw.  Quarantined entries and
+        locks never count against the cap and are not collected here.
         """
         now = time.time()
         entries = []

@@ -50,6 +50,7 @@ def _new_report():
         "jobs": {"total": 0, "ok": 0, "resumed": 0, "failed": 0,
                  "retried": 0},
         "cells": [],        # per benchmark x policy outcome rows
+        "journal": None,    # {"records", "skipped_lines"}
         "slowest": [],      # from journal accounting
         "wall": None,       # {"count", "mean", "p50", "p95", "max"}
         "rss": None,        # {"count", "mean_kb", "max_kb"}
@@ -260,16 +261,25 @@ def _ingest_metrics(report, payload):
 
 
 def _ingest_journal(report, journal_path, top):
-    """Mine the journal's per-job accounting for cost tables."""
-    from repro.sim.checkpoint import JobJournal
+    """Mine the journal's per-job accounting for cost tables (read-only:
+    a report counts bad lines, it never repairs the run's evidence)."""
+    from repro.sim.checkpoint import JournalTail
 
     if not os.path.exists(journal_path):
-        # JobJournal treats a missing file as an empty journal (that is
-        # how first runs start); for a report that would silently hide
-        # a typo'd path, so fail loudly instead.
+        # A missing journal reads as an empty one (that is how first
+        # runs start); for a report that would silently hide a typo'd
+        # path, so fail loudly instead.
         raise ReproError("journal not found: %s" % journal_path)
-    journal = JobJournal(journal_path)
-    records = journal.accounting()
+    tail = JournalTail(journal_path)
+    records = {record["job_id"]: record
+               for _, _, record, _ in tail.lines(final=True)
+               if record is not None}
+    report["journal"] = {"records": len(records),
+                         "skipped_lines": tail.bad_lines}
+    if tail.bad_lines:
+        report["degradations"].append(
+            "journal: %d line(s) skipped (corrupt or another format)"
+            % tail.bad_lines)
     key_names = {job_id: (info["benchmark"], info["policy"])
                  for job_id, info in records.items()}
     wall_hist = HistogramMetric(resolution=1e-3)

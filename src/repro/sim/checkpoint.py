@@ -1,4 +1,4 @@
-"""Per-job resume journal plus the atomic-write helper it shares.
+"""Completion records: the resume journal, its line reader and writer.
 
 Experiment runs are minutes-long; :class:`JobJournal` is an append-only
 JSONL journal the executors write one line to per completed
@@ -9,9 +9,12 @@ those results without simulating, each with its full
 CRC32-sealed; corrupt lines are quarantined into a ``.rej`` sidecar
 instead of silently trusted or fatally rejected (see
 ``docs/robustness.md``).  Rewrites go through :func:`atomic_write_text`
-(write-then-rename, never a torn file).
+(write-then-rename, never a torn file).  The store's result segments
+and the dist per-host segments share the line format, its writer
+(:func:`append_line`) and its read-only reader (:class:`JournalTail`).
 """
 
+import errno
 import itertools
 import json
 import os
@@ -38,7 +41,7 @@ def tmp_suffix():
 
 
 def atomic_write_text(path, text):
-    """Write ``text`` to ``path`` via write-then-rename.
+    """Write ``text`` (str or bytes) to ``path`` via write-then-rename.
 
     A crash mid-write leaves the old file intact (or a stray ``.tmp``),
     never a half-written checkpoint; ``os.replace`` is atomic on POSIX
@@ -49,7 +52,7 @@ def atomic_write_text(path, text):
     path = os.fspath(path)
     tmp = path + tmp_suffix()
     try:
-        with open(tmp, "w") as handle:
+        with open(tmp, "w" if isinstance(text, str) else "wb") as handle:
             handle.write(text)
             handle.flush()
             os.fsync(handle.fileno())
@@ -81,6 +84,18 @@ def _record_crc(record):
     return zlib.crc32(json.dumps(body, sort_keys=True).encode())
 
 
+def _line_crc(raw, stored):
+    """:func:`_record_crc` of a line, without re-encoding: cut the
+    ``crc32`` field out of the text.
+
+    A valid line is the exact canonical text as written (sorted keys,
+    so ``crc32`` is never last); any other text fails the check.
+    """
+    if isinstance(raw, str):
+        raw = raw.encode()
+    return zlib.crc32(raw.strip().replace(b'"crc32": %d, ' % stored, b"", 1))
+
+
 #: :func:`parse_record` reason for a structurally sound line written by
 #: a different ``journal_version`` -- ignorable in place, never corrupt.
 INCOMPATIBLE_VERSION = "incompatible journal_version"
@@ -107,9 +122,9 @@ def parse_record(raw):
     if "job_id" not in record:
         return None, "missing job_id"
     stored = record.get("crc32")
-    if stored is None:
+    if not isinstance(stored, int):
         return None, "missing crc32"
-    if stored != _record_crc(record):
+    if stored != _line_crc(raw, stored):
         return None, "crc32 mismatch (stored %s)" % stored
     return record, None
 
@@ -117,13 +132,13 @@ def parse_record(raw):
 def completion_record(job, result, **envelope):
     """The sealed record of one finished job, as every tier persists it.
 
-    The journal and the store's result tier share this body; each adds
-    only its own ``envelope`` fields (the journal's ``journal_version``
-    and ``accounting``, the store's ``store_version`` and
-    ``fingerprint``).  The record is normalised through one JSON round
-    trip (int dict keys become strings) before sealing, so its
-    ``crc32`` covers exactly the text a reader will re-canonicalise.
-    :func:`result_from_record` is the inverse.
+    The journal and the store's result tier share this body and its
+    ``journal_version``; each adds only its own ``envelope`` fields (the
+    journal's ``accounting``, the store's ``fingerprint``).  The record
+    is normalised through one JSON round trip (int dict keys become
+    strings) before sealing, so its ``crc32`` covers exactly the text a
+    reader will re-canonicalise.  :func:`result_from_record` is the
+    inverse.
     """
     record = dict(
         envelope,
@@ -175,6 +190,72 @@ def result_from_record(record):
     return result
 
 
+def append_line(path, text="", create=os.O_CREAT):
+    """Append ``text`` plus a newline; return the line's (offset, length).
+
+    One ``os.write`` on an ``O_APPEND`` descriptor, then one ``fsync``:
+    concurrent appenders interleave at line granularity, never inside a
+    record, and a line torn by a crash fails its CRC on the next read.
+    ``create`` are the open flags for a missing file: ``O_CREAT |
+    O_EXCL`` makes a new file only, ``0`` appends to an existing one.
+    """
+    data = (text + "\n").encode()
+    fd = os.open(path, os.O_WRONLY | os.O_APPEND | create, 0o644)
+    try:
+        if os.write(fd, data) != len(data):
+            raise OSError(errno.EIO, "short append", path)
+        end = os.lseek(fd, 0, os.SEEK_CUR)
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+    return end - len(data), len(data)
+
+
+class JournalTail:
+    """Incremental read-only reader of one journal segment.
+
+    A segment may have a live appender, so it is never rewritten (as
+    ``JobJournal``'s quarantine pass would).  :meth:`lines` streams the
+    lines past ``offset``, checks each with :func:`parse_record` and
+    counts the invalid ones in ``bad_lines``; an unterminated tail (a
+    write in flight) is left for the next call.
+    """
+
+    def __init__(self, path):
+        self.path = os.fspath(path)
+        self.offset = 0
+        self.bad_lines = 0
+
+    def lines(self, final=False):
+        """Yield ``(offset, raw line, record, reason)`` per line.
+
+        ``final`` also reads an unterminated last line: for a reader
+        that owns or audits the file, not one racing its appender.
+        """
+        try:
+            handle = open(self.path, "rb")
+        except OSError:
+            return
+        with handle:
+            handle.seek(self.offset)
+            for line in handle:
+                if not final and not line.endswith(b"\n"):
+                    break
+                offset = self.offset
+                self.offset += len(line)
+                if not line.strip():
+                    continue
+                record, reason = parse_record(line)
+                if record is None:
+                    self.bad_lines += 1
+                yield offset, line, record, reason
+
+    def poll(self):
+        """Validated records appended since the last poll."""
+        return [record for _, _, record, _ in self.lines()
+                if record is not None]
+
+
 class JobJournal:
     """Append-only JSONL journal of completed jobs (resumable sweeps).
 
@@ -196,6 +277,7 @@ class JobJournal:
       sound, just foreign: they are *ignored in place* (counted in
       ``incompatible_lines``), which keeps old-format journals readable
       by newer builds without destroying them.
+    - A sound last line that lost its newline gets one back.
 
     ``skipped_lines`` counts everything not loaded (quarantined plus
     incompatible), which is what ``repro sweep`` reports.
@@ -218,34 +300,27 @@ class JobJournal:
     def _load(self):
         kept = []        # raw lines preserved verbatim (incl. foreign)
         rejected = []    # (reason, raw line)
-        with open(self.path, errors="replace") as handle:
-            for line in handle:
-                raw = line.rstrip("\n")
-                if not raw.strip():
-                    continue
-                record, reason = parse_record(raw)
-                if record is not None:
-                    kept.append(raw)
-                    self._records[record["job_id"]] = record
-                elif reason == INCOMPATIBLE_VERSION:
-                    self.incompatible_lines += 1
-                    kept.append(raw)
-                else:
-                    rejected.append((reason, raw))
+        line = b"\n"
+        for _, line, record, reason in JournalTail(self.path).lines(
+                final=True):
+            raw = line.rstrip(b"\n").decode(errors="replace")
+            if record is not None:
+                kept.append(raw)
+                self._records[record["job_id"]] = record
+            elif reason == INCOMPATIBLE_VERSION:
+                self.incompatible_lines += 1
+                kept.append(raw)
+            else:
+                rejected.append((reason, raw))
+        for reason, raw in rejected:   # quarantine: .rej sidecar, rewrite
+            append_line(self.rej_path,
+                        json.dumps({"reason": reason, "line": raw}))
+        self.quarantined_lines = len(rejected)
         if rejected:
-            self.quarantined_lines = len(rejected)
-            self._quarantine(kept, rejected)
-
-    def _quarantine(self, kept, rejected):
-        """Move corrupt lines to the ``.rej`` sidecar, keep the rest."""
-        with open(self.rej_path, "a") as handle:
-            for reason, raw in rejected:
-                handle.write(json.dumps({"reason": reason, "line": raw})
-                             + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        atomic_write_text(self.path,
-                          "".join(raw + "\n" for raw in kept))
+            atomic_write_text(self.path,
+                              "".join(raw + "\n" for raw in kept))
+        elif not line.endswith(b"\n"):
+            append_line(self.path)   # or the next record fuses onto it
 
     @property
     def completed_ids(self):
@@ -267,49 +342,16 @@ class JobJournal:
         record = completion_record(
             job, result, journal_version=JOURNAL_VERSION,
             accounting=getattr(result, "accounting", None))
-        # One os.write of the whole line on an O_APPEND descriptor:
-        # concurrent appenders to the same journal (two workers sharing
-        # a host-id on one spool) interleave at line granularity, never
-        # inside a record.  A line torn by a crash mid-write is still
-        # caught by the CRC and quarantined on the next open.
-        line = (json.dumps(record, sort_keys=True) + "\n").encode()
-        fd = os.open(self.path, os.O_CREAT | os.O_WRONLY | os.O_APPEND,
-                     0o644)
-        try:
-            os.write(fd, line)
-            os.fsync(fd)
-        finally:
-            os.close(fd)
+        append_line(self.path, json.dumps(record, sort_keys=True))
         self._records[record["job_id"]] = record
 
     def result(self, job):
-        """Rebuild the RunResult for ``job``, or None if not journaled.
-
-        The rebuilt result carries a live :class:`StatGroup` and the
-        persisted :class:`~repro.sim.metrics.RunMetrics`, so sweep
-        accessors and manifests work the same whether a run was
-        simulated or resumed.
-        """
+        """Rebuild the RunResult for ``job`` (:func:`result_from_record`),
+        or None if not journaled."""
         record = self._records.get(job.job_id)
         if record is None:
             return None
         return result_from_record(record)
-
-    def accounting(self):
-        """Per-job accounting for every journaled record.
-
-        ``{job_id: {"benchmark", "policy", "accounting": dict-or-None}}``
-        -- what ``repro report`` mines for slowest-job and resource
-        tables without re-simulating anything.
-        """
-        return {
-            job_id: {
-                "benchmark": record.get("benchmark"),
-                "policy": record.get("policy"),
-                "accounting": record.get("accounting"),
-            }
-            for job_id, record in self._records.items()
-        }
 
     def compact(self, keep_ids=None):
         """Rewrite the journal with only current-format, live records.

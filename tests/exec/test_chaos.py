@@ -436,10 +436,15 @@ class TestStoreChaos:
                               num_instructions=600, warmup=300,
                               workdir=str(tmp_path))
         assert report.identical
+        # The torn trace entry is moved aside; the flipped result line
+        # stays in its append-only segment, named by offset in the log.
         quarantine = os.path.join(str(tmp_path), "store", "quarantine")
-        assert len(os.listdir(quarantine)) == 2
-        assert os.path.exists(os.path.join(str(tmp_path), "store",
-                                           "quarantine.rej"))
+        assert len(os.listdir(quarantine)) == 1
+        with open(os.path.join(str(tmp_path), "store",
+                               "quarantine.rej")) as handle:
+            evidence = [json.loads(line) for line in handle]
+        assert len(evidence) == 2
+        assert sum("offset" in entry for entry in evidence) == 1
 
     def test_stats_digest_hashes_the_produced_results(self, tmp_path,
                                                       monkeypatch):

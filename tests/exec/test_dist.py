@@ -26,7 +26,6 @@ from repro.exec import (
 )
 from repro.exec.chaos import result_digest, run_campaign
 from repro.exec.dist import (
-    JournalTail,
     completed_job_ids,
     ensure_spool,
     lease_age,
@@ -37,7 +36,7 @@ from repro.exec.dist import (
     try_claim,
 )
 from repro.exec.retry import RETRY_THEN_SKIP, FailurePolicy
-from repro.sim.checkpoint import JobJournal
+from repro.sim.checkpoint import JobJournal, JournalTail
 
 N = 800
 WARMUP = 400

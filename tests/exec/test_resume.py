@@ -81,6 +81,22 @@ class TestJournalResume:
         assert len(journal) == len(JOBS)
         assert journal.skipped_lines == 1
 
+    def test_unterminated_last_record_survives_the_next_append(
+            self, tmp_path):
+        # A crash after a record landed but before its newline: the
+        # reopened journal must terminate the line, or the next append
+        # fuses onto it and both records are quarantined.
+        path = tmp_path / "journal.jsonl"
+        results = SerialExecutor().run(JOBS[:2])
+        JobJournal(path).record(JOBS[0], results[JOBS[0]])
+        path.write_bytes(path.read_bytes().rstrip(b"\n"))
+        reopened = JobJournal(path)
+        assert len(reopened) == 1
+        reopened.record(JOBS[1], results[JOBS[1]])
+        journal = JobJournal(path)
+        assert journal.quarantined_lines == 0
+        assert journal.completed_ids == {JOBS[0].job_id, JOBS[1].job_id}
+
     def test_incompatible_version_lines_are_ignored(self, tmp_path):
         path = tmp_path / "journal.jsonl"
         record = {"journal_version": JOURNAL_VERSION + 1,

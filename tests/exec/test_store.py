@@ -24,6 +24,7 @@ from repro.exec import (
 )
 from repro.exec.chaos import result_digest
 from repro.exec.store import STORE_ENV, code_fingerprint, default_store_path
+from repro.sim.checkpoint import JournalTail, completion_record
 from repro.workloads.spec import get_profile
 from repro.workloads.trace import Trace
 from repro.workloads.tracegen import generate_trace
@@ -244,12 +245,7 @@ class TestCorruption:
         try:
             job = JOBS[0]
             cold = execute_job(job, cache=TraceCache())
-            path = os.path.join(store.root, "results",
-                                store.result_name(job) + ".json")
-            body = bytearray(open(path, "rb").read())
-            body[len(body) // 2] ^= 0x01
-            with open(path, "wb") as handle:
-                handle.write(bytes(body))
+            _flip_line(store, job)
             healed = execute_job(job, cache=TraceCache())
         finally:
             set_active_store(previous)
@@ -277,6 +273,260 @@ class TestCorruption:
         assert report["corrupt"] == 1
         assert report["ok"] == 1
         assert store.stats()["quarantined_entries"] == 1
+
+
+def _segments(store):
+    return sorted(os.path.basename(p) for p, _ in store._entries("results"))
+
+
+def _flip_line(store, job):
+    """Flip one bit in the middle of ``job``'s result line."""
+    for path, _ in store._entries("results"):
+        for offset, line, record, _ in JournalTail(path).lines():
+            if record is not None and record["job_id"] == job.job_id:
+                with open(path, "r+b") as handle:
+                    handle.seek(offset + len(line) // 2)
+                    byte = handle.read(1)[0]
+                    handle.seek(offset + len(line) // 2)
+                    handle.write(bytes([byte ^ 0x01]))
+                return path
+    raise AssertionError("no line for %s" % job.job_id)
+
+
+def _save_child(store, job, result):
+    """Forked child: save through the store inherited from the parent."""
+    store.save_result(job, result)
+
+
+@pytest.fixture(scope="module")
+def computed():
+    """Results for JOBS, simulated once without a store."""
+    return SerialExecutor(cache=TraceCache()).run(JOBS)
+
+
+class TestResultSegments:
+    def test_save_appends_one_line_to_a_segment_made_on_first_save(
+            self, store, computed):
+        assert _segments(store) == []      # opening writes nothing
+        assert store.load_result(JOBS[0]) is None
+        assert _segments(store) == []      # neither does a lookup
+        for job in JOBS[:2]:
+            assert store.save_result(job, computed[job])
+        [name] = _segments(store)
+        assert name.startswith("%s-%s-%d-" % (code_fingerprint("result"),
+                                              socket.gethostname(),
+                                              os.getpid()))
+        assert name.endswith(".journal")
+        with open(os.path.join(store.root, "results", name), "rb") as fh:
+            lines = fh.read().splitlines()
+        assert len(lines) == 2
+        assert store.stats()["tiers"]["results"]["records"] == 2
+        assert result_digest(store.load_result(JOBS[1])) == \
+            result_digest(computed[JOBS[1]])
+
+    def test_stores_and_forked_child_write_own_segments_and_share(
+            self, tmp_path, computed):
+        first = ArtifactStore(tmp_path / "store")
+        second = ArtifactStore(tmp_path / "store")
+        assert first.load_result(JOBS[1]) is None    # indexes: empty
+        first.save_result(JOBS[0], computed[JOBS[0]])
+        second.save_result(JOBS[1], computed[JOBS[1]])
+        child = multiprocessing.get_context("fork").Process(
+            target=_save_child, args=(first, JOBS[2], computed[JOBS[2]]))
+        child.start()
+        child.join(timeout=60)
+        assert child.exitcode == 0
+        names = _segments(first)
+        assert len(names) == 3
+        assert any("-%d-" % child.pid in name for name in names)
+        # Each store finds what the others appended after its index
+        # was built: a miss polls the segments before it is reported.
+        for store in (first, second):
+            for job in JOBS[:3]:
+                loaded = store.load_result(job)
+                assert result_digest(loaded) == result_digest(computed[job])
+        assert first.counters["result_hits"] == 3
+
+    def test_threads_share_one_store_without_losing_a_record(
+            self, store, computed):
+        import sys
+
+        errors = []
+        # Never saved: every lookup of it polls the segments.
+        [absent] = build_jobs(["gcc"], ["decrypt-only"],
+                              num_instructions=N, warmup=WARMUP)
+
+        def worker(index):
+            job = JOBS[index % len(JOBS)]
+            try:
+                for _ in range(5):
+                    store.save_result(job, computed[job])
+                    store.load_result(absent)
+                    if result_digest(store.load_result(job)) != \
+                            result_digest(computed[job]):
+                        errors.append(index)
+            except Exception as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(index,))
+                       for index in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert store.counters["quarantined"] == 0
+        fresh = ArtifactStore(store.root)
+        assert all(fresh.load_result(job) is not None for job in JOBS)
+        assert fresh.stats()["tiers"]["results"]["records"] == 8 * 5
+
+    def test_flipped_line_is_a_counted_miss_and_resimulated(
+            self, tmp_path, computed):
+        root = tmp_path / "store"
+        cold = ArtifactStore(root)
+        for job in JOBS[:2]:
+            cold.save_result(job, computed[job])
+        flipped = os.path.basename(_flip_line(cold, JOBS[0]))
+        heal = ArtifactStore(root)
+        previous = set_active_store(heal)
+        try:
+            healed = execute_job(JOBS[0], cache=TraceCache())
+            again = heal.load_result(JOBS[0])
+        finally:
+            set_active_store(previous)
+        assert healed.accounting["store_hit"] is False
+        assert result_digest(healed) == result_digest(computed[JOBS[0]])
+        assert heal.counters["quarantined"] == 1
+        assert result_digest(again) == result_digest(computed[JOBS[0]])
+        [new] = set(_segments(heal)) - {flipped}
+        assert new != flipped
+        with open(root / "quarantine.rej") as handle:
+            [evidence] = [json.loads(line) for line in handle]
+        assert evidence["entry"] == flipped and "offset" in evidence
+        assert heal.load_result(JOBS[1]) is not None
+
+    def test_corrupt_line_is_logged_and_counted_once(self, tmp_path,
+                                                      computed):
+        root = tmp_path / "store"
+        cold = ArtifactStore(root)
+        for job in JOBS[:2]:
+            cold.save_result(job, computed[job])
+        _flip_line(cold, JOBS[0])
+        first, second = ArtifactStore(root), ArtifactStore(root)
+        assert first.load_result(JOBS[0]) is None
+        assert second.load_result(JOBS[0]) is None
+        assert first.verify()["corrupt"] == 1
+        assert first.counters["quarantined"] == 1
+        assert second.counters["quarantined"] == 0
+        with open(root / "quarantine.rej") as handle:
+            assert len(handle.readlines()) == 1
+        stats = second.stats()
+        assert stats["tiers"]["results"]["corrupt"] == 1
+        assert stats["tiers"]["results"]["records"] == 1
+        assert stats["quarantined_entries"] == 1
+
+    def test_other_fingerprints_segments_are_not_read(
+            self, store, computed, monkeypatch):
+        with monkeypatch.context() as patch:
+            patch.setattr("repro.exec.store.code_fingerprint",
+                          lambda kind: "f" * 16)
+            store.save_result(JOBS[0], computed[JOBS[0]])
+        [name] = _segments(store)
+        assert name.startswith("f" * 16 + "-")
+        fresh = ArtifactStore(store.root)
+        assert fresh.load_result(JOBS[0]) is None
+        assert fresh._tails == {}
+        assert fresh.verify()["stale"] == 1
+
+    def test_gc_evicted_segment_is_never_recreated(self, tmp_path,
+                                                   computed):
+        root = tmp_path / "store"
+        writer = ArtifactStore(root, stale_lock_seconds=0.0)
+        reader = ArtifactStore(root)
+        writer.save_result(JOBS[0], computed[JOBS[0]])
+        assert reader.load_result(JOBS[0]) is not None
+        [evicted] = _segments(writer)
+        assert writer.gc(0)["evicted"] == 1
+        writer.save_result(JOBS[1], computed[JOBS[1]])
+        [fresh] = _segments(writer)
+        assert fresh != evicted
+        assert reader.load_result(JOBS[0]) is None
+        assert result_digest(reader.load_result(JOBS[1])) == \
+            result_digest(computed[JOBS[1]])
+        assert reader.counters["quarantined"] == 0
+
+    def test_segment_recreated_under_a_known_name_is_reread(
+            self, tmp_path, computed):
+        root = tmp_path / "store"
+        first = ArtifactStore(root)
+        reader = ArtifactStore(root)
+        for job in JOBS[:2]:
+            first.save_result(job, computed[job])
+        assert reader.load_result(JOBS[0]) is not None
+        [name] = _segments(first)
+        path = os.path.join(root, "results", name)
+        os.unlink(path)
+        # Another process that reuses the name writes a shorter segment.
+        other = ArtifactStore(root)
+        other._segment = path
+        open(path, "wb").close()
+        other.save_result(JOBS[2], computed[JOBS[2]])
+        assert reader.load_result(JOBS[1]) is None
+        assert result_digest(reader.load_result(JOBS[2])) == \
+            result_digest(computed[JOBS[2]])
+        assert reader.load_result(JOBS[0]) is None
+        assert reader.counters["quarantined"] == 0
+
+    def test_old_per_file_entry_is_stale(self, store, computed):
+        # The previous result-tier layout: one JSON file per result,
+        # no trailing newline, a store_version envelope.
+        job = JOBS[0]
+        record = completion_record(job, computed[job], store_version=1,
+                                   fingerprint=code_fingerprint("result"))
+        with open(os.path.join(store.root, "results", "0" * 32 + ".json"),
+                  "w") as handle:
+            handle.write(json.dumps(record, sort_keys=True))
+        assert store.load_result(job) is None
+        assert store.counters["quarantined"] == 0
+        report = store.verify()
+        assert report == {"checked": 1, "ok": 0, "corrupt": 0, "stale": 1}
+
+    def test_gc_removed_segment_is_a_miss(self, store, computed):
+        job = JOBS[0]
+        store.save_result(job, computed[job])
+        assert store.load_result(job) is not None
+        for path, _ in list(store._entries("results")):
+            os.unlink(path)
+        assert store.load_result(job) is None
+        assert store.counters["quarantined"] == 0
+
+    def test_warm_figures_leave_the_result_tier_untouched(self, tmp_path):
+        from repro.experiments.figures import run_figures
+
+        previous = set_active_store(ArtifactStore(tmp_path / "store"))
+        try:
+            kwargs = dict(num_instructions=600, warmup=300,
+                          benchmarks=("gzip",))
+            run_figures(("fig8",), str(tmp_path / "cold"), **kwargs)
+            folder = tmp_path / "store" / "results"
+            before = {entry.name: entry.stat().st_ino
+                      for entry in folder.iterdir()}
+            warm = ArtifactStore(tmp_path / "store")
+            set_active_store(warm)
+            run_figures(("fig8",), str(tmp_path / "warm"), **kwargs)
+        finally:
+            set_active_store(previous)
+        after = {entry.name: entry.stat().st_ino
+                 for entry in folder.iterdir()}
+        assert before and after == before
+        assert warm.counters["result_misses"] == 0
+        assert warm.counters["result_hits"] > 0
 
 
 class TestFingerprintInvalidation:

@@ -6,7 +6,7 @@ import pytest
 
 from repro.exec import ParallelExecutor, SerialExecutor
 from repro.obs.export import build_sweep_manifest
-from repro.sim.checkpoint import JobJournal
+from repro.sim.checkpoint import JobJournal, JournalTail
 from repro.sim.sweep import BASELINE, PolicySweep
 
 
@@ -47,9 +47,8 @@ class TestBaselineOrdering:
         journal = JobJournal(tmp_path / "sweep.jsonl")
         sweep = small_sweep().run(journal=journal)
         assert sweep.executed_policies == ["authen-then-commit", BASELINE]
-        reopened = JobJournal(tmp_path / "sweep.jsonl")
-        assert sorted(entry["policy"]
-                      for entry in reopened.accounting().values()) == \
+        journaled = JournalTail(tmp_path / "sweep.jsonl").poll()
+        assert sorted(record["policy"] for record in journaled) == \
             sorted(["authen-then-commit", BASELINE])
 
 

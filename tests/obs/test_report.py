@@ -191,6 +191,21 @@ class TestReportCli:
         assert report["jobs"]["failed"] == 1
         assert report["jobs"]["retried"] == 2
 
+    def test_journal_is_read_not_repaired(self, capsys, tmp_path, hook):
+        from repro.cli import main
+
+        _, _, _, journal = faulty_sweep(tmp_path, hook)
+        with open(journal, "a") as handle:
+            handle.write("garbage, not a record\n")
+        before = journal.read_bytes()
+        assert main(["report", "--journal", str(journal), "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert journal.read_bytes() == before
+        assert not (tmp_path / "sweep.journal.rej").exists()
+        assert report["journal"] == {"records": 3, "skipped_lines": 1}
+        assert any("1 line(s) skipped" in line
+                   for line in report["degradations"])
+
     def test_text_output(self, capsys, tmp_path, hook):
         from repro.cli import main
 
