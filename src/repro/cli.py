@@ -45,7 +45,7 @@ Commands
 ``run``, ``sweep`` and ``figures`` all accept ``--metrics-out FILE`` to
 dump the run's fleet-telemetry snapshot (JSON, or Prometheus text when
 the file ends in ``.prom``/``.txt``), ``--store [DIR]`` to reuse
-traces, prepass columns and finished results through the persistent
+traces and finished results through the persistent
 content-addressed artifact store (bare ``--store`` resolves
 ``$REPRO_STORE`` or ``~/.cache/repro/store``), and ``--spool DIR`` to
 execute through the multi-host work-stealing backend: the driver spools
@@ -154,7 +154,7 @@ def _activate_store(args, metrics=None):
 
 def _add_store(parser):
     parser.add_argument("--store", metavar="DIR", nargs="?", const="auto",
-                        help="reuse traces/prepass/results through a "
+                        help="reuse traces and results through a "
                              "persistent content-addressed store at DIR "
                              "(bare --store: $REPRO_STORE or "
                              "~/.cache/repro/store)")
@@ -598,7 +598,7 @@ def _cmd_attack(args):
 
 def _cmd_perf(args):
     from repro.cpu.native import native_available
-    from repro.perf.bench import check_goldens
+    from repro.perf.bench import check_goldens, shared_legacy_only_cells
     from repro.perf.golden import GOLDEN_CYCLES, LEGACY_ONLY_CYCLES
 
     mismatches = check_goldens()
@@ -610,14 +610,17 @@ def _cmd_perf(args):
         return 1
     if native_available():
         paths = "both the legacy and the shared-pass path"
+        shared = len(shared_legacy_only_cells())
     else:
         paths = "the legacy path"
+        shared = 0
         print("shared-pass column NOT checked: the native kernel could "
               "not be built (REPRO_NATIVE=require shows why)",
               file=sys.stderr)
     print("golden parity OK: %d cells bit-identical through %s, %d "
-          "out-of-envelope cells through the legacy path"
-          % (len(GOLDEN_CYCLES), paths, len(LEGACY_ONLY_CYCLES)))
+          "beyond-default cells through the legacy path (%d of them "
+          "also through the shared pass)"
+          % (len(GOLDEN_CYCLES), paths, len(LEGACY_ONLY_CYCLES), shared))
     return 0
 
 

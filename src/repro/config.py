@@ -126,6 +126,22 @@ class SecureConfig:
     remap_chunk_bytes: int = 4096        # HIDE-style chunk granularity
     remap_shuffle_period: int = 64       # writebacks per chunk re-shuffle
 
+    def effective(self, authentication, obfuscation=False):
+        """The engine structure a run with these policy terms has.
+
+        Obfuscation is on when the config or the policy asks for it;
+        the hash tree only when the config enables it *and* the policy
+        authenticates (a policy that verifies nothing walks no tree).
+        Returns ``self`` when neither rule changes anything.
+        """
+        tree = self.hash_tree_enabled and authentication
+        remap = self.obfuscation_enabled or obfuscation
+        if (tree, remap) == (self.hash_tree_enabled,
+                             self.obfuscation_enabled):
+            return self
+        return replace(self, hash_tree_enabled=tree,
+                       obfuscation_enabled=remap)
+
 
 @dataclass(frozen=True)
 class CoreConfig:
@@ -201,6 +217,14 @@ class SimConfig:
     def with_secure(self, **kwargs):
         """Return a copy with secure-engine fields replaced."""
         return replace(self, secure=replace(self.secure, **kwargs))
+
+    def for_policy(self, policy):
+        """The configuration ``policy``'s run effectively has
+        (:meth:`SecureConfig.effective` applied to its terms)."""
+        secure = self.secure.effective(policy.authentication,
+                                       policy.obfuscation)
+        return self if secure is self.secure else replace(self,
+                                                          secure=secure)
 
 
 def table3_parameters(config=None):

@@ -33,9 +33,7 @@ class MemoryHierarchy:
         self.policy = policy
         self.stats = stats if stats is not None else StatGroup("hier")
         self.tracer = tracer
-        secure_cfg = config.secure
-        if policy.obfuscation and not secure_cfg.obfuscation_enabled:
-            secure_cfg = config.with_secure(obfuscation_enabled=True).secure
+        secure_cfg = config.for_policy(policy).secure
         layout = MetadataLayout(
             protected_bytes=protected_bytes,
             line_bytes=config.l2.line_bytes,

@@ -1,21 +1,25 @@
-"""Native (C) shared timestamp kernel: the one replay of a prepass.
+"""Native (C) kernel: the one structural walk and the one replay.
 
-The decode-once/evaluate-many pipeline makes the per-policy replay the
-hot loop of every multi-policy sweep: one
-:class:`~repro.cpu.prepass.TracePrepass` is walked once per registered
-policy, and the walk is pure int64 arithmetic over flat columns -- a
-shape the system C compiler turns into code an order of magnitude
-faster than the CPython interpreter loop.  This module carries that
-loop as one C translation unit, a line-for-line mirror of
-:meth:`repro.cpu.core.TimestampCore.run` and of the timing half of the
-memory walk; compiles it at first use; and drives it through
-:mod:`ctypes`.  :func:`config_block` is the one derivation of the
-scalars it consumes.
+The decode-once/evaluate-many pipeline has two hot loops, and both are
+pure integer arithmetic -- a shape the system C compiler turns into
+code an order of magnitude faster than the CPython interpreter loop.
+This module carries both as one C translation unit, compiles it at
+first use and drives it through :mod:`ctypes`:
 
-Everything is integer arithmetic, so the replay is *bit-identical* to
-the legacy simulator: the differential suite in ``tests/cpu/`` pins
-native == legacy for every policy, and ``repro perf`` gates the pinned
-goldens.  The kernel needs a C compiler (``CC``, default ``cc``).  When
+- :func:`walk` is the structural walk behind
+  :func:`~repro.cpu.prepass.build_prepass`: a decision-for-decision
+  mirror of the memory system's structural half (caches, TLBs, counter
+  cache, CHTree node walk, address obfuscation, SDRAM rows) that
+  records a :class:`~repro.cpu.prepass.TracePrepass`'s columns;
+- :func:`replay` times one policy over those columns, a line-for-line
+  mirror of :meth:`repro.cpu.core.TimestampCore.run` and of the timing
+  half of the memory walk.  :func:`config_block` is the one derivation
+  of the scalars it consumes.
+
+Everything is integer arithmetic, so walk plus replay is
+*bit-identical* to the legacy simulator: the differential suite and the
+lockstep oracle property in ``tests/cpu/`` pin native == legacy, and
+``repro perf`` gates the pinned goldens.  The kernel needs a C compiler (``CC``, default ``cc``).  When
 none works, :func:`native_available` is False and the grouped executor
 runs every member on the legacy simulator instead, with identical
 results; ``REPRO_NATIVE=require`` turns an unavailable kernel into an
@@ -25,10 +29,10 @@ error, for CI jobs and benchmarks that must measure the native path.
 The compiled object is cached as
 ``<cache>/repro-kernel-<source-hash>.so`` (``REPRO_NATIVE_CACHE``,
 default the system temp dir); each machine compiles once and
-process-pool workers just dlopen the cached object.  The prepass
-columns are marshalled to flat int64 arrays once per trace
-(``array('q')``; no third-party deps) and reused across all N policy
-replays of a group.
+process-pool workers just dlopen the cached object.  The walk's columns
+come back as ``array('q')`` (no third-party deps) and the replay reads
+them as they are, with the trace's int64 columns converted once per
+walk and reused across all N policy replays of a group.
 """
 
 import ctypes
@@ -49,6 +53,7 @@ _OUT_SLOTS = 12
 _C_SOURCE = r"""
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 /* Scalar config block layout (mirror of config_block in native.py). */
 enum {
@@ -64,6 +69,7 @@ enum {
     CFG_RUU_SIZE, CFG_LSQ_SIZE, CFG_DEPTH, CFG_PENALTY, CFG_SB_SIZE,
     CFG_UNIT_LAT0,                    /* ..+7: latency per op code 0..7 */
     CFG_PRUNE_INTERVAL = CFG_UNIT_LAT0 + 8,
+    CFG_TREE, CFG_TREE_EXTRA, CFG_REMAP, CFG_REMAP_LAT, CFG_DUR_REMAP,
     CFG_SLOTS
 };
 
@@ -174,7 +180,8 @@ static int cal_put(cal_t *c, int64_t key, int64_t val)
 /* ---- replay state shared with mem_access ------------------------- */
 typedef struct {
     const int64_t *a_pre, *a_lvl, *a_ref, *a_wb;
-    const int64_t *m_wb, *m_counter, *d_bank, *d_cat;
+    const int64_t *m_wb, *m_counter, *m_tree, *m_backing, *m_remap;
+    const int64_t *d_bank, *d_cat;
     int64_t *acc_data, *acc_verify, *miss_data, *miss_verify;
     int64_t *bank_ready, *mshr_ring, *completions, *fetch_times;
     int64_t *lat_out, *gap_out;
@@ -186,7 +193,8 @@ typedef struct {
     int64_t ras[3];
     int64_t mac_latency, mac_throughput, queue_depth;
     int64_t decrypt_latency, xor_latency, l2_latency;
-    int64_t auth_enabled;
+    int64_t auth_enabled, tree, tree_extra, remap, remap_latency;
+    int64_t dur_remap;
 } rs_t;
 
 /* engine.auth_frontier: LastRequest completion as read at `cycle`. */
@@ -207,8 +215,10 @@ static int64_t frontier(const rs_t *rs, int64_t cycle)
     return rs->completions[lo - 1];
 }
 
-/* One posted DRAM write (L1/L2 victim writeback burst member). */
-static void posted_write(rs_t *rs, int64_t cycle)
+/* The next recorded DRAM op, issued at `cycle` and holding the bus for
+ * `dur` cycles (DramModel.access + BandwidthBus.reserve); returns its
+ * completion cycle. */
+static int64_t dram_op(rs_t *rs, int64_t cycle, int64_t dur)
 {
     int64_t d = rs->dram_cursor++;
     int64_t bank = rs->d_bank[d];
@@ -217,10 +227,11 @@ static void posted_write(rs_t *rs, int64_t cycle)
     int64_t data_ready = bstart + rs->ras[rs->d_cat[d]];
     int64_t free_at = rs->bus_free;
     int64_t tstart = data_ready > free_at ? data_ready : free_at;
-    int64_t done = tstart + rs->dur_line;
+    int64_t done = tstart + dur;
     rs->bus_free = done;
     rs->wait_cycles += tstart - data_ready;
     rs->bank_ready[bank] = done;
+    return done;
 }
 
 /* Timing replay of one ifetch/load/store access. */
@@ -232,7 +243,7 @@ static void mem_access(rs_t *rs, int64_t cycle, int64_t gate_time,
     int64_t w, lvl, data_time, verify_time, l1_done, l2_cycle;
     cycle += rs->a_pre[i];
     for (w = 0; w < rs->a_wb[i]; w++)
-        posted_write(rs, cycle);
+        dram_op(rs, cycle, rs->dur_line);
     lvl = rs->a_lvl[i];
     if (lvl == 0) {                                   /* L1 hit */
         int64_t ref = rs->a_ref[i];
@@ -266,11 +277,10 @@ static void mem_access(rs_t *rs, int64_t cycle, int64_t gate_time,
             verify_time = data_time;
     } else {                                          /* L2 miss */
         int64_t m = rs->a_ref[i];
-        int64_t fetch_cycle, slot_free, issue, mc, pad_start;
-        int64_t d, bank, ready, bstart, data_ready, free_at, tstart;
+        int64_t fetch_cycle, slot_free, issue, fetch_ready, pad_start;
         int64_t done, pad_done;
         for (w = 0; w < rs->m_wb[m]; w++)
-            posted_write(rs, l2_cycle);
+            dram_op(rs, l2_cycle, rs->dur_line);
         /* MSHR backpressure, then the fetch gate. */
         fetch_cycle = l2_cycle;
         slot_free = rs->mshr_ring[rs->mshr_index];
@@ -280,35 +290,20 @@ static void mem_access(rs_t *rs, int64_t cycle, int64_t gate_time,
         }
         issue = fetch_cycle > gate_time ? fetch_cycle : gate_time;
         /* Counter-mode pad source. */
-        mc = rs->m_counter[m];
-        if (mc == 2) {
-            d = rs->dram_cursor++;
-            bank = rs->d_bank[d];
-            ready = rs->bank_ready[bank];
-            bstart = issue > ready ? issue : ready;
-            data_ready = bstart + rs->ras[rs->d_cat[d]];
-            free_at = rs->bus_free;
-            tstart = data_ready > free_at ? data_ready : free_at;
-            pad_start = tstart + rs->dur_meta;
-            rs->bus_free = pad_start;
-            rs->wait_cycles += tstart - data_ready;
-            rs->bank_ready[bank] = pad_start;
-        } else {
+        if (rs->m_counter[m] == 2)
+            pad_start = dram_op(rs, issue, rs->dur_meta);
+        else
             pad_start = issue;
+        /* Address obfuscation: re-map cache probe, entry fetch on a miss. */
+        fetch_ready = issue;
+        if (rs->remap) {
+            fetch_ready = issue + rs->remap_latency;
+            if (rs->m_remap[m])
+                fetch_ready = dram_op(rs, fetch_ready, rs->dur_remap);
         }
         /* Main line fetch. */
-        d = rs->dram_cursor++;
-        bank = rs->d_bank[d];
-        ready = rs->bank_ready[bank];
-        bstart = issue > ready ? issue : ready;
-        data_ready = bstart + rs->ras[rs->d_cat[d]];
-        free_at = rs->bus_free;
-        tstart = data_ready > free_at ? data_ready : free_at;
-        done = tstart + rs->dur_line;
-        rs->bus_free = done;
-        rs->wait_cycles += tstart - data_ready;
-        rs->bank_ready[bank] = done;
-        rs->lat_out[m] = done - issue;
+        done = dram_op(rs, fetch_ready, rs->dur_line);
+        rs->lat_out[m] = done - fetch_ready;
         /* Decrypt overlap. */
         pad_done = pad_start + rs->decrypt_latency;
         if (pad_done <= done) {
@@ -319,13 +314,24 @@ static void mem_access(rs_t *rs, int64_t cycle, int64_t gate_time,
             data_time = pad_done + rs->xor_latency;
         }
         if (rs->auth_enabled) {
-            /* AuthQueue.enqueue(done, 0, fetch_time=done); tag == m. */
-            int64_t fetch_time = done, ready_time, qstart;
+            /* AuthQueue.enqueue(ready, extra, fetch_time=done); tag == m. */
+            int64_t fetch_time = done, ready_time = done, extra = 0, qstart;
+            if (rs->tree) {
+                /* HashTreeTiming.verification_extra: the node fetches
+                 * chain from the line's arrival; an L2-resident node
+                 * ends the walk one L2 latency later. */
+                int64_t f;
+                for (f = 0; f < rs->m_tree[m]; f++)
+                    ready_time = dram_op(rs, ready_time, rs->dur_meta);
+                if (rs->m_backing[m])
+                    ready_time += rs->l2_latency;
+                if (rs->m_tree[m] || rs->m_backing[m])
+                    extra = rs->tree_extra;
+            }
             if (rs->n_fetch_times
                     && fetch_time < rs->fetch_times[rs->n_fetch_times - 1])
                 fetch_time = rs->fetch_times[rs->n_fetch_times - 1];
             rs->fetch_times[rs->n_fetch_times++] = fetch_time;
-            ready_time = done;
             if (m >= rs->queue_depth) {
                 int64_t qslot = rs->completions[m - rs->queue_depth];
                 if (qslot > ready_time) {
@@ -340,7 +346,7 @@ static void mem_access(rs_t *rs, int64_t cycle, int64_t gate_time,
                 if (ready_time > qstart)
                     qstart = ready_time;
             }
-            verify_time = qstart + rs->mac_latency;
+            verify_time = qstart + rs->mac_latency + extra;
             if (m && verify_time < rs->completions[rs->n_completions - 1])
                 verify_time = rs->completions[rs->n_completions - 1];
             rs->last_start = qstart;
@@ -379,6 +385,8 @@ int64_t repro_replay(const int64_t *cfg,
                      const int64_t *a_pre, const int64_t *a_lvl,
                      const int64_t *a_ref, const int64_t *a_wb,
                      const int64_t *m_wb, const int64_t *m_counter,
+                     const int64_t *m_tree, const int64_t *m_backing,
+                     const int64_t *m_remap,
                      const int64_t *d_bank, const int64_t *d_cat,
                      int64_t *lat_out, int64_t *gap_out, int64_t *out)
 {
@@ -423,6 +431,7 @@ int64_t repro_replay(const int64_t *cfg,
 
     rs.a_pre = a_pre; rs.a_lvl = a_lvl; rs.a_ref = a_ref; rs.a_wb = a_wb;
     rs.m_wb = m_wb; rs.m_counter = m_counter;
+    rs.m_tree = m_tree; rs.m_backing = m_backing; rs.m_remap = m_remap;
     rs.d_bank = d_bank; rs.d_cat = d_cat;
     rs.lat_out = lat_out; rs.gap_out = gap_out;
     rs.mshr_len = cfg[CFG_MSHR_ENTRIES];
@@ -438,6 +447,11 @@ int64_t repro_replay(const int64_t *cfg,
     rs.xor_latency = cfg[CFG_XOR_LAT];
     rs.l2_latency = cfg[CFG_L2_LAT];
     rs.auth_enabled = cfg[CFG_AUTH_ENABLED];
+    rs.tree = cfg[CFG_TREE];
+    rs.tree_extra = cfg[CFG_TREE_EXTRA];
+    rs.remap = cfg[CFG_REMAP];
+    rs.remap_latency = cfg[CFG_REMAP_LAT];
+    rs.dur_remap = cfg[CFG_DUR_REMAP];
 
     rs.acc_data = (int64_t *)calloc((size_t)(n_accesses + 1), 8);
     rs.acc_verify = (int64_t *)calloc((size_t)(n_accesses + 1), 8);
@@ -682,6 +696,614 @@ done:
     cal_free(&cal);
     return rc;
 }
+
+/* ==================================================================
+ * The structural walk (build_prepass): every cache, TLB, counter-cache,
+ * tree-node-cache and re-map-cache outcome, every eviction and dirty
+ * writeback, every prediction draw and every SDRAM bank/row
+ * classification, mirrored decision for decision from
+ * hierarchy._l1_access / _l1_writeback / _l2_miss and
+ * engine.fetch_line / write_line, and recorded on the columns the
+ * replay above reads.
+ * ================================================================== */
+
+/* Walk config block layout (mirror of the block build_prepass packs). */
+enum {
+    W_NUM_INSTS, W_WARMUP,
+    W_L1I_SETS, W_L1I_ASSOC, W_L1I_LINE,
+    W_L1D_SETS, W_L1D_ASSOC, W_L1D_LINE,
+    W_L2_SETS, W_L2_ASSOC, W_L2_LINE,
+    W_ITLB_SETS, W_DTLB_SETS, W_TLB_ASSOC, W_PAGE_BYTES, W_TLB_MISS_LAT,
+    W_CC_SETS, W_WRAP, W_LINE_BYTES, W_COUNTER_BASE, W_COUNTER_BYTES,
+    W_SPLIT, W_MINOR_LIMIT, W_PREDICT_THRESHOLD,
+    W_NUM_BANKS, W_INTERLEAVE, W_ROW_DIV,
+    W_TREE, W_TREE_SETS, W_TREE_LEVELS, W_TREE_ARITY,
+    W_REMAP, W_REMAP_SETS, W_REMAP_BASE, W_ENTRY_BYTES, W_CHUNK_BYTES,
+    W_SHUFFLE_PERIOD, W_N_DRAWS,
+    W_SLOTS
+};
+
+/* Walk output block: (pointer, length) per column, then the scalars. */
+enum {
+    C_IF_FLAGS, C_A_PRE, C_A_LVL, C_A_REF, C_A_WB, C_M_WB, C_M_COUNTER,
+    C_M_TREE, C_M_BACKING, C_M_REMAP, C_D_BANK, C_D_CAT, C_COLUMNS
+};
+enum {
+    S_CC_HITS = 2 * C_COLUMNS, S_CC_MISSES, S_CC_EVICTIONS,
+    S_CC_WRITEBACKS, S_ROW_HITS, S_ROW_EMPTY, S_ROW_CONFLICTS, S_N_META,
+    S_N_WRITES, S_REENCRYPTS, S_NODE_FETCHES, S_BACKING_HITS,
+    S_REMAP_FETCHES, S_RESHUFFLES,
+    S_HM,                             /* ..+9: measured (hits, misses) of
+                                         l1i, l1d, l2, itlb, dtlb */
+    S_DEPTH = S_HM + 10,              /* ..+63: tree walk depth counts */
+    S_SLOTS = S_DEPTH + 64
+};
+
+#define HM_L1I 0
+#define HM_L1D 2
+#define HM_L2 4
+#define HM_ITLB 6
+#define HM_DTLB 8
+
+#define LVL_L1_HIT 0
+#define LVL_L2_HIT 1
+#define LVL_MISS 2
+
+/* ---- growable int64 column -------------------------------------- */
+typedef struct {
+    int64_t *p;
+    int64_t len, cap;
+} col_t;
+
+/* ---- set-associative LRU tag store (Cache's dict-ordered sets).
+ * Way 0 of a set is its LRU line and way count-1 its MRU line; each
+ * line carries a tag, a dirty bit and a reference (the access or miss
+ * whose timestamps the line holds). */
+typedef struct {
+    int64_t sets, assoc, line;
+    int64_t *tag, *ref, *count;
+    uint8_t *dirty;
+} lru_t;
+
+static int lru_init(lru_t *c, int64_t sets, int64_t assoc, int64_t line)
+{
+    size_t ways = (size_t)(sets * assoc);
+    c->sets = sets;
+    c->assoc = assoc;
+    c->line = line;
+    c->tag = (int64_t *)malloc(8 * ways);
+    c->ref = (int64_t *)malloc(8 * ways);
+    c->count = (int64_t *)calloc((size_t)sets, 8);
+    c->dirty = (uint8_t *)calloc(ways, 1);
+    return (c->tag && c->ref && c->count && c->dirty) ? 0 : -1;
+}
+
+static void lru_free(lru_t *c)
+{
+    free(c->tag);
+    free(c->ref);
+    free(c->count);
+    free(c->dirty);
+}
+
+/* Cache.hit_line: on a hit the line moves to the MRU end and its slot
+ * is returned (dirtied when `is_write`); a miss returns -1 and changes
+ * nothing. */
+static int64_t lru_hit(lru_t *c, int64_t set, int64_t tag, int is_write)
+{
+    int64_t base = set * c->assoc, last = base + c->count[set] - 1;
+    int64_t w, ref;
+    uint8_t dirty;
+    for (w = last; w >= base; w--)
+        if (c->tag[w] == tag)
+            break;
+    if (w < base)
+        return -1;
+    ref = c->ref[w];
+    dirty = c->dirty[w];
+    for (; w < last; w++) {
+        c->tag[w] = c->tag[w + 1];
+        c->ref[w] = c->ref[w + 1];
+        c->dirty[w] = c->dirty[w + 1];
+    }
+    c->tag[last] = tag;
+    c->ref[last] = ref;
+    c->dirty[last] = dirty | (uint8_t)is_write;
+    return last;
+}
+
+/* Cache.fill: install `tag` at the MRU end, evicting the LRU line of a
+ * full set.  Returns 1 on an eviction, with the victim's tag, reference
+ * and dirty bit stored through the pointers. */
+static int lru_fill(lru_t *c, int64_t set, int64_t tag, int64_t ref,
+                    int dirty, int64_t *vtag, int64_t *vref, int *vdirty)
+{
+    int64_t base = set * c->assoc, n = c->count[set], w;
+    int evicted = 0;
+    if (n >= c->assoc) {
+        *vtag = c->tag[base];
+        *vref = c->ref[base];
+        *vdirty = c->dirty[base];
+        for (w = base; w < base + n - 1; w++) {
+            c->tag[w] = c->tag[w + 1];
+            c->ref[w] = c->ref[w + 1];
+            c->dirty[w] = c->dirty[w + 1];
+        }
+        n--;
+        evicted = 1;
+    } else {
+        c->count[set] = n + 1;
+    }
+    c->tag[base + n] = tag;
+    c->ref[base + n] = ref;
+    c->dirty[base + n] = (uint8_t)dirty;
+    return evicted;
+}
+
+typedef struct {
+    const int64_t *cfg;
+    lru_t l1i, l1d, l2, itlb, dtlb, cc, tree, remap;
+    col_t col[C_COLUMNS];
+    int64_t *open_rows;
+    cal_t minor, chunk_writes, forward, reverse;
+    const int64_t *tree_bases, *draws;
+    int64_t n_draws, next_draw;
+    int64_t *out;                     /* the output block */
+    int64_t hm[10];
+    uint64_t predict_state;
+    int failed;                       /* -1: no memory, -2: draws out */
+} walk_t;
+
+static void push(walk_t *w, int c, int64_t value)
+{
+    col_t *col = &w->col[c];
+    if (col->len == col->cap) {
+        int64_t cap = col->cap ? 2 * col->cap : 1024;
+        int64_t *p = (int64_t *)realloc(col->p, 8 * (size_t)cap);
+        if (!p) {
+            w->failed = -1;
+            return;
+        }
+        col->p = p;
+        col->cap = cap;
+    }
+    col->p[col->len++] = value;
+}
+
+static void map_put(walk_t *w, cal_t *map, int64_t key, int64_t value)
+{
+    if (cal_put(map, key, value) != 0)
+        w->failed = -1;
+}
+
+#define STAT(w, slot) ((w)->out[slot])
+
+/* DramModel.access, structurally: classify against the open row. */
+static void walk_dram(walk_t *w, int64_t addr)
+{
+    const int64_t *cfg = w->cfg;
+    int64_t bank = (addr / cfg[W_INTERLEAVE]) % cfg[W_NUM_BANKS];
+    int64_t row = addr / cfg[W_ROW_DIV];
+    int64_t prev = w->open_rows[bank];
+    int64_t cat;
+    if (prev == row) {
+        cat = 0;
+        STAT(w, S_ROW_HITS)++;
+    } else if (prev == -1) {
+        cat = 1;
+        STAT(w, S_ROW_EMPTY)++;
+    } else {
+        cat = 2;
+        STAT(w, S_ROW_CONFLICTS)++;
+    }
+    w->open_rows[bank] = row;
+    push(w, C_D_BANK, bank);
+    push(w, C_D_CAT, cat);
+}
+
+/* Cache.access on a secure-engine cache (counter, tree node, re-map):
+ * their events share the engine's hits/misses/evictions/writebacks
+ * counters.  Returns 1 on a hit. */
+static int meta_access(walk_t *w, lru_t *c, int64_t addr, int is_write)
+{
+    int64_t line = addr / c->line;
+    int64_t set = line % c->sets, tag = line / c->sets;
+    int64_t vtag, vref;
+    int vdirty;
+    if (lru_hit(c, set, tag, is_write) >= 0) {
+        STAT(w, S_CC_HITS)++;
+        return 1;
+    }
+    STAT(w, S_CC_MISSES)++;
+    if (lru_fill(c, set, tag, -1, is_write, &vtag, &vref, &vdirty)) {
+        STAT(w, S_CC_EVICTIONS)++;
+        if (vdirty)
+            STAT(w, S_CC_WRITEBACKS)++;
+    }
+    return 0;
+}
+
+/* MetadataLayout.tree_path node `level` of protected line `line`. */
+static int64_t tree_node(const walk_t *w, int64_t line, int64_t level)
+{
+    int64_t index = line, l;
+    for (l = 0; l <= level; l++)
+        index /= w->cfg[W_TREE_ARITY];
+    return w->tree_bases[level] + index * w->cfg[W_LINE_BYTES];
+}
+
+/* RemapTable.lookup: absent entries are the identity. */
+static int64_t remap_slot(walk_t *w, int64_t chunk)
+{
+    int64_t v = cal_get(&w->forward, chunk);
+    return v ? v - 1 : chunk;
+}
+
+static void remap_set(walk_t *w, int64_t chunk, int64_t slot)
+{
+    map_put(w, &w->forward, chunk, slot + 1);
+    map_put(w, &w->reverse, slot, chunk + 1);
+}
+
+/* AddressObfuscator.remap_address (with _scramble). */
+static int64_t remap_address(walk_t *w, int64_t addr)
+{
+    const int64_t *cfg = w->cfg;
+    int64_t chunk_bytes = cfg[W_CHUNK_BYTES], line_bytes = cfg[W_LINE_BYTES];
+    int64_t n = chunk_bytes / line_bytes;
+    int64_t chunk = addr / chunk_bytes;
+    int64_t line_in_chunk = (addr % chunk_bytes) / line_bytes;
+    int64_t a = (chunk * 2 + 1) % n, b = (chunk * 7 + 3) % n;
+    if (a == 0)
+        a = 1;
+    return remap_slot(w, chunk) * chunk_bytes
+        + ((a * line_in_chunk + b) % n) * line_bytes + addr % line_bytes;
+}
+
+static int64_t remap_entry(const walk_t *w, int64_t chunk)
+{
+    return w->cfg[W_REMAP_BASE] + chunk * w->cfg[W_ENTRY_BYTES];
+}
+
+/* SecureMemoryEngine.write_line, structurally; returns the number of
+ * posted DRAM writes it issued. */
+static int64_t engine_write(walk_t *w, int64_t addr)
+{
+    const int64_t *cfg = w->cfg;
+    int64_t line_bytes = cfg[W_LINE_BYTES], ops = 0, line = addr / line_bytes;
+    if (cfg[W_SPLIT])
+        meta_access(w, &w->cc, cfg[W_COUNTER_BASE]
+                    + (addr / 4096) * line_bytes, 1);
+    else
+        meta_access(w, &w->cc, cfg[W_COUNTER_BASE]
+                    + line * cfg[W_COUNTER_BYTES], 1);
+    if (cfg[W_SPLIT]) {
+        int64_t count = cal_get(&w->minor, line) + 1;
+        if (count < cfg[W_MINOR_LIMIT]) {
+            map_put(w, &w->minor, line, count);
+        } else {
+            int64_t page_base = (addr / 4096) * 4096, i;
+            int64_t first = page_base / line_bytes, per_page = 4096 / line_bytes;
+            for (i = 0; i < per_page; i++) {
+                map_put(w, &w->minor, first + i, 0);
+                walk_dram(w, page_base + i * line_bytes);
+            }
+            ops += per_page;
+            STAT(w, S_REENCRYPTS)++;
+        }
+    }
+    if (cfg[W_TREE]) {                /* HashTreeTiming.touch_for_update */
+        int64_t level;
+        for (level = 0; level < cfg[W_TREE_LEVELS]; level++)
+            if (meta_access(w, &w->tree, tree_node(w, line, level), 1))
+                break;
+    }
+    if (cfg[W_REMAP]) {               /* reshuffle_on_writeback */
+        int64_t chunk = addr / cfg[W_CHUNK_BYTES];
+        int64_t count = cal_get(&w->chunk_writes, chunk) + 1;
+        map_put(w, &w->chunk_writes, chunk, count);
+        if (count % cfg[W_SHUFFLE_PERIOD] == 0) {
+            /* RemapTable.reshuffle: swap into a pre-drawn random slot. */
+            int64_t target, current, occupant, new_slot, i;
+            int64_t lines = cfg[W_CHUNK_BYTES] / line_bytes;
+            if (w->next_draw >= w->n_draws) {
+                w->failed = -2;
+                return ops;
+            }
+            target = w->draws[w->next_draw++];
+            current = remap_slot(w, chunk);
+            occupant = cal_get(&w->reverse, target);
+            occupant = occupant ? occupant - 1 : target;
+            if (occupant == chunk) {
+                new_slot = current;
+            } else {
+                remap_set(w, chunk, target);
+                remap_set(w, occupant, current);
+                new_slot = target;
+            }
+            meta_access(w, &w->remap, remap_entry(w, chunk), 1);
+            if (occupant != chunk)
+                meta_access(w, &w->remap, remap_entry(w, occupant), 1);
+            for (i = 0; i < lines; i++)
+                walk_dram(w, new_slot * cfg[W_CHUNK_BYTES] + i * line_bytes);
+            ops += lines;
+            STAT(w, S_RESHUFFLES)++;
+        } else {
+            meta_access(w, &w->remap, remap_entry(w, chunk), 1);
+        }
+        walk_dram(w, remap_address(w, addr));
+    } else {
+        walk_dram(w, addr);
+    }
+    STAT(w, S_N_WRITES) += ops + 1;
+    return ops + 1;
+}
+
+/* Cache.access on the unified L2 as the tree's backing cache: a miss
+ * installs the node and silently drops any dirty victim. */
+static int backing_access(walk_t *w, int64_t addr, int64_t miss)
+{
+    lru_t *c = &w->l2;
+    int64_t line = addr / c->line;
+    int64_t set = line % c->sets, tag = line / c->sets, vtag, vref, ref = -1;
+    int vdirty;
+    if (lru_hit(c, set, tag, 0) >= 0) {
+        w->hm[HM_L2]++;
+        return 1;
+    }
+    w->hm[HM_L2 + 1]++;
+    /* Cache.fill recycles the victim's LineState.  When the victim is
+     * the line this miss just installed, hierarchy._l2_miss still holds
+     * that object and stamps the fetch's timestamps on it: the node
+     * inherits the miss's reference. */
+    if (lru_fill(c, set, tag, -1, 0, &vtag, &vref, &vdirty) && vref == miss)
+        ref = miss;
+    c->ref[set * c->assoc + c->count[set] - 1] = ref;
+    return 0;
+}
+
+/* MemoryHierarchy._l1_writeback, structurally; returns the number of
+ * posted DRAM writes it issued. */
+static int64_t l1_writeback(walk_t *w, int64_t victim_addr)
+{
+    lru_t *c = &w->l2;
+    int64_t line = victim_addr / c->line;
+    int64_t set = line % c->sets, tag = line / c->sets, vtag, vref;
+    int vdirty;
+    if (lru_hit(c, set, tag, 1) >= 0) {
+        w->hm[HM_L2]++;
+        return 0;
+    }
+    w->hm[HM_L2 + 1]++;
+    if (lru_fill(c, set, tag, -1, 1, &vtag, &vref, &vdirty) && vdirty)
+        return engine_write(w, ((vtag * c->sets + set) * c->line)
+                            % w->cfg[W_WRAP]);
+    return 0;
+}
+
+/* MemoryHierarchy._l2_miss + engine.fetch_line, structurally; returns
+ * the new miss index. */
+static int64_t l2_miss(walk_t *w, int64_t addr)
+{
+    const int64_t *cfg = w->cfg;
+    lru_t *c = &w->l2;
+    int64_t miss = w->col[C_M_COUNTER].len;
+    int64_t line = addr / c->line;
+    int64_t set = line % c->sets, tag = line / c->sets, vtag, vref;
+    int64_t wb_ops = 0, target, caddr, mc;
+    int vdirty;
+    w->hm[HM_L2 + 1]++;
+    if (lru_fill(c, set, tag, miss, 0, &vtag, &vref, &vdirty) && vdirty)
+        wb_ops = engine_write(w, ((vtag * c->sets + set) * c->line)
+                              % cfg[W_WRAP]);
+    target = line * c->line % cfg[W_WRAP];
+    /* Counter-mode pad source: counter cache, prediction, or memory. */
+    if (cfg[W_SPLIT])
+        caddr = cfg[W_COUNTER_BASE] + (target / 4096) * cfg[W_LINE_BYTES];
+    else
+        caddr = cfg[W_COUNTER_BASE]
+            + (target / cfg[W_LINE_BYTES]) * cfg[W_COUNTER_BYTES];
+    if (meta_access(w, &w->cc, caddr, 0)) {
+        mc = 0;
+    } else {
+        w->predict_state = w->predict_state * 6364136223846793005ULL
+            + 1442695040888963407ULL;
+        if ((int64_t)((w->predict_state >> 33) & 0xFFFF)
+                < cfg[W_PREDICT_THRESHOLD]) {
+            mc = 1;
+        } else {
+            mc = 2;
+            STAT(w, S_N_META)++;
+            walk_dram(w, caddr);
+        }
+    }
+    if (cfg[W_REMAP]) {               /* AddressObfuscator.resolve */
+        int64_t entry = remap_entry(w, target / cfg[W_CHUNK_BYTES]);
+        int fetched = !meta_access(w, &w->remap, entry, 0);
+        if (fetched) {
+            STAT(w, S_N_META)++;
+            STAT(w, S_REMAP_FETCHES)++;
+            walk_dram(w, entry);
+        }
+        push(w, C_M_REMAP, fetched);
+        walk_dram(w, remap_address(w, target));
+    } else {
+        walk_dram(w, target);
+    }
+    if (cfg[W_TREE]) {                /* verification_extra */
+        int64_t level, fetches = 0, backing = 0, tline = target / cfg[W_LINE_BYTES];
+        for (level = 0; level < cfg[W_TREE_LEVELS]; level++) {
+            int64_t node = tree_node(w, tline, level);
+            if (meta_access(w, &w->tree, node, 0))
+                break;
+            if (backing_access(w, node, miss)) {
+                backing = 1;
+                break;
+            }
+            fetches++;
+            STAT(w, S_N_META)++;
+            walk_dram(w, node);
+        }
+        STAT(w, S_NODE_FETCHES) += fetches;
+        STAT(w, S_BACKING_HITS) += backing;
+        STAT(w, S_DEPTH + fetches + backing)++;
+        push(w, C_M_TREE, fetches);
+        push(w, C_M_BACKING, backing);
+    }
+    push(w, C_M_COUNTER, mc);
+    push(w, C_M_WB, wb_ops);
+    return miss;
+}
+
+/* MemoryHierarchy._l1_access (TLB, L1 probe, L1 miss path). */
+static void walk_access(walk_t *w, lru_t *l1, lru_t *tlb, int hm_l1,
+                        int hm_tlb, int64_t addr, int is_write)
+{
+    const int64_t *cfg = w->cfg;
+    int64_t index = w->col[C_A_LVL].len;
+    int64_t page = addr / cfg[W_PAGE_BYTES];
+    int64_t tset = page % tlb->sets, pre = 0, vtag, vref, slot, wb_ops = 0;
+    int64_t line = addr / l1->line, set = line % l1->sets;
+    int64_t l2_line, l2_set, l2_tag;
+    int vdirty;
+    /* TLB probe (Tlb.translate_latency). */
+    if (lru_hit(tlb, tset, page / tlb->sets, 0) >= 0) {
+        w->hm[hm_tlb]++;
+    } else {
+        w->hm[hm_tlb + 1]++;
+        lru_fill(tlb, tset, page / tlb->sets, -1, 0, &vtag, &vref, &vdirty);
+        pre = cfg[W_TLB_MISS_LAT];
+    }
+    push(w, C_A_PRE, pre);
+    /* L1 probe (Cache.hit_line). */
+    slot = lru_hit(l1, set, line / l1->sets, is_write);
+    if (slot >= 0) {
+        w->hm[hm_l1]++;
+        push(w, C_A_LVL, LVL_L1_HIT);
+        push(w, C_A_REF, l1->ref[slot]);
+        push(w, C_A_WB, 0);
+        return;
+    }
+    /* L1 miss: allocate, write the victim back, probe L2. */
+    w->hm[hm_l1 + 1]++;
+    if (lru_fill(l1, set, line / l1->sets, index, is_write,
+                 &vtag, &vref, &vdirty) && vdirty)
+        wb_ops = l1_writeback(w, (vtag * l1->sets + set) * l1->line);
+    l2_line = addr / w->l2.line;
+    l2_set = l2_line % w->l2.sets;
+    l2_tag = l2_line / w->l2.sets;
+    slot = lru_hit(&w->l2, l2_set, l2_tag, 0);
+    if (slot >= 0) {
+        w->hm[HM_L2]++;
+        push(w, C_A_LVL, LVL_L2_HIT);
+        push(w, C_A_REF, w->l2.ref[slot]);
+    } else {
+        push(w, C_A_LVL, LVL_MISS);
+        push(w, C_A_REF, l2_miss(w, addr));
+    }
+    push(w, C_A_WB, wb_ops);
+}
+
+/* Free column `column` of a walk output block once Python copied it,
+ * or every column still held when `column` is negative. */
+void repro_walk_free(int64_t *out, int64_t column)
+{
+    int64_t c;
+    for (c = 0; c < C_COLUMNS; c++) {
+        if (column >= 0 && c != column)
+            continue;
+        free((void *)(intptr_t)out[2 * c]);
+        out[2 * c] = 0;
+    }
+}
+
+int64_t repro_walk(const int64_t *cfg, const int64_t *pcs,
+                   const int64_t *ops, const int64_t *addrs,
+                   const int64_t *tree_bases, const int64_t *draws,
+                   int64_t *out)
+{
+    const int64_t n = cfg[W_NUM_INSTS], warmup = cfg[W_WARMUP];
+    const int64_t iline_bytes = cfg[W_L1I_LINE];
+    int64_t snapshot[10] = {0};
+    int64_t index, cur_iline = -1, k;
+    int c;
+    walk_t w;
+
+    memset(&w, 0, sizeof w);
+    w.cfg = cfg;
+    w.tree_bases = tree_bases;
+    w.draws = draws;
+    w.n_draws = cfg[W_N_DRAWS];
+    w.out = out;
+    memset(out, 0, 8 * S_SLOTS);
+    w.predict_state = 0x2545F4914F6CDD1DULL;
+    w.open_rows = (int64_t *)malloc(8 * (size_t)cfg[W_NUM_BANKS]);
+    if (!w.open_rows
+            || lru_init(&w.l1i, cfg[W_L1I_SETS], cfg[W_L1I_ASSOC],
+                        cfg[W_L1I_LINE])
+            || lru_init(&w.l1d, cfg[W_L1D_SETS], cfg[W_L1D_ASSOC],
+                        cfg[W_L1D_LINE])
+            || lru_init(&w.l2, cfg[W_L2_SETS], cfg[W_L2_ASSOC],
+                        cfg[W_L2_LINE])
+            || lru_init(&w.itlb, cfg[W_ITLB_SETS], cfg[W_TLB_ASSOC],
+                        cfg[W_PAGE_BYTES])
+            || lru_init(&w.dtlb, cfg[W_DTLB_SETS], cfg[W_TLB_ASSOC],
+                        cfg[W_PAGE_BYTES])
+            || lru_init(&w.cc, cfg[W_CC_SETS], 4, 64)
+            || lru_init(&w.tree, cfg[W_TREE] ? cfg[W_TREE_SETS] : 1, 4,
+                        cfg[W_LINE_BYTES])
+            || lru_init(&w.remap, cfg[W_REMAP] ? cfg[W_REMAP_SETS] : 1, 4,
+                        64)
+            || cal_init(&w.minor, 1 << 10) || cal_init(&w.chunk_writes, 1 << 10)
+            || cal_init(&w.forward, 1 << 10) || cal_init(&w.reverse, 1 << 10)) {
+        w.failed = -1;
+        goto done;
+    }
+    for (k = 0; k < cfg[W_NUM_BANKS]; k++)
+        w.open_rows[k] = -1;
+    w.col[C_IF_FLAGS].p = (int64_t *)calloc((size_t)(n + 1), 8);
+    w.col[C_IF_FLAGS].len = w.col[C_IF_FLAGS].cap = n;
+    if (!w.col[C_IF_FLAGS].p) {
+        w.failed = -1;
+        goto done;
+    }
+
+    for (index = 0; index < n && !w.failed; index++) {
+        int64_t pc = pcs[index], op = ops[index];
+        if (index == warmup && warmup)
+            /* hierarchy.reset_stats(): miss_summary covers the measured
+             * region only. */
+            memcpy(snapshot, w.hm, sizeof snapshot);
+        if (pc / iline_bytes != cur_iline) {
+            w.col[C_IF_FLAGS].p[index] = 1;
+            walk_access(&w, &w.l1i, &w.itlb, HM_L1I, HM_ITLB, pc, 0);
+            cur_iline = pc / iline_bytes;
+        }
+        if (op == OP_LOAD)
+            walk_access(&w, &w.l1d, &w.dtlb, HM_L1D, HM_DTLB,
+                        addrs[index], 0);
+        else if (op == OP_STORE)
+            walk_access(&w, &w.l1d, &w.dtlb, HM_L1D, HM_DTLB,
+                        addrs[index], 1);
+    }
+    for (k = 0; k < 10; k++)
+        out[S_HM + k] = w.hm[k] - snapshot[k];
+
+done:
+    for (c = 0; c < C_COLUMNS; c++) {
+        out[2 * c] = (int64_t)(intptr_t)w.col[c].p;
+        out[2 * c + 1] = w.col[c].len;
+    }
+    if (w.failed)
+        repro_walk_free(out, -1);
+    free(w.open_rows);
+    lru_free(&w.l1i); lru_free(&w.l1d); lru_free(&w.l2);
+    lru_free(&w.itlb); lru_free(&w.dtlb); lru_free(&w.cc);
+    lru_free(&w.tree); lru_free(&w.remap);
+    cal_free(&w.minor); cal_free(&w.chunk_writes);
+    cal_free(&w.forward); cal_free(&w.reverse);
+    return w.failed;
+}
 """
 
 
@@ -689,6 +1311,24 @@ done:
 CFG_AUTH_ENABLED = 10
 CFG_DUR_LINE = 11
 CFG_DUR_META = 12
+CFG_DUR_REMAP = 47
+
+#: The walk's output columns, in the C source's C_* order; the output
+#: block holds an (address, length) pair per column, then the S_*
+#: scalars below, the measured hit/miss pairs and the tree walk depths.
+WALK_COLUMNS = ("if_flags", "a_pre", "a_lvl", "a_ref", "a_wb", "m_wb",
+                "m_counter", "m_tree", "m_backing", "m_remap",
+                "d_bank", "d_cat")
+WALK_SCALARS = ("cc_hits", "cc_misses", "cc_evictions", "cc_writebacks",
+                "row_hits", "row_empty", "row_conflicts", "n_meta",
+                "n_writes", "page_reencryptions", "tree_node_fetches",
+                "tree_backing_hits", "remap_entry_fetches",
+                "remap_reshuffles")
+_WALK_HM = 2 * len(WALK_COLUMNS) + len(WALK_SCALARS)
+_WALK_DEPTH = _WALK_HM + 10
+_WALK_SLOTS = _WALK_DEPTH + 64
+#: miss_summary levels, in the order of the walk's hit/miss pairs.
+MISS_LEVELS = ("l1i", "l1d", "l2", "itlb", "dtlb")
 
 _lib = None
 _load_error = None
@@ -751,7 +1391,11 @@ def _load():
         try:
             lib = ctypes.CDLL(_ensure_compiled())
             lib.repro_replay.restype = ctypes.c_int64
-            lib.repro_replay.argtypes = [ctypes.c_void_p] * 18
+            lib.repro_replay.argtypes = [ctypes.c_void_p] * 21
+            lib.repro_walk.restype = ctypes.c_int64
+            lib.repro_walk.argtypes = [ctypes.c_void_p] * 7
+            lib.repro_walk_free.restype = None
+            lib.repro_walk_free.argtypes = [ctypes.c_void_p, ctypes.c_int64]
             _lib = lib
         except Exception as exc:  # no compiler, failed compile, bad .so
             _load_error = exc
@@ -790,36 +1434,81 @@ def _addr(arr):
     return arr.buffer_info()[0]
 
 
-def _buffers(prepass):
-    """Flat int64 marshalling of one prepass, built once and cached.
+def _int64(column):
+    """``column`` as a non-empty ``array('q')`` the kernel can read."""
+    if not isinstance(column, array) or column.typecode != "q":
+        column = array("q", column)
+    return column or array("q", [0])
 
-    The conversion is paid once per trace and amortised over every
+
+def _buffers(prepass):
+    """The replay's argument buffers, built once and cached on the
+    prepass: the trace's int64 columns, then the walk's (already
+    ``array('q')``) in :data:`WALK_COLUMNS` order.
+
+    The trace conversion is paid once per walk and amortised over every
     policy replay of the group (the whole point of decode-once).
     """
     buf = getattr(prepass, "_native", None)
-    if buf is not None:
-        return buf
-    trace = int64_columns(prepass.packed)
-    buf = (
-        trace["ops"],
-        trace["dests"],
-        trace["src_off"],
-        trace["src_val"] or array("q", [0]),
-        trace["mispredicts"],
-        # if_flags is a bytearray; array('q', bytearray) would reinterpret
-        # raw bytes, so convert element-wise.
-        array("q", (1 if f else 0 for f in prepass.if_flags)),
-        array("q", prepass.a_pre),
-        array("q", prepass.a_lvl),
-        array("q", prepass.a_ref),
-        array("q", prepass.a_wb),
-        array("q", prepass.m_wb or [0]),
-        array("q", prepass.m_counter or [0]),
-        array("q", prepass.d_bank or [0]),
-        array("q", prepass.d_cat or [0]),
-    )
-    prepass._native = buf
+    if buf is None:
+        trace = int64_columns(prepass.packed)
+        buf = prepass._native = (
+            trace["ops"],
+            trace["dests"],
+            trace["src_off"],
+            _int64(trace["src_val"]),
+            trace["mispredicts"],
+            *(_int64(getattr(prepass, name)) for name in WALK_COLUMNS),
+        )
     return buf
+
+
+def walk(cfg, pcs, ops, addrs, tree_bases, draws):
+    """Run the structural walk; returns ``(columns, scalars, hits_misses,
+    depths)``.
+
+    ``cfg`` is the walk's config block (built by
+    :func:`~repro.cpu.prepass.build_prepass`, in the C source's W_*
+    order), ``pcs``/``ops``/``addrs`` the trace's columns as
+    ``array('q')``, ``tree_bases`` the hash tree's per-level base
+    addresses and ``draws`` the pre-drawn re-map slots.  ``columns`` maps each :data:`WALK_COLUMNS` name to
+    an ``array('q')``; ``scalars`` each :data:`WALK_SCALARS` name to an
+    int; ``hits_misses`` holds the measured region's (hits, misses) per
+    :data:`MISS_LEVELS` level, and ``depths[d]`` counts tree walks of
+    depth ``d``.  Raises RuntimeError when the kernel cannot load or the
+    walk needs more re-map draws than it was given, and MemoryError
+    when its allocations fail.
+    """
+    lib = _load()
+    out = array("q", bytes(8 * _WALK_SLOTS))
+    rc = lib.repro_walk(_addr(cfg), _addr(_int64(pcs)), _addr(_int64(ops)),
+                        _addr(_int64(addrs)), _addr(_int64(tree_bases)),
+                        _addr(_int64(draws)), _addr(out))
+    if rc == -2:
+        raise RuntimeError("the structural walk needed more than its %d "
+                           "pre-drawn re-map slots" % len(draws))
+    if rc != 0:
+        raise MemoryError("native structural walk failed to allocate its "
+                          "working state (status %d)" % rc)
+    columns = {}
+    try:
+        for index, name in enumerate(WALK_COLUMNS):
+            length = out[2 * index + 1]
+            column = array("q", [0]) * length
+            if length:
+                ctypes.memmove(_addr(column), out[2 * index], 8 * length)
+            lib.repro_walk_free(_addr(out), index)  # one copy at a time
+            columns[name] = column
+    finally:
+        lib.repro_walk_free(_addr(out), -1)
+    base = 2 * len(WALK_COLUMNS)
+    scalars = dict(zip(WALK_SCALARS, out[base:_WALK_HM]))
+    hits_misses = [tuple(out[_WALK_HM + 2 * k:_WALK_HM + 2 * k + 2])
+                   for k in range(len(MISS_LEVELS))]
+    depths = list(out[_WALK_DEPTH:_WALK_SLOTS])
+    while depths and not depths[-1]:
+        depths.pop()
+    return columns, scalars, hits_misses, depths
 
 
 def config_block(prepass, policy, config):
@@ -865,6 +1554,9 @@ def config_block(prepass, policy, config):
         core.branch_mispredict_penalty, secure.store_buffer_entries,
         *(_UNIT_LATENCY.get(code, 0) for code in range(8)),
         _CALENDAR_PRUNE_INTERVAL,
+        prepass.hash_tree, secure.hmac_latency,
+        prepass.obfuscation, secure.remap_cache_latency,
+        -(-secure.remap_entry_bytes // dram.bus_width_bytes) * beat,
     ])
 
 

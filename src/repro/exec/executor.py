@@ -5,9 +5,10 @@ benchmark trace evaluated under N policies.  :meth:`Executor.run`
 normalises every plain :class:`~repro.exec.job.SimJob` into its
 one-member group at entry, so :func:`iter_group_results` is the single
 place a job becomes a :class:`~repro.cpu.core.RunResult`: one cached
-trace and one structural prepass (:mod:`repro.cpu.prepass`) fanned out
-to N shared-kernel policy evaluations, with the legacy simulator for
-members outside that envelope.  It is a pure function of the group (all
+trace and one structural walk (:mod:`repro.cpu.prepass`) per distinct
+member structure fanned out to N shared-kernel policy evaluations, with
+the legacy simulator for groups outside that envelope (CBC,
+prefetching).  It is a pure function of the group (all
 simulator state is private to the call), which is what makes the
 backends interchangeable: :class:`SerialExecutor` runs groups in-order
 in-process, :class:`ParallelExecutor` fans them out over a
@@ -45,7 +46,8 @@ processes), so per-run events are only recorded by the serial backend.
 import os
 import sys
 import time
-from contextlib import contextmanager
+from collections import Counter
+from contextlib import contextmanager, nullcontext
 
 from repro.errors import JobTimeoutError
 from repro.exec.cache import GLOBAL_CACHE, cached_trace
@@ -118,6 +120,7 @@ def _store_hit_accounting(started):
         "tracegen_seconds": 0.0,
         "cache_hit": None,
         "store_hit": True,
+        "path": "store",
         "peak_rss_kb": _peak_rss_kb(),
     }
 
@@ -139,14 +142,18 @@ def iter_group_results(group, skip=(), tracer=None, profiler=None,
     """Execute a :class:`MultiPolicySimJob`; yields ``(member, result)``.
 
     One decode serves every member: the trace comes from the cache once
-    and -- when config and policy fit the shared-pass envelope -- one
-    structural prepass (:mod:`repro.cpu.prepass`) feeds the shared
-    timestamp kernel once per policy.  Members outside the envelope
-    (address obfuscation, non-ctr encryption, hash tree, prefetching)
-    run the legacy per-policy simulator on the same cached trace, and so
-    does every member when an enabled ``tracer`` is passed (the shared
-    kernel emits no events).  The two paths are bit-identical (the
-    differential suite and ``repro perf`` pin this).
+    and, when the config fits the shared-pass envelope, the native
+    structural walk (:mod:`repro.cpu.prepass`) runs once per distinct
+    effective structure among the members
+    (:meth:`~repro.config.SimConfig.for_policy`: the hash tree only for
+    authenticating policies, the re-map layer for obfuscating ones --
+    at most two walks per group) and feeds the shared timestamp kernel
+    once per policy.  Groups outside the envelope (CBC encryption,
+    prefetching) run the legacy per-policy simulator on the same cached
+    trace, and so does every member when an enabled ``tracer`` is
+    passed (the shared kernel emits no events) or the native kernel
+    cannot be built.  The two paths are bit-identical (the differential
+    suite, the lockstep oracle property and ``repro perf`` pin this).
 
     ``skip`` is a set of member job_ids to leave out (mid-group resume:
     the retry loop passes the members already journaled).
@@ -157,19 +164,16 @@ def iter_group_results(group, skip=(), tracer=None, profiler=None,
     carries it.  ``attempt_of(member)`` supplies the attempt number the
     hook reports (default: 1).
 
-    Members replay over one shared prepass in the native kernel when
-    the config and policy are inside the envelope, the run is untraced
-    and the kernel loads; every other member runs on the legacy
-    simulator, with identical results.
-
     Resource accounting rides along on each ``result.accounting`` --
     wall and tracegen seconds, whether the trace came from cache,
     whether the result was a store hit, the evaluation ``path``
-    (``"native"`` or ``"legacy"``) and the process's peak RSS --
+    (``"native"``, ``"legacy"``, or ``"store"`` for a stored result)
+    and the process's peak RSS --
     measured here, inside the worker for the pool backend, because it
     has to cross the pickle boundary with the result.  The first
-    executed member carries the group's shared cost (tracegen plus
-    prepass) and the cache-lookup verdict; every later member is a pure
+    executed member carries the group's shared tracegen cost and the
+    cache-lookup verdict, and a walk's cost lands on the first member of
+    its structure; every later member is a pure
     cache reuse (``cache_hit`` True, zero tracegen), which
     :meth:`~repro.exec.cache.TraceCache.count_group_reuse` also charges
     to the cache counters.
@@ -178,12 +182,12 @@ def iter_group_results(group, skip=(), tracer=None, profiler=None,
     shared decode: members with a stored result are yielded without
     evaluation (``store_hit`` accounting, no attempt hook -- the same
     "settled elsewhere" semantics journal-resumed members have), and if
-    every member resolves the trace and prepass are never touched.  The
-    prepass itself is store-backed too: loaded when present, built and
-    published (under a single-flight lock) when not.
+    every member resolves the trace is never touched.  Walks are built
+    in-process and never stored: a native walk costs less than reading
+    one back.
     """
     from repro.cpu import native
-    from repro.cpu.prepass import policy_supported, prepass_supported
+    from repro.cpu import prepass as walks
     from repro.cpu.shared_kernel import replay_policy
     from repro.exec.store import active_store
     from repro.policies import make_policy
@@ -205,7 +209,9 @@ def iter_group_results(group, skip=(), tracer=None, profiler=None,
                 stored[member.job_id] = hit
     to_run = [m for m in members if m.job_id not in stored]
     trace = None
-    prepass = None
+    walked = False
+    prepasses = {}  # effective SecureConfig -> its walk, while needed
+    pending = Counter()  # effective SecureConfig -> members left
     first_cache_hit = False
     tracegen = 0.0
     shared_seconds = 0.0
@@ -225,11 +231,17 @@ def iter_group_results(group, skip=(), tracer=None, profiler=None,
         # legacy simulator emits the simulated machine's events.  So
         # does a machine where the native kernel cannot be built.
         tracing = tracer is not None and tracer.enabled
-        if (not tracing and prepass_supported(group.config)
-                and any(policy_supported(p) for p in policies.values())
-                and native.native_available()):
-            prepass = _shared_prepass(group, trace, store,
-                                      profiler=profiler)
+        walked = (not tracing and walks.prepass_supported(group.config)
+                  and native.native_available())
+        if walked:
+            # One walk per distinct effective structure (hash tree on
+            # only for authenticating policies, re-map layer for
+            # obfuscating ones), built for its first member and dropped
+            # after its last, so at most one walk is alive at a time in
+            # a group whose structures come in runs.
+            pending.update(group.config.for_policy(policy).secure
+                           for policy in (policies[m.policy]
+                                          for m in to_run))
         shared_seconds = time.perf_counter() - started
     position = 0  # over executed (non-store-hit) members
     for member in members:
@@ -244,9 +256,19 @@ def iter_group_results(group, skip=(), tracer=None, profiler=None,
         member_start = time.perf_counter()
         policy = policies[member.policy]
         hierarchy = None
-        path = ("native" if prepass is not None
-                and policy_supported(policy) else "legacy")
-        if path == "native":
+        path = "native" if walked else "legacy"
+        if walked:
+            config = group.config.for_policy(policy)
+            prepass = prepasses.get(config.secure)
+            if prepass is None:
+                with (profiler.phase("prepass") if profiler is not None
+                      else nullcontext()):
+                    prepass = prepasses[config.secure] = \
+                        walks.build_prepass(trace, config,
+                                            warmup=group.warmup)
+            pending[config.secure] -= 1
+            if not pending[config.secure]:
+                del prepasses[config.secure]
             result = replay_policy(prepass, policy, group.config,
                                    trace_name=getattr(trace, "name",
                                                       "trace"),
@@ -277,46 +299,6 @@ def iter_group_results(group, skip=(), tracer=None, profiler=None,
             store.save_result(member, result)
         position += 1
         yield member, result
-
-
-def _shared_prepass(group, trace, store, profiler=None):
-    """The group's structural prepass: store-loaded or built-and-saved.
-
-    A store load re-attaches the (cached) trace's packed columns; a
-    build publishes under a single-flight lock so concurrent workers
-    walking the same (trace, config, warmup) pay one walk.
-    """
-    from repro.cpu.prepass import build_prepass
-
-    def build():
-        if profiler is not None:
-            with profiler.phase("prepass"):
-                return build_prepass(trace, group.config,
-                                     warmup=group.warmup)
-        return build_prepass(trace, group.config, warmup=group.warmup)
-
-    if store is None:
-        return build()
-    packed = trace.packed()
-    prepass = store.load_prepass(group.benchmark, group.trace_length,
-                                 group.seed, group.config,
-                                 group.warmup, packed)
-    if prepass is not None:
-        return prepass
-    name = store.prepass_name(group.benchmark, group.trace_length,
-                              group.seed, group.config,
-                              group.warmup)
-    with store.single_flight("prepass", name):
-        prepass = store.load_prepass(group.benchmark, group.trace_length,
-                                     group.seed, group.config,
-                                     group.warmup, packed)
-        if prepass is not None:
-            return prepass
-        prepass = build()
-        store.save_prepass(prepass, group.benchmark, group.trace_length,
-                           group.seed, group.config,
-                           group.warmup)
-    return prepass
 
 
 def _pool_worker_group(group, attempt=1):

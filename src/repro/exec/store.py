@@ -10,7 +10,8 @@ instead of once per process:
 
 - **Trace / prepass tier** (``<root>/traces``, ``<root>/prepass``):
   :class:`~repro.workloads.trace.PackedTrace` and
-  :class:`~repro.cpu.prepass.TracePrepass` columns serialized as
+  :class:`~repro.cpu.prepass.TracePrepass` columns (the latter no
+  longer written by the executor, which walks in-process) serialized as
   ``array('q')`` buffers behind a CRC32-sealed JSON header that carries
   the generation key and a code fingerprint.  Entries are loaded
   *zero-copy* via ``mmap``: the int64 columns are ``memoryview`` casts
@@ -133,7 +134,8 @@ _FINGERPRINT_FILES = {
     "prepass": (
         "workloads/tracegen.py", "workloads/trace.py", "workloads/spec.py",
         "util/rng.py",
-        "cpu/prepass.py", "secure/metadata.py", "config.py",
+        "cpu/prepass.py", "cpu/native.py", "secure/metadata.py",
+        "config.py",
     ),
 }
 #: Result fingerprints hash whole packages: anything that can move a
@@ -291,12 +293,15 @@ class _LazySrcs:
 
 #: Prepass int64 columns, in file order (``if_flags`` is a byte column
 #: and handled separately; scalars ride in the header).
-_PREPASS_COLUMNS = ("a_pre", "a_lvl", "a_ref", "a_wb", "m_wb", "m_counter",
+_PREPASS_COLUMNS = ("if_flags", "a_pre", "a_lvl", "a_ref", "a_wb", "m_wb",
+                    "m_counter", "m_tree", "m_backing", "m_remap",
                     "d_bank", "d_cat")
 _PREPASS_SCALARS = ("num_instructions", "warmup", "n_accesses", "n_misses",
                     "n_meta", "n_writes", "cc_hits", "cc_misses",
                     "cc_evictions", "cc_writebacks", "row_hits", "row_empty",
-                    "row_conflicts", "page_reencryptions")
+                    "row_conflicts", "page_reencryptions", "hash_tree",
+                    "obfuscation", "tree_node_fetches", "tree_backing_hits",
+                    "tree_depths", "remap_entry_fetches", "remap_reshuffles")
 
 
 def _listed(rej_path, name, offset):
@@ -497,6 +502,9 @@ class ArtifactStore:
         return True
 
     # -- prepass tier ---------------------------------------------------
+    # The executor no longer reads or writes this tier (a native walk is
+    # cheaper than a load); it stays only while the benchmark harness
+    # still wraps these two methods by name.
 
     def load_prepass(self, benchmark, trace_length, seed, config, warmup,
                      packed):
@@ -531,7 +539,6 @@ class ArtifactStore:
         for name in _PREPASS_SCALARS:
             setattr(pre, name, scalars[name])
         pre.miss_summary = header["miss_summary"]
-        pre.if_flags = cols["if_flags"]
         for name in _PREPASS_COLUMNS:
             setattr(pre, name, cols[name])
         self._hit("prepass", os.path.getsize(path))
@@ -540,10 +547,8 @@ class ArtifactStore:
 
     def save_prepass(self, prepass, benchmark, trace_length, seed, config,
                      warmup):
-        columns = [("if_flags", "B", bytes(prepass.if_flags))]
-        for name in _PREPASS_COLUMNS:
-            columns.append((name, "q",
-                            array("q", getattr(prepass, name)).tobytes()))
+        columns = [(name, "q", array("q", getattr(prepass, name)).tobytes())
+                   for name in _PREPASS_COLUMNS]
         header = {
             "kind": "prepass",
             "fingerprint": code_fingerprint("prepass"),

@@ -15,10 +15,13 @@ keys normalised to strings, canonical key order), so they are stable
 across the process boundary and the checkpoint journal.
 
 ``LEGACY_ONLY_CYCLES`` / ``LEGACY_ONLY_DIGESTS`` pin one benchmark under
-each configuration outside the shared-pass envelope (hash tree,
-prefetching, CBC, address obfuscation).  Only the legacy simulator
-evaluates those, so these cells are what keeps its memory-system walk
-honest beyond the default configuration.
+each configuration beyond the default one (hash tree, prefetching, CBC,
+address obfuscation), pinned from the legacy simulator.  The hash-tree
+and obfuscation cells are also evaluated through the shared pass (the
+native walk of that structure plus the replay) against the same pins;
+CBC and prefetching stay outside the shared-pass envelope, so only the
+legacy simulator evaluates those.  These cells keep both memory-system
+walks honest beyond the default configuration.
 """
 
 import hashlib
@@ -75,7 +78,7 @@ GOLDEN_DIGESTS = {
         "fd2b8f407cf0cc327ce2cee6ad33730b4211cdb027f125dd07c6bb2f21d40c49",
 }
 
-#: Benchmark of the out-of-envelope cells, keyed
+#: Benchmark of the beyond-default cells, keyed
 #: ``"<bench>/<config variant>/<policy>"``.
 LEGACY_ONLY_BENCHMARK = "mcf"
 
@@ -106,7 +109,7 @@ def golden_cells():
 
 
 def legacy_only_cells():
-    """The pinned out-of-envelope cells: ``(key, benchmark, config,
+    """The pinned beyond-default cells: ``(key, benchmark, config,
     policy)``, with the same instruction and warmup counts as the
     golden matrix."""
     base = SimConfig()

@@ -56,7 +56,8 @@ class SecureMemoryEngine:
                  stats=None, authentication_enabled=True, tracer=None):
         if controller is None:
             raise ValueError("a MemoryController is required")
-        self.config = config or SecureConfig()
+        self.config = (config or SecureConfig()).effective(
+            authentication_enabled)
         self.layout = layout or MetadataLayout(
             counter_bytes=self.config.counter_bytes,
             mac_bits=self.config.mac_bits,
@@ -93,7 +94,7 @@ class SecureMemoryEngine:
             tracer=tracer,
         )
         self.hash_tree = None
-        if authentication_enabled and self.config.hash_tree_enabled:
+        if self.config.hash_tree_enabled:
             self.hash_tree = HashTreeTiming(
                 self.layout,
                 cache_bytes=self.config.hash_tree_cache_bytes,

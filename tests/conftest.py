@@ -1,8 +1,13 @@
 """Fixtures shared across the test packages."""
 
 import pytest
+from hypothesis import settings
 
 from repro.cpu import native
+
+# A longer run of the lockstep oracle (tests/cpu/test_kernel_oracle.py)
+# for CI: ``pytest --hypothesis-profile=oracle-long``.
+settings.register_profile("oracle-long", max_examples=1000)
 
 
 @pytest.fixture

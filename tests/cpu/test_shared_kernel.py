@@ -1,20 +1,21 @@
 """Differential equivalence suite for the shared timestamp kernel.
 
 The merge gate of the decode-once/evaluate-many pipeline: every
-registered policy, replayed from one structural prepass through the
-native (C) kernel, must be *bit-identical* -- cycles, every StatGroup
-counter, the miss summary -- to the legacy per-policy simulator on the
-same trace.  The replay needs a C compiler; without one the suite
-skips, and the grouped executor runs the legacy simulator instead
-(``tests/exec/test_group_execution.py`` covers that path).
+registered policy, replayed through the native (C) kernel from the
+structural walk of its effective structure, must be *bit-identical* --
+cycles, every StatGroup counter, the miss summary -- to the legacy
+per-policy simulator on the same trace, under the default and the
+hash-tree configuration.  The walk and the replay need a C compiler;
+without one the suite skips, and the grouped executor runs the legacy
+simulator instead (``tests/exec/test_group_execution.py`` covers that
+path).  ``tests/cpu/test_kernel_oracle.py`` draws the configurations.
 """
 
 import pytest
 
 from repro.config import SimConfig
 from repro.cpu import native
-from repro.cpu.prepass import (build_prepass, policy_supported,
-                               prepass_supported)
+from repro.cpu.prepass import build_prepass, prepass_supported
 from repro.cpu.shared_kernel import replay_policy
 from repro.exec.cache import cached_trace
 from repro.policies import available_policies, make_policy
@@ -50,36 +51,71 @@ def _legacy(config, trace, policy_name):
     return core.run(trace, warmup=WARMUP)
 
 
+def _assert_replay_matches_legacy(config, bench, policy_name, walks):
+    """Replay ``policy_name`` from the walk of its effective structure
+    (``walks`` caches one per structure) and diff it against legacy."""
+    policy = make_policy(policy_name)
+    trace = cached_trace(bench, NUM_INSTRUCTIONS + WARMUP, config.seed)
+    member = config.for_policy(policy)
+    key = (bench, member.secure)
+    if key not in walks:
+        walks[key] = build_prepass(trace, member, warmup=WARMUP)
+    shared = replay_policy(walks[key], policy, config, trace_name=bench)
+    legacy = _legacy(config, trace, policy_name)
+    assert shared.cycles == legacy.cycles
+    assert shared.instructions == legacy.instructions
+    assert shared.stats.as_dict() == legacy.stats.as_dict()
+    assert shared.miss_summary == legacy.miss_summary
+
+
+@pytest.fixture(scope="module")
+def walks():
+    """Walks by (benchmark, effective structure), shared across tests."""
+    return {}
+
+
 class TestSharedPassEquivalence:
     """Shared-pass replay == legacy simulator, for every policy."""
 
     @needs_kernel
     @pytest.mark.parametrize("policy_name", available_policies())
     @pytest.mark.parametrize("bench", BENCHMARKS)
-    def test_bit_identical_to_legacy(self, prepasses, config, bench,
+    def test_bit_identical_to_legacy(self, config, walks, bench,
                                      policy_name):
-        policy = make_policy(policy_name)
-        trace, prepass = prepasses[bench]
-        legacy = _legacy(config, trace, policy_name)
-        if not policy_supported(policy):
-            # Outside the shared-pass envelope (address obfuscation);
-            # the grouped pipeline falls back to the legacy simulator
-            # for these members, so there is nothing to diff here.
-            pytest.skip("policy outside the shared-pass envelope")
-        shared = replay_policy(prepass, policy, config,
-                               trace_name=bench)
-        assert shared.cycles == legacy.cycles
-        assert shared.instructions == legacy.instructions
-        assert shared.stats.as_dict() == legacy.stats.as_dict()
-        assert shared.miss_summary == legacy.miss_summary
+        _assert_replay_matches_legacy(config, bench, policy_name, walks)
 
-    def test_envelope_covers_all_but_obfuscation(self):
-        outside = [name for name in available_policies()
-                   if not policy_supported(make_policy(name))]
-        assert outside == ["commit+obfuscation"]
+    @needs_kernel
+    @pytest.mark.parametrize("policy_name", available_policies())
+    @pytest.mark.parametrize("bench", BENCHMARKS)
+    def test_hash_tree_bit_identical_to_legacy(self, walks, bench,
+                                               policy_name):
+        """Figs. 12/13's structure: the CHTree walk for authenticating
+        policies, the plain walk for decrypt-only."""
+        tree = SimConfig().with_secure(hash_tree_enabled=True)
+        _assert_replay_matches_legacy(tree, bench, policy_name, walks)
+
+    def test_envelope_covers_every_policy(self):
+        """Every registered policy replays, under every structure the
+        figures use: only CBC and prefetching leave the envelope."""
+        for config in (SimConfig(),
+                       SimConfig().with_secure(hash_tree_enabled=True),
+                       SimConfig().with_secure(obfuscation_enabled=True)):
+            for name in available_policies():
+                assert prepass_supported(
+                    config.for_policy(make_policy(name))), name
+        assert not prepass_supported(
+            SimConfig().with_secure(encryption_mode="cbc"))
 
     def test_default_config_inside_envelope(self, config):
         assert prepass_supported(config)
+
+    @needs_kernel
+    def test_replay_rejects_another_structure(self, prepasses, config):
+        """A walk replays only for policies of its own structure."""
+        _trace, prepass = prepasses["mcf"]
+        with pytest.raises(ValueError, match="obfuscation"):
+            replay_policy(prepass, make_policy("commit+obfuscation"),
+                          config)
 
     @needs_kernel
     def test_prepass_reused_across_policies(self, prepasses, config):
@@ -140,10 +176,11 @@ class TestKernelLoading:
 
     def test_replay_policy_raises_without_kernel(self, no_compiler,
                                                  config):
+        """The walk is native too: without a kernel neither half runs."""
         trace = cached_trace("mcf", NUM_INSTRUCTIONS + WARMUP, config.seed)
-        prepass = build_prepass(trace, config, warmup=WARMUP)
         with pytest.raises(RuntimeError, match="could not be built"):
-            replay_policy(prepass, make_policy("decrypt-only"), config)
+            replay_policy(build_prepass(trace, config, warmup=WARMUP),
+                          make_policy("decrypt-only"), config)
 
     @pytest.mark.parametrize("value", ["0", "off", "force"])
     def test_other_values_rejected(self, monkeypatch, value):

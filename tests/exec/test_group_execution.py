@@ -33,7 +33,7 @@ from repro.workloads.tracegen import generate_trace
 
 BENCHMARKS = ("gzip", "mcf")
 POLICIES = ("decrypt-only", "authen-then-commit", "authen-then-issue",
-            "commit+obfuscation")   # last one: legacy-fallback member
+            "commit+obfuscation")   # last one: its own (re-map) walk
 N, W = 800, 400
 
 GROUPS = build_job_groups(BENCHMARKS, POLICIES,
@@ -143,14 +143,44 @@ class TestEvaluationPath:
 
     @pytest.mark.skipif(not native.native_available(),
                         reason="no C compiler: no native path")
-    def test_envelope_member_native_obfuscation_legacy(self):
+    def test_obfuscating_member_native(self):
+        """The obfuscating member replays its own walk, natively too."""
         group, = build_job_groups(
             ["gzip"], ["authen-then-commit", "commit+obfuscation"],
             num_instructions=N, warmup=W)
         paths = {member.policy: result.accounting["path"]
                  for member, result in iter_group_results(group)}
         assert paths == {"authen-then-commit": "native",
-                         "commit+obfuscation": "legacy"}
+                         "commit+obfuscation": "native"}
+
+    @pytest.mark.skipif(not native.native_available(),
+                        reason="no C compiler: no native path")
+    def test_hash_tree_group_walks_once_per_structure(self, monkeypatch):
+        """Under the Fig. 12 tree, decrypt-only walks without the tree
+        and the authenticating members share one tree walk: two walks,
+        every member native and equal to the legacy simulator."""
+        from repro.config import SimConfig
+        from repro.cpu import prepass as walks
+
+        walked = []
+        build = walks.build_prepass
+
+        def counting_build(trace, config, warmup=0):
+            walked.append(config.secure.hash_tree_enabled)
+            return build(trace, config, warmup=warmup)
+
+        monkeypatch.setattr(walks, "build_prepass", counting_build)
+        config = SimConfig().with_secure(hash_tree_enabled=True)
+        group, = build_job_groups(
+            ["mcf"], ["decrypt-only", "authen-then-commit",
+                      "authen-then-issue"],
+            config=config, num_instructions=N, warmup=W)
+        results = dict(iter_group_results(group))
+        assert sorted(walked) == [False, True]
+        assert {r.accounting["path"] for r in results.values()} \
+            == {"native"}
+        assert_matches_oracle(results, {member: legacy_result(member)
+                                        for member in results})
 
     def test_traced_run_is_legacy(self):
         group, = build_job_groups(["gzip"], ["authen-then-commit"],
@@ -169,8 +199,7 @@ class TestEvaluationPath:
         def no_prepass(*args, **kwargs):
             raise AssertionError("prepass built with no kernel")
 
-        monkeypatch.setattr("repro.exec.executor._shared_prepass",
-                            no_prepass)
+        monkeypatch.setattr("repro.cpu.prepass.build_prepass", no_prepass)
         slow = dict(iter_group_results(group))
         assert {m.policy: r.accounting["path"] for m, r in slow.items()} \
             == dict.fromkeys(group.policies, "legacy")

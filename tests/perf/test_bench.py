@@ -10,7 +10,7 @@ class TestCli:
         assert main(["perf"]) == 0
         out = capsys.readouterr().out
         assert "parity OK" in out
-        assert "4 out-of-envelope cells" in out
+        assert "4 beyond-default cells" in out
 
     def test_perf_takes_no_options(self):
         from repro.cli import main

@@ -3,12 +3,14 @@
 The hot-path optimisations (packed traces, O(1) LRU, issue-calendar
 pruning) must be *timing-neutral*: cycle counts, IPC and every StatGroup
 counter bit-identical to the pinned reference.  These tests re-run the
-golden matrix and the out-of-envelope cells cell by cell.
+golden matrix and the beyond-default cells cell by cell, the hash-tree
+and obfuscation cells through the native kernel too.
 """
 
 import pytest
 
 from repro.config import SimConfig
+from repro.cpu import native
 from repro.exec.cache import cached_trace
 from repro.perf.golden import (
     GOLDEN_CYCLES,
@@ -21,6 +23,8 @@ from repro.perf.golden import (
     legacy_only_cells,
     stats_digest,
 )
+from repro.perf.bench import shared_legacy_only_cells
+from repro.policies import make_policy
 from repro.sim.runner import build_simulator
 
 CELLS = list(golden_cells())
@@ -59,12 +63,35 @@ class TestGoldenParity:
     @pytest.mark.parametrize("key,bench,config,policy", LEGACY_ONLY,
                              ids=[cell[0] for cell in LEGACY_ONLY])
     def test_legacy_only_cell(self, key, bench, config, policy):
-        """Hash tree, prefetching, CBC and obfuscation run only through
-        the legacy simulator; their walk is pinned here."""
+        """Hash tree, prefetching, CBC and obfuscation through the
+        legacy simulator; its walk is pinned here."""
         result, hier = run_cell(bench, policy, config)
         assert result.cycles == LEGACY_ONLY_CYCLES[key]
         assert stats_digest(result.stats.as_dict(),
                             hier.miss_summary()) == LEGACY_ONLY_DIGESTS[key]
+
+    @pytest.mark.skipif(not native.native_available(),
+                        reason="the kernel needs a C compiler")
+    @pytest.mark.parametrize("key,bench,config,policy",
+                             [cell for cell in LEGACY_ONLY
+                              if cell[0] in shared_legacy_only_cells()],
+                             ids=shared_legacy_only_cells())
+    def test_legacy_only_cell_through_kernel(self, key, bench, config,
+                                             policy):
+        """The hash-tree and obfuscation cells replay from the walk of
+        the policy's structure to the same pins."""
+        from repro.cpu.prepass import build_prepass
+        from repro.cpu.shared_kernel import replay_policy
+
+        trace = cached_trace(bench, GOLDEN_INSTRUCTIONS + GOLDEN_WARMUP,
+                             config.seed)
+        member = make_policy(policy)
+        prepass = build_prepass(trace, config.for_policy(member),
+                                warmup=GOLDEN_WARMUP)
+        result = replay_policy(prepass, member, config)
+        assert result.cycles == LEGACY_ONLY_CYCLES[key]
+        assert stats_digest(result.stats.as_dict(),
+                            result.miss_summary) == LEGACY_ONLY_DIGESTS[key]
 
     def test_check_goldens_is_clean(self):
         from repro.perf.bench import check_goldens

@@ -131,6 +131,32 @@ class TestStoreCli:
         assert (store_root / "results").is_dir()
         assert any((store_root / "results").iterdir())
 
+    def test_store_hits_report_store_path(self, capsys, tmp_path):
+        """A result served from the store names ``store`` as its path,
+        so the report's path tally counts every journaled job."""
+        import os
+
+        from repro.exec.store import STORE_ENV, set_active_store
+        from repro.obs.report import build_report
+
+        argv = ["sweep", "gzip", "mcf", "-p", "authen-then-commit",
+                "-n", "600", "--warmup", "300",
+                "--store", str(tmp_path / "store")]
+        try:
+            assert main(argv + ["--checkpoint",
+                                str(tmp_path / "cold.jsonl")]) == 0
+            assert main(argv + ["--checkpoint",
+                                str(tmp_path / "warm.jsonl")]) == 0
+        finally:
+            set_active_store(None)
+            os.environ.pop(STORE_ENV, None)
+        capsys.readouterr()
+        cold = build_report([], journal=tmp_path / "cold.jsonl")["paths"]
+        warm = build_report([], journal=tmp_path / "warm.jsonl")["paths"]
+        jobs = sum(cold.values())
+        assert jobs == 4 and "store" not in cold
+        assert warm == {"store": jobs}
+
     def test_store_subcommand_stats_verify_gc(self, capsys, tmp_path):
         import json as jsonlib
 
