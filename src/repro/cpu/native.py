@@ -19,8 +19,9 @@ first use and drives it through :mod:`ctypes`:
 Everything is integer arithmetic, so walk plus replay is
 *bit-identical* to the legacy simulator: the differential suite and the
 lockstep oracle property in ``tests/cpu/`` pin native == legacy, and
-``repro perf`` gates the pinned goldens.  The kernel needs a C compiler (``CC``, default ``cc``).  When
-none works, :func:`native_available` is False and the grouped executor
+``repro perf`` gates the pinned goldens.  The kernel needs a C
+compiler (``CC``, default ``cc``).  When none works,
+:func:`native_available` is False and the grouped executor
 runs every member on the legacy simulator instead, with identical
 results; ``REPRO_NATIVE=require`` turns an unavailable kernel into an
 error, for CI jobs and benchmarks that must measure the native path.
@@ -965,25 +966,32 @@ static int64_t remap_entry(const walk_t *w, int64_t chunk)
     return w->cfg[W_REMAP_BASE] + chunk * w->cfg[W_ENTRY_BYTES];
 }
 
+/* SecureMemoryEngine._counter_addr: split counters pack a 4KB page's
+ * counters into one block. */
+static int64_t counter_addr(const walk_t *w, int64_t addr)
+{
+    const int64_t *cfg = w->cfg;
+    if (cfg[W_SPLIT])
+        return cfg[W_COUNTER_BASE] + (addr / 4096) * cfg[W_LINE_BYTES];
+    return cfg[W_COUNTER_BASE]
+        + (addr / cfg[W_LINE_BYTES]) * cfg[W_COUNTER_BYTES];
+}
+
 /* SecureMemoryEngine.write_line, structurally; returns the number of
  * posted DRAM writes it issued. */
 static int64_t engine_write(walk_t *w, int64_t addr)
 {
     const int64_t *cfg = w->cfg;
     int64_t line_bytes = cfg[W_LINE_BYTES], ops = 0, line = addr / line_bytes;
-    if (cfg[W_SPLIT])
-        meta_access(w, &w->cc, cfg[W_COUNTER_BASE]
-                    + (addr / 4096) * line_bytes, 1);
-    else
-        meta_access(w, &w->cc, cfg[W_COUNTER_BASE]
-                    + line * cfg[W_COUNTER_BYTES], 1);
+    meta_access(w, &w->cc, counter_addr(w, addr), 1);
     if (cfg[W_SPLIT]) {
         int64_t count = cal_get(&w->minor, line) + 1;
         if (count < cfg[W_MINOR_LIMIT]) {
             map_put(w, &w->minor, line, count);
         } else {
             int64_t page_base = (addr / 4096) * 4096, i;
-            int64_t first = page_base / line_bytes, per_page = 4096 / line_bytes;
+            int64_t first = page_base / line_bytes;
+            int64_t per_page = 4096 / line_bytes;
             for (i = 0; i < per_page; i++) {
                 map_put(w, &w->minor, first + i, 0);
                 walk_dram(w, page_base + i * line_bytes);
@@ -1098,11 +1106,7 @@ static int64_t l2_miss(walk_t *w, int64_t addr)
                               % cfg[W_WRAP]);
     target = line * c->line % cfg[W_WRAP];
     /* Counter-mode pad source: counter cache, prediction, or memory. */
-    if (cfg[W_SPLIT])
-        caddr = cfg[W_COUNTER_BASE] + (target / 4096) * cfg[W_LINE_BYTES];
-    else
-        caddr = cfg[W_COUNTER_BASE]
-            + (target / cfg[W_LINE_BYTES]) * cfg[W_COUNTER_BYTES];
+    caddr = counter_addr(w, target);
     if (meta_access(w, &w->cc, caddr, 0)) {
         mc = 0;
     } else {
@@ -1131,7 +1135,8 @@ static int64_t l2_miss(walk_t *w, int64_t addr)
         walk_dram(w, target);
     }
     if (cfg[W_TREE]) {                /* verification_extra */
-        int64_t level, fetches = 0, backing = 0, tline = target / cfg[W_LINE_BYTES];
+        int64_t tline = target / cfg[W_LINE_BYTES];
+        int64_t level, fetches = 0, backing = 0;
         for (level = 0; level < cfg[W_TREE_LEVELS]; level++) {
             int64_t node = tree_node(w, tline, level);
             if (meta_access(w, &w->tree, node, 0))
@@ -1254,8 +1259,10 @@ int64_t repro_walk(const int64_t *cfg, const int64_t *pcs,
                         cfg[W_LINE_BYTES])
             || lru_init(&w.remap, cfg[W_REMAP] ? cfg[W_REMAP_SETS] : 1, 4,
                         64)
-            || cal_init(&w.minor, 1 << 10) || cal_init(&w.chunk_writes, 1 << 10)
-            || cal_init(&w.forward, 1 << 10) || cal_init(&w.reverse, 1 << 10)) {
+            || cal_init(&w.minor, 1 << 10)
+            || cal_init(&w.chunk_writes, 1 << 10)
+            || cal_init(&w.forward, 1 << 10)
+            || cal_init(&w.reverse, 1 << 10)) {
         w.failed = -1;
         goto done;
     }
@@ -1471,9 +1478,10 @@ def walk(cfg, pcs, ops, addrs, tree_bases, draws):
     :func:`~repro.cpu.prepass.build_prepass`, in the C source's W_*
     order), ``pcs``/``ops``/``addrs`` the trace's columns as
     ``array('q')``, ``tree_bases`` the hash tree's per-level base
-    addresses and ``draws`` the pre-drawn re-map slots.  ``columns`` maps each :data:`WALK_COLUMNS` name to
-    an ``array('q')``; ``scalars`` each :data:`WALK_SCALARS` name to an
-    int; ``hits_misses`` holds the measured region's (hits, misses) per
+    addresses and ``draws`` the pre-drawn re-map slots.  ``columns``
+    maps each :data:`WALK_COLUMNS` name to an ``array('q')``;
+    ``scalars`` each :data:`WALK_SCALARS` name to an int;
+    ``hits_misses`` holds the measured region's (hits, misses) per
     :data:`MISS_LEVELS` level, and ``depths[d]`` counts tree walks of
     depth ``d``.  Raises RuntimeError when the kernel cannot load or the
     walk needs more re-map draws than it was given, and MemoryError

@@ -209,7 +209,7 @@ def iter_group_results(group, skip=(), tracer=None, profiler=None,
                 stored[member.job_id] = hit
     to_run = [m for m in members if m.job_id not in stored]
     trace = None
-    walked = False
+    native_path = False
     prepasses = {}  # effective SecureConfig -> its walk, while needed
     pending = Counter()  # effective SecureConfig -> members left
     first_cache_hit = False
@@ -231,17 +231,16 @@ def iter_group_results(group, skip=(), tracer=None, profiler=None,
         # legacy simulator emits the simulated machine's events.  So
         # does a machine where the native kernel cannot be built.
         tracing = tracer is not None and tracer.enabled
-        walked = (not tracing and walks.prepass_supported(group.config)
-                  and native.native_available())
-        if walked:
+        native_path = (not tracing and walks.prepass_supported(group.config)
+                       and native.native_available())
+        if native_path:
             # One walk per distinct effective structure (hash tree on
             # only for authenticating policies, re-map layer for
             # obfuscating ones), built for its first member and dropped
             # after its last, so at most one walk is alive at a time in
             # a group whose structures come in runs.
-            pending.update(group.config.for_policy(policy).secure
-                           for policy in (policies[m.policy]
-                                          for m in to_run))
+            pending.update(group.config.for_policy(policies[m.policy]).secure
+                           for m in to_run)
         shared_seconds = time.perf_counter() - started
     position = 0  # over executed (non-store-hit) members
     for member in members:
@@ -256,8 +255,8 @@ def iter_group_results(group, skip=(), tracer=None, profiler=None,
         member_start = time.perf_counter()
         policy = policies[member.policy]
         hierarchy = None
-        path = "native" if walked else "legacy"
-        if walked:
+        path = "native" if native_path else "legacy"
+        if native_path:
             config = group.config.for_policy(policy)
             prepass = prepasses.get(config.secure)
             if prepass is None:
