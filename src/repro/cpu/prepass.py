@@ -38,6 +38,7 @@ from repro.cpu import native
 from repro.errors import ConfigError
 from repro.secure.metadata import MetadataLayout
 from repro.util.rng import DeterministicRng
+from repro.workloads.trace import int64_array
 
 # DRAM page-status categories recorded per op (index into the kernel's
 # RAS-latency table).
@@ -106,9 +107,6 @@ class TracePrepass:
         "remap_entry_fetches", "remap_reshuffles", "miss_summary",
         "_native",   # the replay's buffers, built by its first replay
     )
-
-    def __init__(self):
-        self._native = None
 
     @property
     def dram_ops(self):
@@ -195,8 +193,8 @@ def build_prepass(trace, config, warmup=0,
         secure.remap_chunk_bytes, secure.remap_shuffle_period, len(draws),
     ])
     columns, scalars, hits_misses, depths = native.walk(
-        cfg, array("q", packed.pcs), array("q", packed.ops),
-        array("q", packed.addrs), tree_bases, draws)
+        cfg, int64_array(packed.pcs), int64_array(packed.ops),
+        int64_array(packed.addrs), tree_bases, draws)
 
     pre = TracePrepass()
     pre.num_instructions = num_insts

@@ -5,8 +5,10 @@ replays it, so wrong-path effects are folded into the branch-mispredict
 redirect penalty (standard practice for trace-driven models).
 """
 
+import struct
 from array import array
 from collections import Counter
+from itertools import accumulate, chain
 
 
 class Op:
@@ -74,6 +76,15 @@ class PackedTrace:
                 self.mispredicts)
 
 
+def int64_array(values):
+    """A sequence of ints as an ``array('q')``.
+
+    Packing through :mod:`struct` converts about twice as fast as
+    ``array('q', values)``, which appends item by item.
+    """
+    return array("q", struct.pack("%dq" % len(values), *values))
+
+
 def int64_columns(packed):
     """The int64 encoding of a trace's columns, as ``array('q')`` values.
 
@@ -83,19 +94,15 @@ def int64_columns(packed):
     and the native kernel reads them.  Built fresh on every call: a
     cached copy would double each trace's footprint in the trace cache.
     """
-    src_off = array("q", bytes(8 * (len(packed) + 1)))
-    src_val = array("q")
-    for index, srcs in enumerate(packed.srcss, 1):
-        src_val.extend(srcs)
-        src_off[index] = len(src_val)
+    srcss = packed.srcss
     return {
-        "pcs": array("q", packed.pcs),
-        "ops": array("q", packed.ops),
-        "dests": array("q", packed.dests),
-        "addrs": array("q", packed.addrs),
-        "mispredicts": array("q", map(bool, packed.mispredicts)),
-        "src_off": src_off,
-        "src_val": src_val,
+        "pcs": int64_array(packed.pcs),
+        "ops": int64_array(packed.ops),
+        "dests": int64_array(packed.dests),
+        "addrs": int64_array(packed.addrs),
+        "mispredicts": int64_array(tuple(map(bool, packed.mispredicts))),
+        "src_off": int64_array((0, *accumulate(map(len, srcss)))),
+        "src_val": int64_array(tuple(chain.from_iterable(srcss))),
     }
 
 
