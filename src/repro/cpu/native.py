@@ -1453,12 +1453,15 @@ def _buffers(prepass):
     prepass: the trace's int64 columns, then the walk's (already
     ``array('q')``) in :data:`WALK_COLUMNS` order.
 
-    The trace conversion is paid once per walk and amortised over every
-    policy replay of the group (the whole point of decode-once).
+    The trace conversion is paid once per trace -- walks built
+    ``like=`` another share it -- and amortised over every policy replay
+    of the group (the whole point of decode-once).
     """
     buf = getattr(prepass, "_native", None)
     if buf is None:
-        trace = int64_columns(prepass.packed)
+        trace = prepass.trace_columns
+        if not trace:
+            trace.update(int64_columns(prepass.packed))
         buf = prepass._native = (
             trace["ops"],
             trace["dests"],

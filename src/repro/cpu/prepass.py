@@ -105,6 +105,7 @@ class TracePrepass:
         "page_reencryptions", "hash_tree", "obfuscation",
         "tree_node_fetches", "tree_backing_hits", "tree_depths",
         "remap_entry_fetches", "remap_reshuffles", "miss_summary",
+        "trace_columns",  # int64_columns(packed), shared by like= walks
         "_native",   # the replay's buffers, built by its first replay
     )
 
@@ -128,17 +129,20 @@ def _remap_draws(config, num_chunks, num_insts):
 
 
 def build_prepass(trace, config, warmup=0,
-                  protected_bytes=256 * 1024 * 1024):
+                  protected_bytes=256 * 1024 * 1024, like=None):
     """Run the structural walk; returns a :class:`TracePrepass`.
 
     ``config`` is the structure the walk mirrors: pass a policy's
     :meth:`~repro.config.SimConfig.for_policy` configuration, so the
     hash tree is walked only for authenticating policies and the
-    re-map layer for obfuscating ones.  Must only be called for
-    configurations passing :func:`prepass_supported`.  Raises
-    RuntimeError when the native kernel cannot load.
+    re-map layer for obfuscating ones.  ``like`` is another walk of
+    the same trace whose int64 trace columns the replay shares.  Must
+    only be called for configurations passing :func:`prepass_supported`.
+    Raises RuntimeError when the native kernel cannot load.
     """
     packed = trace.packed()
+    if like is not None and like.packed is not packed:
+        raise ValueError("like= must be a walk of the same trace")
     num_insts = len(packed)
     warmup = min(warmup, num_insts)
     secure = config.secure
@@ -200,6 +204,7 @@ def build_prepass(trace, config, warmup=0,
     pre.num_instructions = num_insts
     pre.warmup = warmup
     pre.packed = packed
+    pre.trace_columns = {} if like is None else like.trace_columns
     for name, column in columns.items():
         setattr(pre, name, column)
     for name, value in scalars.items():

@@ -263,8 +263,9 @@ def iter_group_results(group, skip=(), tracer=None, profiler=None,
                 with (profiler.phase("prepass") if profiler is not None
                       else nullcontext()):
                     prepass = prepasses[config.secure] = \
-                        walks.build_prepass(trace, config,
-                                            warmup=group.warmup)
+                        walks.build_prepass(
+                            trace, config, warmup=group.warmup,
+                            like=next(iter(prepasses.values()), None))
             pending[config.secure] -= 1
             if not pending[config.secure]:
                 del prepasses[config.secure]

@@ -536,6 +536,7 @@ class ArtifactStore:
 
         pre = TracePrepass()
         pre.packed = packed
+        pre.trace_columns = {}
         for name in _PREPASS_SCALARS:
             setattr(pre, name, scalars[name])
         pre.miss_summary = header["miss_summary"]

@@ -76,13 +76,22 @@ class PackedTrace:
                 self.mispredicts)
 
 
+#: Rows packed per :func:`struct.pack` call in :func:`int64_array`.
+_PACK_ROWS = 4096
+
+
 def int64_array(values):
     """A sequence of ints as an ``array('q')``.
 
     Packing through :mod:`struct` converts about twice as fast as
-    ``array('q', values)``, which appends item by item.
+    ``array('q', values)``, which appends item by item; packing a slice
+    at a time keeps the temporaries small.
     """
-    return array("q", struct.pack("%dq" % len(values), *values))
+    out = array("q")
+    for start in range(0, len(values), _PACK_ROWS):
+        rows = values[start:start + _PACK_ROWS]
+        out.frombytes(struct.pack("%dq" % len(rows), *rows))
+    return out
 
 
 def int64_columns(packed):
@@ -100,9 +109,9 @@ def int64_columns(packed):
         "ops": int64_array(packed.ops),
         "dests": int64_array(packed.dests),
         "addrs": int64_array(packed.addrs),
-        "mispredicts": int64_array(tuple(map(bool, packed.mispredicts))),
-        "src_off": int64_array((0, *accumulate(map(len, srcss)))),
-        "src_val": int64_array(tuple(chain.from_iterable(srcss))),
+        "mispredicts": array("q", map(bool, packed.mispredicts)),
+        "src_off": array("q", accumulate(map(len, srcss), initial=0)),
+        "src_val": array("q", chain.from_iterable(srcss)),
     }
 
 

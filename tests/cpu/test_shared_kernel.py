@@ -143,6 +143,21 @@ class TestNativeKernel:
         native.replay(prepass, cfg)
         assert prepass._native is first
 
+    def test_like_walk_shares_trace_columns(self, prepasses, config):
+        """Walks of one trace built ``like=`` each other convert the
+        trace once; a walk of another trace is refused."""
+        trace, prepass = prepasses["mcf"]
+        obfuscating = make_policy("commit+obfuscation")
+        other = build_prepass(trace, config.for_policy(obfuscating),
+                              warmup=WARMUP, like=prepass)
+        replay_policy(prepass, make_policy("decrypt-only"), config)
+        replay_policy(other, obfuscating, config)
+        assert other.trace_columns is prepass.trace_columns
+        assert other._native[0] is prepass._native[0]
+        with pytest.raises(ValueError, match="same trace"):
+            build_prepass(prepasses["swim"][0], config, warmup=WARMUP,
+                          like=prepass)
+
     def test_kernel_failure_raises(self, prepasses, config, monkeypatch):
         """A failed kernel run raises; there is no second loop to try."""
 

@@ -165,9 +165,9 @@ class TestEvaluationPath:
         walked = []
         build = walks.build_prepass
 
-        def counting_build(trace, config, warmup=0):
+        def counting_build(trace, config, **kwargs):
             walked.append(config.secure.hash_tree_enabled)
-            return build(trace, config, warmup=warmup)
+            return build(trace, config, **kwargs)
 
         monkeypatch.setattr(walks, "build_prepass", counting_build)
         config = SimConfig().with_secure(hash_tree_enabled=True)
