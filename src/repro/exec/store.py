@@ -291,8 +291,8 @@ class _LazySrcs:
             yield values[offsets[index]:offsets[index + 1]]
 
 
-#: Prepass int64 columns, in file order (``if_flags`` is a byte column
-#: and handled separately; scalars ride in the header).
+#: Prepass int64 columns, in file order (scalars, ``tree_depths``
+#: included, ride in the header).
 _PREPASS_COLUMNS = ("if_flags", "a_pre", "a_lvl", "a_ref", "a_wb", "m_wb",
                     "m_counter", "m_tree", "m_backing", "m_remap",
                     "d_bank", "d_cat")

@@ -6,10 +6,9 @@ replay is the native kernel -- plus the beyond-default cells (through
 the shared pass too where the envelope covers them), and compares cycle
 counts and full stats digests against the pinned values.  That is the
 bit-identical timing-neutrality contract every hot-path change must
-keep.  On a
-machine where the native kernel cannot be built the shared column is
-skipped, and ``repro perf`` says so; ``REPRO_NATIVE=require`` makes
-that an error instead.  Throughput is measured by the ``bench/``
+keep.  On a machine where the native kernel cannot be built the shared
+column is skipped, and ``repro perf`` says so; ``REPRO_NATIVE=require``
+makes that an error instead.  Throughput is measured by the ``bench/``
 harness, not here.
 """
 
