@@ -33,7 +33,7 @@ from repro.obs.events import (
     STORE_RELEASED,
 )
 from repro.util.statistics import StatGroup
-from repro.workloads.trace import Op
+from repro.workloads.trace import NUM_REGS, Op
 
 _UNIT_LATENCY = {
     Op.IALU: 1,
@@ -137,11 +137,11 @@ class TimestampCore:
             getattr(policy, "fetch_mode", "tag") == "precise"
         iline_bytes = self.config.l1i.line_bytes
 
-        reg_ready = [0] * 64
+        reg_ready = [0] * NUM_REGS
         # Precise authen-then-fetch: per-register verification frontier of
         # the value's whole data/control ancestry, plus the control-flow
         # frontier carried by branches.
-        reg_frontier = [0] * 64
+        reg_frontier = [0] * NUM_REGS
         ctrl_frontier = 0
         ruu_ring = [0] * ruu_size
         lsq_ring = [0] * lsq_size

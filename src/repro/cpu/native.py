@@ -31,9 +31,8 @@ The compiled object is cached as
 ``<cache>/repro-kernel-<source-hash>.so`` (``REPRO_NATIVE_CACHE``,
 default the system temp dir); each machine compiles once and
 process-pool workers just dlopen the cached object.  The walk's columns
-come back as ``array('q')`` (no third-party deps) and the replay reads
-them as they are, with the trace's int64 columns converted once per
-walk and reused across all N policy replays of a group.
+come back as ``array('q')`` (no third-party deps), and the walk and
+every replay read them and the trace's own int64 columns as they are.
 """
 
 import ctypes
@@ -45,13 +44,13 @@ from array import array
 
 from repro.cpu.core import _CALENDAR_PRUNE_INTERVAL, _UNIT_LATENCY
 from repro.errors import ConfigError
-from repro.workloads.trace import int64_columns
+from repro.workloads.trace import NUM_REGS
 
 #: Output block size -- keep in lockstep with the OUT_* enum in the C
 #: source (config_block() follows its CFG_* enum the same way).
 _OUT_SLOTS = 12
 
-_C_SOURCE = r"""
+_C_SOURCE = "#define NUM_REGS %d\n" % NUM_REGS + r"""
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -413,8 +412,8 @@ int64_t repro_replay(const int64_t *cfg,
     const int64_t sb_size = cfg[CFG_SB_SIZE];
     const int64_t prune_mask = cfg[CFG_PRUNE_INTERVAL] - 1;
 
-    int64_t reg_ready[64] = {0};
-    int64_t reg_frontier[64] = {0};
+    int64_t reg_ready[NUM_REGS] = {0};
+    int64_t reg_frontier[NUM_REGS] = {0};
     int64_t ctrl_frontier = 0;
     int64_t fetch_frontier = 0, fetched_in_cycle = 0, fetch_cycle = -1;
     int64_t redirect_time = 0, last_commit = 0, commit_cycle = -1;
@@ -1442,34 +1441,21 @@ def _addr(arr):
 
 
 def _int64(column):
-    """``column`` as a non-empty ``array('q')`` the kernel can read."""
-    if not isinstance(column, array) or column.typecode != "q":
-        column = array("q", column)
+    """``column`` (an ``array('q')``), or a one-zero array in place of
+    an empty one, whose buffer address may be NULL."""
     return column or array("q", [0])
 
 
 def _buffers(prepass):
-    """The replay's argument buffers, built once and cached on the
-    prepass: the trace's int64 columns, then the walk's (already
-    ``array('q')``) in :data:`WALK_COLUMNS` order.
-
-    The trace conversion is paid once per trace -- walks built
-    ``like=`` another share it -- and amortised over every policy replay
-    of the group (the whole point of decode-once).
-    """
+    """The replay's argument buffers, cached on the prepass: the trace's
+    own int64 columns, then the walk's in :data:`WALK_COLUMNS` order."""
     buf = getattr(prepass, "_native", None)
     if buf is None:
-        trace = prepass.trace_columns
-        if not trace:
-            trace.update(int64_columns(prepass.packed))
-        buf = prepass._native = (
-            trace["ops"],
-            trace["dests"],
-            trace["src_off"],
-            _int64(trace["src_val"]),
-            trace["mispredicts"],
-            *(_int64(getattr(prepass, name)) for name in WALK_COLUMNS),
-        )
+        packed = prepass.packed
+        buf = prepass._native = tuple(map(_int64, (
+            packed.ops, packed.dests, packed.src_off, packed.src_val,
+            packed.mispredicts,
+            *(getattr(prepass, name) for name in WALK_COLUMNS))))
     return buf
 
 

@@ -38,7 +38,6 @@ from repro.cpu import native
 from repro.errors import ConfigError
 from repro.secure.metadata import MetadataLayout
 from repro.util.rng import DeterministicRng
-from repro.workloads.trace import int64_array
 
 # DRAM page-status categories recorded per op (index into the kernel's
 # RAS-latency table).
@@ -105,7 +104,6 @@ class TracePrepass:
         "page_reencryptions", "hash_tree", "obfuscation",
         "tree_node_fetches", "tree_backing_hits", "tree_depths",
         "remap_entry_fetches", "remap_reshuffles", "miss_summary",
-        "trace_columns",  # int64_columns(packed), shared by like= walks
         "_native",   # the replay's buffers, built by its first replay
     )
 
@@ -129,20 +127,18 @@ def _remap_draws(config, num_chunks, num_insts):
 
 
 def build_prepass(trace, config, warmup=0,
-                  protected_bytes=256 * 1024 * 1024, like=None):
+                  protected_bytes=256 * 1024 * 1024):
     """Run the structural walk; returns a :class:`TracePrepass`.
 
     ``config`` is the structure the walk mirrors: pass a policy's
     :meth:`~repro.config.SimConfig.for_policy` configuration, so the
     hash tree is walked only for authenticating policies and the
-    re-map layer for obfuscating ones.  ``like`` is another walk of
-    the same trace whose int64 trace columns the replay shares.  Must
-    only be called for configurations passing :func:`prepass_supported`.
-    Raises RuntimeError when the native kernel cannot load.
+    re-map layer for obfuscating ones.  The walk and every replay of
+    it read the trace's own int64 columns.  Must only be called for
+    configurations passing :func:`prepass_supported`.  Raises
+    RuntimeError when the native kernel cannot load.
     """
     packed = trace.packed()
-    if like is not None and like.packed is not packed:
-        raise ValueError("like= must be a walk of the same trace")
     num_insts = len(packed)
     warmup = min(warmup, num_insts)
     secure = config.secure
@@ -197,14 +193,12 @@ def build_prepass(trace, config, warmup=0,
         secure.remap_chunk_bytes, secure.remap_shuffle_period, len(draws),
     ])
     columns, scalars, hits_misses, depths = native.walk(
-        cfg, int64_array(packed.pcs), int64_array(packed.ops),
-        int64_array(packed.addrs), tree_bases, draws)
+        cfg, packed.pcs, packed.ops, packed.addrs, tree_bases, draws)
 
     pre = TracePrepass()
     pre.num_instructions = num_insts
     pre.warmup = warmup
     pre.packed = packed
-    pre.trace_columns = {} if like is None else like.trace_columns
     for name, column in columns.items():
         setattr(pre, name, column)
     for name, value in scalars.items():

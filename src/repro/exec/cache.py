@@ -7,12 +7,11 @@ in an ablation grid paid tracegen again).  This cache memoises traces by
 their generation key.  It is *process-safe by construction*: each worker
 process holds its own in-memory cache, and cross-process sharing happens
 through the content-addressed :mod:`~repro.exec.store` when one is
-active -- a memory miss checks the store (an ``mmap`` of a page-cached
-file all workers share) before generating, and a generation is published
-back under a single-flight lock so N concurrent workers asking for the
-same missing trace cost exactly one generation.  With no store active
-(the default) behaviour is the historical one: generate per process,
-bit-identical because generation is deterministic.
+active -- a memory miss checks the store before generating, and a
+generation is published back under a single-flight lock so N concurrent
+workers asking for the same missing trace cost exactly one generation.
+With no store active (the default) behaviour is the historical one:
+generate per process, bit-identical because generation is deterministic.
 """
 
 import threading

@@ -146,14 +146,16 @@ def iter_group_results(group, skip=(), tracer=None, profiler=None,
     structural walk (:mod:`repro.cpu.prepass`) runs once per distinct
     effective structure among the members
     (:meth:`~repro.config.SimConfig.for_policy`: the hash tree only for
-    authenticating policies, the re-map layer for obfuscating ones --
-    at most two walks per group) and feeds the shared timestamp kernel
-    once per policy.  Groups outside the envelope (CBC encryption,
-    prefetching) run the legacy per-policy simulator on the same cached
-    trace, and so does every member when an enabled ``tracer`` is
-    passed (the shared kernel emits no events) or the native kernel
-    cannot be built.  The two paths are bit-identical (the differential
-    suite, the lockstep oracle property and ``repro perf`` pin this).
+    authenticating policies, the re-map layer for obfuscating ones: a
+    ``--hash-tree`` group over every policy walks three structures,
+    decrypt-only, authenticating and ``commit+obfuscation``) and feeds
+    the shared timestamp kernel once per policy.  Groups outside the
+    envelope (CBC encryption, prefetching) run the legacy per-policy
+    simulator on the same cached trace, and so does every member when
+    an enabled ``tracer`` is passed (the shared kernel emits no events)
+    or the native kernel cannot be built.  The two paths are
+    bit-identical (the differential suite, the lockstep oracle property
+    and ``repro perf`` pin this).
 
     ``skip`` is a set of member job_ids to leave out (mid-group resume:
     the retry loop passes the members already journaled).
@@ -263,9 +265,8 @@ def iter_group_results(group, skip=(), tracer=None, profiler=None,
                 with (profiler.phase("prepass") if profiler is not None
                       else nullcontext()):
                     prepass = prepasses[config.secure] = \
-                        walks.build_prepass(
-                            trace, config, warmup=group.warmup,
-                            like=next(iter(prepasses.values()), None))
+                        walks.build_prepass(trace, config,
+                                            warmup=group.warmup)
             pending[config.secure] -= 1
             if not pending[config.secure]:
                 del prepasses[config.secure]

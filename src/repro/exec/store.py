@@ -13,10 +13,10 @@ instead of once per process:
   :class:`~repro.cpu.prepass.TracePrepass` columns (the latter no
   longer written by the executor, which walks in-process) serialized as
   ``array('q')`` buffers behind a CRC32-sealed JSON header that carries
-  the generation key and a code fingerprint.  Entries are loaded
-  *zero-copy* via ``mmap``: the int64 columns are ``memoryview`` casts
-  straight into the page cache, so N concurrent workers share one
-  physical copy of each trace instead of regenerating N times.
+  the generation key and a code fingerprint.  A load copies each
+  column once out of an ``mmap`` into an ``array('q')``, so N
+  concurrent workers read one trace instead of regenerating it N
+  times.
 - **Result tier** (``<root>/results``): append-only segments of
   completion records in the job journal's CRC-sealed line format, one
   ``<fingerprint>-<host>-<pid>-<n>.journal`` per writing process and
@@ -39,13 +39,15 @@ corruption costs one recomputation, never a wrong number.  Because
 loads fall back to generation and saves swallow ``OSError``, a broken
 store degrades to exactly the no-store behaviour.
 
-Bit-identity contract: a loaded trace/prepass exposes the same column
-values (``memoryview('q')`` instead of tuples/lists -- same ints, same
-order), and a loaded result rebuilds through the same
-``StatGroup.from_dict`` path journal resume already trusts, so warm
-results are byte-identical to cold ones.  ``repro chaos --campaign store``
-gates exactly that, and ``bench/run.py`` gates every warm figure run on
-the cold run's series digest.
+Bit-identity contract: a loaded trace/prepass holds the same
+``array('q')`` columns it was saved from (a trace is built through
+:class:`~repro.workloads.trace.PackedTrace`'s checking constructor, and
+an entry that fails the check is quarantined), and a loaded result
+rebuilds through the same ``StatGroup.from_dict`` path journal resume
+already trusts, so warm results are byte-identical to cold ones.
+``repro chaos --campaign store`` gates exactly that, and
+``bench/run.py`` gates every warm figure run on the cold run's series
+digest.
 
 The store is **off by default**: it activates only via the ``--store``
 CLI flag or the ``REPRO_STORE`` environment variable (which forked pool
@@ -77,7 +79,7 @@ from repro.sim.checkpoint import (
     parse_record,
     result_from_record,
 )
-from repro.workloads.trace import PackedTrace, Trace, int64_columns
+from repro.workloads.trace import PackedTrace, Trace
 
 #: Environment variable naming the store root (inherited by workers).
 STORE_ENV = "REPRO_STORE"
@@ -190,17 +192,16 @@ def code_fingerprint(kind):
 def _write_entry(path, header, columns):
     """Serialize ``columns`` behind ``header``; publish atomically.
 
-    ``columns`` is ``[(name, fmt, raw_bytes)]`` with ``fmt`` one of
-    ``'q'`` (int64 little-endian) or ``'B'``.  Returns bytes written.
+    ``columns`` is ``[(name, array('q'))]``, written in that order as
+    native (little-endian) int64.  Returns bytes written.
     """
     specs = []
     payload = bytearray()
-    for name, fmt, data in columns:
+    for name, column in columns:
         offset = len(payload)
-        payload += data
-        payload += b"\x00" * ((-len(payload)) % 8)
-        specs.append({"name": name, "fmt": fmt, "offset": offset,
-                      "bytes": len(data)})
+        payload += column
+        specs.append({"name": name, "fmt": "q", "offset": offset,
+                      "bytes": len(payload) - offset})
     header = dict(header, format_version=FORMAT_VERSION, columns=specs)
     blob = json.dumps(header, sort_keys=True, default=str).encode()
     body = bytearray(_PREAMBLE.pack(
@@ -217,78 +218,56 @@ def _write_entry(path, header, columns):
 def _read_entry(path):
     """mmap one entry; validate preamble + both CRCs; return columns.
 
-    Returns ``(header, {name: column})`` where int64 columns are
-    zero-copy ``memoryview('q')`` casts into the mapping (byte columns
-    stay plain byte views).  The views keep the ``mmap`` alive; nothing
-    is copied out of the page cache.  Raises
-    :class:`CorruptEntryError` on any validation failure.
+    Returns ``(header, {name: array('q')})``, each column copied once
+    out of the mapping.  Raises :class:`CorruptEntryError` on any
+    validation failure.
     """
     with open(path, "rb") as handle:
         if os.fstat(handle.fileno()).st_size < _PREAMBLE_LEN:
             raise CorruptEntryError("truncated preamble")
         mm = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-    magic, version, header_len, header_crc, payload_len, payload_crc = \
-        _PREAMBLE.unpack_from(mm, 0)
-    if magic != _MAGIC:
-        raise CorruptEntryError("bad magic %r" % magic)
-    if version != FORMAT_VERSION:
-        raise CorruptEntryError("format_version %d (this build reads %d)"
-                                % (version, FORMAT_VERSION))
-    header_end = _PREAMBLE_LEN + header_len
-    payload_off = _align8(header_end)
-    if payload_off + payload_len > len(mm):
-        raise CorruptEntryError("truncated payload")
-    blob = mm[_PREAMBLE_LEN:header_end]
-    if zlib.crc32(blob) != header_crc:
-        raise CorruptEntryError("header crc32 mismatch")
-    view = memoryview(mm)
-    if zlib.crc32(view[payload_off:payload_off + payload_len]) \
-            != payload_crc:
-        raise CorruptEntryError("payload crc32 mismatch")
-    try:
-        header = json.loads(blob)
-    except ValueError:
-        raise CorruptEntryError("unparseable header") from None
-    columns = {}
-    for spec in header.get("columns", ()):
-        start = payload_off + spec["offset"]
-        raw = view[start:start + spec["bytes"]]
-        columns[spec["name"]] = raw.cast("q") if spec["fmt"] == "q" else raw
+    with mm, memoryview(mm) as view:
+        magic, version, header_len, header_crc, payload_len, payload_crc = \
+            _PREAMBLE.unpack_from(mm, 0)
+        if magic != _MAGIC:
+            raise CorruptEntryError("bad magic %r" % magic)
+        if version != FORMAT_VERSION:
+            raise CorruptEntryError("format_version %d (this build reads %d)"
+                                    % (version, FORMAT_VERSION))
+        header_end = _PREAMBLE_LEN + header_len
+        payload_off = _align8(header_end)
+        if payload_off + payload_len > len(mm):
+            raise CorruptEntryError("truncated payload")
+        blob = mm[_PREAMBLE_LEN:header_end]
+        if zlib.crc32(blob) != header_crc:
+            raise CorruptEntryError("header crc32 mismatch")
+        if zlib.crc32(view[payload_off:payload_off + payload_len]) \
+                != payload_crc:
+            raise CorruptEntryError("payload crc32 mismatch")
+        try:
+            header = json.loads(blob)
+        except ValueError:
+            raise CorruptEntryError("unparseable header") from None
+        columns = {}
+        for spec in header.get("columns", ()):
+            start = payload_off + spec["offset"]
+            end = start + spec["bytes"]
+            if (spec["fmt"] != "q" or spec["bytes"] % 8
+                    or not payload_off <= start <= end
+                    <= payload_off + payload_len):
+                raise CorruptEntryError("bad column spec %r" % spec)
+            column = columns[spec["name"]] = array("q")
+            column.frombytes(view[start:end])
     return header, columns
 
 
-class _LazySrcs:
-    """CSR-decoded source-register column (row ``i`` is a small slice).
-
-    ``PackedTrace.srcss`` is a column of variable-length tuples, which
-    has no flat int64 encoding -- so the file stores CSR offsets plus a
-    flattened value column (:func:`~repro.workloads.trace.int64_columns`),
-    and this wrapper hands consumers zero-copy per-row slices.  The
-    replay loops only ever take ``len`` and iterate a row's sources,
-    which memoryview slices support with the same values in the same
-    order.
-    """
-
-    __slots__ = ("_offsets", "_values")
-
-    def __init__(self, offsets, values):
-        self._offsets = offsets
-        self._values = values
-
-    def __len__(self):
-        return len(self._offsets) - 1
-
-    def __getitem__(self, index):
-        if index < 0:
-            index += len(self)
-        return tuple(self._values[self._offsets[index]:
-                                  self._offsets[index + 1]])
-
-    def __iter__(self):
-        offsets = self._offsets
-        values = self._values
-        for index in range(len(offsets) - 1):
-            yield values[offsets[index]:offsets[index + 1]]
+def _packed(columns):
+    """The :class:`PackedTrace` over an entry's columns; raises
+    :class:`CorruptEntryError` when they fail its check."""
+    try:
+        return PackedTrace(**columns)
+    except (TypeError, ValueError) as exc:
+        raise CorruptEntryError("bad trace columns: %s" % exc) from None
 
 
 #: Prepass int64 columns, in file order (scalars, ``tree_depths``
@@ -455,6 +434,11 @@ class ArtifactStore:
                                                     seed))
         try:
             header, cols = _read_entry(path)
+            if (header.get("kind") != "trace"
+                    or header.get("fingerprint") != code_fingerprint("trace")
+                    or len(cols.get("pcs", ())) != header.get("rows", -1)):
+                raise CorruptEntryError("key/fingerprint mismatch")
+            packed = _packed(cols)
         except FileNotFoundError:
             self._miss("trace")
             return None
@@ -462,26 +446,16 @@ class ArtifactStore:
             self._quarantine(path, str(exc))
             self._miss("trace")
             return None
-        meta = header.get("meta", {})
-        if (header.get("kind") != "trace"
-                or header.get("fingerprint") != code_fingerprint("trace")
-                or len(cols.get("pcs", ())) != header.get("rows", -1)):
-            self._quarantine(path, "key/fingerprint mismatch")
-            self._miss("trace")
-            return None
-        packed = PackedTrace(cols["pcs"], cols["ops"], cols["dests"],
-                             _LazySrcs(cols["src_off"], cols["src_val"]),
-                             cols["addrs"], cols["mispredicts"])
         self._hit("trace", os.path.getsize(path))
         self._touch(path)
+        meta = header.get("meta", {})
         return Trace(meta.get("name", benchmark), packed,
                      footprint_bytes=meta.get("footprint_bytes", 0),
                      suite=meta.get("suite", ""))
 
     def save_trace(self, trace, benchmark, trace_length, seed):
         """Publish one generated trace; False if the write failed."""
-        columns = [(name, "q", values.tobytes()) for name, values
-                   in int64_columns(trace.packed()).items()]
+        columns = list(trace.packed().columns().items())
         header = {
             "kind": "trace",
             "fingerprint": code_fingerprint("trace"),
@@ -536,7 +510,6 @@ class ArtifactStore:
 
         pre = TracePrepass()
         pre.packed = packed
-        pre.trace_columns = {}
         for name in _PREPASS_SCALARS:
             setattr(pre, name, scalars[name])
         pre.miss_summary = header["miss_summary"]
@@ -548,7 +521,7 @@ class ArtifactStore:
 
     def save_prepass(self, prepass, benchmark, trace_length, seed, config,
                      warmup):
-        columns = [(name, "q", array("q", getattr(prepass, name)).tobytes())
+        columns = [(name, getattr(prepass, name))
                    for name in _PREPASS_COLUMNS]
         header = {
             "kind": "prepass",
@@ -848,15 +821,15 @@ class ArtifactStore:
             for path, _ in list(self._entries(tier)):
                 report["checked"] += 1
                 try:
-                    header, _ = _read_entry(path)
+                    header, cols = _read_entry(path)
+                    stale = header.get("fingerprint") != fingerprints[tier]
+                    if tier == "traces" and not stale:
+                        _packed(cols)
                 except (CorruptEntryError, OSError) as exc:
                     self._quarantine(path, "verify: %s" % exc)
                     report["corrupt"] += 1
                     continue
-                if header.get("fingerprint") != fingerprints[tier]:
-                    report["stale"] += 1
-                else:
-                    report["ok"] += 1
+                report["stale" if stale else "ok"] += 1
         current = code_fingerprint("result")
         for path, _ in list(self._entries("results")):
             for offset, _, record, reason in JournalTail(path).lines(

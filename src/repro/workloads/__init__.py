@@ -8,8 +8,8 @@ branch predictability, ILP) that reproduce the *relative* behaviour the
 policies are sensitive to.  See DESIGN.md for the substitution rationale.
 
 A trace has one form: a :class:`Trace` (name, footprint, suite) around
-one :class:`PackedTrace`, six parallel columns the generators append to
-directly and every consumer reads.
+one :class:`PackedTrace`, seven int64 columns the generators pack once
+and every consumer reads.
 """
 
 from repro.workloads.spec import (

@@ -38,7 +38,7 @@ def capture_trace(machine, max_steps=10_000, name="captured",
     model.
     """
     predictor = predictor or BimodalPredictor()
-    packed = PackedTrace([], [], [], [], [], [])
+    rows = []
     footprint_low = None
     footprint_high = None
 
@@ -66,17 +66,13 @@ def capture_trace(machine, max_steps=10_000, name="captured",
             if footprint_high is None or mem_vaddr > footprint_high:
                 footprint_high = mem_vaddr
 
-        packed.pcs.append(pc)
-        packed.ops.append(op)
-        packed.dests.append(dest if dest is not None else -1)
-        packed.srcss.append(srcs)
-        packed.addrs.append(mem_vaddr if mem_vaddr >= 0 else -1)
-        packed.mispredicts.append(mispredict)
+        rows.append((pc, op, dest if dest is not None else -1, srcs,
+                     mem_vaddr if mem_vaddr >= 0 else -1, mispredict))
         if not alive:
             break
 
     footprint = 0
     if footprint_low is not None:
         footprint = footprint_high - footprint_low + 4
-    return Trace(name, packed, footprint_bytes=footprint,
-                 suite="captured")
+    return Trace(name, PackedTrace.from_rows(rows),
+                 footprint_bytes=footprint, suite="captured")

@@ -8,7 +8,7 @@ redirect penalty (standard practice for trace-driven models).
 import struct
 from array import array
 from collections import Counter
-from itertools import accumulate, chain
+from itertools import accumulate, chain, compress, islice
 
 
 class Op:
@@ -35,52 +35,17 @@ class Op:
     }
 
 
-class PackedTrace:
-    """Columnar (structure-of-arrays) form of an instruction stream.
+#: Architectural registers, as the generator, the timestamp core and
+#: the native replay size their register files.
+NUM_REGS = 64
 
-    Six parallel columns -- ``pcs``, ``ops``, ``dests``, ``srcss``,
-    ``addrs``, ``mispredicts`` -- with row ``i`` holding the fields of
-    committed instruction ``i``: ``srcs`` are architectural source
-    register ids, ``dest`` is -1 when the instruction writes no register,
-    ``addr`` is the effective byte address of a load or store (-1
-    otherwise) and ``mispredict`` marks branches the front end predicted
-    wrongly.  The generators append straight to these columns and every
-    consumer reads them; there is no per-instruction object.
-
-    A column is a list for a generated or captured trace and a
-    zero-copy view of the mapped file for one the artifact store
-    loaded.  Columns are never mutated once built.
-    """
-
-    __slots__ = ("pcs", "ops", "dests", "srcss", "addrs", "mispredicts")
-
-    def __init__(self, pcs, ops, dests, srcss, addrs, mispredicts):
-        self.pcs = pcs
-        self.ops = ops
-        self.dests = dests
-        self.srcss = srcss
-        self.addrs = addrs
-        self.mispredicts = mispredicts
-
-    def __len__(self):
-        return len(self.pcs)
-
-    def rows(self):
-        """Iterate ``(pc, op, dest, srcs, addr, mispredict)`` rows."""
-        return zip(self.pcs, self.ops, self.dests, self.srcss,
-                   self.addrs, self.mispredicts)
-
-    def columns(self):
-        """The six parallel columns, in row order."""
-        return (self.pcs, self.ops, self.dests, self.srcss, self.addrs,
-                self.mispredicts)
-
-
-#: Rows packed per :func:`struct.pack` call in :func:`int64_array`.
+#: Rows packed per :func:`struct.pack` call in :func:`_int64_array`.
 _PACK_ROWS = 4096
 
+_MEMORY_OPS = frozenset((Op.LOAD, Op.STORE))
 
-def int64_array(values):
+
+def _int64_array(values):
     """A sequence of ints as an ``array('q')``.
 
     Packing through :mod:`struct` converts about twice as fast as
@@ -94,25 +59,106 @@ def int64_array(values):
     return out
 
 
-def int64_columns(packed):
-    """The int64 encoding of a trace's columns, as ``array('q')`` values.
+class PackedTrace:
+    """The int64 columns of an instruction stream.
 
-    ``srcss`` becomes a CSR pair: ``src_val`` holds every row's sources
-    back to back and row ``i``'s are ``src_val[src_off[i]:src_off[i+1]]``.
-    ``mispredicts`` becomes 0/1.  The artifact store writes these arrays
-    and the native kernel reads them.  Built fresh on every call: a
-    cached copy would double each trace's footprint in the trace cache.
+    Seven ``array('q')`` columns, the one encoding every consumer reads
+    (the timing core, the native walk and replay, the artifact store).
+    Row ``i`` is committed instruction ``i``: ``pcs[i]``, ``ops[i]``
+    (an :class:`Op` code), ``dests[i]`` (-1 for no register written),
+    ``addrs[i]`` (a load's or store's byte address, else -1),
+    ``mispredicts[i]`` (1 for a mispredicted branch, else 0) and the
+    sources ``src_val[src_off[i]:src_off[i + 1]]`` (a CSR pair).
+
+    The constructor checks every value the native kernel uses as an
+    index, once, so columns are never mutated after it.  :meth:`pack`
+    builds a trace from Python columns, :meth:`from_rows` from rows.
     """
-    srcss = packed.srcss
-    return {
-        "pcs": int64_array(packed.pcs),
-        "ops": int64_array(packed.ops),
-        "dests": int64_array(packed.dests),
-        "addrs": int64_array(packed.addrs),
-        "mispredicts": array("q", map(bool, packed.mispredicts)),
-        "src_off": array("q", accumulate(map(len, srcss), initial=0)),
-        "src_val": array("q", chain.from_iterable(srcss)),
-    }
+
+    #: In constructor order, which is also the artifact store's file order.
+    COLUMNS = ("pcs", "ops", "dests", "addrs", "mispredicts", "src_off",
+               "src_val")
+
+    __slots__ = COLUMNS
+
+    def __init__(self, pcs, ops, dests, addrs, mispredicts, src_off,
+                 src_val):
+        self.pcs = pcs
+        self.ops = ops
+        self.dests = dests
+        self.addrs = addrs
+        self.mispredicts = mispredicts
+        self.src_off = src_off
+        self.src_val = src_val
+        self._check()
+
+    @classmethod
+    def pack(cls, pcs, ops, dests, srcss, addrs, mispredicts):
+        """Pack six Python row columns, ``srcss`` a sequence of source
+        tuples, into int64 columns (``mispredicts`` by truth value)."""
+        return cls(_int64_array(pcs), _int64_array(ops), _int64_array(dests),
+                   _int64_array(addrs),
+                   _int64_array([*map(bool, mispredicts)]),
+                   _int64_array([*accumulate(map(len, srcss), initial=0)]),
+                   _int64_array([*chain.from_iterable(srcss)]))
+
+    @classmethod
+    def from_rows(cls, rows):
+        """Pack ``(pc, op, dest, srcs, addr, mispredict)`` rows."""
+        return cls.pack(*(list(zip(*rows)) or [()] * 6))
+
+    def _check(self):
+        """TypeError unless every column is an ``array('q')``; ValueError
+        unless the row columns have equal lengths, ``src_off`` runs
+        monotonically from 0 to ``len(src_val)``, ops are :class:`Op`
+        codes, registers are in range and pcs and load/store addresses
+        are at least 0."""
+        for name in self.COLUMNS:
+            column = getattr(self, name)
+            if not isinstance(column, array) or column.typecode != "q":
+                raise TypeError("column %s is not an array('q')" % name)
+        rows = len(self.pcs)
+        if any(len(getattr(self, name)) != rows
+               for name in ("ops", "dests", "addrs", "mispredicts")):
+            raise ValueError("the row columns differ in length")
+        offsets = self.src_off.tolist()
+        if (len(offsets) != rows + 1 or offsets[0] != 0
+                or offsets[-1] != len(self.src_val)
+                or sorted(offsets) != offsets):
+            raise ValueError("src_off is not a monotone run of %d offsets "
+                             "from 0 to len(src_val) = %d"
+                             % (rows + 1, len(self.src_val)))
+        if self.pcs and min(self.pcs) < 0:
+            raise ValueError("pcs holds %d, below 0" % min(self.pcs))
+        for name, low, high in (("ops", 0, len(Op.NAMES)),
+                                ("dests", -1, NUM_REGS),
+                                ("src_val", 0, NUM_REGS)):
+            column = getattr(self, name)
+            if column and (min(column) < low or max(column) >= high):
+                raise ValueError("%s holds %d..%d, outside [%d, %d)"
+                                 % (name, min(column), max(column), low,
+                                    high))
+        if min(compress(self.addrs, map(_MEMORY_OPS.__contains__, self.ops)),
+               default=0) < 0:
+            raise ValueError("a load or store has a negative address")
+
+    def __len__(self):
+        return len(self.pcs)
+
+    def rows(self):
+        """Iterate ``(pc, op, dest, srcs, addr, mispredict)`` rows, with
+        ``srcs`` a tuple and ``mispredict`` a bool: the legacy
+        simulator's view of the trace."""
+        offsets = self.src_off
+        values = self.src_val.tolist()
+        srcss = (tuple(values[start:end]) for start, end
+                 in zip(offsets, islice(offsets, 1, None)))
+        return zip(self.pcs, self.ops, self.dests, srcss, self.addrs,
+                   map(bool, self.mispredicts))
+
+    def columns(self):
+        """The seven columns by name, in :attr:`COLUMNS` order."""
+        return {name: getattr(self, name) for name in self.COLUMNS}
 
 
 class Trace:

@@ -16,18 +16,17 @@ Generation is deterministic given (profile, seed).
 """
 
 from repro.util.rng import DeterministicRng
-from repro.workloads.trace import Op, PackedTrace, Trace
+from repro.workloads.trace import NUM_REGS, Op, PackedTrace, Trace
 
 DATA_BASE = 1 << 20           # data region starts at 1 MB
 HOT_BYTES = 8 * 1024          # hot set: comfortably L1-resident
-_NUM_REGS = 64
 
 
 def generate_trace(profile, num_instructions, seed=2006, name=None):
     """Generate ``num_instructions`` committed instructions for ``profile``.
 
-    The rows are appended straight to the six :class:`PackedTrace`
-    columns.
+    The rows are appended to six local lists, packed into the
+    :class:`PackedTrace` int64 columns once at the end.
     """
     if num_instructions < 0:
         raise ValueError("num_instructions must be non-negative")
@@ -68,7 +67,7 @@ def generate_trace(profile, num_instructions, seed=2006, name=None):
     # indices updated by short ALU self-chains, never by loads.  Addresses
     # of non-chasing accesses derive from them, which is what gives real
     # loop nests their memory-level parallelism.
-    induction_regs = tuple(range(_NUM_REGS - 8, _NUM_REGS))
+    induction_regs = tuple(range(NUM_REGS - 8, NUM_REGS))
 
     def pick_src():
         # Geometric recency: deeper dependency_depth -> older sources ->
@@ -81,7 +80,7 @@ def generate_trace(profile, num_instructions, seed=2006, name=None):
 
     def pick_dest():
         nonlocal next_reg
-        next_reg = next_reg % (_NUM_REGS - 9) + 1  # skip r0 and induction
+        next_reg = next_reg % (NUM_REGS - 9) + 1  # skip r0 and induction
         return next_reg
 
     def pick_load_src():
@@ -173,7 +172,7 @@ def generate_trace(profile, num_instructions, seed=2006, name=None):
 
     return Trace(
         name or profile.name,
-        PackedTrace(pcs, ops, dests, srcss, addrs, mispredicts),
+        PackedTrace.pack(pcs, ops, dests, srcss, addrs, mispredicts),
         footprint_bytes=profile.footprint_bytes,
         suite=profile.suite,
     )

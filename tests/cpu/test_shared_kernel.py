@@ -11,15 +11,24 @@ simulator instead (``tests/exec/test_group_execution.py`` covers that
 path).  ``tests/cpu/test_kernel_oracle.py`` draws the configurations.
 """
 
+from array import array
+
 import pytest
 
+from repro import load_program
 from repro.config import SimConfig
 from repro.cpu import native
 from repro.cpu.prepass import build_prepass, prepass_supported
 from repro.cpu.shared_kernel import replay_policy
+from repro.exec import ArtifactStore, TraceCache
 from repro.exec.cache import cached_trace
+from repro.exec.executor import iter_group_results
+from repro.exec.job import MultiPolicySimJob
+from repro.func import programs
+from repro.func.machine import SecureMachine
 from repro.policies import available_policies, make_policy
 from repro.sim.runner import build_simulator
+from repro.workloads.capture import capture_trace
 
 needs_kernel = pytest.mark.skipif(
     not native.native_available(),
@@ -143,20 +152,51 @@ class TestNativeKernel:
         native.replay(prepass, cfg)
         assert prepass._native is first
 
-    def test_like_walk_shares_trace_columns(self, prepasses, config):
-        """Walks of one trace built ``like=`` each other convert the
-        trace once; a walk of another trace is refused."""
-        trace, prepass = prepasses["mcf"]
-        obfuscating = make_policy("commit+obfuscation")
-        other = build_prepass(trace, config.for_policy(obfuscating),
-                              warmup=WARMUP, like=prepass)
-        replay_policy(prepass, make_policy("decrypt-only"), config)
-        replay_policy(other, obfuscating, config)
-        assert other.trace_columns is prepass.trace_columns
-        assert other._native[0] is prepass._native[0]
-        with pytest.raises(ValueError, match="same trace"):
-            build_prepass(prepasses["swim"][0], config, warmup=WARMUP,
-                          like=prepass)
+    def test_kernel_reads_the_traces_own_columns(self, config, tmp_path,
+                                                 monkeypatch):
+        """Generated, captured and store-loaded traces all hold
+        ``array('q')`` columns, and each walk of a group and each
+        replay hand the kernel the trace's own column objects."""
+        store = ArtifactStore(tmp_path / "store")
+        generated = cached_trace("mcf", NUM_INSTRUCTIONS + WARMUP,
+                                 config.seed)
+        store.save_trace(generated, "mcf", len(generated), config.seed)
+        loaded = store.load_trace("mcf", len(generated), config.seed)
+        machine = SecureMachine(make_policy("decrypt-only"))
+        load_program(machine, programs.LIST_WALK,
+                     data=programs.list_walk_data(nodes=16, stride=0x100))
+        captured = capture_trace(machine, max_steps=2000)
+        for trace in (generated, captured, loaded):
+            assert all(type(column) is array and column.typecode == "q"
+                       for column in trace.packed().columns().values())
+
+        handed = []
+        walk, replay = native.walk, native.replay
+
+        def spy_walk(cfg, pcs, ops, addrs, *rest):
+            handed.append(((pcs, ops, addrs), ("pcs", "ops", "addrs")))
+            return walk(cfg, pcs, ops, addrs, *rest)
+
+        def spy_replay(prepass, cfg):
+            out = replay(prepass, cfg)
+            handed.append((prepass._native[:5], ("ops", "dests", "src_off",
+                                                 "src_val", "mispredicts")))
+            return out
+
+        monkeypatch.setattr(native, "walk", spy_walk)
+        monkeypatch.setattr(native, "replay", spy_replay)
+        cache = TraceCache()
+        group = MultiPolicySimJob(
+            benchmark="mcf", config=config.with_secure(hash_tree_enabled=True),
+            policies=("decrypt-only", "authen-then-commit",
+                      "commit+obfuscation"),
+            num_instructions=NUM_INSTRUCTIONS, warmup=WARMUP)
+        assert len(list(iter_group_results(group, cache=cache))) == 3
+        packed = cache.get("mcf", group.trace_length, group.seed).packed()
+        assert len(handed) == 6  # three structures walked, three replays
+        for columns, names in handed:
+            for column, name in zip(columns, names):
+                assert column is getattr(packed, name), name
 
     def test_kernel_failure_raises(self, prepasses, config, monkeypatch):
         """A failed kernel run raises; there is no second loop to try."""

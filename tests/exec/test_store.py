@@ -6,6 +6,7 @@ import os
 import socket
 import threading
 import time
+import zlib
 
 import pytest
 
@@ -23,7 +24,13 @@ from repro.exec import (
     set_active_store,
 )
 from repro.exec.chaos import result_digest
-from repro.exec.store import STORE_ENV, code_fingerprint, default_store_path
+from repro.exec.store import (
+    _PREAMBLE,
+    _PREAMBLE_LEN,
+    STORE_ENV,
+    code_fingerprint,
+    default_store_path,
+)
 from repro.sim.checkpoint import JournalTail, completion_record
 from repro.workloads.spec import get_profile
 from repro.workloads.trace import Trace
@@ -65,9 +72,10 @@ class TestTraceRoundTrip:
         assert list(got.addrs) == list(want.addrs)
         assert [bool(m) for m in got.mispredicts] == \
             [bool(m) for m in want.mispredicts]
-        assert len(got.srcss) == len(want.srcss)
-        assert [tuple(s) for s in got.srcss] == \
-            [tuple(s) for s in want.srcss]
+        assert list(got.src_off) == list(want.src_off)
+        assert list(got.src_val) == list(want.src_val)
+        assert [srcs for _, _, _, srcs, _, _ in got.rows()] == \
+            [srcs for _, _, _, srcs, _, _ in want.rows()]
         assert loaded.name == trace.name
         assert loaded.footprint_bytes == trace.footprint_bytes
         assert loaded.suite == trace.suite
@@ -260,6 +268,33 @@ class TestCorruption:
         assert store.load_trace("gzip", N + WARMUP, 7) is None
         assert store.counters["quarantined"] == 1
 
+    def test_crc_valid_entry_with_short_src_val_quarantined(self, store):
+        """An entry whose CRCs hold but whose ``src_val`` column is cut
+        in half fails the trace check on load: a miss, quarantined."""
+        trace = _trace()
+        store.save_trace(trace, "gzip", len(trace), 12345)
+        path = store._path("traces",
+                           store.trace_name("gzip", len(trace), 12345))
+        _rewrite_header(path, lambda header: [
+            spec.update(bytes=spec["bytes"] // 16 * 8)
+            for spec in header["columns"] if spec["name"] == "src_val"])
+        assert store.load_trace("gzip", len(trace), 12345) is None
+        assert store.counters["quarantined"] == 1
+        assert os.path.exists(os.path.join(store.root, "quarantine",
+                                           os.path.basename(path)))
+
+    def test_verify_runs_the_trace_check(self, store):
+        trace = _trace()
+        store.save_trace(trace, "gzip", len(trace), 1)
+        store.save_trace(trace, "gzip", len(trace), 2)
+        path = store._path("traces", store.trace_name("gzip", len(trace), 1))
+        _rewrite_header(path, lambda header: [
+            spec.update(offset=0)
+            for spec in header["columns"] if spec["name"] == "src_off"])
+        report = store.verify()
+        assert (report["corrupt"], report["ok"]) == (1, 1)
+        assert store.stats()["quarantined_entries"] == 1
+
     def test_verify_quarantines_corruption_counts_stale(self, store):
         trace = _trace()
         store.save_trace(trace, "gzip", len(trace), 1)
@@ -272,6 +307,26 @@ class TestCorruption:
         assert report["corrupt"] == 1
         assert report["ok"] == 1
         assert store.stats()["quarantined_entries"] == 1
+
+
+def _rewrite_header(path, edit):
+    """Apply ``edit`` to the JSON header of the entry at ``path`` and
+    reseal it: a fresh header CRC, the payload and its CRC unchanged."""
+    with open(path, "rb") as handle:
+        body = handle.read()
+    magic, version, header_len, _, payload_len, payload_crc = \
+        _PREAMBLE.unpack_from(body, 0)
+    header_end = _PREAMBLE_LEN + header_len
+    payload = body[(header_end + 7) & ~7:][:payload_len]
+    header = json.loads(body[_PREAMBLE_LEN:header_end])
+    edit(header)
+    blob = json.dumps(header, sort_keys=True).encode()
+    out = _PREAMBLE.pack(magic, version, len(blob), zlib.crc32(blob),
+                         payload_len, payload_crc)
+    out = out.ljust(_PREAMBLE_LEN, b"\x00") + blob
+    out = out.ljust((len(out) + 7) & ~7, b"\x00") + payload
+    with open(path, "wb") as handle:
+        handle.write(out)
 
 
 def _segments(store):

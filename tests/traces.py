@@ -10,6 +10,4 @@ def row(pc, op, dest=-1, srcs=(), addr=-1, mispredict=False):
 
 def trace_from_rows(rows, name="t"):
     """A :class:`Trace` whose columns hold ``rows`` in order."""
-    columns = ([list(column) for column in zip(*rows)]
-               or [[] for _ in range(6)])
-    return Trace(name, PackedTrace(*columns))
+    return Trace(name, PackedTrace.from_rows(rows))

@@ -1,7 +1,7 @@
 """Pins of the generated trace columns.
 
 Every consumer of a trace -- the timing core, the structural prepass,
-the native replay kernel and the artifact store -- reads only its six
+the native replay kernel and the artifact store -- reads only its
 ``PackedTrace`` columns, so these digests pin exactly what a trace is:
 each SPEC2000 profile's generator output at two seeds, and one
 execution-driven capture of a functional-machine program.
@@ -69,8 +69,13 @@ CAPTURED = "a004a05ab46bce4db1da566b4e976b2cdcf3bfdbf1807ebe14eaa9ca995aa225"
 
 
 def columns_sha256(trace):
-    """sha256 over the trace's columns, independent of container types."""
-    pcs, ops, dests, srcss, addrs, mispredicts = trace.packed().columns()
+    """sha256 over the trace's rows, independent of their encoding.
+
+    Taken over the six row fields (``srcs`` as tuples, ``mispredict``
+    as bools), the form the generators produced before the columns
+    became int64, so the pins predate and outlive that encoding.
+    """
+    pcs, ops, dests, srcss, addrs, mispredicts = zip(*trace.packed().rows())
     canonical = (tuple(pcs), tuple(ops), tuple(dests),
                  tuple(tuple(srcs) for srcs in srcss), tuple(addrs),
                  tuple(bool(m) for m in mispredicts))

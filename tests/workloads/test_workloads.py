@@ -59,7 +59,8 @@ class TestTraceContainer:
         assert sum(1 for _ in trace.packed().rows()) == 5
 
     def test_op_mix(self):
-        trace = trace_from_rows([row(0, Op.LOAD), row(4, Op.IALU)])
+        trace = trace_from_rows([row(0, Op.LOAD, addr=0x1000),
+                                 row(4, Op.IALU)])
         mix = trace.op_mix()
         assert mix["load"] == 0.5
 
