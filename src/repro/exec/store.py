@@ -249,15 +249,18 @@ def _read_entry(path):
         except ValueError:
             raise CorruptEntryError("unparseable header") from None
         columns = {}
-        for spec in header.get("columns", ()):
-            start = payload_off + spec["offset"]
-            end = start + spec["bytes"]
-            if (spec["fmt"] != "q" or spec["bytes"] % 8
-                    or not payload_off <= start <= end
-                    <= payload_off + payload_len):
-                raise CorruptEntryError("bad column spec %r" % spec)
-            column = columns[spec["name"]] = array("q")
-            column.frombytes(view[start:end])
+        try:
+            for spec in header["columns"]:
+                start = payload_off + spec["offset"]
+                end = start + spec["bytes"]
+                if (spec["fmt"] != "q" or spec["bytes"] % 8
+                        or not payload_off <= start <= end
+                        <= payload_off + payload_len):
+                    raise ValueError(spec)
+                column = columns[spec["name"]] = array("q")
+                column.frombytes(view[start:end])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CorruptEntryError("bad column spec: %r" % exc) from None
     return header, columns
 
 

@@ -283,6 +283,22 @@ class TestCorruption:
         assert os.path.exists(os.path.join(store.root, "quarantine",
                                            os.path.basename(path)))
 
+    @pytest.mark.parametrize("edit", [
+        lambda header: header["columns"][0].pop("fmt"),
+        lambda header: header["columns"][1].update(offset=-8),
+        lambda header: header["columns"][2].update(bytes=12),
+        lambda header: header.pop("columns"),
+    ], ids=["no-fmt", "negative-offset", "ragged-bytes", "no-columns"])
+    def test_crc_valid_entry_with_bad_column_spec_quarantined(self, store,
+                                                              edit):
+        trace = _trace()
+        store.save_trace(trace, "gzip", len(trace), 12345)
+        path = store._path("traces",
+                           store.trace_name("gzip", len(trace), 12345))
+        _rewrite_header(path, edit)
+        assert store.load_trace("gzip", len(trace), 12345) is None
+        assert store.counters["quarantined"] == 1
+
     def test_verify_runs_the_trace_check(self, store):
         trace = _trace()
         store.save_trace(trace, "gzip", len(trace), 1)
