@@ -1,10 +1,11 @@
-"""Native (C) kernel: the one structural walk and the one replay.
+"""Native (C) kernel: the structural walk, the replay and the generator.
 
 The decode-once/evaluate-many pipeline has two hot loops, and both are
 pure integer arithmetic -- a shape the system C compiler turns into
-code an order of magnitude faster than the CPython interpreter loop.
-This module carries both as one C translation unit, compiles it at
-first use and drives it through :mod:`ctypes`:
+code an order of magnitude faster than the CPython interpreter loop;
+so is the synthetic trace generator that feeds them.  This module
+carries all three as one C translation unit, compiles it at first use
+and drives it through :mod:`ctypes`:
 
 - :func:`walk` is the structural walk behind
   :func:`~repro.cpu.prepass.build_prepass`: a decision-for-decision
@@ -14,7 +15,11 @@ first use and drives it through :mod:`ctypes`:
 - :func:`replay` times one policy over those columns, a line-for-line
   mirror of :meth:`repro.cpu.core.TimestampCore.run` and of the timing
   half of the memory walk.  :func:`config_block` is the one derivation
-  of the scalars it consumes.
+  of the scalars it consumes;
+- :func:`tracegen` is the loop of
+  :func:`~repro.workloads.tracegen.generate_trace`, drawing from the
+  stream's own ``random.Random`` state exactly as the Python loop
+  (its oracle, ``tests/workloads/test_tracegen_oracle.py``) does.
 
 Everything is integer arithmetic, so walk plus replay is
 *bit-identical* to the legacy simulator: the differential suite and the
@@ -22,8 +27,9 @@ lockstep oracle property in ``tests/cpu/`` pin native == legacy, and
 ``repro perf`` gates the pinned goldens.  The kernel needs a C
 compiler (``CC``, default ``cc``).  When none works,
 :func:`native_available` is False and the grouped executor
-runs every member on the legacy simulator instead, with identical
-results; ``REPRO_NATIVE=require`` turns an unavailable kernel into an
+runs every member on the legacy simulator instead, and traces come
+from the Python generator loop, with identical results;
+``REPRO_NATIVE=require`` turns an unavailable kernel into an
 error, for CI jobs and benchmarks that must measure the native path.
 ``REPRO_NATIVE`` accepts only ``auto`` (the default) and ``require``.
 
@@ -44,11 +50,14 @@ from array import array
 
 from repro.cpu.core import _CALENDAR_PRUNE_INTERVAL, _UNIT_LATENCY
 from repro.errors import ConfigError
-from repro.workloads.trace import NUM_REGS
+from repro.workloads.trace import NUM_REGS, PackedTrace
 
 #: Output block size -- keep in lockstep with the OUT_* enum in the C
 #: source (config_block() follows its CFG_* enum the same way).
 _OUT_SLOTS = 12
+#: Generator config block sizes: G_DOUBLES and G_INTS in the C source.
+_GEN_DOUBLES = 9
+_GEN_INTS = 6
 
 _C_SOURCE = "#define NUM_REGS %d\n" % NUM_REGS + r"""
 #include <stdint.h>
@@ -81,6 +90,9 @@ enum {
     OUT_BRANCH_MISPRED, OUT_N_COMPLETIONS, OUT_SLOTS
 };
 
+#define OP_IALU   0
+#define OP_IMUL   1
+#define OP_FPU    2
 #define OP_LOAD   3
 #define OP_STORE  4
 #define OP_BRANCH 5
@@ -1310,6 +1322,227 @@ done:
     cal_free(&w.forward); cal_free(&w.reverse);
     return w.failed;
 }
+
+/* ---- trace generator: a draw-for-draw mirror of
+ * tracegen._generate_python.  Every draw comes from the stream's own
+ * MT19937 state as CPython's random.Random makes it: random() is
+ * genrand_res53 and randrange(n) is _randbelow_with_getrandbits. */
+#define MT_N 624
+#define MT_M 397
+
+typedef struct {
+    uint32_t mt[MT_N];
+    int64_t index;
+} mt_t;
+
+static uint32_t mt_word(mt_t *r)
+{
+    uint32_t y;
+    int kk;
+    if (r->index >= MT_N) {           /* twist all N words in place */
+        for (kk = 0; kk < MT_N; kk++) {
+            y = (r->mt[kk] & 0x80000000U)
+                | (r->mt[(kk + 1) % MT_N] & 0x7fffffffU);
+            r->mt[kk] = r->mt[(kk + MT_M) % MT_N] ^ (y >> 1)
+                        ^ ((y & 1U) ? 0x9908b0dfU : 0U);
+        }
+        r->index = 0;
+    }
+    y = r->mt[r->index++];
+    y ^= y >> 11;
+    y ^= (y << 7) & 0x9d2c5680U;
+    y ^= (y << 15) & 0xefc60000U;
+    y ^= y >> 18;
+    return y;
+}
+
+static double mt_random(mt_t *r)
+{
+    uint32_t a = mt_word(r) >> 5;
+    uint32_t b = mt_word(r) >> 6;
+    return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0);
+}
+
+/* randrange(n) for 1 <= n < 2**63: getrandbits(n.bit_length()) until
+ * below n; getrandbits fills 32-bit words low word first and shifts
+ * the last one right by 32 - remaining. */
+static int64_t mt_below(mt_t *r, int64_t n)
+{
+    int k = 0, rest;
+    uint64_t v, word;
+    for (v = (uint64_t)n; v; v >>= 1)
+        k++;
+    do {
+        v = 0;
+        for (rest = k; rest > 0; rest -= 32) {
+            word = mt_word(r);
+            if (rest < 32)
+                word >>= 32 - rest;
+            v |= word << (k - rest);
+        }
+    } while (v >= (uint64_t)n);
+    return (int64_t)v;
+}
+
+/* Generator config blocks (mirror of tracegen._config). */
+enum {
+    G_P_LOAD, G_P_STORE, G_P_BRANCH, G_P_FP, G_P_MUL, G_HOT, G_STREAM,
+    G_CHASE, G_MISPREDICT, G_DOUBLES
+};
+enum {
+    G_DEPTH, G_CODE_BYTES, G_COLD_BASE, G_COLD_BYTES, G_HOT_BASE,
+    G_HOT_BYTES, G_INTS
+};
+
+#define RECENT 64                     /* ring of recent dest registers */
+#define RECENT_LOADS 16               /* ring of recent load dests */
+
+typedef struct {
+    mt_t r;
+    const double *f;
+    const int64_t *c;
+    int64_t stream_ptr, next_reg;
+    int64_t recent[RECENT], n_recent, recent_pos;
+    int64_t loads[RECENT_LOADS], n_loads, loads_pos;
+} gen_t;
+
+static int64_t pick_src(gen_t *g)
+{
+    int64_t depth = g->n_recent < g->c[G_DEPTH] ? g->n_recent
+                                                : g->c[G_DEPTH];
+    if (!depth)
+        return 0;
+    return g->recent[(g->recent_pos - 1 - mt_below(&g->r, depth))
+                     & (RECENT - 1)];
+}
+
+static int64_t pick_addr_src(gen_t *g)
+{
+    return NUM_REGS - 8 + mt_below(&g->r, 8);
+}
+
+static int64_t pick_dest(gen_t *g)
+{
+    g->next_reg = g->next_reg % (NUM_REGS - 9) + 1;
+    return g->next_reg;
+}
+
+static int64_t pick_load_src(gen_t *g)
+{
+    int64_t depth = g->n_loads < 4 ? g->n_loads : 4;
+    return g->loads[(g->loads_pos - 1 - mt_below(&g->r, depth))
+                    & (RECENT_LOADS - 1)];
+}
+
+static int64_t data_address(gen_t *g)
+{
+    const int64_t cold_bytes = g->c[G_COLD_BYTES];
+    if (mt_random(&g->r) < g->f[G_HOT])
+        return g->c[G_HOT_BASE]
+               + (mt_below(&g->r, g->c[G_HOT_BYTES]) & ~(int64_t)3);
+    if (mt_random(&g->r) < g->f[G_STREAM]) {
+        g->stream_ptr = (g->stream_ptr + 8) % cold_bytes;
+        return g->c[G_COLD_BASE] + g->stream_ptr;
+    }
+    return g->c[G_COLD_BASE] + (mt_below(&g->r, cold_bytes) & ~(int64_t)3);
+}
+
+/* Generate n rows into the preallocated columns (src_val holds 2n) and
+ * write the final MT state back; returns the number of sources. */
+int64_t repro_tracegen(const double *f, const int64_t *c, int64_t *state,
+                       int64_t n, int64_t *pcs, int64_t *ops,
+                       int64_t *dests, int64_t *addrs,
+                       int64_t *mispredicts, int64_t *src_off,
+                       int64_t *src_val)
+{
+    gen_t g;
+    const int64_t code_bytes = c[G_CODE_BYTES];
+    int64_t i, k, s = 0, pc = 0, op, dest, addr, hop;
+    memset(&g, 0, sizeof g);
+    for (k = 0; k < MT_N; k++)
+        g.r.mt[k] = (uint32_t)state[k];
+    g.r.index = state[MT_N];
+    g.f = f;
+    g.c = c;
+    g.stream_ptr = mt_below(&g.r, c[G_COLD_BYTES]) & ~(int64_t)63;
+    g.recent[0] = g.loads[0] = g.next_reg = 1;
+    g.n_recent = g.recent_pos = g.n_loads = g.loads_pos = 1;
+
+    for (i = 0; i < n; i++) {
+        double roll = mt_random(&g.r);
+        dest = addr = -1;
+        src_off[i] = s;
+        mispredicts[i] = 0;
+        if (roll < f[G_P_LOAD]) {
+            op = OP_LOAD;
+            dest = pick_dest(&g);
+            if (mt_random(&g.r) < f[G_CHASE]) {
+                src_val[s++] = pick_load_src(&g);
+                addr = c[G_COLD_BASE]
+                       + (mt_below(&g.r, c[G_COLD_BYTES]) & ~(int64_t)3);
+            } else {
+                src_val[s++] = pick_addr_src(&g);
+                addr = data_address(&g);
+            }
+            g.loads[g.loads_pos] = dest;
+            g.loads_pos = (g.loads_pos + 1) & (RECENT_LOADS - 1);
+            if (g.n_loads < RECENT_LOADS)
+                g.n_loads++;
+        } else if (roll < f[G_P_STORE]) {
+            op = OP_STORE;
+            src_val[s++] = pick_addr_src(&g);
+            src_val[s++] = pick_src(&g);
+            addr = data_address(&g);
+        } else if (roll < f[G_P_BRANCH]) {
+            op = OP_BRANCH;
+            if (mt_random(&g.r) < 0.5)
+                src_val[s++] = pick_load_src(&g);
+            src_val[s++] = pick_src(&g);
+            mispredicts[i] = mt_random(&g.r) < f[G_MISPREDICT];
+        } else if (roll < f[G_P_MUL]) {
+            op = roll < f[G_P_FP] ? OP_FPU : OP_IMUL;
+            dest = pick_dest(&g);
+            src_val[s++] = pick_src(&g);
+            src_val[s++] = pick_src(&g);
+        } else if (mt_random(&g.r) < 0.30) {
+            op = OP_IALU;                 /* induction update */
+            dest = pick_addr_src(&g);
+            src_val[s++] = dest;
+        } else {
+            op = OP_IALU;
+            dest = pick_dest(&g);
+            src_val[s++] = pick_src(&g);
+            src_val[s++] = pick_src(&g);
+        }
+        pcs[i] = pc;
+        ops[i] = op;
+        dests[i] = dest;
+        addrs[i] = addr;
+        if (dest >= 0) {
+            g.recent[g.recent_pos] = dest;
+            g.recent_pos = (g.recent_pos + 1) & (RECENT - 1);
+            if (g.n_recent < RECENT)
+                g.n_recent++;
+        }
+        if (op == OP_BRANCH && mt_random(&g.r) < 0.45) {
+            hop = (16 + mt_below(&g.r, 2032)) & ~(int64_t)3;
+            if (mt_random(&g.r) < 0.7) {
+                pc = (pc - hop) % code_bytes;   /* Python's floor-mod */
+                if (pc < 0)
+                    pc += code_bytes;
+            } else {
+                pc = (pc + hop) % code_bytes;
+            }
+        } else {
+            pc = (pc + 4) % code_bytes;
+        }
+    }
+    src_off[n] = s;
+    for (k = 0; k < MT_N; k++)
+        state[k] = g.r.mt[k];
+    state[MT_N] = g.r.index;
+    return s;
+}
 """
 
 
@@ -1402,6 +1635,10 @@ def _load():
             lib.repro_walk.argtypes = [ctypes.c_void_p] * 7
             lib.repro_walk_free.restype = None
             lib.repro_walk_free.argtypes = [ctypes.c_void_p, ctypes.c_int64]
+            lib.repro_tracegen.restype = ctypes.c_int64
+            lib.repro_tracegen.argtypes = ([ctypes.c_void_p] * 3
+                                           + [ctypes.c_int64]
+                                           + [ctypes.c_void_p] * 7)
             _lib = lib
         except Exception as exc:  # no compiler, failed compile, bad .so
             _load_error = exc
@@ -1601,3 +1838,38 @@ def replay(prepass, cfg):
         "sb_full_stall": out[9],
         "branch_mispredicts": out[10],
     }
+
+
+def tracegen(rng, doubles, ints, num_instructions):
+    """Generate ``num_instructions`` rows in C; returns the
+    :class:`~repro.workloads.trace.PackedTrace`.
+
+    The mirror of :func:`repro.workloads.tracegen._generate_python`,
+    which is its oracle: ``doubles`` and ``ints`` are the blocks of
+    :func:`repro.workloads.tracegen._config` (fields a
+    :class:`~repro.workloads.spec.BenchmarkProfile` has validated), and
+    the loop draws from ``rng``'s own MT19937 state (``getstate()``),
+    which it leaves where the Python loop would (``setstate()``).  The
+    C loop writes the preallocated columns directly; ``src_val`` is
+    sized for two sources a row and cut to the count it returns.
+    Raises ValueError for blocks of the wrong type or size or a
+    negative length, and RuntimeError when the kernel cannot load.
+    """
+    if ((doubles.typecode, len(doubles), ints.typecode, len(ints))
+            != ("d", _GEN_DOUBLES, "q", _GEN_INTS)):
+        raise ValueError("tracegen takes an array('d') of %d and an "
+                         "array('q') of %d" % (_GEN_DOUBLES, _GEN_INTS))
+    if num_instructions < 0:
+        raise ValueError("num_instructions must be non-negative")
+    lib = _load()
+    version, words, gauss_next = rng.getstate()
+    state = array("q", words)
+    row_columns = [array("q", [0]) * num_instructions for _ in range(5)]
+    src_off = array("q", [0]) * (num_instructions + 1)
+    src_val = array("q", [0]) * (2 * num_instructions)
+    count = lib.repro_tracegen(
+        _addr(doubles), _addr(ints), _addr(state), num_instructions,
+        *[_addr(column) for column in (*row_columns, src_off, src_val)])
+    del src_val[count:]
+    rng.setstate((version, tuple(state), gauss_next))
+    return PackedTrace(*row_columns, src_off, src_val)

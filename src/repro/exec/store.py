@@ -131,7 +131,7 @@ def _key_hash(payload):
 _FINGERPRINT_FILES = {
     "trace": (
         "workloads/tracegen.py", "workloads/trace.py", "workloads/spec.py",
-        "util/rng.py",
+        "util/rng.py", "cpu/native.py",
     ),
     "prepass": (
         "workloads/tracegen.py", "workloads/trace.py", "workloads/spec.py",

@@ -50,6 +50,11 @@ class BenchmarkProfile:
             value = getattr(self, field)
             if not 0.0 <= value <= 1.0:
                 raise ValueError("%s: %s out of [0,1]" % (self.name, field))
+        if self.code_bytes <= 0:
+            raise ValueError("%s: code_bytes must be positive" % self.name)
+        for field in ("footprint_bytes", "dependency_depth"):
+            if getattr(self, field) < 0:
+                raise ValueError("%s: %s is negative" % (self.name, field))
 
 
 def _p(name, suite, fp_mb, code_kb, loads, stores, branches, fp, mul, hot,

@@ -12,8 +12,13 @@ path instruction trace with the profile's statistical structure:
 - branch mispredict flags drawn at the profile's rate;
 - register dataflow with profile-controlled dependency depth (ILP).
 
-Generation is deterministic given (profile, seed).
+Generation is deterministic given (profile, seed).  The loop runs in C
+(:func:`repro.cpu.native.tracegen`) whenever the native kernel loads;
+:func:`_generate_python` is its oracle and the loop on a machine with
+no C compiler, and both draw the same numbers from the same stream.
 """
+
+from array import array
 
 from repro.util.rng import DeterministicRng
 from repro.workloads.trace import NUM_REGS, Op, PackedTrace, Trace
@@ -25,30 +30,57 @@ HOT_BYTES = 8 * 1024          # hot set: comfortably L1-resident
 def generate_trace(profile, num_instructions, seed=2006, name=None):
     """Generate ``num_instructions`` committed instructions for ``profile``.
 
-    The rows are appended to six local lists, packed into the
-    :class:`PackedTrace` int64 columns once at the end.
+    Runs the native loop when :func:`repro.cpu.native.native_available`
+    and :func:`_generate_python` otherwise; the trace is the same.
     """
     if num_instructions < 0:
         raise ValueError("num_instructions must be non-negative")
     rng = DeterministicRng(seed).stream("workload.%s" % profile.name)
-    rand = rng.random
-    randrange = rng.randrange
+    from repro.cpu import native  # loads ctypes: only when generating
 
+    generate = (native.tracegen if native.native_available()
+                else _generate_python)
+    return Trace(
+        name or profile.name,
+        generate(rng, *_config(profile), num_instructions),
+        footprint_bytes=profile.footprint_bytes,
+        suite=profile.suite,
+    )
+
+
+def _config(profile):
+    """The generator's config blocks: an ``array('d')`` of the cumulative
+    op thresholds and the four rates, and an ``array('q')`` of the
+    dependency depth and the code and data layout, in the C source's
+    G_* orders."""
     p_load = profile.load_fraction
     p_store = p_load + profile.store_fraction
     p_branch = p_store + profile.branch_fraction
     p_fp = p_branch + profile.fp_fraction
     p_mul = p_fp + profile.mul_fraction
-    hot_fraction = profile.hot_fraction
-    stream_fraction = profile.stream_fraction
-    chase_fraction = profile.chase_fraction
-    mispredict_rate = profile.mispredict_rate
-    dependency_depth = profile.dependency_depth
-
-    code_bytes = profile.code_bytes
     cold_bytes = max(profile.footprint_bytes, 64)
-    cold_base = DATA_BASE
-    hot_base = cold_base + cold_bytes
+    return (array("d", (p_load, p_store, p_branch, p_fp, p_mul,
+                        profile.hot_fraction, profile.stream_fraction,
+                        profile.chase_fraction, profile.mispredict_rate)),
+            array("q", (profile.dependency_depth, profile.code_bytes,
+                        DATA_BASE, cold_bytes, DATA_BASE + cold_bytes,
+                        HOT_BYTES)))
+
+
+def _generate_python(rng, doubles, ints, num_instructions):
+    """The generator loop in Python: the oracle of the native one, and
+    the generator on a machine with no C compiler.
+
+    Draws from ``rng`` (a ``random.Random``) with :func:`_config`'s
+    blocks; the rows are appended to six local lists, packed into the
+    :class:`PackedTrace` int64 columns once at the end.
+    """
+    rand = rng.random
+    randrange = rng.randrange
+    (p_load, p_store, p_branch, p_fp, p_mul, hot_fraction, stream_fraction,
+     chase_fraction, mispredict_rate) = doubles
+    (dependency_depth, code_bytes, cold_base, cold_bytes, hot_base,
+     hot_bytes) = ints
 
     pc = 0
     stream_ptr = randrange(cold_bytes) & ~63
@@ -91,7 +123,7 @@ def generate_trace(profile, num_instructions, seed=2006, name=None):
     def data_address():
         nonlocal stream_ptr
         if rand() < hot_fraction:
-            return hot_base + (randrange(HOT_BYTES) & ~3)
+            return hot_base + (randrange(hot_bytes) & ~3)
         if rand() < stream_fraction:
             stream_ptr = (stream_ptr + 8) % cold_bytes
             return cold_base + stream_ptr
@@ -170,9 +202,4 @@ def generate_trace(profile, num_instructions, seed=2006, name=None):
         else:
             pc = (pc + 4) % code_bytes
 
-    return Trace(
-        name or profile.name,
-        PackedTrace.pack(pcs, ops, dests, srcss, addrs, mispredicts),
-        footprint_bytes=profile.footprint_bytes,
-        suite=profile.suite,
-    )
+    return PackedTrace.pack(pcs, ops, dests, srcss, addrs, mispredicts)

@@ -25,6 +25,7 @@ from repro.exec import (
 )
 from repro.exec.chaos import result_digest
 from repro.exec.store import (
+    _FINGERPRINT_FILES,
     _PREAMBLE,
     _PREAMBLE_LEN,
     STORE_ENV,
@@ -631,6 +632,16 @@ class TestFingerprintInvalidation:
         assert code_fingerprint("trace") == code_fingerprint("trace")
         assert code_fingerprint("trace") != code_fingerprint("prepass")
         assert len(code_fingerprint("result")) == 16
+
+    def test_trace_fingerprint_covers_the_native_generator(self):
+        # The C generator loop lives in the kernel's source, so an edit
+        # to it must move the trace tier's key like an edit to tracegen.
+        import repro
+
+        root = os.path.dirname(os.path.abspath(repro.__file__))
+        rel = os.path.relpath(os.path.abspath(native.__file__), root)
+        assert "repro_tracegen" in native._C_SOURCE
+        assert rel.replace(os.sep, "/") in _FINGERPRINT_FILES["trace"]
 
 
 class TestSingleFlight:

@@ -6,14 +6,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cpu import native
+from repro.util.rng import DeterministicRng
 from repro.workloads.spec import (
     SPEC2000_PROFILES,
     fp_benchmarks,
     get_profile,
     int_benchmarks,
 )
-from repro.workloads.trace import Op
-from repro.workloads.tracegen import DATA_BASE, generate_trace
+from repro.workloads.trace import Op, PackedTrace
+from repro.workloads.tracegen import (
+    DATA_BASE,
+    _config,
+    _generate_python,
+    generate_trace,
+)
 from tests.traces import row, trace_from_rows
 
 
@@ -46,6 +53,20 @@ class TestProfiles:
             dataclasses.replace(base, load_fraction=0.9, store_fraction=0.2)
         with pytest.raises(ValueError):
             dataclasses.replace(base, chase_fraction=1.5)
+
+    @pytest.mark.parametrize("field, value", [
+        ("code_bytes", 0), ("code_bytes", -4), ("dependency_depth", -1),
+        ("footprint_bytes", -1)])
+    def test_validation_rejects_bad_sizes(self, field, value):
+        # Each used to fail only inside the generator loop (a modulo by
+        # zero, an empty randrange) or, for the footprint, be clamped.
+        with pytest.raises(ValueError, match=field):
+            dataclasses.replace(get_profile("gcc"), **{field: value})
+
+    def test_validation_accepts_zero_depth_and_footprint(self):
+        profile = dataclasses.replace(get_profile("gcc"), dependency_depth=0,
+                                      footprint_bytes=0)
+        assert len(generate_trace(profile, 200)) == 200
 
     def test_memory_bound_benchmarks_have_large_footprints(self):
         for name in ("mcf", "swim", "mgrid"):
@@ -85,6 +106,40 @@ class TestGenerator:
     def test_negative_length_rejected(self):
         with pytest.raises(ValueError):
             generate_trace(get_profile("gcc"), -1)
+
+    def test_no_compiler_generates_the_oracle_columns(self, no_compiler):
+        profile = get_profile("mcf")
+        trace = generate_trace(profile, 2000, seed=3)
+        assert not native.native_available()
+        oracle = _generate_python(DeterministicRng(3).stream("workload.mcf"),
+                                  *_config(profile), 2000)
+        assert trace.packed().columns() == oracle.columns()
+
+    def test_required_kernel_raises_instead_of_falling_back(
+            self, no_compiler, monkeypatch):
+        monkeypatch.setenv("REPRO_NATIVE", "require")
+        with pytest.raises(RuntimeError, match="REPRO_NATIVE=require"):
+            generate_trace(get_profile("gcc"), 100)
+
+    @pytest.mark.skipif(not native.native_available(),
+                        reason="the kernel needs a C compiler")
+    def test_native_path_checks_each_trace_once(self, monkeypatch):
+        checked, generated = [], []
+        check, tracegen = PackedTrace._check, native.tracegen
+
+        def counting_check(packed):
+            checked.append(len(packed))
+            check(packed)
+
+        def counting_tracegen(*args):
+            generated.append(args[-1])
+            return tracegen(*args)
+
+        monkeypatch.setattr(PackedTrace, "_check", counting_check)
+        monkeypatch.setattr(native, "tracegen", counting_tracegen)
+        for length in (0, 1, 500):
+            generate_trace(get_profile("gcc"), length)
+        assert generated == checked == [0, 1, 500]
 
     def test_op_mix_tracks_profile(self):
         p = get_profile("swim")
