@@ -46,7 +46,7 @@ from repro.policies.registry import (
     available_policies,
     make_policy,
 )
-from repro.sim.runner import build_simulator, run_benchmark, run_trace
+from repro.sim.runner import run_benchmark, run_trace
 from repro.sim.sweep import PolicySweep
 from repro.workloads.spec import (
     SPEC2000_PROFILES,
@@ -74,7 +74,6 @@ __all__ = [
     "available_policies",
     "POLICY_NAMES",
     "FIGURE7_POLICIES",
-    "build_simulator",
     "run_trace",
     "run_benchmark",
     "PolicySweep",

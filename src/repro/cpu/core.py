@@ -66,12 +66,12 @@ class RunResult:
         self.cycles = cycles
         self.stats = stats
         self.miss_summary = miss_summary
-        # Derived RunMetrics, attached by repro.exec.execute_job; None
-        # for results produced by driving the core directly.
+        # Derived RunMetrics, attached by repro.sim.runner.evaluate_trace;
+        # None for results produced by driving the core directly.
         self.metrics = None
-        # Per-job resource accounting (wall/tracegen seconds, cache hit,
-        # peak RSS), attached by repro.exec.execute_job; never part of
-        # the simulated state, so it stays out of result digests.
+        # The evaluation path plus, for jobs, resource accounting (wall
+        # and tracegen seconds, cache hit, peak RSS); never part of the
+        # simulated state, so it stays out of result digests.
         self.accounting = None
 
     @property

@@ -12,15 +12,14 @@ shared filesystem (NFS, a bind mount, or plain ``/tmp`` for tests):
   :func:`run_worker`) claim units with the store's single-flight
   ``O_CREAT|O_EXCL`` lease protocol, heartbeat the lease's mtime while
   executing, and append each member result to their *own* per-host
-  CRC-sealed :class:`~repro.sim.checkpoint.JobJournal` v2 segment
-  (``<spool>/journals/<host_id>.journal``).
+  CRC-sealed segment (``<spool>/journals/<host_id>.journal``).
 - The driver tails every segment **read-only** through
   :class:`~repro.sim.checkpoint.JournalTail`, the one completion-line
-  reader the artifact store's result tier also uses (a live appender's
-  file must never be rewritten under it, so ``JobJournal``'s
-  quarantine pass is off-limits here), rebuilds each record into a
-  live ``RunResult``, and re-journals it into its own ``--checkpoint``
-  journal: the merge *is* the cross-host resume.
+  reader the artifact store's result tier also uses, rebuilds each
+  record into a live ``RunResult``, and re-journals it into its own
+  ``--checkpoint`` journal: the merge *is* the cross-host resume.  A
+  tailed file must never be rewritten, so a segment is append-only on
+  both sides: ``JobJournal``'s quarantine pass is off-limits here.
 
 Host loss is a first-class fault, not a hang: a worker that stops
 heartbeating past ``lease_timeout`` has its lease released back to the
@@ -37,7 +36,7 @@ Spool layout::
 
     <spool>/jobs/<unit_id>.job        pickled unit (atomic write)
     <spool>/leases/<unit_id>.lease    claim file; mtime = heartbeat
-    <spool>/journals/<host>.journal   per-host JobJournal v2 segment
+    <spool>/journals/<host>.journal   per-host append-only segment
     <spool>/hosts/<host>.json         worker census; mtime = heartbeat
     <spool>/errors/<unit_id>.err      worker-reported attempt failures
     <spool>/skip/<unit_id>.skip       driver verdict: stop claiming
@@ -56,11 +55,12 @@ from repro.errors import ReproError
 from repro.exec.executor import Executor, iter_group_results
 from repro.exec.retry import attempt_deadline
 from repro.sim.checkpoint import (
-    JobJournal,
     JournalTail,
     append_line,
+    append_record,
     atomic_write_text,
     result_from_record,
+    terminate_tail,
 )
 
 HOSTNAME = socket.gethostname()
@@ -291,9 +291,10 @@ def _write_spool_policy(spool, policy):
          "max_attempts": policy.max_attempts}, sort_keys=True))
 
 
-def _execute_unit(unit, journal, done_ids, timeout=None, on_record=None,
+def _execute_unit(unit, segment, done_ids, timeout=None, on_record=None,
                   heartbeat=None):
-    """Run one claimed unit, journaling each member; returns #published.
+    """Run one claimed unit, appending each member to ``segment``;
+    returns #published.
 
     Members another host already journaled are skipped (the re-claimed
     half-finished group case).  ``on_record(member, result)`` fires
@@ -305,7 +306,7 @@ def _execute_unit(unit, journal, done_ids, timeout=None, on_record=None,
 
     def publish(member, result):
         nonlocal count
-        journal.record(member, result)
+        append_record(segment, member, result)
         count += 1
         if on_record is not None:
             on_record(member, result)
@@ -338,7 +339,8 @@ def run_worker(spool, host_id=None, poll=0.25,
     spool = ensure_spool(spool)
     host_id = host_id or "%s-%d" % (HOSTNAME, os.getpid())
     started = time.time()
-    journal = JobJournal(segment_path(spool, host_id))
+    segment = segment_path(spool, host_id)
+    terminate_tail(segment)   # never rewritten: the driver tails it
     units = members = errors = 0
     cooldown = {}   # unit_id -> monotonic time to leave it for others
     idle_since = time.monotonic()
@@ -393,7 +395,7 @@ def run_worker(spool, host_id=None, poll=0.25,
                     continue
                 try:
                     members += _execute_unit(
-                        unit, journal, completed_job_ids(spool),
+                        unit, segment, completed_job_ids(spool),
                         timeout=timeout, on_record=on_record,
                         heartbeat=heartbeat)
                 except Exception as exc:

@@ -5,11 +5,9 @@ benchmark trace evaluated under N policies.  :meth:`Executor.run`
 normalises every plain :class:`~repro.exec.job.SimJob` into its
 one-member group at entry, so :func:`iter_group_results` is the single
 place a job becomes a :class:`~repro.cpu.core.RunResult`: one cached
-trace and one structural walk (:mod:`repro.cpu.prepass`) per distinct
-member structure fanned out to N shared-kernel policy evaluations, with
-the legacy simulator for groups outside that envelope (CBC,
-prefetching).  It is a pure function of the group (all
-simulator state is private to the call), which is what makes the
+trace handed to :func:`~repro.sim.runner.evaluate_trace`.  It is a pure
+function of the group (all simulator state is private to the call),
+which is what makes the
 backends interchangeable: :class:`SerialExecutor` runs groups in-order
 in-process, :class:`ParallelExecutor` fans them out over a
 ``ProcessPoolExecutor`` -- and both produce bit-identical cycle counts
@@ -46,8 +44,7 @@ processes), so per-run events are only recorded by the serial backend.
 import os
 import sys
 import time
-from collections import Counter
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 
 from repro.errors import JobTimeoutError
 from repro.exec.cache import GLOBAL_CACHE, cached_trace
@@ -142,20 +139,10 @@ def iter_group_results(group, skip=(), tracer=None, profiler=None,
     """Execute a :class:`MultiPolicySimJob`; yields ``(member, result)``.
 
     One decode serves every member: the trace comes from the cache once
-    and, when the config fits the shared-pass envelope, the native
-    structural walk (:mod:`repro.cpu.prepass`) runs once per distinct
-    effective structure among the members
-    (:meth:`~repro.config.SimConfig.for_policy`: the hash tree only for
-    authenticating policies, the re-map layer for obfuscating ones: a
-    ``--hash-tree`` group over every policy walks three structures,
-    decrypt-only, authenticating and ``commit+obfuscation``) and feeds
-    the shared timestamp kernel once per policy.  Groups outside the
-    envelope (CBC encryption, prefetching) run the legacy per-policy
-    simulator on the same cached trace, and so does every member when
-    an enabled ``tracer`` is passed (the shared kernel emits no events)
-    or the native kernel cannot be built.  The two paths are
-    bit-identical (the differential suite, the lockstep oracle property
-    and ``repro perf`` pin this).
+    and :func:`~repro.sim.runner.evaluate_trace`, which picks the kernel
+    or the legacy path, evaluates it under the members' policies.  This
+    adds what a job needs around it: store lookups and saves, the trace
+    cache, the attempt hook and accounting.
 
     ``skip`` is a set of member job_ids to leave out (mid-group resume:
     the retry loop passes the members already journaled).
@@ -170,12 +157,11 @@ def iter_group_results(group, skip=(), tracer=None, profiler=None,
     wall and tracegen seconds, whether the trace came from cache,
     whether the result was a store hit, the evaluation ``path``
     (``"native"``, ``"legacy"``, or ``"store"`` for a stored result)
-    and the process's peak RSS --
-    measured here, inside the worker for the pool backend, because it
-    has to cross the pickle boundary with the result.  The first
-    executed member carries the group's shared tracegen cost and the
-    cache-lookup verdict, and a walk's cost lands on the first member of
-    its structure; every later member is a pure
+    and the process's peak RSS -- measured here, inside the worker for
+    the pool backend, because it has to cross the pickle boundary with
+    the result.  The first executed member carries the group's shared
+    tracegen cost and the cache-lookup verdict, and a walk's cost lands
+    on the first member of its structure; every later member is a pure
     cache reuse (``cache_hit`` True, zero tracegen), which
     :meth:`~repro.exec.cache.TraceCache.count_group_reuse` also charges
     to the cache counters.
@@ -184,17 +170,14 @@ def iter_group_results(group, skip=(), tracer=None, profiler=None,
     shared decode: members with a stored result are yielded without
     evaluation (``store_hit`` accounting, no attempt hook -- the same
     "settled elsewhere" semantics journal-resumed members have), and if
-    every member resolves the trace is never touched.  Walks are built
-    in-process and never stored: a native walk costs less than reading
-    one back.
+    every member resolves the trace is never touched.  A traced run is
+    never served from the store (a stored result carries no machine
+    events): it looks a member up only after simulating it, to save what
+    the store lacks.  Walks are built in-process and never
+    stored: a native walk costs less than reading one back.
     """
-    from repro.cpu import native
-    from repro.cpu import prepass as walks
-    from repro.cpu.shared_kernel import replay_policy
     from repro.exec.store import active_store
-    from repro.policies import make_policy
-    from repro.sim.metrics import collect_metrics
-    from repro.sim.runner import build_simulator
+    from repro.sim.runner import evaluate_trace
 
     skip = set(skip)
     members = [m for m in group.member_jobs if m.job_id not in skip]
@@ -202,7 +185,8 @@ def iter_group_results(group, skip=(), tracer=None, profiler=None,
         return
     store = active_store()
     stored = {}
-    if store is not None:
+    tracing = tracer is not None and tracer.enabled
+    if store is not None and not tracing:
         for member in members:
             lookup_start = time.perf_counter()
             hit = store.load_result(member)
@@ -210,11 +194,7 @@ def iter_group_results(group, skip=(), tracer=None, profiler=None,
                 hit.accounting = _store_hit_accounting(lookup_start)
                 stored[member.job_id] = hit
     to_run = [m for m in members if m.job_id not in stored]
-    trace = None
-    native_path = False
-    prepasses = {}  # effective SecureConfig -> its walk, while needed
-    pending = Counter()  # effective SecureConfig -> members left
-    first_cache_hit = False
+    cache_hit = False
     tracegen = 0.0
     shared_seconds = 0.0
     if to_run:
@@ -225,26 +205,14 @@ def iter_group_results(group, skip=(), tracer=None, profiler=None,
         trace = cached_trace(group.benchmark, group.trace_length,
                              group.seed, profiler=profiler,
                              cache=active_cache)
-        first_cache_hit = active_cache.hits > hits_before
+        cache_hit = active_cache.hits > hits_before
         tracegen = active_cache.gen_seconds - gen_before
         active_cache.count_group_reuse(len(to_run) - 1)
-        policies = {m.policy: make_policy(m.policy) for m in to_run}
-        # A traced run takes the legacy path for every member: only the
-        # legacy simulator emits the simulated machine's events.  So
-        # does a machine where the native kernel cannot be built.
-        tracing = tracer is not None and tracer.enabled
-        native_path = (not tracing and walks.prepass_supported(group.config)
-                       and native.native_available())
-        if native_path:
-            # One walk per distinct effective structure (hash tree on
-            # only for authenticating policies, re-map layer for
-            # obfuscating ones), built for its first member and dropped
-            # after its last, so at most one walk is alive at a time in
-            # a group whose structures come in runs.
-            pending.update(group.config.for_policy(policies[m.policy]).secure
-                           for m in to_run)
+        results = evaluate_trace(trace, group.config,
+                                 [m.policy for m in to_run],
+                                 warmup=group.warmup, tracer=tracer,
+                                 profiler=profiler)
         shared_seconds = time.perf_counter() - started
-    position = 0  # over executed (non-store-hit) members
     for member in members:
         hit = stored.get(member.job_id)
         if hit is not None:
@@ -255,50 +223,21 @@ def iter_group_results(group, skip=(), tracer=None, profiler=None,
                           attempt_of(member) if attempt_of is not None
                           else 1)
         member_start = time.perf_counter()
-        policy = policies[member.policy]
-        hierarchy = None
-        path = "native" if native_path else "legacy"
-        if native_path:
-            config = group.config.for_policy(policy)
-            prepass = prepasses.get(config.secure)
-            if prepass is None:
-                with (profiler.phase("prepass") if profiler is not None
-                      else nullcontext()):
-                    prepass = prepasses[config.secure] = \
-                        walks.build_prepass(trace, config,
-                                            warmup=group.warmup)
-            pending[config.secure] -= 1
-            if not pending[config.secure]:
-                del prepasses[config.secure]
-            result = replay_policy(prepass, policy, group.config,
-                                   trace_name=getattr(trace, "name",
-                                                      "trace"),
-                                   profiler=profiler)
-        else:
-            core, hierarchy = build_simulator(group.config, member.policy,
-                                              tracer=tracer)
-            result = core.run(trace, warmup=group.warmup,
-                              profiler=profiler)
-        if profiler is not None:
-            with profiler.phase("metrics"):
-                result.metrics = collect_metrics(result, hierarchy)
-        else:
-            result.metrics = collect_metrics(result, hierarchy)
-        wall = time.perf_counter() - member_start
-        if position == 0:
-            wall += shared_seconds
+        result = next(results)
         result.accounting = {
-            "wall_seconds": round(wall, 6),
-            "tracegen_seconds": round(tracegen if position == 0 else 0.0,
-                                      6),
-            "cache_hit": first_cache_hit if position == 0 else True,
+            "wall_seconds": round(time.perf_counter() - member_start
+                                  + shared_seconds, 6),
+            "tracegen_seconds": round(tracegen, 6),
+            "cache_hit": cache_hit,
             "store_hit": False,
-            "path": path,
+            "path": result.accounting["path"],
             "peak_rss_kb": _peak_rss_kb(),
         }
-        if store is not None:
+        # Later members reuse the first one's decode.
+        shared_seconds, tracegen, cache_hit = 0.0, 0.0, True
+        if store is not None and (not tracing
+                                  or store.load_result(member) is None):
             store.save_result(member, result)
-        position += 1
         yield member, result
 
 

@@ -14,8 +14,7 @@ harness, not here.
 
 from repro.config import SimConfig
 from repro.cpu.native import native_available
-from repro.cpu.prepass import build_prepass, prepass_supported
-from repro.cpu.shared_kernel import replay_policy
+from repro.cpu.prepass import prepass_supported
 from repro.exec.cache import cached_trace
 from repro.perf.golden import (
     GOLDEN_BENCHMARKS,
@@ -29,15 +28,15 @@ from repro.perf.golden import (
     legacy_only_cells,
     stats_digest,
 )
-from repro.policies import make_policy
-from repro.sim.runner import build_simulator
+from repro.sim.runner import build_simulator, evaluate_trace
 
 
-def _verify_cell(key, path, cycles, digest, pinned_cycles, pinned_digest):
-    """Compare one (cell, path) outcome against its pinned values."""
-    if cycles != pinned_cycles:
+def _verify_cell(key, path, result, pinned_cycles, pinned_digest):
+    """Compare one (cell, path) result against its pinned values."""
+    if result.cycles != pinned_cycles:
         return ["%s [%s]: cycles %d != golden %d"
-                % (key, path, cycles, pinned_cycles)]
+                % (key, path, result.cycles, pinned_cycles)]
+    digest = stats_digest(result.stats.as_dict(), result.miss_summary)
     if digest != pinned_digest:
         return ["%s [%s]: cycles match but stats digest drifted "
                 "(%s != %s)"
@@ -46,11 +45,19 @@ def _verify_cell(key, path, cycles, digest, pinned_cycles, pinned_digest):
 
 
 def _run_legacy(config, policy, trace):
-    """Legacy ``build_simulator`` + ``core.run``; ``(cycles, digest)``."""
-    core, hier = build_simulator(config, policy)
-    result = core.run(trace, warmup=GOLDEN_WARMUP)
-    return result.cycles, stats_digest(result.stats.as_dict(),
-                                       hier.miss_summary())
+    """Legacy ``build_simulator`` + ``core.run``."""
+    core, _ = build_simulator(config, policy)
+    return core.run(trace, warmup=GOLDEN_WARMUP)
+
+
+def _run_shared(config, policies, trace):
+    """The kernel through :func:`~repro.sim.runner.evaluate_trace`."""
+    results = list(evaluate_trace(trace, config, policies,
+                                  warmup=GOLDEN_WARMUP))
+    if any(result.accounting["path"] != "native" for result in results):
+        raise RuntimeError("the shared column fell back to the legacy "
+                           "simulator")
+    return results
 
 
 def shared_legacy_only_cells():
@@ -64,9 +71,8 @@ def check_goldens():
 
     Every golden-matrix cell is evaluated twice -- once through the
     legacy ``build_simulator`` + ``core.run`` path and once through the
-    decode-once shared pass (:func:`~repro.cpu.prepass.build_prepass` +
-    :func:`~repro.cpu.shared_kernel.replay_policy`, the path a
-    :class:`~repro.exec.job.MultiPolicySimJob` takes) -- and both
+    decode-once shared pass (:func:`~repro.sim.runner.evaluate_trace` on
+    the kernel, the path every job and public helper takes) -- and both
     outcomes must reproduce the pinned cycle count *and* full stats
     digest bit-identically.  The legacy-only cells
     (:func:`~repro.perf.golden.legacy_only_cells`) are checked through
@@ -86,38 +92,23 @@ def check_goldens():
     shared_cells = shared_legacy_only_cells()
     for bench in GOLDEN_BENCHMARKS:
         trace = cached_trace(bench, total, config.seed)
-        if shared_column:
-            prepass = build_prepass(trace, config, warmup=GOLDEN_WARMUP)
-        for policy in GOLDEN_POLICIES:
+        shared = (_run_shared(config, GOLDEN_POLICIES, trace)
+                  if shared_column else [])
+        for index, policy in enumerate(GOLDEN_POLICIES):
             key = "%s/%s" % (bench, policy)
             pinned = GOLDEN_CYCLES[key], GOLDEN_DIGESTS[key]
             mismatches += _verify_cell(
-                key, "legacy", *_run_legacy(config, policy, trace), *pinned)
-            if not shared_column:
-                continue
-            shared = replay_policy(prepass, make_policy(policy), config,
-                                   trace_name=getattr(trace, "name",
-                                                      "trace"))
-            mismatches += _verify_cell(
-                key, "shared", shared.cycles,
-                stats_digest(shared.stats.as_dict(), shared.miss_summary),
-                *pinned)
+                key, "legacy", _run_legacy(config, policy, trace), *pinned)
+            if shared:
+                mismatches += _verify_cell(key, "shared", shared[index],
+                                           *pinned)
     for key, bench, cell_config, policy in legacy_only_cells():
         trace = cached_trace(bench, total, cell_config.seed)
         pinned = LEGACY_ONLY_CYCLES[key], LEGACY_ONLY_DIGESTS[key]
         mismatches += _verify_cell(
-            key, "legacy", *_run_legacy(cell_config, policy, trace),
+            key, "legacy", _run_legacy(cell_config, policy, trace),
             *pinned)
-        if not shared_column or key not in shared_cells:
-            continue
-        member = make_policy(policy)
-        prepass = build_prepass(trace, cell_config.for_policy(member),
-                                warmup=GOLDEN_WARMUP)
-        shared = replay_policy(prepass, member, cell_config,
-                               trace_name=getattr(trace, "name", "trace"))
-        mismatches += _verify_cell(
-            key, "shared", shared.cycles,
-            stats_digest(shared.stats.as_dict(), shared.miss_summary),
-            *pinned)
+        if shared_column and key in shared_cells:
+            [shared] = _run_shared(cell_config, [policy], trace)
+            mismatches += _verify_cell(key, "shared", shared, *pinned)
     return mismatches
-

@@ -2,11 +2,10 @@
 
 from repro.sim.metrics import RunMetrics, collect_metrics, run_with_metrics
 from repro.sim.report import render_table
-from repro.sim.runner import build_simulator, run_benchmark, run_trace
+from repro.sim.runner import run_benchmark, run_trace
 from repro.sim.sweep import PolicySweep, normalized_ipc_table, speedup_over
 
 __all__ = [
-    "build_simulator",
     "run_trace",
     "run_benchmark",
     "PolicySweep",

@@ -211,6 +211,34 @@ def append_line(path, text="", create=os.O_CREAT):
     return end - len(data), len(data)
 
 
+def terminate_tail(path):
+    """End an unterminated last line of ``path`` (a torn append) with a
+    newline, so the next record cannot fuse onto it."""
+    try:
+        with open(path, "rb") as handle:
+            handle.seek(-1, os.SEEK_END)
+            torn = handle.read(1) != b"\n"
+    except OSError:   # missing or empty: nothing to terminate
+        return
+    if torn:
+        append_line(path)
+
+
+def append_record(path, job, result):
+    """Append ``job``'s sealed journal line to ``path``; returns it.
+
+    ``accounting`` (per-job wall/tracegen seconds, cache hit, path,
+    peak RSS) is an *additive* v2 field: old readers ignore it, old
+    records come back with accounting None, and it is CRC-covered like
+    everything else.
+    """
+    record = completion_record(
+        job, result, journal_version=JOURNAL_VERSION,
+        accounting=getattr(result, "accounting", None))
+    append_line(path, json.dumps(record, sort_keys=True))
+    return record
+
+
 class JournalTail:
     """Incremental read-only reader of one journal segment.
 
@@ -300,7 +328,6 @@ class JobJournal:
     def _load(self):
         kept = []        # raw lines preserved verbatim (incl. foreign)
         rejected = []    # (reason, raw line)
-        line = b"\n"
         for _, line, record, reason in JournalTail(self.path).lines(
                 final=True):
             raw = line.rstrip(b"\n").decode(errors="replace")
@@ -319,8 +346,8 @@ class JobJournal:
         if rejected:
             atomic_write_text(self.path,
                               "".join(raw + "\n" for raw in kept))
-        elif not line.endswith(b"\n"):
-            append_line(self.path)   # or the next record fuses onto it
+        else:
+            terminate_tail(self.path)
 
     @property
     def completed_ids(self):
@@ -334,15 +361,8 @@ class JobJournal:
         return job_id in self._records
 
     def record(self, job, result):
-        """Append one completed job (flushed immediately, CRC-sealed)."""
-        # ``accounting`` is per-job resource accounting (wall/tracegen
-        # seconds, cache hit, peak RSS): an *additive* v2 field -- old
-        # readers ignore it, old records come back with accounting
-        # None, and it is CRC-covered like everything else.
-        record = completion_record(
-            job, result, journal_version=JOURNAL_VERSION,
-            accounting=getattr(result, "accounting", None))
-        append_line(self.path, json.dumps(record, sort_keys=True))
+        """Append one completed job (:func:`append_record`)."""
+        record = append_record(self.path, job, result)
         self._records[record["job_id"]] = record
 
     def result(self, job):

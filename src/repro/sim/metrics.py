@@ -1,6 +1,6 @@
 """Derived run metrics: everything a memory-system architect asks next.
 
-Computes, from a finished (core, hierarchy) pair:
+Computes, from a finished run's shared stats group:
 
 - DRAM traffic decomposition (data reads, writebacks, metadata by kind);
 - bus utilisation and mean queueing delay;
@@ -44,18 +44,11 @@ class RunMetrics:
         return out
 
 
-def collect_metrics(result, hierarchy=None):
-    """Build :class:`RunMetrics` from a RunResult.
-
-    Every counter lives in the one shared "sim" :class:`StatGroup`, which
-    the RunResult itself carries (``hierarchy.controller.stats``,
-    ``hierarchy.stats`` and ``result.stats`` are the same object on the
-    legacy path), so ``hierarchy`` is optional: shared-kernel replays
-    (:mod:`repro.cpu.shared_kernel`) have no hierarchy but produce the
-    identical group.
-    """
-    stats = (hierarchy.controller.stats if hierarchy is not None
-             else result.stats)
+def collect_metrics(result):
+    """Build :class:`RunMetrics` from a RunResult's one "sim"
+    :class:`StatGroup`, which the legacy core, hierarchy and memory
+    controller all count into and the kernel replay reproduces."""
+    stats = result.stats
     cycles = max(result.cycles, 1)
 
     reads = stats["line_reads"].value
@@ -72,13 +65,12 @@ def collect_metrics(result, hierarchy=None):
     wait = stats["wait_cycles"].value
 
     read_latency = stats["read_latency"]
-    hier_stats = hierarchy.stats if hierarchy is not None else stats
-    auth_requests = (hier_stats["auth_requests"].value
-                     if "auth_requests" in hier_stats else 0)
-    queue_full = (hier_stats["auth_queue_full"].value
-                  if "auth_queue_full" in hier_stats else 0)
-    if "decrypt_verify_gap" in hier_stats:
-        gap_hist = hier_stats["decrypt_verify_gap"]
+    auth_requests = (stats["auth_requests"].value
+                     if "auth_requests" in stats else 0)
+    queue_full = (stats["auth_queue_full"].value
+                  if "auth_queue_full" in stats else 0)
+    if "decrypt_verify_gap" in stats:
+        gap_hist = stats["decrypt_verify_gap"]
         gap = gap_hist.mean()
         # percentile/max_key return None on an empty histogram; the run
         # metrics keep the historical 0 so journal records stay stable.
@@ -114,18 +106,11 @@ def collect_metrics(result, hierarchy=None):
 def run_with_metrics(trace, config=None, policy="decrypt-only",
                      warmup=0, tracer=None, profiler=None):
     """Convenience: run a trace and return (RunResult, RunMetrics)."""
-    from repro.config import SimConfig
-    from repro.sim.runner import build_simulator
+    from repro.sim.runner import run_trace
 
-    core, hierarchy = build_simulator(config or SimConfig(), policy,
-                                      tracer=tracer)
-    result = core.run(trace, warmup=warmup, profiler=profiler)
-    if profiler is not None:
-        with profiler.phase("metrics"):
-            metrics = collect_metrics(result, hierarchy)
-    else:
-        metrics = collect_metrics(result, hierarchy)
-    return result, metrics
+    result = run_trace(trace, config, policy, tracer=tracer,
+                       profiler=profiler, warmup=warmup)
+    return result, result.metrics
 
 
 def render_metrics(metrics):

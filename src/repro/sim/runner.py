@@ -1,5 +1,7 @@
 """Assemble and run one simulation: config + policy + trace -> RunResult."""
 
+from contextlib import nullcontext
+
 from repro.config import SimConfig
 from repro.cpu.core import TimestampCore
 from repro.cpu.hierarchy import MemoryHierarchy
@@ -30,11 +32,71 @@ def build_simulator(config=None, policy="decrypt-only", tracer=None):
     return core, hierarchy
 
 
+def evaluate_trace(trace, config, policies, warmup=0, tracer=None,
+                   profiler=None):
+    """Evaluate ``trace`` under each of ``policies``; yields RunResults.
+
+    The one evaluation function behind every entry point, and the one
+    place that picks the path: the native kernel (one structural walk
+    per distinct effective structure,
+    :meth:`~repro.config.SimConfig.for_policy`, alive from its first
+    policy to its last, then one replay per policy), or the legacy
+    simulator per policy for an enabled ``tracer`` (only it emits the
+    machine's events), CBC, prefetching or a missing compiler.  The two
+    are bit-identical.  Each result carries its
+    :class:`~repro.sim.metrics.RunMetrics` and ``accounting["path"]``
+    (``"native"`` or ``"legacy"``); a policy runs when its result is
+    requested.
+    """
+    # Looked up at call time, never bound at import: the benchmark
+    # harness wraps these module attributes to time each layer.
+    from repro.cpu import native
+    from repro.cpu import prepass as walks
+    from repro.cpu import shared_kernel
+    from repro.sim import metrics
+
+    policies = [make_policy(p) if isinstance(p, str) else p
+                for p in policies]
+    tracing = tracer is not None and tracer.enabled
+    path = ("native" if not tracing and walks.prepass_supported(config)
+            and native.native_available() else "legacy")
+    member_configs = [config.for_policy(policy) for policy in policies]
+    prepasses = {}  # effective SecureConfig -> its walk, while needed
+    for position, policy in enumerate(policies):
+        if path == "native":
+            structure = member_configs[position].secure
+            prepass = prepasses.get(structure)
+            if prepass is None:
+                with _phase(profiler, "prepass"):
+                    prepass = prepasses[structure] = walks.build_prepass(
+                        trace, member_configs[position], warmup=warmup)
+            if all(later.secure != structure
+                   for later in member_configs[position + 1:]):
+                del prepasses[structure]
+            result = shared_kernel.replay_policy(
+                prepass, policy, config,
+                trace_name=getattr(trace, "name", "trace"),
+                profiler=profiler)
+        else:
+            core, _ = build_simulator(config, policy, tracer=tracer)
+            result = core.run(trace, warmup=warmup, profiler=profiler)
+        with _phase(profiler, "metrics"):
+            result.metrics = metrics.collect_metrics(result)
+        result.accounting = {"path": path}
+        yield result
+
+
+def _phase(profiler, name):
+    return profiler.phase(name) if profiler is not None else nullcontext()
+
+
 def run_trace(trace, config=None, policy="decrypt-only", tracer=None,
               profiler=None, warmup=0):
-    """Run ``trace`` under ``policy``; returns a RunResult."""
-    core, _ = build_simulator(config, policy, tracer=tracer)
-    return core.run(trace, warmup=warmup, profiler=profiler)
+    """Run ``trace`` under ``policy`` (:func:`evaluate_trace`)."""
+    [result] = evaluate_trace(trace, config or SimConfig(), [policy],
+                              warmup=warmup, tracer=tracer,
+                              profiler=profiler)
+    return result
 
 
 def run_benchmark(benchmark, num_instructions=20_000, config=None,

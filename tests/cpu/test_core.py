@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import SimConfig
-from repro.sim.runner import build_simulator, run_trace
+from repro.sim.runner import build_simulator
 from repro.workloads.spec import get_profile
 from repro.workloads.trace import Op
 from repro.workloads.tracegen import generate_trace
@@ -18,8 +18,13 @@ def load(pc, dest, addr, srcs=()):
     return row(pc, Op.LOAD, dest, srcs, addr)
 
 
+def run_legacy(trace, config, policy):
+    """The legacy core itself, which these tests pin as the oracle."""
+    return build_simulator(config, policy)[0].run(trace)
+
+
 def run(insts, policy="decrypt-only", config=None):
-    return run_trace(trace_from_rows(insts), config or SimConfig(), policy)
+    return run_legacy(trace_from_rows(insts), config or SimConfig(), policy)
 
 
 class TestBasicPipeline:
@@ -68,8 +73,8 @@ class TestBasicPipeline:
 class TestWindowConstraints:
     def test_smaller_ruu_hurts_memory_workload(self):
         trace = generate_trace(get_profile("swim"), 6000)
-        big = run_trace(trace, SimConfig(), "decrypt-only")
-        small = run_trace(trace, SimConfig().with_ruu(16), "decrypt-only")
+        big = run_legacy(trace, SimConfig(), "decrypt-only")
+        small = run_legacy(trace, SimConfig().with_ruu(16), "decrypt-only")
         assert small.ipc < big.ipc
 
     def test_warmup_excluded_from_counts(self):
@@ -80,7 +85,7 @@ class TestWindowConstraints:
 
     def test_warmup_improves_measured_ipc(self):
         trace = generate_trace(get_profile("gzip"), 8000)
-        cold = run_trace(trace, SimConfig(), "decrypt-only")
+        cold = run_legacy(trace, SimConfig(), "decrypt-only")
         core, _ = build_simulator(SimConfig(), "decrypt-only")
         warm = core.run(trace, warmup=4000)
         assert warm.ipc > cold.ipc

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import SimConfig
-from repro.sim.runner import run_trace
+from repro.sim.runner import build_simulator
 from repro.workloads.trace import Op
 from tests.traces import row, trace_from_rows
 
@@ -33,6 +33,11 @@ def random_traces(draw, max_len=120):
     return trace_from_rows(out, name="random")
 
 
+def run_legacy(trace, config, policy):
+    """The legacy core itself, which these properties pin as the oracle."""
+    return build_simulator(config, policy)[0].run(trace)
+
+
 POLICIES = ("decrypt-only", "authen-then-issue", "authen-then-commit",
             "authen-then-write", "commit+fetch")
 
@@ -41,34 +46,34 @@ class TestCoreProperties:
     @settings(max_examples=25, deadline=None)
     @given(trace=random_traces())
     def test_any_trace_terminates_with_positive_cycles(self, trace):
-        result = run_trace(trace, SimConfig(), "authen-then-commit")
+        result = run_legacy(trace, SimConfig(), "authen-then-commit")
         assert result.cycles > 0
         assert result.instructions == len(trace)
 
     @settings(max_examples=15, deadline=None)
     @given(trace=random_traces())
     def test_baseline_dominates_every_policy(self, trace):
-        base = run_trace(trace, SimConfig(), "decrypt-only").cycles
+        base = run_legacy(trace, SimConfig(), "decrypt-only").cycles
         for policy in POLICIES[1:]:
-            gated = run_trace(trace, SimConfig(), policy).cycles
+            gated = run_legacy(trace, SimConfig(), policy).cycles
             assert gated >= base, policy
 
     @settings(max_examples=15, deadline=None)
     @given(trace=random_traces())
     def test_issue_gating_dominates_commit_gating(self, trace):
-        issue = run_trace(trace, SimConfig(), "authen-then-issue").cycles
-        commit = run_trace(trace, SimConfig(), "authen-then-commit").cycles
+        issue = run_legacy(trace, SimConfig(), "authen-then-issue").cycles
+        commit = run_legacy(trace, SimConfig(), "authen-then-commit").cycles
         assert issue >= commit
 
     @settings(max_examples=15, deadline=None)
     @given(trace=random_traces())
     def test_determinism(self, trace):
-        a = run_trace(trace, SimConfig(), "commit+fetch")
-        b = run_trace(trace, SimConfig(), "commit+fetch")
+        a = run_legacy(trace, SimConfig(), "commit+fetch")
+        b = run_legacy(trace, SimConfig(), "commit+fetch")
         assert a.cycles == b.cycles
 
     @settings(max_examples=15, deadline=None)
     @given(trace=random_traces(max_len=60))
     def test_ipc_bounded_by_width(self, trace):
-        result = run_trace(trace, SimConfig(), "decrypt-only")
+        result = run_legacy(trace, SimConfig(), "decrypt-only")
         assert result.ipc <= SimConfig().core.commit_width

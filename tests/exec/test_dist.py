@@ -36,7 +36,7 @@ from repro.exec.dist import (
     try_claim,
 )
 from repro.exec.retry import RETRY_THEN_SKIP, FailurePolicy
-from repro.sim.checkpoint import JobJournal, JournalTail
+from repro.sim.checkpoint import JOURNAL_VERSION, JobJournal, JournalTail
 
 N = 800
 WARMUP = 400
@@ -124,6 +124,52 @@ class TestJournalTail:
             handle.write(b'"}\n')
         assert tail.poll() == []          # complete but CRC-less
         assert tail.bad_lines == 1
+
+
+class TestWorkerSegment:
+    """A worker only ever appends to the segment the driver tails."""
+
+    @staticmethod
+    def _seeded_segment(spool):
+        seeded = _jobs()[0]
+        result = SerialExecutor().run([seeded])[seeded]
+        segment = segment_path(spool, "h")
+        JobJournal(segment).record(seeded, result)
+        return seeded, segment
+
+    def test_restarted_worker_keeps_a_bad_line_in_place(self, tmp_path):
+        spool = ensure_spool(tmp_path / "spool")
+        seeded, segment = self._seeded_segment(spool)
+        with open(segment, "ab") as handle:   # CRC-bad, newline-ended
+            handle.write(json.dumps({"journal_version": JOURNAL_VERSION,
+                                     "job_id": "bad", "crc32": 0})
+                         .encode() + b"\n")
+        tail = JournalTail(segment)
+        assert [r["job_id"] for r in tail.poll()] == [seeded.job_id]
+        assert tail.bad_lines == 1
+        size = os.path.getsize(segment)
+        assert tail.offset == size
+        spool_jobs(spool, _groups())
+        summary = run_worker(spool, host_id="h", poll=0.01,
+                             lease_timeout=1.0, max_units=1)
+        assert summary["members"] > 0
+        assert os.path.getsize(segment) > size
+        assert len(tail.poll()) == summary["members"]
+        assert tail.bad_lines == 1
+
+    def test_restarted_worker_terminates_a_torn_tail(self, tmp_path):
+        spool = ensure_spool(tmp_path / "spool")
+        seeded, segment = self._seeded_segment(spool)
+        with open(segment, "ab") as handle:
+            handle.write(b'{"journal_version": 2, "job_')
+        tail = JournalTail(segment)
+        assert [r["job_id"] for r in tail.poll()] == [seeded.job_id]
+        spool_jobs(spool, _groups())
+        summary = run_worker(spool, host_id="h", poll=0.01,
+                             lease_timeout=1.0, max_units=1)
+        assert summary["members"] > 0
+        assert len(tail.poll()) == summary["members"]
+        assert tail.bad_lines == 1    # the torn line, now terminated
 
 
 class TestDistExecutor:

@@ -45,9 +45,9 @@ def legacy_result(job, tracer=None):
     """``job`` on the legacy simulator, driven directly."""
     trace = generate_trace(get_profile(job.benchmark), job.trace_length,
                            seed=job.seed)
-    core, hierarchy = build_simulator(job.config, job.policy, tracer=tracer)
+    core, _ = build_simulator(job.config, job.policy, tracer=tracer)
     result = core.run(trace, warmup=job.warmup)
-    result.metrics = collect_metrics(result, hierarchy)
+    result.metrics = collect_metrics(result)
     return result
 
 

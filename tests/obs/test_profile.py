@@ -62,11 +62,15 @@ class TestPhaseProfiler:
 
 class TestCoreIntegration:
     def test_warmup_measure_split(self):
+        from repro.config import SimConfig
+        from repro.exec.cache import cached_trace
         from repro.obs.profile import PhaseProfiler
-        from repro.sim.runner import run_benchmark
+        from repro.sim.runner import build_simulator
 
         profiler = PhaseProfiler()
-        run_benchmark("gzip", 600, warmup=400, profiler=profiler)
+        trace = cached_trace("gzip", 1000, 2006, profiler=profiler)
+        core, _ = build_simulator(SimConfig(), "decrypt-only")
+        core.run(trace, warmup=400, profiler=profiler)
         phases = profiler.as_dict()
         assert phases["tracegen"] >= 0
         assert phases["warmup"] > 0

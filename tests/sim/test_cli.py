@@ -131,6 +131,34 @@ class TestStoreCli:
         assert (store_root / "results").is_dir()
         assert any((store_root / "results").iterdir())
 
+    def test_traced_run_never_served_from_store(self, capsys, tmp_path):
+        """A warm result tier must not swallow a traced run's events."""
+        import json
+        import os
+
+        from repro.exec.store import STORE_ENV, set_active_store
+
+        store_dir = str(tmp_path / "store")
+        counts = []
+        try:
+            for attempt in (1, 2):
+                trace_path = tmp_path / ("t%d.json" % attempt)
+                assert main(["run", "gzip", "-p", "authen-then-commit",
+                             "-n", "2000", "--warmup", "500",
+                             "--store", store_dir,
+                             "--trace-out", str(trace_path)]) == 0
+                counts.append(len(json.loads(
+                    trace_path.read_text())["traceEvents"]))
+        finally:
+            set_active_store(None)
+            os.environ.pop(STORE_ENV, None)
+        assert counts[0] == counts[1] > 1000
+        # ... and its result is saved once, not once per run.
+        capsys.readouterr()
+        assert main(["store", "stats", "--dir", store_dir, "--json"]) == 0
+        stats = json.loads(capsys.readouterr().out)
+        assert stats["tiers"]["results"]["records"] == 1
+
     def test_store_hits_report_store_path(self, capsys, tmp_path):
         """A result served from the store names ``store`` as its path,
         so the report's path tally counts every journaled job."""

@@ -1,12 +1,19 @@
 """Simulation driver tests: runner, sweep, report, config."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.config import SimConfig
+from repro.cpu import native
 from repro.errors import ConfigError
+from repro.obs import MemorySink, Tracer
+from repro.sim.metrics import run_with_metrics
 from repro.sim.report import render_table, series_rows
-from repro.sim.runner import build_simulator, run_benchmark
+from repro.sim.runner import build_simulator, run_benchmark, run_trace
 from repro.sim.sweep import PolicySweep, normalized_ipc_table, speedup_over
+from repro.workloads.trace import Op
+from tests.traces import row, trace_from_rows
 
 
 class TestConfig:
@@ -65,6 +72,54 @@ class TestRunner:
         a = run_benchmark("gzip", 2000)
         b = run_benchmark("gzip", 2000)
         assert a.ipc == b.ipc  # fresh state both times
+
+
+def _pointer_chase():
+    """Dependent loads 0x100 apart: every one an L2 miss."""
+    return trace_from_rows([row(0x1000 + 4 * i, Op.LOAD, 1, (1,),
+                                0x20000 + 0x100 * i) for i in range(64)])
+
+
+class TestEvaluationPath:
+    """The helpers take the executor's path and say which one."""
+
+    @pytest.mark.skipif(not native.native_available(),
+                        reason="the kernel needs a C compiler")
+    def test_counter_mode_takes_kernel(self):
+        result = run_trace(_pointer_chase(), SimConfig(),
+                           "authen-then-commit")
+        assert result.accounting == {"path": "native"}
+        assert result.metrics.cycles == result.cycles
+
+    # CBC: tests/workloads/test_capture_parity.py.
+    @pytest.mark.parametrize("config, tracer", [
+        (SimConfig(), Tracer([MemorySink()])),
+        (replace(SimConfig(), prefetch_degree=2), None),
+    ], ids=["traced", "prefetch"])
+    def test_outside_kernel_takes_legacy(self, config, tracer):
+        result = run_trace(_pointer_chase(), config, "authen-then-commit",
+                           tracer=tracer)
+        assert result.accounting == {"path": "legacy"}
+
+    def test_paths_agree_on_metrics(self):
+        traced, traced_metrics = run_with_metrics(
+            _pointer_chase(), policy="commit+fetch",
+            tracer=Tracer([MemorySink()]))
+        plain, plain_metrics = run_with_metrics(_pointer_chase(),
+                                                policy="commit+fetch")
+        assert traced.accounting["path"] == "legacy"
+        assert plain.cycles == traced.cycles
+        assert plain_metrics.as_dict() == traced_metrics.as_dict()
+
+    def test_no_compiler_falls_back(self, no_compiler):
+        result = run_benchmark("gzip", 600, policy="authen-then-commit")
+        assert result.accounting == {"path": "legacy"}
+
+    def test_required_kernel_never_falls_back(self, no_compiler,
+                                              monkeypatch):
+        monkeypatch.setenv("REPRO_NATIVE", "require")
+        with pytest.raises(RuntimeError, match="REPRO_NATIVE=require"):
+            run_trace(_pointer_chase(), SimConfig(), "authen-then-commit")
 
 
 class TestSweep:

@@ -20,7 +20,7 @@ from repro.cpu.shared_kernel import replay_policy
 from repro.func import programs
 from repro.func.machine import SecureMachine
 from repro.perf.golden import stats_digest
-from repro.sim.runner import build_simulator
+from repro.sim.runner import build_simulator, run_trace
 from repro.workloads.capture import capture_trace
 
 #: Legacy cycles of the list-walk capture under each control point.
@@ -64,3 +64,19 @@ def test_kernel_equals_legacy(list_walk, policy_name):
     kernel = replay_policy(prepass, policy, config)
     assert kernel.cycles == legacy.cycles
     assert _digest(kernel) == _digest(legacy)
+
+
+@pytest.mark.skipif(not native.native_available(),
+                    reason="the kernel needs a C compiler")
+def test_run_trace_takes_kernel(list_walk):
+    result = run_trace(list_walk, SimConfig(), "authen-then-commit")
+    assert result.accounting["path"] == "native"
+    assert result.cycles == PINNED_CYCLES["authen-then-commit"]
+
+
+def test_cbc_run_trace_takes_legacy(list_walk):
+    config = SimConfig().with_secure(encryption_mode="cbc")
+    result = run_trace(list_walk, config, "authen-then-commit")
+    assert result.accounting["path"] == "legacy"
+    core, _ = build_simulator(config, "authen-then-commit")
+    assert result.cycles == core.run(list_walk).cycles
