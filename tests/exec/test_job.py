@@ -8,6 +8,7 @@ import pytest
 from repro.config import SimConfig
 from repro.errors import ConfigError
 from repro.exec import SimJob, build_jobs
+from repro.exec.job import MultiPolicySimJob
 
 
 class TestJobId:
@@ -58,9 +59,30 @@ class TestJobId:
         # and update the pin deliberately.
         job = SimJob("gzip", "decrypt-only", num_instructions=1000,
                      warmup=0, seed=2006)
-        assert job.job_id == SimJob(
-            "gzip", "decrypt-only", config=SimConfig(),
-            num_instructions=1000, warmup=0, seed=2006).job_id
+        assert job.job_id == "8a5e54f783929d1c"
+
+    @pytest.mark.parametrize("job, expected", [
+        (SimJob("gzip", "decrypt-only"), "e2cac58e71f24d1f"),
+        (SimJob("gzip", "authen-then-commit",
+                config=SimConfig().with_l2_size(1024 * 1024),
+                num_instructions=1000, warmup=500, seed=7),
+         "bd40cc64f74e4a9c"),
+        (SimJob("mcf", "authen-then-issue",
+                config=SimConfig().with_secure(hash_tree_enabled=True),
+                num_instructions=2000, warmup=1000),
+         "681dbbb9ba612e1e"),
+        (SimJob("gcc", "commit+obfuscation",
+                config=SimConfig().with_secure(obfuscation_enabled=True),
+                num_instructions=2000, warmup=1000),
+         "23afb48fb179f2b9"),
+        (MultiPolicySimJob("gzip", ("decrypt-only", "authen-then-commit"),
+                           num_instructions=1000, warmup=500),
+         "f684bae1c63bcff6"),
+    ], ids=["default", "l2-1mib", "hash-tree", "obfuscation", "group"])
+    def test_pinned_ids(self, job, expected):
+        # Literal ids: journals and store segments on disk key on them,
+        # so the encoding behind job_id must never drift.
+        assert job.job_id == expected
 
 
 class TestJobSpec:

@@ -17,6 +17,7 @@ from repro.exec import (
     build_jobs,
     set_attempt_hook,
 )
+from repro.exec.retry import JobResult
 from repro.obs import MemorySink, Tracer
 from repro.obs.events import JOB_FAILED, JOB_RETRY
 from repro.sim.checkpoint import JobJournal
@@ -269,3 +270,18 @@ class TestAttemptDeadlineNesting:
         with attempt_deadline(5.0):
             pass
         assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+
+
+class TestJobResultDict:
+    @pytest.mark.parametrize("outcome", [
+        JobResult(job_id="abc"),
+        JobResult(job_id="def", status="failed", attempts=3,
+                  wall_time=1.5, error="OSError()", cache_hit=False,
+                  store_hit=True, peak_rss_kb=2048),
+    ])
+    def test_as_dict_matches_asdict(self, outcome):
+        import dataclasses
+
+        assert outcome.as_dict() == dataclasses.asdict(outcome)
+        assert list(outcome.as_dict()) == [
+            field.name for field in dataclasses.fields(outcome)]

@@ -850,6 +850,74 @@ class TestGc:
         assert report["kept_bytes"] == os.path.getsize(paths[2])
 
 
+def _result_lines(store):
+    """Every result-tier line of ``store``, sorted (order-free bytes)."""
+    root = os.path.join(store.root, "results")
+    return sorted(line for name in os.listdir(root)
+                  for line in open(os.path.join(root, name), "rb")
+                  .read().splitlines())
+
+
+class TestResultBytes:
+    def test_cold_figure_lines_are_pinned(self, tmp_path, monkeypatch):
+        # The code fingerprint is pinned too: it hashes source files,
+        # and this pin is about the encoding, not the code's identity.
+        import hashlib
+
+        from repro.exec import store as store_module
+        from repro.experiments.figures import run_figures
+
+        monkeypatch.setattr(store_module, "code_fingerprint",
+                            lambda kind: "0123456789abcdef")
+        store = ArtifactStore(tmp_path / "store")
+        previous = set_active_store(store)
+        try:
+            run_figures(["fig8"], str(tmp_path / "out"),
+                        num_instructions=600, warmup=300,
+                        benchmarks=["gzip"])
+        finally:
+            set_active_store(previous)
+        lines = _result_lines(store)
+        assert len(lines) == 4
+        assert hashlib.sha256(b"\n".join(lines)).hexdigest() == (
+            "551d66b7b93646a9159db793caa4119062c7d6bbcf3acfcaa1ff0c8179c3d7a0")
+
+
+class TestDurabilityFailure:
+    """A full disk at a group boundary costs durability, never the run."""
+
+    @pytest.mark.parametrize("call", ["fsync", "write"])
+    def test_enospc_degrades_journal_and_counts_store_errors(
+            self, active, tmp_path, monkeypatch, capsys, call):
+        import errno
+
+        from repro.obs.metrics import MetricsRegistry
+        from repro.sim.checkpoint import JobJournal
+        from repro.sim.sweep import PolicySweep
+
+        def full(*args):
+            raise OSError(errno.ENOSPC, "injected: no space left on device")
+
+        def arm(job, result, done, total):
+            if done == 2:   # the first group has settled
+                monkeypatch.setattr(os, call, full)
+
+        path = str(tmp_path / "sweep.jsonl")
+        registry = MetricsRegistry()
+        sweep = PolicySweep(["gzip", "mcf"], ["authen-then-commit"],
+                            num_instructions=600, warmup=300)
+        try:
+            sweep.run(journal=JobJournal(path), progress=arm,
+                      metrics=registry)
+        finally:
+            monkeypatch.undo()
+        assert len(sweep.results) == 4   # the sweep completed
+        assert registry.get("repro_journal_degraded_total").total() == 1
+        assert active.counters["write_errors"] >= 1
+        assert "Traceback" not in capsys.readouterr().err
+        # The first group's records survive and resume.
+        assert len(JobJournal(path)) >= 2
+
 class TestStatsAndEnv:
     def test_stats_shape(self, store):
         trace = _trace()
