@@ -55,6 +55,7 @@ up).
 """
 
 import argparse
+import os
 import sys
 
 from repro.policies.registry import available_policies, policy_set
@@ -1044,7 +1045,17 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        status = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (``repro trace ... | head``).  Point
+        # stdout at devnull so the interpreter's exit-time flush cannot
+        # fail again, and exit non-zero without a traceback.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return status
 
 
 if __name__ == "__main__":

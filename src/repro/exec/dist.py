@@ -60,6 +60,7 @@ from repro.sim.checkpoint import (
     append_record,
     atomic_write_text,
     result_from_record,
+    sync_file,
     terminate_tail,
 )
 
@@ -312,11 +313,15 @@ def _execute_unit(unit, segment, done_ids, timeout=None, on_record=None,
             on_record(member, result)
 
     skip = done_ids & {m.job_id for m in unit.member_jobs}
-    with attempt_deadline(timeout):
-        for member, result in iter_group_results(unit, skip=skip):
-            if heartbeat is not None and heartbeat.lost:
-                break
-            publish(member, result)
+    try:
+        with attempt_deadline(timeout):
+            for member, result in iter_group_results(unit, skip=skip):
+                if heartbeat is not None and heartbeat.lost:
+                    break
+                publish(member, result)
+    finally:
+        if count:
+            sync_file(segment)   # once per unit
     return count
 
 
@@ -575,6 +580,8 @@ class DistExecutor(Executor):
                     member, result,
                     attempts=attempts.get(unit_id, 0) + 1,
                     wall=time.perf_counter() - spooled_at[unit_id])
+                if unit_id not in outstanding:
+                    state.sync_journal()   # once per settled group
                 progressed = True
         return progressed
 

@@ -35,8 +35,8 @@ Observability: each completed job emits a ``JOB_DONE`` event on the
 ``jobs`` lane of the supplied tracer and credits the profiler; retries,
 terminal failures and backend degradation emit ``JOB_RETRY``,
 ``JOB_FAILED`` and ``BACKEND_DEGRADED`` on the same lane; a journal
-append that dies (ENOSPC) emits ``JOURNAL_DEGRADED`` and the run
-continues without the journal rather than aborting.  The parallel
+append or group fsync that dies (ENOSPC) emits ``JOURNAL_DEGRADED`` and
+the run continues without the journal rather than aborting.  The parallel
 backend cannot thread a tracer into workers (sinks do not cross
 processes), so per-run events are only recorded by the serial backend.
 """
@@ -174,7 +174,8 @@ def iter_group_results(group, skip=(), tracer=None, profiler=None,
     never served from the store (a stored result carries no machine
     events): it looks a member up only after simulating it, to save what
     the store lacks.  Walks are built in-process and never
-    stored: a native walk costs less than reading one back.
+    stored: a native walk costs less than reading one back.  Saved
+    lines are fsynced once, when the group ends (exception or not).
     """
     from repro.exec.store import active_store
     from repro.sim.runner import evaluate_trace
@@ -213,32 +214,36 @@ def iter_group_results(group, skip=(), tracer=None, profiler=None,
                                  warmup=group.warmup, tracer=tracer,
                                  profiler=profiler)
         shared_seconds = time.perf_counter() - started
-    for member in members:
-        hit = stored.get(member.job_id)
-        if hit is not None:
-            yield member, hit
-            continue
-        if _ATTEMPT_HOOK is not None:
-            _ATTEMPT_HOOK(member,
-                          attempt_of(member) if attempt_of is not None
-                          else 1)
-        member_start = time.perf_counter()
-        result = next(results)
-        result.accounting = {
-            "wall_seconds": round(time.perf_counter() - member_start
-                                  + shared_seconds, 6),
-            "tracegen_seconds": round(tracegen, 6),
-            "cache_hit": cache_hit,
-            "store_hit": False,
-            "path": result.accounting["path"],
-            "peak_rss_kb": _peak_rss_kb(),
-        }
-        # Later members reuse the first one's decode.
-        shared_seconds, tracegen, cache_hit = 0.0, 0.0, True
-        if store is not None and (not tracing
-                                  or store.load_result(member) is None):
-            store.save_result(member, result)
-        yield member, result
+    try:
+        for member in members:
+            hit = stored.get(member.job_id)
+            if hit is not None:
+                yield member, hit
+                continue
+            if _ATTEMPT_HOOK is not None:
+                _ATTEMPT_HOOK(member,
+                              attempt_of(member) if attempt_of is not None
+                              else 1)
+            member_start = time.perf_counter()
+            result = next(results)
+            result.accounting = {
+                "wall_seconds": round(time.perf_counter() - member_start
+                                      + shared_seconds, 6),
+                "tracegen_seconds": round(tracegen, 6),
+                "cache_hit": cache_hit,
+                "store_hit": False,
+                "path": result.accounting["path"],
+                "peak_rss_kb": _peak_rss_kb(),
+            }
+            # Later members reuse the first one's decode.
+            shared_seconds, tracegen, cache_hit = 0.0, 0.0, True
+            if store is not None and (not tracing
+                                      or store.load_result(member) is None):
+                store.save_result(member, result)
+            yield member, result
+    finally:
+        if store is not None:
+            store.sync_results()
 
 
 def _pool_worker_group(group, attempt=1):
@@ -342,7 +347,10 @@ class Executor:
         state.jm.pending.set(pending_units)
         self.last_outcomes = outcomes
         if pending:
-            self._execute(pending, results, state)
+            try:
+                self._execute(pending, results, state)
+            finally:
+                state.sync_journal()
         return results
 
     @property
@@ -366,7 +374,8 @@ class Executor:
         Members are journaled incrementally (``state.complete`` fires
         after each member, before the next starts), so a kill mid-group
         loses only the in-flight member, and a retry after a mid-group
-        fault re-runs only the members that never completed.
+        fault re-runs only the members that never completed.  The
+        journal is fsynced once, when the group settles.
 
         Retries are charged *per member*, not per group: a pass aborts
         at its first failing member (members execute in order, so that
@@ -413,6 +422,9 @@ class Executor:
                            time.perf_counter() - start, exc)
                 done_ids.add(victim.job_id)
                 continue
+            # Settled: one fsync for the group's journal lines (a
+            # fail-fast raise is synced by Executor.run).
+            state.sync_journal()
             return
 
     def describe(self):
@@ -449,6 +461,7 @@ class _RunState:
         self.policy = policy
         self.outcomes = outcomes
         self.jm = JobMetrics(metrics)
+        self.journaled = None   # job_id of the last journal append
 
     def complete(self, job, result, attempts=1, wall=0.0):
         self.done += 1
@@ -463,17 +476,9 @@ class _RunState:
         if self.journal is not None:
             try:
                 self.journal.record(job, result)
+                self.journaled = job.job_id
             except OSError as exc:
-                # A journal append failing (ENOSPC, dead filesystem)
-                # must not take the sweep down with it: the results are
-                # already in memory.  Drop the journal -- this run just
-                # loses resumability from here on -- and say so.
-                self.journal = None
-                self.jm.journal_degraded.inc()
-                if self.tracer is not None:
-                    self.tracer.emit(JOURNAL_DEGRADED, LANE_JOBS,
-                                     self.done, job_id=job.job_id,
-                                     error=repr(exc))
+                self._journal_failed(job.job_id, exc)
         if self.tracer is not None:
             self.tracer.emit(JOB_DONE, LANE_JOBS, self.done,
                              job_id=job.job_id, benchmark=job.benchmark,
@@ -482,6 +487,27 @@ class _RunState:
                              total=self.total)
         if self.progress is not None:
             self.progress(job, result, self.done, self.total)
+
+    def sync_journal(self):
+        """fsync the journal's lines since the last sync: once per
+        settled group, so a power loss costs at most one group."""
+        if self.journal is None:
+            return
+        try:
+            self.journal.sync()
+        except OSError as exc:
+            self._journal_failed(self.journaled, exc)
+
+    def _journal_failed(self, job_id, exc):
+        # A journal append or sync failing (ENOSPC, dead filesystem)
+        # must not take the sweep down with it: the results are already
+        # in memory.  Drop the journal -- this run just loses
+        # resumability from here on -- and say so.
+        self.journal = None
+        self.jm.journal_degraded.inc()
+        if self.tracer is not None:
+            self.tracer.emit(JOURNAL_DEGRADED, LANE_JOBS, self.done,
+                             job_id=job_id, error=repr(exc))
 
     def retry(self, job, attempt, exc, delay):
         self.jm.retries.inc()
@@ -694,6 +720,7 @@ class ParallelExecutor(Executor):
                             state.complete(member, member_result,
                                            attempts=attempts[job.job_id],
                                            wall=wall)
+                        state.sync_journal()
 
                 now = time.monotonic()
                 expired = [future

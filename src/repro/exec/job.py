@@ -12,12 +12,29 @@ another.
 import dataclasses
 import hashlib
 import json
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from repro.config import SimConfig
 from repro.errors import ConfigError
 from repro.policies.registry import available_policies
 from repro.workloads.spec import get_profile
+
+
+@lru_cache(maxsize=256)
+def _config_data(config):
+    """``config`` flattened to plain data, memoised per config value.
+
+    A sweep hashes one config into every cell's id, and flattening it
+    costs far more than hashing the frozen value to find it here.
+    Callers must not mutate the shared dict.
+    """
+    return dataclasses.asdict(config)
+
+
+def _content_id(payload):
+    """16-hex-digit sha256 of ``payload``'s canonical JSON."""
+    canonical = json.dumps(payload, sort_keys=True, default=str)
+    return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -65,16 +82,14 @@ class SimJob:
         boundaries and interpreter restarts -- which is what lets a
         checkpoint journal from a killed sweep be trusted by the rerun.
         """
-        payload = {
+        return _content_id({
             "benchmark": self.benchmark,
             "policy": self.policy,
-            "config": dataclasses.asdict(self.config),
+            "config": _config_data(self.config),
             "num_instructions": self.num_instructions,
             "warmup": self.warmup,
             "seed": self.seed,
-        }
-        canonical = json.dumps(payload, sort_keys=True, default=str)
-        return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+        })
 
     def as_group(self):
         """This job as the one-member :class:`MultiPolicySimJob` every
@@ -162,17 +177,15 @@ class MultiPolicySimJob:
         Never journaled -- only member ids reach the journal -- so the
         encoding is free to differ from :class:`SimJob`'s.
         """
-        payload = {
+        return _content_id({
             "group": True,
             "benchmark": self.benchmark,
             "policies": list(self.policies),
-            "config": dataclasses.asdict(self.config),
+            "config": _config_data(self.config),
             "num_instructions": self.num_instructions,
             "warmup": self.warmup,
             "seed": self.seed,
-        }
-        canonical = json.dumps(payload, sort_keys=True, default=str)
-        return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+        })
 
     def subset(self, policies):
         """The same group trimmed to ``policies`` (resume trimming)."""

@@ -128,7 +128,12 @@ class JobResult:
                        "peak_rss_kb")
 
     def as_dict(self):
-        return dataclasses.asdict(self)
+        # Flat fields: no deep copy needed (dataclasses.asdict makes one).
+        return {"job_id": self.job_id, "status": self.status,
+                "attempts": self.attempts, "wall_time": self.wall_time,
+                "error": self.error, "cache_hit": self.cache_hit,
+                "store_hit": self.store_hit,
+                "peak_rss_kb": self.peak_rss_kb}
 
 
 @contextmanager

@@ -75,9 +75,10 @@ from repro.sim.checkpoint import (
     JournalTail,
     append_line,
     atomic_write_text,
-    completion_record,
+    completion_line,
     parse_record,
     result_from_record,
+    sync_file,
 )
 from repro.workloads.trace import PackedTrace, Trace
 
@@ -326,8 +327,9 @@ class ArtifactStore:
         }
         # Result tier: job_id -> (segment, offset, length), filled by the
         # first lookup; segment -> (inode, tail) of the last poll; this
-        # process's own segment, created by its first save.
-        self._index, self._tails = {}, {}
+        # process's own segment, created by its first save; segments
+        # appended to since the last sync_results.
+        self._index, self._tails, self._unsynced = {}, {}, set()
         self._segment, self._pid, self._lock = \
             None, os.getpid(), threading.Lock()
         self._bind_metrics(metrics)
@@ -553,6 +555,7 @@ class ArtifactStore:
         if self._pid != os.getpid():
             self._pid, self._lock, self._segment = \
                 os.getpid(), threading.Lock(), None
+            self._unsynced = set()
         return self._lock
 
     def _poll_results(self):
@@ -629,11 +632,13 @@ class ArtifactStore:
         with ``O_EXCL`` by the first save (a name already taken is
         skipped) and never recreated: once gc has evicted it, the next
         save starts a new one.  The fingerprint is fixed per process.
+        The line is written now and made durable by the group's
+        :meth:`sync_results`.
         """
         fingerprint = code_fingerprint("result")
-        text = json.dumps(completion_record(
-            job, result, journal_version=JOURNAL_VERSION,
-            fingerprint=fingerprint), sort_keys=True)
+        text = completion_line(job, result,
+                               journal_version=JOURNAL_VERSION,
+                               fingerprint=fingerprint)
         with self._result_lock():
             while True:
                 path, new = self._segment, self._segment is None
@@ -643,7 +648,8 @@ class ArtifactStore:
                         next(_SEGMENTS)))
                 try:
                     offset, length = append_line(
-                        path, text, os.O_CREAT | os.O_EXCL if new else 0)
+                        path, text, os.O_CREAT | os.O_EXCL if new else 0,
+                        sync=False)
                     break
                 except OSError as exc:
                     self._segment = None   # taken, evicted, or torn
@@ -651,9 +657,31 @@ class ArtifactStore:
                         self.counters["write_errors"] += 1
                         return False
             self._segment = path
+            self._unsynced.add(path)
             self._index[job.job_id] = (path, offset, length)
         self._wrote(length)
         return True
+
+    def sync_results(self):
+        """fsync every segment appended to since the last call.
+
+        Called once per group, so a power loss costs at most the lines
+        of the group in flight.  A failed fsync degrades as a failed
+        append does: counted in ``write_errors``, and the next save
+        starts a new segment.  A segment gc evicted meanwhile has
+        nothing left to make durable.
+        """
+        with self._result_lock():
+            paths, self._unsynced = self._unsynced, set()
+            for path in sorted(paths):
+                try:
+                    sync_file(path)
+                except FileNotFoundError:
+                    pass
+                except OSError:
+                    self.counters["write_errors"] += 1
+                    if self._segment == path:
+                        self._segment = None
 
     # -- single-flight locks --------------------------------------------
 

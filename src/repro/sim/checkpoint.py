@@ -10,8 +10,10 @@ CRC32-sealed; corrupt lines are quarantined into a ``.rej`` sidecar
 instead of silently trusted or fatally rejected (see
 ``docs/robustness.md``).  Rewrites go through :func:`atomic_write_text`
 (write-then-rename, never a torn file).  The store's result segments
-and the dist per-host segments share the line format, its writer
-(:func:`append_line`) and its read-only reader (:class:`JournalTail`).
+and the dist per-host segments share the line format, its encoder
+(:func:`completion_line`), its writer (:func:`append_line`, fsynced
+once per group by :func:`sync_file`) and its read-only reader
+(:class:`JournalTail`).
 """
 
 import errno
@@ -72,21 +74,9 @@ def atomic_write_text(path, text):
 JOURNAL_VERSION = 2
 
 
-def _record_crc(record):
-    """CRC32 of a record's canonical JSON, ``crc32`` field excluded.
-
-    ``record`` must already be JSON-normalised (string keys, round-
-    tripped floats) -- :meth:`JobJournal.record` guarantees this by
-    passing every record through ``json.loads(json.dumps(...))`` before
-    checksumming, which makes the canonical text a fixed point.
-    """
-    body = {key: value for key, value in record.items() if key != "crc32"}
-    return zlib.crc32(json.dumps(body, sort_keys=True).encode())
-
-
 def _line_crc(raw, stored):
-    """:func:`_record_crc` of a line, without re-encoding: cut the
-    ``crc32`` field out of the text.
+    """The CRC32 :func:`completion_line` sealed a line with: that of
+    the line's text with the ``crc32`` field cut out.
 
     A valid line is the exact canonical text as written (sorted keys,
     so ``crc32`` is never last); any other text fails the check.
@@ -129,16 +119,31 @@ def parse_record(raw):
     return record, None
 
 
-def completion_record(job, result, **envelope):
-    """The sealed record of one finished job, as every tier persists it.
+def _text_buckets(stats):
+    """``StatGroup.as_dict()`` with each histogram's int buckets keyed
+    by their text.
+
+    ``json.dumps(sort_keys=True)`` sorts keys *before* converting them,
+    so int buckets would sort as numbers (9 before 10); a line sorts
+    them as text ("10" before "9"), as a reader that re-canonicalises
+    the parsed line does.  Every other key of a record is already text.
+    """
+    return {name: dict(zip(map(str, value), value.values()))
+            if isinstance(value, dict) else value
+            for name, value in stats.items()}
+
+
+def completion_line(job, result, **envelope):
+    """The sealed line of one finished job, as every tier persists it.
 
     The journal and the store's result tier share this body and its
     ``journal_version``; each adds only its own ``envelope`` fields (the
-    journal's ``accounting``, the store's ``fingerprint``).  The record
-    is normalised through one JSON round trip (int dict keys become
-    strings) before sealing, so its ``crc32`` covers exactly the text a
-    reader will re-canonicalise.  :func:`result_from_record` is the
-    inverse.
+    journal's ``accounting``, the store's ``fingerprint``).  The text is
+    canonical -- sorted keys, text-sorted histogram buckets -- and
+    encoded once: ``crc32`` is the CRC of the line without it, spliced
+    in at its sorted place (after ``benchmark``, before ``cycles``, so
+    both halves are never empty).  :func:`result_from_record` is the
+    inverse of the parsed line.
     """
     record = dict(
         envelope,
@@ -152,15 +157,18 @@ def completion_record(job, result, **envelope):
         instructions=result.instructions,
         cycles=result.cycles,
         ipc=result.ipc,
-        miss_rates=dict(result.miss_summary),
-        stats=result.stats.as_dict(),
+        miss_rates=result.miss_summary,
+        stats=_text_buckets(result.stats.as_dict()),
         metrics=(result.metrics.as_dict()
                  if getattr(result, "metrics", None) is not None
                  else None),
     )
-    record = json.loads(json.dumps(record))
-    record["crc32"] = _record_crc(record)
-    return record
+    head = json.dumps({key: value for key, value in record.items()
+                       if key < "crc32"}, sort_keys=True)[:-1]
+    tail = json.dumps({key: value for key, value in record.items()
+                       if key > "crc32"}, sort_keys=True)[1:]
+    crc = zlib.crc32(("%s, %s" % (head, tail)).encode())
+    return '%s, "crc32": %d, %s' % (head, crc, tail)
 
 
 def result_from_record(record):
@@ -190,14 +198,16 @@ def result_from_record(record):
     return result
 
 
-def append_line(path, text="", create=os.O_CREAT):
+def append_line(path, text="", create=os.O_CREAT, sync=True):
     """Append ``text`` plus a newline; return the line's (offset, length).
 
-    One ``os.write`` on an ``O_APPEND`` descriptor, then one ``fsync``:
-    concurrent appenders interleave at line granularity, never inside a
-    record, and a line torn by a crash fails its CRC on the next read.
-    ``create`` are the open flags for a missing file: ``O_CREAT |
-    O_EXCL`` makes a new file only, ``0`` appends to an existing one.
+    One ``os.write`` on an ``O_APPEND`` descriptor: concurrent appenders
+    interleave at line granularity, never inside a record, and a line
+    torn by a crash fails its CRC on the next read.  ``create`` are the
+    open flags for a missing file: ``O_CREAT | O_EXCL`` makes a new
+    file only, ``0`` appends to an existing one.  The line is fsynced
+    before the return unless ``sync`` is false: completion lines are
+    synced once per group instead (:func:`sync_file`).
     """
     data = (text + "\n").encode()
     fd = os.open(path, os.O_WRONLY | os.O_APPEND | create, 0o644)
@@ -205,10 +215,21 @@ def append_line(path, text="", create=os.O_CREAT):
         if os.write(fd, data) != len(data):
             raise OSError(errno.EIO, "short append", path)
         end = os.lseek(fd, 0, os.SEEK_CUR)
-        os.fsync(fd)
+        if sync:
+            os.fsync(fd)
     finally:
         os.close(fd)
     return end - len(data), len(data)
+
+
+def sync_file(path):
+    """fsync ``path``: every line appended to it so far becomes durable,
+    whichever descriptor wrote it."""
+    fd = os.open(path, os.O_WRONLY | os.O_APPEND)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def terminate_tail(path):
@@ -227,16 +248,19 @@ def terminate_tail(path):
 def append_record(path, job, result):
     """Append ``job``'s sealed journal line to ``path``; returns it.
 
+    The line is written but not fsynced: the writer syncs ``path`` once
+    per group (:func:`sync_file`), so a power loss costs at most the
+    lines of the group in flight, which re-simulate deterministically.
     ``accounting`` (per-job wall/tracegen seconds, cache hit, path,
     peak RSS) is an *additive* v2 field: old readers ignore it, old
     records come back with accounting None, and it is CRC-covered like
     everything else.
     """
-    record = completion_record(
+    line = completion_line(
         job, result, journal_version=JOURNAL_VERSION,
         accounting=getattr(result, "accounting", None))
-    append_line(path, json.dumps(record, sort_keys=True))
-    return record
+    append_line(path, line, sync=False)
+    return line
 
 
 class JournalTail:
@@ -287,11 +311,12 @@ class JournalTail:
 class JobJournal:
     """Append-only JSONL journal of completed jobs (resumable sweeps).
 
-    One line per completed :class:`~repro.exec.job.SimJob`, written and
-    flushed *before* the next job starts, so a killed sweep loses at
-    most its in-flight jobs.  Every v2 record carries a CRC32 of its
-    canonical JSON, so a torn write, bit rot or hand-editing is caught
-    on open -- not trusted into a resumed sweep.
+    One line per completed :class:`~repro.exec.job.SimJob`, written
+    *before* the next job starts, so a killed process loses at most its
+    in-flight jobs; :meth:`sync` makes the lines durable, which the
+    executor does once per settled group.  Every v2 record carries a
+    CRC32 of its canonical JSON, so a torn write, bit rot or
+    hand-editing is caught on open -- not trusted into a resumed sweep.
 
     Integrity triage on open:
 
@@ -314,7 +339,8 @@ class JobJournal:
     def __init__(self, path):
         self.path = os.fspath(path)
         self.rej_path = self.path + ".rej"
-        self._records = {}  # job_id -> journal line dict
+        self._lines = {}  # job_id -> its journal line, as on disk
+        self._unsynced = False
         self.quarantined_lines = 0
         self.incompatible_lines = 0
         if os.path.exists(self.path):
@@ -333,7 +359,7 @@ class JobJournal:
             raw = line.rstrip(b"\n").decode(errors="replace")
             if record is not None:
                 kept.append(raw)
-                self._records[record["job_id"]] = record
+                self._lines[record["job_id"]] = raw
             elif reason == INCOMPATIBLE_VERSION:
                 self.incompatible_lines += 1
                 kept.append(raw)
@@ -352,26 +378,33 @@ class JobJournal:
     @property
     def completed_ids(self):
         """job_ids with a fully recorded result."""
-        return set(self._records)
+        return set(self._lines)
 
     def __len__(self):
-        return len(self._records)
+        return len(self._lines)
 
     def __contains__(self, job_id):
-        return job_id in self._records
+        return job_id in self._lines
 
     def record(self, job, result):
-        """Append one completed job (:func:`append_record`)."""
-        record = append_record(self.path, job, result)
-        self._records[record["job_id"]] = record
+        """Append one completed job (:func:`append_record`); durable
+        after the next :meth:`sync`."""
+        self._lines[job.job_id] = append_record(self.path, job, result)
+        self._unsynced = True
+
+    def sync(self):
+        """fsync the lines recorded since the last sync (if any)."""
+        if self._unsynced:
+            sync_file(self.path)
+            self._unsynced = False
 
     def result(self, job):
         """Rebuild the RunResult for ``job`` (:func:`result_from_record`),
         or None if not journaled."""
-        record = self._records.get(job.job_id)
-        if record is None:
+        line = self._lines.get(job.job_id)
+        if line is None:
             return None
-        return result_from_record(record)
+        return result_from_record(json.loads(line))
 
     def compact(self, keep_ids=None):
         """Rewrite the journal with only current-format, live records.
@@ -384,15 +417,15 @@ class JobJournal:
         """
         if keep_ids is not None:
             keep_ids = set(keep_ids)
-            dropped = [job_id for job_id in self._records
+            dropped = [job_id for job_id in self._lines
                        if job_id not in keep_ids]
             for job_id in dropped:
-                del self._records[job_id]
+                del self._lines[job_id]
         else:
             dropped = []
         dropped_lines = self.incompatible_lines + len(dropped)
         atomic_write_text(self.path, "".join(
-            json.dumps(record, sort_keys=True) + "\n"
-            for record in self._records.values()))
+            line + "\n" for line in self._lines.values()))
+        self._unsynced = False
         self.incompatible_lines = 0
         return dropped_lines

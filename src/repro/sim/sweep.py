@@ -12,7 +12,7 @@ Figure 7 presentation) or against authen-then-issue (Figures 8/11/13).
 """
 
 from repro.config import SimConfig
-from repro.exec import build_jobs, executor_scope
+from repro.exec import executor_scope
 from repro.exec.job import build_job_groups
 
 BASELINE = "decrypt-only"
@@ -58,11 +58,7 @@ class PolicySweep:
         This is the journal-facing view: one :class:`SimJob` id per
         (benchmark, policy) cell -- the members of :meth:`job_groups`.
         """
-        return build_jobs(self.benchmarks,
-                          self.policy_order(include_baseline),
-                          config=self.config,
-                          num_instructions=self.num_instructions,
-                          warmup=self.warmup, seed=self.seed)
+        return _members(self.job_groups(include_baseline))
 
     def job_groups(self, include_baseline=True):
         """One grouped job per benchmark covering the whole policy set."""
@@ -95,9 +91,12 @@ class PolicySweep:
         execution-layer families plus a per-cell
         ``repro_sweep_cells_total{benchmark,policy,status}`` rollup.
         """
-        jobs = self.jobs(include_baseline)
+        # The cells are the groups' own members, so each job_id is
+        # hashed once, where the executor also reads it.
+        groups = self.job_groups(include_baseline)
+        jobs = _members(groups)
         with executor_scope(executor) as active:
-            results = active.run(self.job_groups(include_baseline), journal=journal, tracer=tracer,
+            results = active.run(groups, journal=journal, tracer=tracer,
                                  profiler=profiler, progress=progress,
                                  failure_policy=failure_policy,
                                  metrics=metrics)
@@ -182,6 +181,11 @@ class PolicySweep:
         if not values:
             return None
         return sum(values) / len(values)
+
+
+def _members(groups):
+    """The per-cell jobs of ``groups``, benchmark-major."""
+    return [member for group in groups for member in group.member_jobs]
 
 
 def normalized_ipc_table(sweep, policies=None, baseline=BASELINE):

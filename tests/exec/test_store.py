@@ -32,7 +32,7 @@ from repro.exec.store import (
     code_fingerprint,
     default_store_path,
 )
-from repro.sim.checkpoint import JournalTail, completion_record
+from repro.sim.checkpoint import JournalTail, completion_line
 from repro.workloads.spec import get_profile
 from repro.workloads.trace import Trace
 from repro.workloads.tracegen import generate_trace
@@ -558,11 +558,11 @@ class TestResultSegments:
         # The previous result-tier layout: one JSON file per result,
         # no trailing newline, a store_version envelope.
         job = JOBS[0]
-        record = completion_record(job, computed[job], store_version=1,
-                                   fingerprint=code_fingerprint("result"))
+        line = completion_line(job, computed[job], store_version=1,
+                               fingerprint=code_fingerprint("result"))
         with open(os.path.join(store.root, "results", "0" * 32 + ".json"),
                   "w") as handle:
-            handle.write(json.dumps(record, sort_keys=True))
+            handle.write(line)
         assert store.load_result(job) is None
         assert store.counters["quarantined"] == 0
         report = store.verify()

@@ -1,7 +1,5 @@
 """Atomic write-then-rename tests for checkpoint persistence."""
 
-import json
-
 import pytest
 
 
@@ -92,10 +90,9 @@ STORE_LINE = (
 
 
 def _line(job, result, **envelope):
-    from repro.sim.checkpoint import completion_record
+    from repro.sim.checkpoint import completion_line
 
-    return json.dumps(completion_record(job, result, **envelope),
-                      sort_keys=True)
+    return completion_line(job, result, **envelope)
 
 
 class TestCompletionLine:

@@ -1,4 +1,9 @@
-"""CLI tests (direct main() invocation, no subprocess)."""
+"""CLI tests (direct main() invocation; a subprocess where the test
+needs a real stdout)."""
+
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -231,3 +236,26 @@ class TestStoreCli:
             handle.truncate(16)
         assert main(["store", "verify", "--dir", store_dir]) == 1
         assert "1 corrupt" in capsys.readouterr().out
+
+
+class TestBrokenPipe:
+    def test_closed_reader_exits_quietly(self):
+        # The reader end is closed before the child writes a byte, so
+        # its first write to stdout fails with EPIPE, like ``| head``.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [p for p in (env.get("PYTHONPATH"),) if p]
+            + [os.path.join(os.path.dirname(__file__), "..", "..", "src")])
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", "trace", "gzip",
+                 "-n", "600"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env,
+                timeout=120)
+        finally:
+            os.close(write_end)
+        assert proc.returncode != 0
+        assert b"Traceback" not in proc.stderr
+        assert b"BrokenPipeError" not in proc.stderr
