@@ -157,7 +157,7 @@ def completion_line(job, result, **envelope):
         instructions=result.instructions,
         cycles=result.cycles,
         ipc=result.ipc,
-        miss_rates=result.miss_summary,
+        miss_rates=dict(result.miss_summary),
         stats=_text_buckets(result.stats.as_dict()),
         metrics=(result.metrics.as_dict()
                  if getattr(result, "metrics", None) is not None
