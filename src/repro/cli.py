@@ -55,9 +55,11 @@ up).
 """
 
 import argparse
+import math
 import os
 import sys
 
+from repro.errors import KernelUnavailableError
 from repro.policies.registry import available_policies, policy_set
 from repro.workloads.spec import SPEC2000_PROFILES
 
@@ -133,7 +135,7 @@ def _activate_store(args, metrics=None):
 
     Exports :data:`~repro.exec.store.STORE_ENV` so forked pool workers
     resolve the same store after fork (the same propagation path
-    ``REPRO_JOBS``/``REPRO_NATIVE`` use), and binds the parent's store
+    ``REPRO_JOBS`` uses), and binds the parent's store
     to the run's metrics registry so store traffic shows up in
     ``--metrics-out`` snapshots.
     """
@@ -598,7 +600,6 @@ def _cmd_attack(args):
 
 
 def _cmd_perf(args):
-    from repro.cpu.native import native_available
     from repro.perf.bench import check_goldens, shared_legacy_only_cells
     from repro.perf.golden import GOLDEN_CYCLES, LEGACY_ONLY_CYCLES
 
@@ -609,24 +610,20 @@ def _cmd_perf(args):
         for line in mismatches:
             print("  " + line, file=sys.stderr)
         return 1
-    if native_available():
-        paths = "both the legacy and the shared-pass path"
-        shared = len(shared_legacy_only_cells())
-    else:
-        paths = "the legacy path"
-        shared = 0
-        print("shared-pass column NOT checked: the native kernel could "
-              "not be built (REPRO_NATIVE=require shows why)",
-              file=sys.stderr)
-    print("golden parity OK: %d cells bit-identical through %s, %d "
-          "beyond-default cells through the legacy path (%d of them "
-          "also through the shared pass)"
-          % (len(GOLDEN_CYCLES), paths, len(LEGACY_ONLY_CYCLES), shared))
+    print("golden parity OK: %d cells bit-identical through both the "
+          "legacy and the shared-pass path, %d beyond-default cells "
+          "through the legacy path (%d of them also through the shared "
+          "pass)" % (len(GOLDEN_CYCLES), len(LEGACY_ONLY_CYCLES),
+                     len(shared_legacy_only_cells())))
     return 0
 
 
 def _parse_size(text):
-    """Parse ``500M``-style size strings into bytes (K/M/G suffixes)."""
+    """Parse ``500M``-style size strings into bytes (K/M/G suffixes).
+
+    The size must be a finite, non-negative number: a negative cap
+    would evict every unpinned entry.
+    """
     text = str(text).strip()
     multiplier = 1
     suffixes = {"k": 1024, "m": 1024 ** 2, "g": 1024 ** 3}
@@ -634,9 +631,13 @@ def _parse_size(text):
         multiplier = suffixes[text[-1].lower()]
         text = text[:-1]
     try:
-        return int(float(text) * multiplier)
+        size = float(text) * multiplier
     except ValueError:
         raise argparse.ArgumentTypeError("invalid size: %r" % text)
+    if not math.isfinite(size) or size < 0:
+        raise argparse.ArgumentTypeError(
+            "size must be finite and non-negative: %r" % text)
+    return int(size)
 
 
 def _cmd_store(args):
@@ -1054,6 +1055,10 @@ def main(argv=None):
         # fail again, and exit non-zero without a traceback.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    except KernelUnavailableError as exc:
+        # A machine without a working C compiler: say why in one line.
+        print("error: %s" % exc, file=sys.stderr)
         return 1
     return status
 

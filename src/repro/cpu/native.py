@@ -18,20 +18,18 @@ and drives it through :mod:`ctypes`:
   of the scalars it consumes;
 - :func:`tracegen` is the loop of
   :func:`~repro.workloads.tracegen.generate_trace`, drawing from the
-  stream's own ``random.Random`` state exactly as the Python loop
-  (its oracle, ``tests/workloads/test_tracegen_oracle.py``) does.
+  stream's own ``random.Random`` state exactly as the Python loop in
+  ``tests/oracle/tracegen.py`` (its oracle,
+  ``tests/workloads/test_tracegen_oracle.py``) does.
 
 Everything is integer arithmetic, so walk plus replay is
 *bit-identical* to the legacy simulator: the differential suite and the
 lockstep oracle property in ``tests/cpu/`` pin native == legacy, and
-``repro perf`` gates the pinned goldens.  The kernel needs a C
-compiler (``CC``, default ``cc``).  When none works,
-:func:`native_available` is False and the grouped executor
-runs every member on the legacy simulator instead, and traces come
-from the Python generator loop, with identical results;
-``REPRO_NATIVE=require`` turns an unavailable kernel into an
-error, for CI jobs and benchmarks that must measure the native path.
-``REPRO_NATIVE`` accepts only ``auto`` (the default) and ``require``.
+``repro perf`` gates the pinned goldens.  The kernel is a hard
+requirement: it needs a C compiler (``CC``, default ``cc``), and when
+it cannot be built every use raises
+:class:`~repro.errors.KernelUnavailableError`, naming the compile
+command, its exit status and its stderr tail.
 
 The compiled object is cached as
 ``<cache>/repro-kernel-<source-hash>.so`` (``REPRO_NATIVE_CACHE``,
@@ -49,7 +47,7 @@ import tempfile
 from array import array
 
 from repro.cpu.core import _CALENDAR_PRUNE_INTERVAL, _UNIT_LATENCY
-from repro.errors import ConfigError
+from repro.errors import KernelUnavailableError
 from repro.workloads.trace import NUM_REGS, PackedTrace
 
 #: Output block size -- keep in lockstep with the OUT_* enum in the C
@@ -1323,8 +1321,8 @@ done:
     return w.failed;
 }
 
-/* ---- trace generator: a draw-for-draw mirror of
- * tracegen._generate_python.  Every draw comes from the stream's own
+/* ---- trace generator: a draw-for-draw mirror of the Python loop
+ * in tests/oracle/tracegen.py.  Every draw comes from the stream's own
  * MT19937 state as CPython's random.Random makes it: random() is
  * genrand_res53 and randrange(n) is _randbelow_with_getrandbits. */
 #define MT_N 624
@@ -1573,18 +1571,6 @@ _lib = None
 _load_error = None
 
 
-def _mode():
-    """``auto`` (the default) or ``require``, from ``REPRO_NATIVE``."""
-    raw = os.environ.get("REPRO_NATIVE", "").strip().lower()
-    if raw in ("", "auto"):
-        return "auto"
-    if raw == "require":
-        return "require"
-    raise ConfigError(
-        "REPRO_NATIVE=%r: expected 'auto' (the default) or 'require'"
-        % os.environ["REPRO_NATIVE"])
-
-
 def _ensure_compiled():
     """Compile the kernel into the cache dir; returns the .so path."""
     digest = hashlib.sha256(_C_SOURCE.encode()).hexdigest()[:16]
@@ -1603,7 +1589,9 @@ def _ensure_compiled():
             handle.write(_C_SOURCE)
         done = subprocess.run(command, capture_output=True, timeout=120)
         if done.returncode != 0:
-            tail = done.stderr.decode(errors="replace").strip()[-400:]
+            # One line, so the CLI's one-line error keeps the tail.
+            tail = " ".join(done.stderr.decode(errors="replace").split())
+            tail = tail[-400:]
             raise RuntimeError("compile `%s` exited with status %d%s"
                                % (" ".join(command), done.returncode,
                                   ": " + tail if tail else ""))
@@ -1618,7 +1606,8 @@ def _ensure_compiled():
 
 
 def _load():
-    """The loaded kernel (memoised); raises RuntimeError if it cannot load.
+    """The loaded kernel (memoised); raises
+    :class:`KernelUnavailableError` if it cannot load.
 
     The error names the failed step (the compile command with its exit
     status and stderr tail, or the dlopen failure) and chains the
@@ -1643,26 +1632,19 @@ def _load():
         except Exception as exc:  # no compiler, failed compile, bad .so
             _load_error = exc
     if _lib is None:
-        raise RuntimeError("the native replay kernel could not be built "
-                           "or loaded: %s" % _load_error) from _load_error
+        raise KernelUnavailableError(
+            "the native replay kernel could not be built or loaded: %s"
+            % _load_error) from _load_error
     return _lib
 
 
 def native_available():
-    """True when the compiled kernel is (or can be made) loadable.
+    """Load (compiling at first use) the kernel and return True.
 
-    Under ``REPRO_NATIVE=require`` an unloadable kernel raises instead
-    of returning False, so a job that must measure the native path
-    cannot quietly run on the legacy simulator.
+    Raises :class:`KernelUnavailableError` when it cannot load; callers
+    use it to build the kernel ahead of timed work.
     """
-    mode = _mode()
-    try:
-        _load()
-    except RuntimeError as exc:
-        if mode == "require":
-            raise RuntimeError("REPRO_NATIVE=require, but %s" % exc) \
-                from exc.__cause__
-        return False
+    _load()
     return True
 
 
@@ -1709,9 +1691,9 @@ def walk(cfg, pcs, ops, addrs, tree_bases, draws):
     ``scalars`` each :data:`WALK_SCALARS` name to an int;
     ``hits_misses`` holds the measured region's (hits, misses) per
     :data:`MISS_LEVELS` level, and ``depths[d]`` counts tree walks of
-    depth ``d``.  Raises RuntimeError when the kernel cannot load or the
-    walk needs more re-map draws than it was given, and MemoryError
-    when its allocations fail.
+    depth ``d``.  Raises KernelUnavailableError when the kernel cannot
+    load, RuntimeError when the walk needs more re-map draws than it
+    was given, and MemoryError when its allocations fail.
     """
     lib = _load()
     out = array("q", bytes(8 * _WALK_SLOTS))
@@ -1798,8 +1780,8 @@ def replay(prepass, cfg):
     """Run the kernel over ``prepass``; returns the output payload dict.
 
     ``cfg`` is :func:`config_block` for the policy being replayed.
-    Raises RuntimeError when the kernel cannot load and MemoryError
-    when the kernel's own allocations fail.
+    Raises KernelUnavailableError when the kernel cannot load and
+    MemoryError when the kernel's own allocations fail.
     """
     lib = _load()
     buf = _buffers(prepass)
@@ -1844,7 +1826,7 @@ def tracegen(rng, doubles, ints, num_instructions):
     """Generate ``num_instructions`` rows in C; returns the
     :class:`~repro.workloads.trace.PackedTrace`.
 
-    The mirror of :func:`repro.workloads.tracegen._generate_python`,
+    The mirror of the Python loop in ``tests/oracle/tracegen.py``,
     which is its oracle: ``doubles`` and ``ints`` are the blocks of
     :func:`repro.workloads.tracegen._config` (fields a
     :class:`~repro.workloads.spec.BenchmarkProfile` has validated), and
@@ -1853,7 +1835,8 @@ def tracegen(rng, doubles, ints, num_instructions):
     C loop writes the preallocated columns directly; ``src_val`` is
     sized for two sources a row and cut to the count it returns.
     Raises ValueError for blocks of the wrong type or size or a
-    negative length, and RuntimeError when the kernel cannot load.
+    negative length, and KernelUnavailableError when the kernel cannot
+    load.
     """
     if ((doubles.typecode, len(doubles), ints.typecode, len(ints))
             != ("d", _GEN_DOUBLES, "q", _GEN_INTS)):

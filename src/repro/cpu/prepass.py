@@ -27,8 +27,7 @@ bit-identical to the legacy simulator.
 A policy's effective structure (:meth:`~repro.config.SimConfig.for_policy`)
 decides which walk it replays, so one group walks at most once per
 distinct structure.  :func:`prepass_supported` gates the rest: CBC mode
-and prefetching keep the legacy per-policy path, and no prepass is
-built at all when the native kernel cannot be built.
+and prefetching keep the legacy per-policy path.
 """
 
 from array import array
@@ -136,7 +135,8 @@ def build_prepass(trace, config, warmup=0,
     re-map layer for obfuscating ones.  The walk and every replay of
     it read the trace's own int64 columns.  Must only be called for
     configurations passing :func:`prepass_supported`.  Raises
-    RuntimeError when the native kernel cannot load.
+    :class:`~repro.errors.KernelUnavailableError` when the native
+    kernel cannot load.
     """
     packed = trace.packed()
     num_insts = len(packed)

@@ -19,10 +19,9 @@ kernel's config block, runs it, and assembles the legacy ``StatGroup``
 (with the tree and re-map counters when the walk has that structure);
 the differential equivalence suite, the lockstep oracle and the perf
 goldens pin cycles and every counter bit-identical to the legacy
-simulator.  It raises when
-the kernel cannot load: the grouped executor checks
-:func:`~repro.cpu.native.native_available` first and runs the legacy
-simulator instead.
+simulator.  It raises :class:`~repro.errors.KernelUnavailableError`
+when the kernel cannot be built; there is no second loop to fall back
+to.
 """
 
 from time import perf_counter
@@ -40,8 +39,9 @@ def replay_policy(prepass, policy, config, trace_name="trace",
     (:meth:`~repro.config.SimConfig.for_policy`), else ValueError.  The
     result's ``stats`` group carries the same counters (including
     zero-valued ones) as a legacy ``build_simulator`` + ``core.run``
-    pass, so stats digests match byte-for-byte.  Raises RuntimeError
-    when the native kernel cannot load and MemoryError when it fails.
+    pass, so stats digests match byte-for-byte.  Raises
+    KernelUnavailableError when the native kernel cannot load and
+    MemoryError when it fails.
     """
     start_wall = perf_counter() if profiler is not None else 0.0
 

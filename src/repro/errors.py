@@ -34,6 +34,15 @@ class SecurityException(IntegrityError):
     """Alias used when a policy raises the architectural security fault."""
 
 
+class KernelUnavailableError(ReproError, RuntimeError):
+    """Raised when the native kernel cannot be compiled or loaded.
+
+    The message names the failed step -- the compile command with its
+    exit status and stderr tail, or the dlopen failure -- and the
+    original exception is chained as the cause.
+    """
+
+
 class SimulationError(ReproError):
     """Raised when the timing simulator reaches an inconsistent state."""
 

@@ -51,7 +51,7 @@ digest.
 
 The store is **off by default**: it activates only via the ``--store``
 CLI flag or the ``REPRO_STORE`` environment variable (which forked pool
-workers inherit, mirroring ``REPRO_JOBS``/``REPRO_NATIVE``).
+workers inherit, mirroring ``REPRO_JOBS``).
 """
 
 import dataclasses
@@ -326,7 +326,8 @@ class ArtifactStore:
             "lock_waits": 0, "lock_breaks": 0,
         }
         # Result tier: job_id -> (segment, offset, length), filled by the
-        # first lookup; segment -> (inode, tail) of the last poll; this
+        # first lookup and by each save; segment -> (inode, tail) of the
+        # last poll, or of this process's last append to it; this
         # process's own segment, created by its first save; segments
         # appended to since the last sync_results.
         self._index, self._tails, self._unsynced = {}, {}, set()
@@ -563,7 +564,9 @@ class ArtifactStore:
         last poll is (never the record).
 
         Segments of other code fingerprints are skipped by name, and a
-        segment is read only past where the last poll stopped.  A name
+        segment is read only past where the last poll stopped, or past
+        this process's own last append to it (:meth:`save_result`
+        indexes those lines itself).  A name
         on a new inode, or shorter than that point, is a segment gc
         removed and a process recreated: it is read again from its
         start, and the index entries into the old file are dropped.
@@ -659,8 +662,29 @@ class ArtifactStore:
             self._segment = path
             self._unsynced.add(path)
             self._index[job.job_id] = (path, offset, length)
+            self._skip_own_line(path, new, offset, length)
         self._wrote(length)
         return True
+
+    def _skip_own_line(self, path, new, offset, length):
+        """Move ``path``'s poll tail past the line this process just
+        appended, which the index already holds.
+
+        A segment has one writer (its name carries host, pid and a
+        counter), so when the tail stood at the line's offset nothing
+        unread lies before it; a new segment's tail starts at its
+        inode's first byte.  Otherwise, as for a name a poll saw on an
+        earlier inode, the next poll reads as before.
+        """
+        if new and path not in self._tails:
+            try:
+                self._tails[path] = (os.stat(path).st_ino,
+                                     JournalTail(path))
+            except OSError:
+                return   # evicted already: a poll will not list it
+        _inode, tail = self._tails.get(path, (None, None))
+        if tail is not None and tail.offset == offset:
+            tail.offset = offset + length
 
     def sync_results(self):
         """fsync every segment appended to since the last call.
@@ -922,7 +946,7 @@ class ArtifactStore:
 # ---------------------------------------------------------------------------
 # Process-wide store resolution
 # ---------------------------------------------------------------------------
-# Mirrors REPRO_JOBS/REPRO_NATIVE: the CLI exports REPRO_STORE before
+# Mirrors REPRO_JOBS: the CLI exports REPRO_STORE before
 # building a pool, so forked/spawned workers resolve the same root via
 # the environment without any pickling of store state.
 

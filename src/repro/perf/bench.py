@@ -6,14 +6,13 @@ replay is the native kernel -- plus the beyond-default cells (through
 the shared pass too where the envelope covers them), and compares cycle
 counts and full stats digests against the pinned values.  That is the
 bit-identical timing-neutrality contract every hot-path change must
-keep.  On a machine where the native kernel cannot be built the shared
-column is skipped, and ``repro perf`` says so; ``REPRO_NATIVE=require``
-makes that an error instead.  Throughput is measured by the ``bench/``
-harness, not here.
+keep.  Both columns are always checked: a kernel that cannot be built
+raises :class:`~repro.errors.KernelUnavailableError`, and ``repro
+perf`` fails.  Throughput is measured by the ``bench/`` harness, not
+here.
 """
 
 from repro.config import SimConfig
-from repro.cpu.native import native_available
 from repro.cpu.prepass import prepass_supported
 from repro.exec.cache import cached_trace
 from repro.perf.golden import (
@@ -79,36 +78,31 @@ def check_goldens():
     the legacy path, and those inside the envelope -- the hash tree and
     address obfuscation, walked for the policy's own structure -- through
     the shared pass too, against the same pins; CBC and prefetching stay
-    legacy-only.  The shared column is
-    checked only when :func:`~repro.cpu.native.native_available`, and
-    ``repro perf`` reports a skipped column.  An empty list means clean;
-    each mismatch is a human-readable string naming the cell, the path
-    that drifted and what drifted.
+    legacy-only.  An empty list means clean; each mismatch is a
+    human-readable string naming the cell, the path that drifted and
+    what drifted.
     """
     config = SimConfig()
     mismatches = []
     total = GOLDEN_INSTRUCTIONS + GOLDEN_WARMUP
-    shared_column = native_available()
     shared_cells = shared_legacy_only_cells()
     for bench in GOLDEN_BENCHMARKS:
         trace = cached_trace(bench, total, config.seed)
-        shared = (_run_shared(config, GOLDEN_POLICIES, trace)
-                  if shared_column else [])
+        shared = _run_shared(config, GOLDEN_POLICIES, trace)
         for index, policy in enumerate(GOLDEN_POLICIES):
             key = "%s/%s" % (bench, policy)
             pinned = GOLDEN_CYCLES[key], GOLDEN_DIGESTS[key]
             mismatches += _verify_cell(
                 key, "legacy", _run_legacy(config, policy, trace), *pinned)
-            if shared:
-                mismatches += _verify_cell(key, "shared", shared[index],
-                                           *pinned)
+            mismatches += _verify_cell(key, "shared", shared[index],
+                                       *pinned)
     for key, bench, cell_config, policy in legacy_only_cells():
         trace = cached_trace(bench, total, cell_config.seed)
         pinned = LEGACY_ONLY_CYCLES[key], LEGACY_ONLY_DIGESTS[key]
         mismatches += _verify_cell(
             key, "legacy", _run_legacy(cell_config, policy, trace),
             *pinned)
-        if shared_column and key in shared_cells:
+        if key in shared_cells:
             [shared] = _run_shared(cell_config, [policy], trace)
             mismatches += _verify_cell(key, "shared", shared, *pinned)
     return mismatches

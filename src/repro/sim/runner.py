@@ -42,15 +42,15 @@ def evaluate_trace(trace, config, policies, warmup=0, tracer=None,
     :meth:`~repro.config.SimConfig.for_policy`, alive from its first
     policy to its last, then one replay per policy), or the legacy
     simulator per policy for an enabled ``tracer`` (only it emits the
-    machine's events), CBC, prefetching or a missing compiler.  The two
-    are bit-identical.  Each result carries its
+    machine's events), CBC or prefetching.  The two are bit-identical.
+    A native run raises :class:`~repro.errors.KernelUnavailableError`
+    when the kernel cannot be built.  Each result carries its
     :class:`~repro.sim.metrics.RunMetrics` and ``accounting["path"]``
     (``"native"`` or ``"legacy"``); a policy runs when its result is
     requested.
     """
     # Looked up at call time, never bound at import: the benchmark
     # harness wraps these module attributes to time each layer.
-    from repro.cpu import native
     from repro.cpu import prepass as walks
     from repro.cpu import shared_kernel
     from repro.sim import metrics
@@ -59,7 +59,7 @@ def evaluate_trace(trace, config, policies, warmup=0, tracer=None,
                 for p in policies]
     tracing = tracer is not None and tracer.enabled
     path = ("native" if not tracing and walks.prepass_supported(config)
-            and native.native_available() else "legacy")
+            else "legacy")
     member_configs = [config.for_policy(policy) for policy in policies]
     prepasses = {}  # effective SecureConfig -> its walk, while needed
     for position, policy in enumerate(policies):

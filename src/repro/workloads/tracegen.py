@@ -13,15 +13,15 @@ path instruction trace with the profile's statistical structure:
 - register dataflow with profile-controlled dependency depth (ILP).
 
 Generation is deterministic given (profile, seed).  The loop runs in C
-(:func:`repro.cpu.native.tracegen`) whenever the native kernel loads;
-:func:`_generate_python` is its oracle and the loop on a machine with
-no C compiler, and both draw the same numbers from the same stream.
+(:func:`repro.cpu.native.tracegen`); its oracle is the Python loop in
+``tests/oracle/tracegen.py``, and both draw the same numbers from the
+same stream.
 """
 
 from array import array
 
 from repro.util.rng import DeterministicRng
-from repro.workloads.trace import NUM_REGS, Op, PackedTrace, Trace
+from repro.workloads.trace import Trace
 
 DATA_BASE = 1 << 20           # data region starts at 1 MB
 HOT_BYTES = 8 * 1024          # hot set: comfortably L1-resident
@@ -30,19 +30,18 @@ HOT_BYTES = 8 * 1024          # hot set: comfortably L1-resident
 def generate_trace(profile, num_instructions, seed=2006, name=None):
     """Generate ``num_instructions`` committed instructions for ``profile``.
 
-    Runs the native loop when :func:`repro.cpu.native.native_available`
-    and :func:`_generate_python` otherwise; the trace is the same.
+    Runs the native loop (:func:`repro.cpu.native.tracegen`), so it
+    raises :class:`~repro.errors.KernelUnavailableError` when the
+    kernel cannot be built.
     """
     if num_instructions < 0:
         raise ValueError("num_instructions must be non-negative")
     rng = DeterministicRng(seed).stream("workload.%s" % profile.name)
     from repro.cpu import native  # loads ctypes: only when generating
 
-    generate = (native.tracegen if native.native_available()
-                else _generate_python)
     return Trace(
         name or profile.name,
-        generate(rng, *_config(profile), num_instructions),
+        native.tracegen(rng, *_config(profile), num_instructions),
         footprint_bytes=profile.footprint_bytes,
         suite=profile.suite,
     )
@@ -65,141 +64,3 @@ def _config(profile):
             array("q", (profile.dependency_depth, profile.code_bytes,
                         DATA_BASE, cold_bytes, DATA_BASE + cold_bytes,
                         HOT_BYTES)))
-
-
-def _generate_python(rng, doubles, ints, num_instructions):
-    """The generator loop in Python: the oracle of the native one, and
-    the generator on a machine with no C compiler.
-
-    Draws from ``rng`` (a ``random.Random``) with :func:`_config`'s
-    blocks; the rows are appended to six local lists, packed into the
-    :class:`PackedTrace` int64 columns once at the end.
-    """
-    rand = rng.random
-    randrange = rng.randrange
-    (p_load, p_store, p_branch, p_fp, p_mul, hot_fraction, stream_fraction,
-     chase_fraction, mispredict_rate) = doubles
-    (dependency_depth, code_bytes, cold_base, cold_bytes, hot_base,
-     hot_bytes) = ints
-
-    pc = 0
-    stream_ptr = randrange(cold_bytes) & ~63
-    recent_dests = [1]                  # ring of recent dest registers
-    recent_load_dests = [1]             # never empty
-    next_reg = 1
-
-    pcs = []
-    ops = []
-    dests = []
-    srcss = []
-    addrs = []
-    mispredicts = []
-
-    # Registers 56..63 are *induction* registers: loop counters and array
-    # indices updated by short ALU self-chains, never by loads.  Addresses
-    # of non-chasing accesses derive from them, which is what gives real
-    # loop nests their memory-level parallelism.
-    induction_regs = tuple(range(NUM_REGS - 8, NUM_REGS))
-
-    def pick_src():
-        # Geometric recency: deeper dependency_depth -> older sources ->
-        # more independent work in flight.
-        depth = min(len(recent_dests), dependency_depth)
-        return recent_dests[-1 - randrange(depth)] if depth else 0
-
-    def pick_addr_src():
-        return induction_regs[randrange(8)]
-
-    def pick_dest():
-        nonlocal next_reg
-        next_reg = next_reg % (NUM_REGS - 9) + 1  # skip r0 and induction
-        return next_reg
-
-    def pick_load_src():
-        # One of the last four loads' destinations.
-        return recent_load_dests[-1 - randrange(
-            min(len(recent_load_dests), 4))]
-
-    def data_address():
-        nonlocal stream_ptr
-        if rand() < hot_fraction:
-            return hot_base + (randrange(hot_bytes) & ~3)
-        if rand() < stream_fraction:
-            stream_ptr = (stream_ptr + 8) % cold_bytes
-            return cold_base + stream_ptr
-        return cold_base + (randrange(cold_bytes) & ~3)
-
-    for _ in range(num_instructions):
-        roll = rand()
-        mispredict = False
-        addr = -1
-        dest = -1
-
-        if roll < p_load:
-            op = Op.LOAD
-            dest = pick_dest()
-            if rand() < chase_fraction:
-                # Pointer chase: address depends on an earlier load's value
-                # and lands somewhere cold (a fresh node).
-                srcs = (pick_load_src(),)
-                addr = cold_base + (randrange(cold_bytes) & ~3)
-            else:
-                srcs = (pick_addr_src(),)
-                addr = data_address()
-            recent_load_dests.append(dest)
-            if len(recent_load_dests) > 16:
-                del recent_load_dests[0]
-        elif roll < p_store:
-            op = Op.STORE
-            srcs = (pick_addr_src(), pick_src())
-            addr = data_address()
-        elif roll < p_branch:
-            op = Op.BRANCH
-            # Branches predominantly test recently loaded values (list
-            # walks, compares against table entries): their resolution
-            # then inherits the load's (policy-gated) availability.
-            if rand() < 0.5:
-                srcs = (pick_load_src(), pick_src())
-            else:
-                srcs = (pick_src(),)
-            mispredict = rand() < mispredict_rate
-        elif roll < p_fp:
-            op = Op.FPU
-            dest = pick_dest()
-            srcs = (pick_src(), pick_src())
-        elif roll < p_mul:
-            op = Op.IMUL
-            dest = pick_dest()
-            srcs = (pick_src(), pick_src())
-        elif rand() < 0.30:
-            # Induction update: i = i + const (a pure ALU self-chain).
-            op = Op.IALU
-            reg = induction_regs[randrange(8)]
-            dest = reg
-            srcs = (reg,)
-        else:
-            op = Op.IALU
-            dest = pick_dest()
-            srcs = (pick_src(), pick_src())
-
-        pcs.append(pc)
-        ops.append(op)
-        dests.append(dest)
-        srcss.append(srcs)
-        addrs.append(addr)
-        mispredicts.append(mispredict)
-        if dest >= 0:
-            recent_dests.append(dest)
-            if len(recent_dests) > 64:
-                del recent_dests[0]
-
-        # Program counter walk: sequential, with taken control transfers
-        # jumping within the code footprint (loop-biased short hops).
-        if op == Op.BRANCH and rand() < 0.45:
-            hop = randrange(16, 2048) & ~3
-            pc = (pc - hop) % code_bytes if rand() < 0.7 else \
-                (pc + hop) % code_bytes
-        else:
-            pc = (pc + 4) % code_bytes
-
-    return PackedTrace.pack(pcs, ops, dests, srcss, addrs, mispredicts)

@@ -19,12 +19,10 @@ kernel bug: pin the counterexample below as an ``@example``.
 
 from dataclasses import replace
 
-import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.config import CacheConfig, CoreConfig, DramConfig, SimConfig
-from repro.cpu import native
 from repro.cpu.prepass import build_prepass
 from repro.cpu.shared_kernel import replay_policy
 from repro.policies import available_policies, make_policy
@@ -33,10 +31,6 @@ from repro.workloads.spec import fp_benchmarks, get_profile, int_benchmarks
 from repro.workloads.trace import Op
 from repro.workloads.tracegen import generate_trace
 from tests.traces import row, trace_from_rows
-
-pytestmark = pytest.mark.skipif(
-    not native.native_available(),
-    reason="the kernel needs a C compiler")
 
 
 def _pow2(low, high):

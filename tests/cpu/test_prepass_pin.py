@@ -16,14 +16,10 @@ from dataclasses import replace
 import pytest
 
 from repro.config import CacheConfig, DramConfig, SimConfig
-from repro.cpu import native
 from repro.cpu.prepass import build_prepass
 from repro.exec.cache import cached_trace
 from repro.workloads.spec import fp_benchmarks, int_benchmarks
 
-needs_kernel = pytest.mark.skipif(
-    not native.native_available(),
-    reason="build_prepass needs the native kernel (no C compiler)")
 
 LENGTH = 3000
 WARMUP = 1500
@@ -122,7 +118,6 @@ def corner_prepass(name):
     return build_prepass(trace, corner_config(name), warmup=warmup)
 
 
-@needs_kernel
 @pytest.mark.parametrize("bench", int_benchmarks() + fp_benchmarks())
 def test_profile_columns_pinned(bench):
     trace = cached_trace(bench, LENGTH, SimConfig().seed)
@@ -130,14 +125,12 @@ def test_profile_columns_pinned(bench):
     assert prepass_digest(prepass) == PROFILE_DIGESTS[bench]
 
 
-@needs_kernel
 @pytest.mark.parametrize("name", sorted(CORNER_DIGESTS))
 def test_corner_columns_pinned(name):
     prepass = corner_prepass(name)
     assert prepass_digest(prepass) == CORNER_DIGESTS[name]
 
 
-@needs_kernel
 class TestCornersReachTheirBehaviour:
     def test_l2_two_sets_thrashes(self):
         prepass = corner_prepass("l2-two-sets")

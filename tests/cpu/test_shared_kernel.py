@@ -6,9 +6,8 @@ structural walk of its effective structure, must be *bit-identical* --
 cycles, every StatGroup counter, the miss summary -- to the legacy
 per-policy simulator on the same trace, under the default and the
 hash-tree configuration.  The walk and the replay need a C compiler;
-without one the suite skips, and the grouped executor runs the legacy
-simulator instead (``tests/exec/test_group_execution.py`` covers that
-path).  ``tests/cpu/test_kernel_oracle.py`` draws the configurations.
+without one they raise, and so does every run that would take them.
+``tests/cpu/test_kernel_oracle.py`` draws the configurations.
 """
 
 from array import array
@@ -20,6 +19,7 @@ from repro.config import SimConfig
 from repro.cpu import native
 from repro.cpu.prepass import build_prepass, prepass_supported
 from repro.cpu.shared_kernel import replay_policy
+from repro.errors import KernelUnavailableError
 from repro.exec import ArtifactStore, TraceCache
 from repro.exec.cache import cached_trace
 from repro.exec.executor import iter_group_results
@@ -30,9 +30,6 @@ from repro.policies import available_policies, make_policy
 from repro.sim.runner import build_simulator
 from repro.workloads.capture import capture_trace
 
-needs_kernel = pytest.mark.skipif(
-    not native.native_available(),
-    reason="replay_policy needs the native kernel (no C compiler)")
 
 BENCHMARKS = ("mcf", "swim")
 NUM_INSTRUCTIONS = 1200
@@ -86,14 +83,12 @@ def walks():
 class TestSharedPassEquivalence:
     """Shared-pass replay == legacy simulator, for every policy."""
 
-    @needs_kernel
     @pytest.mark.parametrize("policy_name", available_policies())
     @pytest.mark.parametrize("bench", BENCHMARKS)
     def test_bit_identical_to_legacy(self, config, walks, bench,
                                      policy_name):
         _assert_replay_matches_legacy(config, bench, policy_name, walks)
 
-    @needs_kernel
     @pytest.mark.parametrize("policy_name", available_policies())
     @pytest.mark.parametrize("bench", BENCHMARKS)
     def test_hash_tree_bit_identical_to_legacy(self, walks, bench,
@@ -118,7 +113,6 @@ class TestSharedPassEquivalence:
     def test_default_config_inside_envelope(self, config):
         assert prepass_supported(config)
 
-    @needs_kernel
     def test_replay_rejects_another_structure(self, prepasses, config):
         """A walk replays only for policies of its own structure."""
         _trace, prepass = prepasses["mcf"]
@@ -126,7 +120,6 @@ class TestSharedPassEquivalence:
             replay_policy(prepass, make_policy("commit+obfuscation"),
                           config)
 
-    @needs_kernel
     def test_prepass_reused_across_policies(self, prepasses, config):
         """One prepass serves every policy: replays do not mutate it."""
         trace, prepass = prepasses["mcf"]
@@ -139,7 +132,6 @@ class TestSharedPassEquivalence:
                 dict(prepass.miss_summary)) == before
 
 
-@needs_kernel
 class TestNativeKernel:
     """The kernel's Python face: buffer caching and failure handling."""
 
@@ -213,39 +205,23 @@ class TestNativeKernel:
 
 
 class TestKernelLoading:
-    """``REPRO_NATIVE`` values and the errors of a kernel that cannot load."""
+    """A kernel that cannot be built fails every use, naming why."""
 
-    def test_require_error_names_failed_compile(self, no_compiler,
-                                                monkeypatch):
-        monkeypatch.setenv("REPRO_NATIVE", "require")
-        with pytest.raises(RuntimeError) as info:
+    def test_error_names_failed_compile(self, no_compiler):
+        with pytest.raises(KernelUnavailableError) as info:
             native.native_available()
         message = str(info.value)
-        assert "REPRO_NATIVE=require" in message
         assert "compile `false -O2" in message
         assert "exited with status 1" in message
         assert info.value.__cause__ is not None
 
-    def test_auto_reports_unavailable(self, no_compiler):
-        assert not native.native_available()
-
-    def test_replay_policy_raises_without_kernel(self, no_compiler,
-                                                 config):
-        """The walk is native too: without a kernel neither half runs."""
-        trace = cached_trace("mcf", NUM_INSTRUCTIONS + WARMUP, config.seed)
-        with pytest.raises(RuntimeError, match="could not be built"):
-            replay_policy(build_prepass(trace, config, warmup=WARMUP),
-                          make_policy("decrypt-only"), config)
-
-    @pytest.mark.parametrize("value", ["0", "off", "force"])
-    def test_other_values_rejected(self, monkeypatch, value):
-        from repro.errors import ConfigError
-
-        monkeypatch.setenv("REPRO_NATIVE", value)
-        with pytest.raises(ConfigError, match="'auto'.*'require'"):
-            native.native_available()
-
-    @pytest.mark.parametrize("value", ["", "auto"])
-    def test_auto_spellings_accepted(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_NATIVE", value)
-        native.native_available()
+    def test_replay_policy_raises_without_kernel(self, prepasses, config,
+                                                 no_compiler):
+        """Neither half of the pipeline has a second loop to run."""
+        trace, prepass = prepasses["mcf"]
+        with pytest.raises(KernelUnavailableError,
+                           match="could not be built"):
+            build_prepass(trace, config, warmup=WARMUP)
+        with pytest.raises(KernelUnavailableError,
+                           match="could not be built"):
+            replay_policy(prepass, make_policy("decrypt-only"), config)

@@ -11,6 +11,7 @@ to the cache accounting.
 
 import pytest
 
+from repro.errors import KernelUnavailableError
 from repro.exec import (
     ParallelExecutor,
     SerialExecutor,
@@ -18,7 +19,6 @@ from repro.exec import (
     build_job_groups,
     build_jobs,
 )
-from repro.cpu import native
 from repro.exec.executor import iter_group_results
 from repro.exec.job import MultiPolicySimJob
 from repro.exec.retry import STATUS_OK, STATUS_RESUMED
@@ -56,10 +56,12 @@ def plain_results():
     return {job: legacy_result(job) for job in PLAIN}
 
 
-@pytest.fixture(scope="module")
-def native_run():
-    """``GROUPS[0]`` evaluated before any test can hide the compiler."""
-    return dict(iter_group_results(GROUPS[0]))
+@pytest.fixture
+def group_cache():
+    """A trace cache holding ``GROUPS[0]``'s trace."""
+    cache, group = TraceCache(), GROUPS[0]
+    cache.get(group.benchmark, group.trace_length, group.seed)
+    return cache
 
 
 def assert_matches_oracle(results, oracle):
@@ -141,8 +143,6 @@ class TestTracedGroup:
 class TestEvaluationPath:
     """Each evaluated member records the path that produced it."""
 
-    @pytest.mark.skipif(not native.native_available(),
-                        reason="no C compiler: no native path")
     def test_obfuscating_member_native(self):
         """The obfuscating member replays its own walk, natively too."""
         group, = build_job_groups(
@@ -153,8 +153,6 @@ class TestEvaluationPath:
         assert paths == {"authen-then-commit": "native",
                          "commit+obfuscation": "native"}
 
-    @pytest.mark.skipif(not native.native_available(),
-                        reason="no C compiler: no native path")
     def test_hash_tree_group_walks_once_per_structure(self, monkeypatch):
         """Under the Fig. 12 tree, decrypt-only walks without the tree
         and the authenticating members share one tree walk: two walks,
@@ -189,24 +187,15 @@ class TestEvaluationPath:
             group, tracer=Tracer([MemorySink()]))
         assert result.accounting["path"] == "legacy"
 
-    def test_no_compiler_runs_legacy_identically(self, native_run,
-                                                 no_compiler, monkeypatch,
-                                                 plain_results):
-        """Without a compiler a group builds no prepass, runs every
-        member on the legacy simulator and matches the native run."""
-        group = GROUPS[0]
-
-        def no_prepass(*args, **kwargs):
-            raise AssertionError("prepass built with no kernel")
-
-        monkeypatch.setattr("repro.cpu.prepass.build_prepass", no_prepass)
-        slow = dict(iter_group_results(group))
-        assert {m.policy: r.accounting["path"] for m, r in slow.items()} \
-            == dict.fromkeys(group.policies, "legacy")
-        assert_matches_oracle(slow, native_run)
-        assert_matches_oracle(slow, {job: result for job, result
-                                     in plain_results.items()
-                                     if job.benchmark == group.benchmark})
+    def test_no_compiler_raises_the_load_error(self, group_cache,
+                                               no_compiler):
+        """Without a compiler neither the generator (an empty cache) nor
+        the walk (a cached trace) runs, and no member falls back to the
+        legacy simulator."""
+        for cache in (TraceCache(), group_cache):
+            with pytest.raises(KernelUnavailableError,
+                               match="compile `false"):
+                list(iter_group_results(GROUPS[0], cache=cache))
 
 
 class TestGroupResume:

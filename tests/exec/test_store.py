@@ -101,9 +101,6 @@ class TestTraceRoundTrip:
         assert store.load_trace("gzip", len(trace), 1) is not None
 
 
-@pytest.mark.skipif(not native.native_available(),
-                    reason="build_prepass needs the native kernel "
-                           "(no C compiler)")
 class TestPrepassRoundTrip:
     def test_columns_and_scalars_bit_identical(self, store):
         config = SimConfig()
@@ -576,6 +573,34 @@ class TestResultSegments:
             os.unlink(path)
         assert store.load_result(job) is None
         assert store.counters["quarantined"] == 0
+
+    def test_cold_run_reads_back_none_of_its_own_lines(self, tmp_path,
+                                                       monkeypatch):
+        """Each save moves its segment's poll tail past the line it
+        indexed, so the lookups of a cold single-process run poll
+        without reading a line back."""
+        from repro.experiments.figures import run_figures
+
+        read_back = []
+        lines = JournalTail.lines
+
+        def counting_lines(tail, final=False):
+            for item in lines(tail, final):
+                read_back.append(item[0])
+                yield item
+
+        monkeypatch.setattr(JournalTail, "lines", counting_lines)
+        store = ArtifactStore(tmp_path / "store")
+        previous = set_active_store(store)
+        try:
+            run_figures(("fig8",), str(tmp_path / "cold"),
+                        num_instructions=600, warmup=300,
+                        benchmarks=("gzip", "mcf"))
+        finally:
+            set_active_store(previous)
+        assert read_back == []
+        saved = store.stats()["tiers"]["results"]["records"]
+        assert saved > 1 and store.counters["result_misses"] >= saved
 
     def test_warm_figures_leave_the_result_tier_untouched(self, tmp_path):
         from repro.experiments.figures import run_figures

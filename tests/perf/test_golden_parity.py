@@ -10,7 +10,6 @@ and obfuscation cells through the native kernel too.
 import pytest
 
 from repro.config import SimConfig
-from repro.cpu import native
 from repro.exec.cache import cached_trace
 from repro.perf.golden import (
     GOLDEN_CYCLES,
@@ -70,8 +69,6 @@ class TestGoldenParity:
         assert stats_digest(result.stats.as_dict(),
                             hier.miss_summary()) == LEGACY_ONLY_DIGESTS[key]
 
-    @pytest.mark.skipif(not native.native_available(),
-                        reason="the kernel needs a C compiler")
     @pytest.mark.parametrize("key,bench,config,policy",
                              [cell for cell in LEGACY_ONLY
                               if cell[0] in shared_legacy_only_cells()],

@@ -238,21 +238,68 @@ class TestStoreCli:
         assert "1 corrupt" in capsys.readouterr().out
 
 
+class TestGcSize:
+    @pytest.mark.parametrize("text", ["inf", "1e400", "-inf", "nan",
+                                      "-1G", "-1", "-0.5K", "1x", ""])
+    def test_invalid_max_bytes_exits_2(self, capsys, tmp_path, text):
+        with pytest.raises(SystemExit) as info:
+            main(["store", "gc", "--dir", str(tmp_path / "store"),
+                  "--max-bytes", text])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "--max-bytes" in err and "Traceback" not in err
+        assert not (tmp_path / "store").exists()
+
+    @pytest.mark.parametrize("text, size", [
+        ("0", 0), ("512", 512), ("1.5K", 1536), ("2m", 2 * 1024 ** 2),
+        (" 1G ", 1024 ** 3)])
+    def test_valid_max_bytes(self, text, size):
+        from repro.cli import _parse_size
+
+        assert _parse_size(text) == size
+
+
+def _repro_env(**env):
+    """The environment that runs ``python -m repro`` from this checkout."""
+    environ = dict(os.environ, **env)
+    environ["PYTHONPATH"] = os.pathsep.join(
+        [p for p in (environ.get("PYTHONPATH"),) if p]
+        + [os.path.join(os.path.dirname(__file__), "..", "..", "src")])
+    return environ
+
+
+class TestNoCompiler:
+    """The kernel is required: without a compiler a command fails with
+    the compile error on one ``error:`` line, never a traceback."""
+
+    def test_run_fails_with_one_error_line(self, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "run", "gzip", "-n", "2000"],
+            capture_output=True, timeout=120, env=_repro_env(
+                CC="false", REPRO_NATIVE_CACHE=str(tmp_path / "kernel")))
+        assert proc.returncode != 0
+        [line] = proc.stderr.decode().splitlines()
+        assert line.startswith("error: ")
+        assert "compile `false" in line
+        assert not proc.stdout
+
+    def test_perf_fails_with_one_error_line(self, capsys, no_compiler):
+        assert main(["perf"]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and "compile `false" in line
+
+
 class TestBrokenPipe:
     def test_closed_reader_exits_quietly(self):
         # The reader end is closed before the child writes a byte, so
         # its first write to stdout fails with EPIPE, like ``| head``.
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [p for p in (env.get("PYTHONPATH"),) if p]
-            + [os.path.join(os.path.dirname(__file__), "..", "..", "src")])
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
             proc = subprocess.run(
                 [sys.executable, "-m", "repro", "trace", "gzip",
                  "-n", "600"],
-                stdout=write_end, stderr=subprocess.PIPE, env=env,
+                stdout=write_end, stderr=subprocess.PIPE, env=_repro_env(),
                 timeout=120)
         finally:
             os.close(write_end)

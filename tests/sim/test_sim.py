@@ -5,8 +5,7 @@ from dataclasses import replace
 import pytest
 
 from repro.config import SimConfig
-from repro.cpu import native
-from repro.errors import ConfigError
+from repro.errors import ConfigError, KernelUnavailableError
 from repro.obs import MemorySink, Tracer
 from repro.sim.metrics import run_with_metrics
 from repro.sim.report import render_table, series_rows
@@ -83,8 +82,6 @@ def _pointer_chase():
 class TestEvaluationPath:
     """The helpers take the executor's path and say which one."""
 
-    @pytest.mark.skipif(not native.native_available(),
-                        reason="the kernel needs a C compiler")
     def test_counter_mode_takes_kernel(self):
         result = run_trace(_pointer_chase(), SimConfig(),
                            "authen-then-commit")
@@ -111,14 +108,8 @@ class TestEvaluationPath:
         assert plain.cycles == traced.cycles
         assert plain_metrics.as_dict() == traced_metrics.as_dict()
 
-    def test_no_compiler_falls_back(self, no_compiler):
-        result = run_benchmark("gzip", 600, policy="authen-then-commit")
-        assert result.accounting == {"path": "legacy"}
-
-    def test_required_kernel_never_falls_back(self, no_compiler,
-                                              monkeypatch):
-        monkeypatch.setenv("REPRO_NATIVE", "require")
-        with pytest.raises(RuntimeError, match="REPRO_NATIVE=require"):
+    def test_required_kernel_never_falls_back(self, no_compiler):
+        with pytest.raises(KernelUnavailableError, match="compile `false"):
             run_trace(_pointer_chase(), SimConfig(), "authen-then-commit")
 
 

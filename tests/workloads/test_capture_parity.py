@@ -14,7 +14,6 @@ drift together.
 import pytest
 
 from repro import SimConfig, load_program, make_policy
-from repro.cpu import native
 from repro.cpu.prepass import build_prepass
 from repro.cpu.shared_kernel import replay_policy
 from repro.func import programs
@@ -52,8 +51,6 @@ def test_legacy_cycles_pinned(list_walk, policy_name):
     assert core.run(list_walk).cycles == PINNED_CYCLES[policy_name]
 
 
-@pytest.mark.skipif(not native.native_available(),
-                    reason="the kernel needs a C compiler")
 @pytest.mark.parametrize("policy_name", sorted(PINNED_CYCLES))
 def test_kernel_equals_legacy(list_walk, policy_name):
     config = SimConfig()
@@ -66,8 +63,6 @@ def test_kernel_equals_legacy(list_walk, policy_name):
     assert _digest(kernel) == _digest(legacy)
 
 
-@pytest.mark.skipif(not native.native_available(),
-                    reason="the kernel needs a C compiler")
 def test_run_trace_takes_kernel(list_walk):
     result = run_trace(list_walk, SimConfig(), "authen-then-commit")
     assert result.accounting["path"] == "native"

@@ -1,6 +1,6 @@
 """Lockstep oracle: the native trace generator against the Python loop.
 
-:func:`repro.workloads.tracegen._generate_python` is the reference
+:func:`tests.oracle.tracegen._generate_python` is the reference
 model; :func:`repro.cpu.native.tracegen` runs the same loop in C,
 drawing from the same ``random.Random``'s MT19937 state.  Run on the
 same profile and a stream seeded alike, the two must write the same
@@ -24,11 +24,9 @@ from hypothesis import strategies as st
 
 from repro.cpu import native
 from repro.workloads.spec import SPEC2000_PROFILES, BenchmarkProfile
-from repro.workloads.tracegen import _config, _generate_python
+from repro.workloads.tracegen import _config
+from tests.oracle.tracegen import _generate_python
 
-pytestmark = pytest.mark.skipif(
-    not native.native_available(),
-    reason="the kernel needs a C compiler")
 
 _RATES = st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0))
 

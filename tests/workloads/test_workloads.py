@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cpu import native
-from repro.util.rng import DeterministicRng
+from repro.errors import KernelUnavailableError
 from repro.workloads.spec import (
     SPEC2000_PROFILES,
     fp_benchmarks,
@@ -15,12 +15,7 @@ from repro.workloads.spec import (
     int_benchmarks,
 )
 from repro.workloads.trace import Op, PackedTrace
-from repro.workloads.tracegen import (
-    DATA_BASE,
-    _config,
-    _generate_python,
-    generate_trace,
-)
+from repro.workloads.tracegen import DATA_BASE, generate_trace
 from tests.traces import row, trace_from_rows
 
 
@@ -107,22 +102,11 @@ class TestGenerator:
         with pytest.raises(ValueError):
             generate_trace(get_profile("gcc"), -1)
 
-    def test_no_compiler_generates_the_oracle_columns(self, no_compiler):
-        profile = get_profile("mcf")
-        trace = generate_trace(profile, 2000, seed=3)
-        assert not native.native_available()
-        oracle = _generate_python(DeterministicRng(3).stream("workload.mcf"),
-                                  *_config(profile), 2000)
-        assert trace.packed().columns() == oracle.columns()
-
     def test_required_kernel_raises_instead_of_falling_back(
-            self, no_compiler, monkeypatch):
-        monkeypatch.setenv("REPRO_NATIVE", "require")
-        with pytest.raises(RuntimeError, match="REPRO_NATIVE=require"):
+            self, no_compiler):
+        with pytest.raises(KernelUnavailableError, match="compile `false"):
             generate_trace(get_profile("gcc"), 100)
 
-    @pytest.mark.skipif(not native.native_available(),
-                        reason="the kernel needs a C compiler")
     def test_native_path_checks_each_trace_once(self, monkeypatch):
         checked, generated = [], []
         check, tracegen = PackedTrace._check, native.tracegen
