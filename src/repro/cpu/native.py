@@ -10,8 +10,9 @@ and drives it through :mod:`ctypes`:
 - :func:`walk` is the structural walk behind
   :func:`~repro.cpu.prepass.build_prepass`: a decision-for-decision
   mirror of the memory system's structural half (caches, TLBs, counter
-  cache, CHTree node walk, address obfuscation, SDRAM rows) that
-  records a :class:`~repro.cpu.prepass.TracePrepass`'s columns;
+  cache, CHTree node walk, address obfuscation, stream prefetches,
+  SDRAM rows) that records a :class:`~repro.cpu.prepass.TracePrepass`'s
+  columns;
 - :func:`replay` times one policy over those columns, a line-for-line
   mirror of :meth:`repro.cpu.core.TimestampCore.run` and of the timing
   half of the memory walk.  :func:`config_block` is the one derivation
@@ -77,6 +78,7 @@ enum {
     CFG_UNIT_LAT0,                    /* ..+7: latency per op code 0..7 */
     CFG_PRUNE_INTERVAL = CFG_UNIT_LAT0 + 8,
     CFG_TREE, CFG_TREE_EXTRA, CFG_REMAP, CFG_REMAP_LAT, CFG_DUR_REMAP,
+    CFG_CBC, CFG_CHUNKS, CFG_PREFETCH,
     CFG_SLOTS
 };
 
@@ -191,7 +193,7 @@ static int cal_put(cal_t *c, int64_t key, int64_t val)
 typedef struct {
     const int64_t *a_pre, *a_lvl, *a_ref, *a_wb;
     const int64_t *m_wb, *m_counter, *m_tree, *m_backing, *m_remap;
-    const int64_t *d_bank, *d_cat;
+    const int64_t *m_prefetch, *d_bank, *d_cat;
     int64_t *acc_data, *acc_verify, *miss_data, *miss_verify;
     int64_t *bank_ready, *mshr_ring, *completions, *fetch_times;
     int64_t *lat_out, *gap_out;
@@ -204,7 +206,7 @@ typedef struct {
     int64_t mac_latency, mac_throughput, queue_depth;
     int64_t decrypt_latency, xor_latency, l2_latency;
     int64_t auth_enabled, tree, tree_extra, remap, remap_latency;
-    int64_t dur_remap;
+    int64_t dur_remap, cbc, chunks, prefetch;
 } rs_t;
 
 /* engine.auth_frontier: LastRequest completion as read at `cycle`. */
@@ -241,6 +243,92 @@ static int64_t dram_op(rs_t *rs, int64_t cycle, int64_t dur)
     rs->bus_free = done;
     rs->wait_cycles += tstart - data_ready;
     rs->bank_ready[bank] = done;
+    return done;
+}
+
+/* SecureMemoryEngine.fetch_line from `issue` on, for miss `m`: the
+ * counter-mode pad source or CBC's serial chunk decryption, the re-map
+ * probe, the line fetch and the authentication queue.  Records the
+ * miss's timestamps and returns the line's arrival (mem_done). */
+static int64_t fetch_line(rs_t *rs, int64_t m, int64_t issue)
+{
+    int64_t pad_start = issue, fetch_ready = issue, ready_time;
+    int64_t done, data_time, verify_time;
+    /* Counter-mode pad source (CBC walks record no counter fetch). */
+    if (rs->m_counter[m] == 2)
+        pad_start = dram_op(rs, issue, rs->dur_meta);
+    /* Address obfuscation: re-map cache probe, entry fetch on a miss. */
+    if (rs->remap) {
+        fetch_ready = issue + rs->remap_latency;
+        if (rs->m_remap[m])
+            fetch_ready = dram_op(rs, fetch_ready, rs->dur_remap);
+    }
+    /* Main line fetch. */
+    done = dram_op(rs, fetch_ready, rs->dur_line);
+    rs->lat_out[m] = done - fetch_ready;
+    if (rs->cbc) {
+        /* _fetch_line_cbc: the consumer's word waits for the mean
+         * serial chunk; the CBC-MAC needs the last one. */
+        data_time = done + rs->decrypt_latency * ((rs->chunks + 1) / 2);
+        ready_time = done + rs->decrypt_latency * rs->chunks;
+    } else {
+        /* Decrypt overlap. */
+        int64_t pad_done = pad_start + rs->decrypt_latency;
+        if (pad_done <= done) {
+            rs->pad_hidden++;
+            data_time = done + rs->xor_latency;
+        } else {
+            rs->pad_exposed += pad_done - done;
+            data_time = pad_done + rs->xor_latency;
+        }
+        ready_time = done;
+    }
+    if (rs->auth_enabled) {
+        /* AuthQueue.enqueue(ready, extra, fetch_time=done); tag == m. */
+        int64_t fetch_time = done, extra = 0, qstart;
+        if (rs->tree) {
+            /* HashTreeTiming.verification_extra: the node fetches
+             * chain from the line's verification start; an L2-resident
+             * node ends the walk one L2 latency later. */
+            int64_t f;
+            for (f = 0; f < rs->m_tree[m]; f++)
+                ready_time = dram_op(rs, ready_time, rs->dur_meta);
+            if (rs->m_backing[m])
+                ready_time += rs->l2_latency;
+            if (rs->m_tree[m] || rs->m_backing[m])
+                extra = rs->tree_extra;
+        }
+        if (rs->n_fetch_times
+                && fetch_time < rs->fetch_times[rs->n_fetch_times - 1])
+            fetch_time = rs->fetch_times[rs->n_fetch_times - 1];
+        rs->fetch_times[rs->n_fetch_times++] = fetch_time;
+        if (m >= rs->queue_depth) {
+            int64_t qslot = rs->completions[m - rs->queue_depth];
+            if (qslot > ready_time) {
+                rs->queue_full++;
+                ready_time = qslot;
+            }
+        }
+        if (!rs->has_last_start) {
+            qstart = ready_time;
+        } else {
+            qstart = rs->last_start + rs->mac_throughput;
+            if (ready_time > qstart)
+                qstart = ready_time;
+        }
+        verify_time = qstart + rs->mac_latency + extra;
+        if (m && verify_time < rs->completions[rs->n_completions - 1])
+            verify_time = rs->completions[rs->n_completions - 1];
+        rs->last_start = qstart;
+        rs->has_last_start = 1;
+        rs->completions[rs->n_completions++] = verify_time;
+        rs->gap_out[m] = verify_time > data_time ? verify_time - data_time
+                                                 : 0;
+    } else {
+        verify_time = data_time;
+    }
+    rs->miss_data[m] = data_time;
+    rs->miss_verify[m] = verify_time;
     return done;
 }
 
@@ -287,8 +375,7 @@ static void mem_access(rs_t *rs, int64_t cycle, int64_t gate_time,
             verify_time = data_time;
     } else {                                          /* L2 miss */
         int64_t m = rs->a_ref[i];
-        int64_t fetch_cycle, slot_free, issue, fetch_ready, pad_start;
-        int64_t done, pad_done;
+        int64_t fetch_cycle, slot_free, issue, done, p;
         for (w = 0; w < rs->m_wb[m]; w++)
             dram_op(rs, l2_cycle, rs->dur_line);
         /* MSHR backpressure, then the fetch gate. */
@@ -299,84 +386,23 @@ static void mem_access(rs_t *rs, int64_t cycle, int64_t gate_time,
             fetch_cycle = slot_free;
         }
         issue = fetch_cycle > gate_time ? fetch_cycle : gate_time;
-        /* Counter-mode pad source. */
-        if (rs->m_counter[m] == 2)
-            pad_start = dram_op(rs, issue, rs->dur_meta);
-        else
-            pad_start = issue;
-        /* Address obfuscation: re-map cache probe, entry fetch on a miss. */
-        fetch_ready = issue;
-        if (rs->remap) {
-            fetch_ready = issue + rs->remap_latency;
-            if (rs->m_remap[m])
-                fetch_ready = dram_op(rs, fetch_ready, rs->dur_remap);
-        }
-        /* Main line fetch. */
-        done = dram_op(rs, fetch_ready, rs->dur_line);
-        rs->lat_out[m] = done - fetch_ready;
-        /* Decrypt overlap. */
-        pad_done = pad_start + rs->decrypt_latency;
-        if (pad_done <= done) {
-            rs->pad_hidden++;
-            data_time = done + rs->xor_latency;
-        } else {
-            rs->pad_exposed += pad_done - done;
-            data_time = pad_done + rs->xor_latency;
-        }
-        if (rs->auth_enabled) {
-            /* AuthQueue.enqueue(ready, extra, fetch_time=done); tag == m. */
-            int64_t fetch_time = done, ready_time = done, extra = 0, qstart;
-            if (rs->tree) {
-                /* HashTreeTiming.verification_extra: the node fetches
-                 * chain from the line's arrival; an L2-resident node
-                 * ends the walk one L2 latency later. */
-                int64_t f;
-                for (f = 0; f < rs->m_tree[m]; f++)
-                    ready_time = dram_op(rs, ready_time, rs->dur_meta);
-                if (rs->m_backing[m])
-                    ready_time += rs->l2_latency;
-                if (rs->m_tree[m] || rs->m_backing[m])
-                    extra = rs->tree_extra;
-            }
-            if (rs->n_fetch_times
-                    && fetch_time < rs->fetch_times[rs->n_fetch_times - 1])
-                fetch_time = rs->fetch_times[rs->n_fetch_times - 1];
-            rs->fetch_times[rs->n_fetch_times++] = fetch_time;
-            if (m >= rs->queue_depth) {
-                int64_t qslot = rs->completions[m - rs->queue_depth];
-                if (qslot > ready_time) {
-                    rs->queue_full++;
-                    ready_time = qslot;
-                }
-            }
-            if (!rs->has_last_start) {
-                qstart = ready_time;
-            } else {
-                qstart = rs->last_start + rs->mac_throughput;
-                if (ready_time > qstart)
-                    qstart = ready_time;
-            }
-            verify_time = qstart + rs->mac_latency + extra;
-            if (m && verify_time < rs->completions[rs->n_completions - 1])
-                verify_time = rs->completions[rs->n_completions - 1];
-            rs->last_start = qstart;
-            rs->has_last_start = 1;
-            rs->completions[rs->n_completions++] = verify_time;
-            {
-                int64_t gap = verify_time - data_time;
-                if (gap < 0)
-                    gap = 0;
-                rs->gap_out[m] = gap;
-            }
-        } else {
-            verify_time = data_time;
-        }
+        done = fetch_line(rs, m, issue);
         rs->mshr_ring[rs->mshr_index] = done;
         rs->mshr_index++;
         if (rs->mshr_index == rs->mshr_len)
             rs->mshr_index = 0;
-        rs->miss_data[m] = data_time;
-        rs->miss_verify[m] = verify_time;
+        /* hierarchy._prefetch_after: the walk recorded this miss's
+         * prefetches as the misses right after it; each writes its
+         * victim back and fetches at the trigger's arrival, ungated
+         * and without an MSHR slot. */
+        if (rs->prefetch)
+            for (p = m + 1; p <= m + rs->m_prefetch[m]; p++) {
+                for (w = 0; w < rs->m_wb[p]; w++)
+                    dram_op(rs, done, rs->dur_line);
+                fetch_line(rs, p, done);
+            }
+        data_time = rs->miss_data[m];
+        verify_time = rs->miss_verify[m];
     }
     if (l1_done > data_time)
         data_time = l1_done;
@@ -396,7 +422,7 @@ int64_t repro_replay(const int64_t *cfg,
                      const int64_t *a_ref, const int64_t *a_wb,
                      const int64_t *m_wb, const int64_t *m_counter,
                      const int64_t *m_tree, const int64_t *m_backing,
-                     const int64_t *m_remap,
+                     const int64_t *m_remap, const int64_t *m_prefetch,
                      const int64_t *d_bank, const int64_t *d_cat,
                      int64_t *lat_out, int64_t *gap_out, int64_t *out)
 {
@@ -442,6 +468,7 @@ int64_t repro_replay(const int64_t *cfg,
     rs.a_pre = a_pre; rs.a_lvl = a_lvl; rs.a_ref = a_ref; rs.a_wb = a_wb;
     rs.m_wb = m_wb; rs.m_counter = m_counter;
     rs.m_tree = m_tree; rs.m_backing = m_backing; rs.m_remap = m_remap;
+    rs.m_prefetch = m_prefetch;
     rs.d_bank = d_bank; rs.d_cat = d_cat;
     rs.lat_out = lat_out; rs.gap_out = gap_out;
     rs.mshr_len = cfg[CFG_MSHR_ENTRIES];
@@ -462,6 +489,9 @@ int64_t repro_replay(const int64_t *cfg,
     rs.remap = cfg[CFG_REMAP];
     rs.remap_latency = cfg[CFG_REMAP_LAT];
     rs.dur_remap = cfg[CFG_DUR_REMAP];
+    rs.cbc = cfg[CFG_CBC];
+    rs.chunks = cfg[CFG_CHUNKS];
+    rs.prefetch = cfg[CFG_PREFETCH];
 
     rs.acc_data = (int64_t *)calloc((size_t)(n_accesses + 1), 8);
     rs.acc_verify = (int64_t *)calloc((size_t)(n_accesses + 1), 8);
@@ -710,10 +740,10 @@ done:
 /* ==================================================================
  * The structural walk (build_prepass): every cache, TLB, counter-cache,
  * tree-node-cache and re-map-cache outcome, every eviction and dirty
- * writeback, every prediction draw and every SDRAM bank/row
- * classification, mirrored decision for decision from
- * hierarchy._l1_access / _l1_writeback / _l2_miss and
- * engine.fetch_line / write_line, and recorded on the columns the
+ * writeback, every prediction draw, every prefetch and every SDRAM
+ * bank/row classification, mirrored decision for decision from
+ * hierarchy._l1_access / _l1_writeback / _l2_miss / _prefetch_after
+ * and engine.fetch_line / write_line, and recorded on the columns the
  * replay above reads.
  * ================================================================== */
 
@@ -729,20 +759,21 @@ enum {
     W_NUM_BANKS, W_INTERLEAVE, W_ROW_DIV,
     W_TREE, W_TREE_SETS, W_TREE_LEVELS, W_TREE_ARITY,
     W_REMAP, W_REMAP_SETS, W_REMAP_BASE, W_ENTRY_BYTES, W_CHUNK_BYTES,
-    W_SHUFFLE_PERIOD, W_N_DRAWS,
+    W_SHUFFLE_PERIOD, W_N_DRAWS, W_CBC, W_PREFETCH,
     W_SLOTS
 };
 
 /* Walk output block: (pointer, length) per column, then the scalars. */
 enum {
     C_IF_FLAGS, C_A_PRE, C_A_LVL, C_A_REF, C_A_WB, C_M_WB, C_M_COUNTER,
-    C_M_TREE, C_M_BACKING, C_M_REMAP, C_D_BANK, C_D_CAT, C_COLUMNS
+    C_M_TREE, C_M_BACKING, C_M_REMAP, C_M_PREFETCH, C_D_BANK, C_D_CAT,
+    C_COLUMNS
 };
 enum {
     S_CC_HITS = 2 * C_COLUMNS, S_CC_MISSES, S_CC_EVICTIONS,
     S_CC_WRITEBACKS, S_ROW_HITS, S_ROW_EMPTY, S_ROW_CONFLICTS, S_N_META,
     S_N_WRITES, S_REENCRYPTS, S_NODE_FETCHES, S_BACKING_HITS,
-    S_REMAP_FETCHES, S_RESHUFFLES,
+    S_REMAP_FETCHES, S_RESHUFFLES, S_PREFETCHES,
     S_HM,                             /* ..+9: measured (hits, misses) of
                                          l1i, l1d, l2, itlb, dtlb */
     S_DEPTH = S_HM + 10,              /* ..+63: tree walk depth counts */
@@ -796,18 +827,25 @@ static void lru_free(lru_t *c)
     free(c->dirty);
 }
 
+/* Cache.lookup: the slot holding `tag`, or -1; changes nothing. */
+static int64_t lru_find(const lru_t *c, int64_t set, int64_t tag)
+{
+    int64_t base = set * c->assoc, w;
+    for (w = base + c->count[set] - 1; w >= base; w--)
+        if (c->tag[w] == tag)
+            return w;
+    return -1;
+}
+
 /* Cache.hit_line: on a hit the line moves to the MRU end and its slot
  * is returned (dirtied when `is_write`); a miss returns -1 and changes
  * nothing. */
 static int64_t lru_hit(lru_t *c, int64_t set, int64_t tag, int is_write)
 {
-    int64_t base = set * c->assoc, last = base + c->count[set] - 1;
-    int64_t w, ref;
+    int64_t last = set * c->assoc + c->count[set] - 1;
+    int64_t w = lru_find(c, set, tag), ref;
     uint8_t dirty;
-    for (w = last; w >= base; w--)
-        if (c->tag[w] == tag)
-            break;
-    if (w < base)
+    if (w < 0)
         return -1;
     ref = c->ref[w];
     dirty = c->dirty[w];
@@ -1107,27 +1145,28 @@ static int64_t l2_miss(walk_t *w, int64_t addr)
     int64_t miss = w->col[C_M_COUNTER].len;
     int64_t line = addr / c->line;
     int64_t set = line % c->sets, tag = line / c->sets, vtag, vref;
-    int64_t wb_ops = 0, target, caddr, mc;
+    int64_t wb_ops = 0, target, mc = 0;
     int vdirty;
     w->hm[HM_L2 + 1]++;
     if (lru_fill(c, set, tag, miss, 0, &vtag, &vref, &vdirty) && vdirty)
         wb_ops = engine_write(w, ((vtag * c->sets + set) * c->line)
                               % cfg[W_WRAP]);
     target = line * c->line % cfg[W_WRAP];
-    /* Counter-mode pad source: counter cache, prediction, or memory. */
-    caddr = counter_addr(w, target);
-    if (meta_access(w, &w->cc, caddr, 0)) {
-        mc = 0;
-    } else {
-        w->predict_state = w->predict_state * 6364136223846793005ULL
-            + 1442695040888963407ULL;
-        if ((int64_t)((w->predict_state >> 33) & 0xFFFF)
-                < cfg[W_PREDICT_THRESHOLD]) {
-            mc = 1;
-        } else {
-            mc = 2;
-            STAT(w, S_N_META)++;
-            walk_dram(w, caddr);
+    /* Counter-mode pad source: counter cache, prediction, or memory.
+     * CBC decrypts the line itself: no probe and no draw. */
+    if (!cfg[W_CBC]) {
+        int64_t caddr = counter_addr(w, target);
+        if (!meta_access(w, &w->cc, caddr, 0)) {
+            w->predict_state = w->predict_state * 6364136223846793005ULL
+                + 1442695040888963407ULL;
+            if ((int64_t)((w->predict_state >> 33) & 0xFFFF)
+                    < cfg[W_PREDICT_THRESHOLD]) {
+                mc = 1;
+            } else {
+                mc = 2;
+                STAT(w, S_N_META)++;
+                walk_dram(w, caddr);
+            }
         }
     }
     if (cfg[W_REMAP]) {               /* AddressObfuscator.resolve */
@@ -1166,7 +1205,33 @@ static int64_t l2_miss(walk_t *w, int64_t addr)
     }
     push(w, C_M_COUNTER, mc);
     push(w, C_M_WB, wb_ops);
+    if (cfg[W_PREFETCH])
+        push(w, C_M_PREFETCH, 0);
     return miss;
+}
+
+/* MemoryHierarchy._prefetch_after demand miss `miss` of `addr`: when the
+ * preceding line is resident (a sequential stream), each of the next
+ * W_PREFETCH lines not in the L2 is filled and fetched as a miss of its
+ * own, right after the trigger; m_prefetch[miss] counts them. */
+static void prefetch_after(walk_t *w, int64_t addr, int64_t miss)
+{
+    lru_t *c = &w->l2;
+    int64_t line = addr / c->line, next, issued = 0;
+    if (line == 0 || lru_find(c, (line - 1) % c->sets,
+                              (line - 1) / c->sets) < 0)
+        return;
+    for (next = line + 1; next <= line + w->cfg[W_PREFETCH]; next++) {
+        if (lru_hit(c, next % c->sets, next / c->sets, 0) >= 0) {
+            w->hm[HM_L2]++;
+            continue;
+        }
+        l2_miss(w, next * c->line);
+        issued++;
+    }
+    if (!w->failed)                   /* else a push may have fallen short */
+        w->col[C_M_PREFETCH].p[miss] = issued;
+    STAT(w, S_PREFETCHES) += issued;
 }
 
 /* MemoryHierarchy._l1_access (TLB, L1 probe, L1 miss path). */
@@ -1212,8 +1277,11 @@ static void walk_access(walk_t *w, lru_t *l1, lru_t *tlb, int hm_l1,
         push(w, C_A_LVL, LVL_L2_HIT);
         push(w, C_A_REF, w->l2.ref[slot]);
     } else {
+        int64_t miss = l2_miss(w, addr);
         push(w, C_A_LVL, LVL_MISS);
-        push(w, C_A_REF, l2_miss(w, addr));
+        push(w, C_A_REF, miss);
+        if (cfg[W_PREFETCH])
+            prefetch_after(w, addr, miss);
     }
     push(w, C_A_WB, wb_ops);
 }
@@ -1554,13 +1622,13 @@ CFG_DUR_REMAP = 47
 #: block holds an (address, length) pair per column, then the S_*
 #: scalars below, the measured hit/miss pairs and the tree walk depths.
 WALK_COLUMNS = ("if_flags", "a_pre", "a_lvl", "a_ref", "a_wb", "m_wb",
-                "m_counter", "m_tree", "m_backing", "m_remap",
+                "m_counter", "m_tree", "m_backing", "m_remap", "m_prefetch",
                 "d_bank", "d_cat")
 WALK_SCALARS = ("cc_hits", "cc_misses", "cc_evictions", "cc_writebacks",
                 "row_hits", "row_empty", "row_conflicts", "n_meta",
                 "n_writes", "page_reencryptions", "tree_node_fetches",
                 "tree_backing_hits", "remap_entry_fetches",
-                "remap_reshuffles")
+                "remap_reshuffles", "prefetch_issued")
 _WALK_HM = 2 * len(WALK_COLUMNS) + len(WALK_SCALARS)
 _WALK_DEPTH = _WALK_HM + 10
 _WALK_SLOTS = _WALK_DEPTH + 64
@@ -1619,7 +1687,7 @@ def _load():
         try:
             lib = ctypes.CDLL(_ensure_compiled())
             lib.repro_replay.restype = ctypes.c_int64
-            lib.repro_replay.argtypes = [ctypes.c_void_p] * 21
+            lib.repro_replay.argtypes = [ctypes.c_void_p] * 22
             lib.repro_walk.restype = ctypes.c_int64
             lib.repro_walk.argtypes = [ctypes.c_void_p] * 7
             lib.repro_walk_free.restype = None
@@ -1773,6 +1841,7 @@ def config_block(prepass, policy, config):
         prepass.hash_tree, secure.hmac_latency,
         prepass.obfuscation, secure.remap_cache_latency,
         -(-secure.remap_entry_bytes // dram.bus_width_bytes) * beat,
+        prepass.cbc, line_bytes // 16, prepass.prefetch_degree,
     ])
 
 

@@ -4,30 +4,32 @@ The decode-once/evaluate-many pipeline rests on one observation: every
 *structural* decision the memory system makes -- TLB and cache hit/miss
 outcomes, LRU evictions and dirty writebacks, counter-cache probes,
 counter-prediction draws, hash-tree node-cache walks, re-map cache
-probes and chunk reshuffles, SDRAM bank/row classification -- depends
-only on the address stream and its order, never on the policy's gating
-terms.  Policies change *when* things happen (cycle arithmetic), not
-*what* happens.  So the walk over caches and banks can run once per
-trace and structure, and each policy evaluation replays only the timing
-arithmetic over the recorded outcomes (:mod:`repro.cpu.shared_kernel`).
+probes and chunk reshuffles, stream prefetches, SDRAM bank/row
+classification -- depends only on the address stream and its order,
+never on the policy's gating terms.  Policies change *when* things
+happen (cycle arithmetic), not *what* happens.  So the walk over caches
+and banks can run once per trace and structure, and each policy
+evaluation replays only the timing arithmetic over the recorded
+outcomes (:mod:`repro.cpu.shared_kernel`).
 
 :func:`build_prepass` performs that walk in the C kernel of
 :mod:`repro.cpu.native`, which mirrors, decision for decision, the
 structural half of ``hierarchy._l1_access`` / ``hierarchy._l2_miss`` /
-``engine.fetch_line`` / ``engine.write_line``, including the CHTree
-node walk (``HashTreeTiming``) and address obfuscation
-(``AddressObfuscator``) when the configuration enables them.  It
-records the outcomes on flat int64 per-access / per-miss / per-DRAM-op
-columns (the same structure-of-arrays discipline as
-:class:`~repro.workloads.trace.PackedTrace`), which the replay reads
-as they are.  The column pins (``tests/cpu``), the
-lockstep oracle property and the perf goldens hold the walk
-bit-identical to the legacy simulator.
+``hierarchy._prefetch_after`` / ``engine.fetch_line`` /
+``engine.write_line``, including the CHTree node walk
+(``HashTreeTiming``), address obfuscation (``AddressObfuscator``), CBC
+mode (a fetch probes no counter cache) and the stream prefetcher when
+the configuration enables them.  It records the outcomes on flat int64
+per-access / per-miss / per-DRAM-op columns (the same
+structure-of-arrays discipline as
+:class:`~repro.workloads.trace.PackedTrace`), which the replay reads as
+they are.  The column pins (``tests/cpu``), the lockstep oracle
+property and the perf goldens hold the walk bit-identical to the legacy
+simulator.
 
 A policy's effective structure (:meth:`~repro.config.SimConfig.for_policy`)
 decides which walk it replays, so one group walks at most once per
-distinct structure.  :func:`prepass_supported` gates the rest: CBC mode
-and prefetching keep the legacy per-policy path.
+distinct structure.
 """
 
 from array import array
@@ -50,16 +52,6 @@ LVL_L2_HIT = 1
 LVL_MISS = 2
 
 
-def prepass_supported(config):
-    """Can this configuration be evaluated through the shared kernel?
-
-    The walk mirrors the counter-mode fetch path without prefetching;
-    CBC mode and the prefetcher keep their legacy per-policy path.
-    """
-    return (config.secure.encryption_mode == "ctr"
-            and config.prefetch_degree == 0)
-
-
 class TracePrepass:
     """Recorded structural outcomes of one (trace, config, warmup) walk.
 
@@ -75,19 +67,24 @@ class TracePrepass:
       L1 writeback or a tree-node fill; for a miss: its miss index),
       ``a_wb`` (posted DRAM writes issued by the L1 victim writeback,
       incl. re-encryption and reshuffle bursts);
-    - per L2 demand miss: ``m_wb`` (posted DRAM writes from the L2
-      victim writeback), ``m_counter`` (0 = counter-cache hit, 1 =
-      predicted, 2 = counter block fetched from memory); for a tree
-      walk also ``m_tree`` (tree nodes fetched from memory) and
-      ``m_backing`` (1 when an L2-resident node ended the walk), and
-      under obfuscation ``m_remap`` (1 when the re-map entry was
-      fetched from memory) -- empty for walks without that structure;
+    - per L2 miss, demand or prefetch, in fetch order: ``m_wb`` (posted
+      DRAM writes from the L2 victim writeback), ``m_counter`` (0 =
+      counter-cache hit or CBC mode, 1 = predicted, 2 = counter block
+      fetched from memory); for a tree walk also ``m_tree`` (tree nodes
+      fetched from memory) and ``m_backing`` (1 when an L2-resident node
+      ended the walk), under obfuscation ``m_remap`` (1 when the re-map
+      entry was fetched from memory), and with prefetching
+      ``m_prefetch`` (the number of prefetch misses a demand miss
+      triggered, recorded right after it) -- each empty for walks
+      without that structure;
     - per DRAM op, in issue order: ``d_bank`` and ``d_cat`` (``ROW_*``).
 
     Plus the policy-independent stat totals (``cc_*`` are the engine's
     shared hits/misses/evictions/writebacks counters: the counter cache,
     and the tree-node and re-map caches when present), the structure
-    flags ``hash_tree`` / ``obfuscation``, the tree walk depth counts
+    flags ``hash_tree`` / ``obfuscation`` / ``cbc``, the
+    ``prefetch_degree`` and the ``prefetch_issued`` count, the tree walk
+    depth counts
     ``tree_depths`` (index = depth) and the post-warmup ``miss_summary``
     the replay hands through unchanged.
     """
@@ -96,11 +93,12 @@ class TracePrepass:
         "num_instructions", "warmup", "packed", "if_flags",
         "a_pre", "a_lvl", "a_ref", "a_wb",
         "m_wb", "m_counter", "m_tree", "m_backing", "m_remap",
-        "d_bank", "d_cat",
+        "m_prefetch", "d_bank", "d_cat",
         "n_accesses", "n_misses", "n_meta", "n_writes",
         "cc_hits", "cc_misses", "cc_evictions", "cc_writebacks",
         "row_hits", "row_empty", "row_conflicts",
-        "page_reencryptions", "hash_tree", "obfuscation",
+        "page_reencryptions", "hash_tree", "obfuscation", "cbc",
+        "prefetch_degree", "prefetch_issued",
         "tree_node_fetches", "tree_backing_hits", "tree_depths",
         "remap_entry_fetches", "remap_reshuffles", "miss_summary",
         "_native",   # the replay's buffers, built by its first replay
@@ -116,8 +114,10 @@ def _remap_draws(config, num_chunks, num_insts):
     """The ``"remap"`` stream's ``randrange(num_chunks)`` draws, in order.
 
     Only ``RemapTable.reshuffle`` draws from that stream (one draw per
-    reshuffle), and a run makes at most three engine writebacks per
-    instruction, each counting towards one chunk's reshuffle period, so
+    reshuffle), and each engine writeback, counting towards one chunk's
+    reshuffle period, retires a dirty L2 line.  Only an L1 writeback
+    dirties one, at most once per instruction, so a run makes at most
+    ``n`` engine writebacks, prefetch fills included, and
     ``4n // shuffle_period + 1`` draws always suffice.
     """
     rng = DeterministicRng(config.seed).stream("remap")
@@ -133,8 +133,7 @@ def build_prepass(trace, config, warmup=0,
     :meth:`~repro.config.SimConfig.for_policy` configuration, so the
     hash tree is walked only for authenticating policies and the
     re-map layer for obfuscating ones.  The walk and every replay of
-    it read the trace's own int64 columns.  Must only be called for
-    configurations passing :func:`prepass_supported`.  Raises
+    it read the trace's own int64 columns.  Raises
     :class:`~repro.errors.KernelUnavailableError` when the native
     kernel cannot load.
     """
@@ -152,6 +151,7 @@ def build_prepass(trace, config, warmup=0,
     line_bytes = layout.line_bytes
     tree = secure.hash_tree_enabled
     remap = secure.obfuscation_enabled
+    cbc = secure.encryption_mode == "cbc"
     tree_bases = array("q")
     tree_sets = remap_sets = num_chunks = 0
     if tree:
@@ -191,6 +191,7 @@ def build_prepass(trace, config, warmup=0,
         tree, tree_sets, len(tree_bases), layout.tree_arity,
         remap, remap_sets, layout.remap_base, secure.remap_entry_bytes,
         secure.remap_chunk_bytes, secure.remap_shuffle_period, len(draws),
+        cbc, config.prefetch_degree,
     ])
     columns, scalars, hits_misses, depths = native.walk(
         cfg, packed.pcs, packed.ops, packed.addrs, tree_bases, draws)
@@ -207,6 +208,8 @@ def build_prepass(trace, config, warmup=0,
     pre.n_misses = len(pre.m_counter)
     pre.hash_tree = tree
     pre.obfuscation = remap
+    pre.cbc = cbc
+    pre.prefetch_degree = config.prefetch_degree
     pre.tree_depths = depths
     pre.miss_summary = {
         level: misses / (hits + misses) if hits + misses else 0.0

@@ -13,13 +13,14 @@ per-policy cost is pure cycle arithmetic.
 The replay itself is the C kernel of :mod:`repro.cpu.native`, a
 line-for-line mirror of :meth:`repro.cpu.core.TimestampCore.run` and of
 the timing half of ``hierarchy._l1_access`` / ``_l2_miss`` /
-``engine.fetch_line`` (with ``HashTreeTiming.verification_extra`` and
-``AddressObfuscator.resolve``).  :func:`replay_policy` derives the
-kernel's config block, runs it, and assembles the legacy ``StatGroup``
-(with the tree and re-map counters when the walk has that structure);
-the differential equivalence suite, the lockstep oracle and the perf
-goldens pin cycles and every counter bit-identical to the legacy
-simulator.  It raises :class:`~repro.errors.KernelUnavailableError`
+``engine.fetch_line`` (with ``HashTreeTiming.verification_extra``,
+``AddressObfuscator.resolve``, CBC's serial decryption and the
+prefetches of ``hierarchy._prefetch_after``).  :func:`replay_policy`
+derives the kernel's config block, runs it, and assembles the legacy
+``StatGroup`` (with the tree and re-map counters when the walk has that
+structure); the differential equivalence suite, the lockstep oracle and
+the perf goldens pin cycles and every counter bit-identical to the
+legacy simulator.  It raises :class:`~repro.errors.KernelUnavailableError`
 when the kernel cannot be built; there is no second loop to fall back
 to.
 """
@@ -46,14 +47,16 @@ def replay_policy(prepass, policy, config, trace_name="trace",
     start_wall = perf_counter() if profiler is not None else 0.0
 
     secure = config.for_policy(policy).secure
-    if (prepass.hash_tree, prepass.obfuscation) != (
-            secure.hash_tree_enabled, secure.obfuscation_enabled):
+    wanted = (secure.hash_tree_enabled, secure.obfuscation_enabled,
+              secure.encryption_mode == "cbc", config.prefetch_degree)
+    walked = (prepass.hash_tree, prepass.obfuscation, prepass.cbc,
+              prepass.prefetch_degree)
+    if walked != wanted:
         raise ValueError(
-            "policy %r runs with hash_tree=%s, obfuscation=%s, but the "
-            "prepass was walked with hash_tree=%s, obfuscation=%s"
-            % (policy.name, secure.hash_tree_enabled,
-               secure.obfuscation_enabled, prepass.hash_tree,
-               prepass.obfuscation))
+            "policy %r runs with hash_tree=%s, obfuscation=%s, cbc=%s, "
+            "prefetch_degree=%s, but the prepass was walked with "
+            "hash_tree=%s, obfuscation=%s, cbc=%s, prefetch_degree=%s"
+            % ((policy.name,) + wanted + walked))
     cfg = native.config_block(prepass, policy, config)
     o = native.replay(prepass, cfg)
 
@@ -87,7 +90,7 @@ def replay_policy(prepass, policy, config, trace_name="trace",
     stats.histogram("decrypt_verify_gap").buckets.update(o["gap_buckets"])
     counter("page_reencryptions").value = prepass.page_reencryptions
     counter("mshr_stall_events").value = o["mshr_stalls"]
-    counter("prefetch_issued").value = 0
+    counter("prefetch_issued").value = prepass.prefetch_issued
     counter("auth_commit_stall_cycles").value = o["auth_commit_stall"]
     counter("auth_issue_stall_cycles").value = o["auth_issue_stall"]
     counter("store_buffer_full_stalls").value = o["sb_full_stall"]

@@ -122,6 +122,7 @@ class ChaosPlan:
         self.journal_faults = tuple(journal_faults)
         self.infra_faults = tuple(infra_faults)
         self.init_sentinel = None
+        self.init_slots = 0
         self.driver_pid = os.getpid()
 
     def fault_for(self, job, attempt):
@@ -143,24 +144,33 @@ class ChaosPlan:
                                        % (job.benchmark, job.policy))
         return kind
 
-    def arm_init_fault(self, sentinel_path):
-        """Arm ``pool-init-failure``: the first worker whose initializer
-        creates ``sentinel_path`` raises, breaking its whole pool; every
-        later initializer (the rebuilt pool) finds the sentinel and
-        succeeds -- so the fault fires exactly once per campaign."""
-        self.init_sentinel = sentinel_path
+    def arm_init_fault(self, sentinel_dir, workers):
+        """Arm ``pool-init-failure`` for a pool of ``workers``.
+
+        The first ``workers`` initializers -- the whole first pool --
+        each claim one slot file in ``sentinel_dir`` and raise, so that
+        pool breaks before any worker can run a job, however few groups
+        the grid has; every later initializer finds the slots taken and
+        succeeds.  A worker the rebuild kills before its initializer ran
+        leaves its slot to the rebuilt pool, which then breaks once more
+        (within ``MAX_POOL_REBUILDS``)."""
+        os.makedirs(sentinel_dir, exist_ok=True)
+        self.init_sentinel = sentinel_dir
+        self.init_slots = workers
 
     def init_fault(self):
         """Fire the armed pool-initializer fault (worker side)."""
         if (FAULT_POOL_INIT not in self.infra_faults
                 or self.init_sentinel is None):
             return
-        try:
-            open(self.init_sentinel, "x").close()
-        except FileExistsError:
-            return
-        raise InjectedFault("injected pool-initializer failure "
-                            "(first pool only)")
+        for slot in range(self.init_slots):
+            try:
+                open(os.path.join(self.init_sentinel, str(slot)),
+                     "x").close()
+            except FileExistsError:
+                continue
+            raise InjectedFault("injected pool-initializer failure "
+                                "(first pool only)")
 
     def __call__(self, job, attempt):
         kind = self.fault_for(job, attempt)
@@ -563,7 +573,7 @@ def _sweep_phases(run):
     journal_path = run.path("chaos.journal")
     run.path("chaos.journal.rej")   # and its quarantine sidecar
     if FAULT_POOL_INIT in plan.infra_faults:
-        plan.arm_init_fault(run.path("pool-init.sentinel"))
+        plan.arm_init_fault(run.path("pool-init"), run.workers)
     if FAULT_JOURNAL_ENOSPC in plan.infra_faults:
         journal = _enospc_journal(journal_path)
     else:

@@ -278,13 +278,15 @@ def _packed(columns):
 #: included, ride in the header).
 _PREPASS_COLUMNS = ("if_flags", "a_pre", "a_lvl", "a_ref", "a_wb", "m_wb",
                     "m_counter", "m_tree", "m_backing", "m_remap",
-                    "d_bank", "d_cat")
+                    "m_prefetch", "d_bank", "d_cat")
 _PREPASS_SCALARS = ("num_instructions", "warmup", "n_accesses", "n_misses",
                     "n_meta", "n_writes", "cc_hits", "cc_misses",
                     "cc_evictions", "cc_writebacks", "row_hits", "row_empty",
                     "row_conflicts", "page_reencryptions", "hash_tree",
-                    "obfuscation", "tree_node_fetches", "tree_backing_hits",
-                    "tree_depths", "remap_entry_fetches", "remap_reshuffles")
+                    "obfuscation", "cbc", "prefetch_degree",
+                    "prefetch_issued", "tree_node_fetches",
+                    "tree_backing_hits", "tree_depths",
+                    "remap_entry_fetches", "remap_reshuffles")
 
 
 def _listed(rej_path, name, offset):

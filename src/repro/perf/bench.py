@@ -1,10 +1,10 @@
 """Golden timing-parity check behind ``repro perf``.
 
-:func:`check_goldens` re-runs the pinned golden matrix *through both
-paths* -- the legacy simulator and the decode-once shared pass, whose
-replay is the native kernel -- plus the beyond-default cells (through
-the shared pass too where the envelope covers them), and compares cycle
-counts and full stats digests against the pinned values.  That is the
+:func:`check_goldens` re-runs the pinned golden matrix and the
+beyond-default cells *through both paths* -- the legacy simulator and
+the decode-once shared pass, whose replay is the native kernel -- and
+compares cycle counts and full stats digests against the pinned
+values.  That is the
 bit-identical timing-neutrality contract every hot-path change must
 keep.  Both columns are always checked: a kernel that cannot be built
 raises :class:`~repro.errors.KernelUnavailableError`, and ``repro
@@ -13,7 +13,6 @@ here.
 """
 
 from repro.config import SimConfig
-from repro.cpu.prepass import prepass_supported
 from repro.exec.cache import cached_trace
 from repro.perf.golden import (
     GOLDEN_BENCHMARKS,
@@ -59,33 +58,24 @@ def _run_shared(config, policies, trace):
     return results
 
 
-def shared_legacy_only_cells():
-    """Keys of the legacy-only cells the shared pass also evaluates."""
-    return [key for key, _bench, config, _policy in legacy_only_cells()
-            if prepass_supported(config)]
-
-
 def check_goldens():
     """Re-run the pinned golden cells; returns a list of mismatches.
 
-    Every golden-matrix cell is evaluated twice -- once through the
-    legacy ``build_simulator`` + ``core.run`` path and once through the
-    decode-once shared pass (:func:`~repro.sim.runner.evaluate_trace` on
-    the kernel, the path every job and public helper takes) -- and both
-    outcomes must reproduce the pinned cycle count *and* full stats
-    digest bit-identically.  The legacy-only cells
-    (:func:`~repro.perf.golden.legacy_only_cells`) are checked through
-    the legacy path, and those inside the envelope -- the hash tree and
-    address obfuscation, walked for the policy's own structure -- through
-    the shared pass too, against the same pins; CBC and prefetching stay
-    legacy-only.  An empty list means clean; each mismatch is a
+    Every golden-matrix cell and every beyond-default cell
+    (:func:`~repro.perf.golden.legacy_only_cells`: the hash tree,
+    prefetching, CBC and address obfuscation) is evaluated twice -- once
+    through the legacy ``build_simulator`` + ``core.run`` path and once
+    through the decode-once shared pass
+    (:func:`~repro.sim.runner.evaluate_trace` on the kernel, the path
+    every untraced job and public helper takes) -- and both outcomes
+    must reproduce the pinned cycle count *and* full stats digest
+    bit-identically.  An empty list means clean; each mismatch is a
     human-readable string naming the cell, the path that drifted and
     what drifted.
     """
     config = SimConfig()
     mismatches = []
     total = GOLDEN_INSTRUCTIONS + GOLDEN_WARMUP
-    shared_cells = shared_legacy_only_cells()
     for bench in GOLDEN_BENCHMARKS:
         trace = cached_trace(bench, total, config.seed)
         shared = _run_shared(config, GOLDEN_POLICIES, trace)
@@ -102,7 +92,6 @@ def check_goldens():
         mismatches += _verify_cell(
             key, "legacy", _run_legacy(cell_config, policy, trace),
             *pinned)
-        if key in shared_cells:
-            [shared] = _run_shared(cell_config, [policy], trace)
-            mismatches += _verify_cell(key, "shared", shared, *pinned)
+        [shared] = _run_shared(cell_config, [policy], trace)
+        mismatches += _verify_cell(key, "shared", shared, *pinned)
     return mismatches

@@ -16,12 +16,10 @@ across the process boundary and the checkpoint journal.
 
 ``LEGACY_ONLY_CYCLES`` / ``LEGACY_ONLY_DIGESTS`` pin one benchmark under
 each configuration beyond the default one (hash tree, prefetching, CBC,
-address obfuscation), pinned from the legacy simulator.  The hash-tree
-and obfuscation cells are also evaluated through the shared pass (the
-native walk of that structure plus the replay) against the same pins;
-CBC and prefetching stay outside the shared-pass envelope, so only the
-legacy simulator evaluates those.  These cells keep both memory-system
-walks honest beyond the default configuration.
+address obfuscation), pinned from the legacy simulator.  Each is also
+evaluated through the shared pass (the native walk of that structure
+plus the replay) against the same pins.  These cells keep both
+memory-system walks honest beyond the default configuration.
 """
 
 import hashlib

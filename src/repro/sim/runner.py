@@ -40,9 +40,9 @@ def evaluate_trace(trace, config, policies, warmup=0, tracer=None,
     place that picks the path: the native kernel (one structural walk
     per distinct effective structure,
     :meth:`~repro.config.SimConfig.for_policy`, alive from its first
-    policy to its last, then one replay per policy), or the legacy
-    simulator per policy for an enabled ``tracer`` (only it emits the
-    machine's events), CBC or prefetching.  The two are bit-identical.
+    policy to its last, then one replay per policy), or, for an enabled
+    ``tracer`` only, the legacy simulator per policy (only it emits the
+    machine's events).  The two are bit-identical.
     A native run raises :class:`~repro.errors.KernelUnavailableError`
     when the kernel cannot be built.  Each result carries its
     :class:`~repro.sim.metrics.RunMetrics` and ``accounting["path"]``
@@ -57,9 +57,7 @@ def evaluate_trace(trace, config, policies, warmup=0, tracer=None,
 
     policies = [make_policy(p) if isinstance(p, str) else p
                 for p in policies]
-    tracing = tracer is not None and tracer.enabled
-    path = ("native" if not tracing and walks.prepass_supported(config)
-            else "legacy")
+    path = "legacy" if tracer is not None and tracer.enabled else "native"
     member_configs = [config.for_policy(policy) for policy in policies]
     prepasses = {}  # effective SecureConfig -> its walk, while needed
     for position, policy in enumerate(policies):

@@ -4,11 +4,12 @@ The legacy per-policy simulator is the reference model; the native
 structural walk plus the timestamp replay is the optimised copy.  Two
 copies of one machine, run in lockstep on the same input, must agree
 exactly -- the two-copy property of contract shadow logic.  Hypothesis
-draws the machine (hash tree and address obfuscation on or off, cache,
-TLB, core, queue, counter and DRAM geometry and timing, warmup), a
-registered policy and a trace -- a SPEC2000 profile with a drawn seed,
-or hand-written rows aimed at same-set thrash, page re-encryption,
-chunk reshuffles and row conflicts -- and asserts equal cycles,
+draws the machine (counter mode or CBC, stream prefetch degree 0 to 4,
+hash tree and address obfuscation on or off, cache, TLB, core, queue,
+counter and DRAM geometry and timing, warmup), a registered policy and
+a trace -- a SPEC2000 profile with a drawn seed, or hand-written rows
+aimed at same-set thrash, page re-encryption, chunk reshuffles, row
+conflicts and sequential streams -- and asserts equal cycles,
 ``stats.as_dict()`` and ``miss_summary``.
 
 Tier-1 runs a derandomised profile of about ten seconds; CI's native
@@ -39,7 +40,7 @@ def _pow2(low, high):
 
 @st.composite
 def configs(draw):
-    """A ctr-mode, prefetch-free machine: the kernel's envelope."""
+    """A machine: any encryption mode, prefetch degree and structure."""
     l2_line = draw(_pow2(5, 7))
     l2_assoc = draw(st.sampled_from((1, 2, 4, 8)))
     l2 = CacheConfig("l2", draw(_pow2(0, 10)) * l2_line * l2_assoc,
@@ -53,6 +54,7 @@ def configs(draw):
 
     tlb_assoc = draw(st.sampled_from((1, 2, 4)))
     secure = dict(
+        encryption_mode=draw(st.sampled_from(("ctr", "cbc"))),
         hash_tree_enabled=draw(st.booleans()),
         hash_tree_cache_bytes=draw(_pow2(0, 5)) * 4 * l2_line,
         obfuscation_enabled=draw(st.booleans()),
@@ -87,6 +89,7 @@ def configs(draw):
     return replace(
         SimConfig(), core=core, l1i=l1("l1i", 7), l1d=l1("l1d", 5), l2=l2,
         dram=dram, mshr_entries=draw(st.integers(1, 16)),
+        prefetch_degree=draw(st.sampled_from((0, 1, 2, 4))),
         tlb_associativity=tlb_assoc,
         itlb_entries=tlb_assoc * draw(_pow2(0, 5)),
         dtlb_entries=tlb_assoc * draw(_pow2(0, 5)),
@@ -104,17 +107,26 @@ TREE_REGION = 320 << 20
 def corner_rows(draw):
     """Store-heavy rows over a few conflicting lines and pages: dirty
     victims, minor-counter overflows, chunk reshuffles, row conflicts,
-    and demand hits on L2-resident tree nodes."""
+    demand hits on L2-resident tree nodes, and a line-stride sequential
+    stream interleaved with them, so stream detection fires and
+    prefetches evict dirty lines."""
     stride = draw(st.sampled_from((64, 4096, 1 << 14, 1 << 18, 1 << 22)))
     slots = draw(st.integers(1, 24))
+    line_stride = draw(st.sampled_from((0, 32, 64, 128)))
+    streamed = 0
     rows = []
     pc = 0x1000
     for _ in range(draw(st.integers(1, 300))):
         kind = draw(st.sampled_from(("load", "store", "store", "alu",
                                      "branch")))
-        addr = (draw(st.sampled_from((0, 0, 0, TREE_REGION)))
-                + draw(st.integers(0, slots - 1)) * stride
-                + draw(st.sampled_from((0, 8, 32, 64, 128))))
+        if (line_stride and kind in ("load", "store")
+                and draw(st.booleans())):
+            addr = streamed * line_stride
+            streamed += 1
+        else:
+            addr = (draw(st.sampled_from((0, 0, 0, TREE_REGION)))
+                    + draw(st.integers(0, slots - 1)) * stride
+                    + draw(st.sampled_from((0, 8, 32, 64, 128))))
         dest = draw(st.integers(-1, 7))
         srcs = tuple(draw(st.lists(st.integers(0, 7), max_size=2)))
         if kind == "load":
@@ -166,11 +178,30 @@ def _recycled_node_case():
             "warmup_share": 0.0}
 
 
+def _recycled_prefetch_case():
+    """The same recycling for a prefetched line: line 8191's miss finds
+    line 8190 resident and prefetches line 8192, whose tree walk misses
+    the node cache at a level-0 node that maps to the prefetched line's
+    own set of a direct-mapped L2.  The node inherits the prefetch's
+    timestamps, which the demand load of that node then reads."""
+    config = replace(SimConfig(), l2=CacheConfig("l2", 1024 * 64, 64, 1, 4),
+                     prefetch_degree=1).with_secure(
+                         hash_tree_enabled=True, hash_tree_cache_bytes=256)
+    rows = [row(0x1000, Op.LOAD, 1, (), 8190 * 64),
+            row(0x1004, Op.LOAD, 1, (), 8191 * 64),
+            row(0x1008, Op.LOAD, 2, (), TREE_REGION + 1024 * 64)]
+    rows += [row(0x100c + 4 * i, Op.IMUL, 2, (2,)) for i in range(10)]
+    return {"config": config, "trace": trace_from_rows(rows),
+            "warmup_share": 0.0}
+
+
 @settings(deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow,
                                  HealthCheck.data_too_large])
 @example(policy_name="lazy", **_recycled_node_case())
 @example(policy_name="authen-then-issue", **_recycled_node_case())
+@example(policy_name="lazy", **_recycled_prefetch_case())
+@example(policy_name="authen-then-issue", **_recycled_prefetch_case())
 @given(config=configs(), policy_name=st.sampled_from(available_policies()),
        trace=st.one_of(profile_traces, corner_rows()),
        warmup_share=st.sampled_from((0.0, 0.25, 0.5, 1.0)))

@@ -5,19 +5,21 @@ registered policy, replayed through the native (C) kernel from the
 structural walk of its effective structure, must be *bit-identical* --
 cycles, every StatGroup counter, the miss summary -- to the legacy
 per-policy simulator on the same trace, under the default and the
-hash-tree configuration.  The walk and the replay need a C compiler;
+hash-tree configuration, in counter mode and CBC, with and without the
+stream prefetcher.  The walk and the replay need a C compiler;
 without one they raise, and so does every run that would take them.
 ``tests/cpu/test_kernel_oracle.py`` draws the configurations.
 """
 
 from array import array
+from dataclasses import replace
 
 import pytest
 
 from repro import load_program
 from repro.config import SimConfig
 from repro.cpu import native
-from repro.cpu.prepass import build_prepass, prepass_supported
+from repro.cpu.prepass import build_prepass
 from repro.cpu.shared_kernel import replay_policy
 from repro.errors import KernelUnavailableError
 from repro.exec import ArtifactStore, TraceCache
@@ -27,7 +29,7 @@ from repro.exec.job import MultiPolicySimJob
 from repro.func import programs
 from repro.func.machine import SecureMachine
 from repro.policies import available_policies, make_policy
-from repro.sim.runner import build_simulator
+from repro.sim.runner import build_simulator, evaluate_trace
 from repro.workloads.capture import capture_trace
 
 
@@ -98,20 +100,25 @@ class TestSharedPassEquivalence:
         tree = SimConfig().with_secure(hash_tree_enabled=True)
         _assert_replay_matches_legacy(tree, bench, policy_name, walks)
 
-    def test_envelope_covers_every_policy(self):
-        """Every registered policy replays, under every structure the
-        figures use: only CBC and prefetching leave the envelope."""
-        for config in (SimConfig(),
-                       SimConfig().with_secure(hash_tree_enabled=True),
-                       SimConfig().with_secure(obfuscation_enabled=True)):
-            for name in available_policies():
-                assert prepass_supported(
-                    config.for_policy(make_policy(name))), name
-        assert not prepass_supported(
-            SimConfig().with_secure(encryption_mode="cbc"))
-
-    def test_default_config_inside_envelope(self, config):
-        assert prepass_supported(config)
+    @pytest.mark.parametrize("degree", (0, 2))
+    @pytest.mark.parametrize("mode", ("ctr", "cbc"))
+    @pytest.mark.parametrize("bench", BENCHMARKS)
+    def test_every_policy_replays_natively(self, bench, mode, degree):
+        """Counter mode or CBC, with or without the stream prefetcher:
+        every registered policy runs on the kernel, and equals the
+        legacy simulator."""
+        config = replace(SimConfig(), prefetch_degree=degree).with_secure(
+            encryption_mode=mode)
+        trace = cached_trace(bench, NUM_INSTRUCTIONS + WARMUP, config.seed)
+        names = available_policies()
+        results = list(evaluate_trace(trace, config, names, warmup=WARMUP))
+        assert len(results) == len(names)
+        for name, shared in zip(names, results):
+            assert shared.accounting["path"] == "native", name
+            legacy = _legacy(config, trace, name)
+            assert shared.cycles == legacy.cycles, name
+            assert shared.stats.as_dict() == legacy.stats.as_dict(), name
+            assert shared.miss_summary == legacy.miss_summary, name
 
     def test_replay_rejects_another_structure(self, prepasses, config):
         """A walk replays only for policies of its own structure."""
@@ -119,6 +126,10 @@ class TestSharedPassEquivalence:
         with pytest.raises(ValueError, match="obfuscation"):
             replay_policy(prepass, make_policy("commit+obfuscation"),
                           config)
+        for other in (config.with_secure(encryption_mode="cbc"),
+                      replace(config, prefetch_degree=2)):
+            with pytest.raises(ValueError, match="prefetch_degree"):
+                replay_policy(prepass, make_policy("decrypt-only"), other)
 
     def test_prepass_reused_across_policies(self, prepasses, config):
         """One prepass serves every policy: replays do not mutate it."""

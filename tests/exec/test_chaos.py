@@ -283,14 +283,19 @@ class TestInfraFaults:
         assert plan.fault_for(target, 2) is None
         assert plan.fault_for(other, 1) is None
 
-    def test_init_fault_fires_exactly_once(self, tmp_path):
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_init_fault_fires_once_per_first_pool_worker(self, tmp_path,
+                                                         workers):
+        """Every worker of the first pool raises, so even a one-group
+        grid cannot finish there; the rebuilt pool heals."""
         from repro.exec.chaos import FAULT_POOL_INIT
 
         plan = ChaosPlan(0, {}, infra_faults=(FAULT_POOL_INIT,))
-        plan.arm_init_fault(str(tmp_path / "sentinel"))
-        with pytest.raises(InjectedFault):
-            plan.init_fault()
-        plan.init_fault()  # sentinel exists: the rebuilt pool heals
+        plan.arm_init_fault(str(tmp_path / "sentinel"), workers)
+        for _ in range(workers):
+            with pytest.raises(InjectedFault):
+                plan.init_fault()
+        plan.init_fault()  # every slot taken: the rebuilt pool heals
 
     def test_unarmed_init_fault_is_a_noop(self):
         from repro.exec.chaos import FAULT_POOL_INIT

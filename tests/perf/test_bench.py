@@ -11,6 +11,7 @@ class TestCli:
         out = capsys.readouterr().out
         assert "parity OK" in out
         assert "4 beyond-default cells" in out
+        assert "through both the legacy and the shared-pass path" in out
 
     def test_perf_takes_no_options(self):
         from repro.cli import main

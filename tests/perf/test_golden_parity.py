@@ -3,8 +3,8 @@
 The hot-path optimisations (packed traces, O(1) LRU, issue-calendar
 pruning) must be *timing-neutral*: cycle counts, IPC and every StatGroup
 counter bit-identical to the pinned reference.  These tests re-run the
-golden matrix and the beyond-default cells cell by cell, the hash-tree
-and obfuscation cells through the native kernel too.
+golden matrix and the beyond-default cells cell by cell, through the
+legacy simulator and the native kernel.
 """
 
 import pytest
@@ -22,9 +22,8 @@ from repro.perf.golden import (
     legacy_only_cells,
     stats_digest,
 )
-from repro.perf.bench import shared_legacy_only_cells
 from repro.policies import make_policy
-from repro.sim.runner import build_simulator
+from repro.sim.runner import build_simulator, evaluate_trace
 
 CELLS = list(golden_cells())
 LEGACY_ONLY = list(legacy_only_cells())
@@ -69,14 +68,12 @@ class TestGoldenParity:
         assert stats_digest(result.stats.as_dict(),
                             hier.miss_summary()) == LEGACY_ONLY_DIGESTS[key]
 
-    @pytest.mark.parametrize("key,bench,config,policy",
-                             [cell for cell in LEGACY_ONLY
-                              if cell[0] in shared_legacy_only_cells()],
-                             ids=shared_legacy_only_cells())
+    @pytest.mark.parametrize("key,bench,config,policy", LEGACY_ONLY,
+                             ids=[cell[0] for cell in LEGACY_ONLY])
     def test_legacy_only_cell_through_kernel(self, key, bench, config,
                                              policy):
-        """The hash-tree and obfuscation cells replay from the walk of
-        the policy's structure to the same pins."""
+        """Every beyond-default cell replays from the walk of the
+        policy's structure to the same pins."""
         from repro.cpu.prepass import build_prepass
         from repro.cpu.shared_kernel import replay_policy
 
@@ -86,6 +83,22 @@ class TestGoldenParity:
         prepass = build_prepass(trace, config.for_policy(member),
                                 warmup=GOLDEN_WARMUP)
         result = replay_policy(prepass, member, config)
+        assert result.cycles == LEGACY_ONLY_CYCLES[key]
+        assert stats_digest(result.stats.as_dict(),
+                            result.miss_summary) == LEGACY_ONLY_DIGESTS[key]
+
+    @pytest.mark.parametrize("variant", ("prefetch-2", "cbc"))
+    def test_shared_column_runs_on_the_kernel(self, variant):
+        """``repro perf``'s shared column evaluates the prefetching and
+        CBC cells natively, to the same pins."""
+        [(key, bench, config, policy)] = [
+            cell for cell in LEGACY_ONLY
+            if cell[0] == "mcf/%s/authen-then-commit" % variant]
+        trace = cached_trace(bench, GOLDEN_INSTRUCTIONS + GOLDEN_WARMUP,
+                             config.seed)
+        [result] = evaluate_trace(trace, config, [policy],
+                                  warmup=GOLDEN_WARMUP)
+        assert result.accounting["path"] == "native"
         assert result.cycles == LEGACY_ONLY_CYCLES[key]
         assert stats_digest(result.stats.as_dict(),
                             result.miss_summary) == LEGACY_ONLY_DIGESTS[key]

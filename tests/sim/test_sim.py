@@ -79,6 +79,12 @@ def _pointer_chase():
                                 0x20000 + 0x100 * i) for i in range(64)])
 
 
+def _line_stream():
+    """Loads one 64-byte line apart: a stream the prefetcher detects."""
+    return trace_from_rows([row(0x1000 + 4 * i, Op.LOAD, 1, (1,),
+                                0x20000 + 0x40 * i) for i in range(64)])
+
+
 class TestEvaluationPath:
     """The helpers take the executor's path and say which one."""
 
@@ -88,14 +94,25 @@ class TestEvaluationPath:
         assert result.accounting == {"path": "native"}
         assert result.metrics.cycles == result.cycles
 
-    # CBC: tests/workloads/test_capture_parity.py.
-    @pytest.mark.parametrize("config, tracer", [
-        (SimConfig(), Tracer([MemorySink()])),
-        (replace(SimConfig(), prefetch_degree=2), None),
-    ], ids=["traced", "prefetch"])
-    def test_outside_kernel_takes_legacy(self, config, tracer):
-        result = run_trace(_pointer_chase(), config, "authen-then-commit",
-                           tracer=tracer)
+    @pytest.mark.parametrize("config", [
+        SimConfig().with_secure(encryption_mode="cbc"),
+        replace(SimConfig(), prefetch_degree=2),
+    ], ids=["cbc", "prefetch"])
+    def test_cbc_and_prefetch_take_kernel(self, config):
+        trace = _line_stream()
+        result = run_trace(trace, config, "authen-then-commit")
+        assert result.accounting == {"path": "native"}
+        core, _ = build_simulator(config, "authen-then-commit")
+        legacy = core.run(trace)
+        assert result.cycles == legacy.cycles
+        assert result.stats.as_dict() == legacy.stats.as_dict()
+        issued = legacy.stats.as_dict()["prefetch_issued"]
+        assert (issued > 0) == (config.prefetch_degree > 0)
+
+    def test_traced_run_takes_legacy(self):
+        result = run_trace(_pointer_chase(), SimConfig(),
+                           "authen-then-commit",
+                           tracer=Tracer([MemorySink()]))
         assert result.accounting == {"path": "legacy"}
 
     def test_paths_agree_on_metrics(self):

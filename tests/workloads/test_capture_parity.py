@@ -5,7 +5,7 @@ an execution-driven trace.
 linked-list walk (64 nodes, 0x100 apart) on the timing model.  That
 trace is unlike the synthetic SPEC-like ones: a few hundred
 pointer-chasing loads, nearly every one an L2 miss.  Under each
-counter-mode control point the native walk plus replay must equal the
+control point, and under CBC, the native walk plus replay must equal the
 legacy ``build_simulator`` + ``core.run`` on cycles and on the full
 stats digest, and the legacy cycles are pinned so both paths cannot
 drift together.
@@ -69,9 +69,11 @@ def test_run_trace_takes_kernel(list_walk):
     assert result.cycles == PINNED_CYCLES["authen-then-commit"]
 
 
-def test_cbc_run_trace_takes_legacy(list_walk):
+def test_cbc_run_trace_takes_kernel(list_walk):
     config = SimConfig().with_secure(encryption_mode="cbc")
     result = run_trace(list_walk, config, "authen-then-commit")
-    assert result.accounting["path"] == "legacy"
+    assert result.accounting["path"] == "native"
     core, _ = build_simulator(config, "authen-then-commit")
-    assert result.cycles == core.run(list_walk).cycles
+    legacy = core.run(list_walk)
+    assert result.cycles == legacy.cycles
+    assert _digest(result) == _digest(legacy)
