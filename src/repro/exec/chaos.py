@@ -48,6 +48,7 @@ import contextlib
 import dataclasses
 import hashlib
 import json
+import logging
 import os
 import shutil
 import signal
@@ -192,14 +193,24 @@ class ChaosPlan:
                                 % (job.job_id, attempt))
 
 
+def _not_injected(record):
+    """Logging filter: False for a record of an :class:`InjectedFault`."""
+    return not (record.exc_info
+                and isinstance(record.exc_info[1], InjectedFault))
+
+
 def _install_in_worker(plan):
     """Pool initializer: arm the plan in a freshly forked worker.
 
     Also the injection point for ``pool-init-failure``: the raise
     happens here, while the pool is still being populated, which is the
     exact window a real initializer bug (bad import, missing mount)
-    would hit.
+    would hit.  ``concurrent.futures`` logs a failed initializer's
+    traceback at CRITICAL; the worker's logger drops that record for the
+    injected fault only, so a healed campaign prints none, while any
+    other initializer exception is still logged.
     """
+    logging.getLogger("concurrent.futures").addFilter(_not_injected)
     set_attempt_hook(plan)
     plan.init_fault()
 

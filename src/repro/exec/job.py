@@ -37,6 +37,21 @@ def _content_id(payload):
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
+@lru_cache(maxsize=4096, typed=True)
+def _job_id(benchmark, policy, config, num_instructions, warmup, seed):
+    """:attr:`SimJob.job_id`, memoised per spec value: a server or a
+    figure run rebuilds the same jobs over and over, and each rebuilt
+    job would otherwise hash its spec again."""
+    return _content_id({
+        "benchmark": benchmark,
+        "policy": policy,
+        "config": _config_data(config),
+        "num_instructions": num_instructions,
+        "warmup": warmup,
+        "seed": seed,
+    })
+
+
 @dataclasses.dataclass(frozen=True)
 class SimJob:
     """One (benchmark, policy, config) simulation at a fixed scale.
@@ -82,14 +97,8 @@ class SimJob:
         boundaries and interpreter restarts -- which is what lets a
         checkpoint journal from a killed sweep be trusted by the rerun.
         """
-        return _content_id({
-            "benchmark": self.benchmark,
-            "policy": self.policy,
-            "config": _config_data(self.config),
-            "num_instructions": self.num_instructions,
-            "warmup": self.warmup,
-            "seed": self.seed,
-        })
+        return _job_id(self.benchmark, self.policy, self.config,
+                       self.num_instructions, self.warmup, self.seed)
 
     def as_group(self):
         """This job as the one-member :class:`MultiPolicySimJob` every

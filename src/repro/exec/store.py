@@ -75,6 +75,7 @@ from repro.sim.checkpoint import (
     JournalTail,
     append_line,
     atomic_write_text,
+    check_line,
     completion_line,
     parse_record,
     result_from_record,
@@ -565,6 +566,10 @@ class ArtifactStore:
         """Index where each current-fingerprint line appended since the
         last poll is (never the record).
 
+        A line is checked by its bytes (:func:`check_line`), not parsed:
+        its CRC, version and job_id are read off the canonical text, so
+        a hit parses its line once, in :meth:`load_result`.
+
         Segments of other code fingerprints are skipped by name, and a
         segment is read only past where the last poll stopped, or past
         this process's own last append to it (:meth:`save_result`
@@ -579,16 +584,15 @@ class ArtifactStore:
                 continue
             inode, tail = self._tails.get(path, (None, None))
             if inode != st.st_ino or st.st_size < tail.offset:
-                tail = JournalTail(path)
+                tail = JournalTail(path, check_line)
                 self._tails[path] = (st.st_ino, tail)
                 self._index = {job_id: entry for job_id, entry
                                in self._index.items() if entry[0] != path}
             elif st.st_size == tail.offset:
                 continue
-            for offset, line, record, reason in tail.lines():
-                if record is not None:
-                    self._index[record["job_id"]] = (path, offset,
-                                                     len(line))
+            for offset, line, job_id, reason in tail.lines():
+                if job_id is not None:
+                    self._index[job_id] = (path, offset, len(line))
                 elif reason != INCOMPATIBLE_VERSION:
                     self._quarantine(path, reason, offset)
 
@@ -681,7 +685,7 @@ class ArtifactStore:
         if new and path not in self._tails:
             try:
                 self._tails[path] = (os.stat(path).st_ino,
-                                     JournalTail(path))
+                                     JournalTail(path, check_line))
             except OSError:
                 return   # evicted already: a poll will not list it
         _inode, tail = self._tails.get(path, (None, None))
@@ -848,8 +852,9 @@ class ArtifactStore:
             total_bytes += nbytes
         records = corrupt = 0
         for path, _ in self._entries("results"):
-            for _, _, record, reason in JournalTail(path).lines():
-                if record is not None:
+            for _, _, job_id, reason in JournalTail(path,
+                                                    check_line).lines():
+                if job_id is not None:
                     records += 1
                 elif reason != INCOMPATIBLE_VERSION:
                     corrupt += 1

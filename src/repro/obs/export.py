@@ -239,8 +239,8 @@ def build_figure_series(figure, title, panels, extra=None):
     (a single-table figure has one), each a list of named series of
     ``{"x", "y"}`` points.  ``extra`` carries figure-specific scalars
     that are not series-shaped (fig6's cycle advantage, variance's
-    ordering verdict).  Serialise with :func:`write_json` so serial and
-    parallel regenerations -- and the figure server -- stay
+    ordering verdict).  Serialise with :func:`write_json_atomic` so
+    serial and parallel regenerations -- and the figure server -- stay
     byte-identical.
     """
     payload = {
@@ -255,19 +255,52 @@ def build_figure_series(figure, title, panels, extra=None):
     return payload
 
 
+#: Manifests' encoder: sorted keys, compact.  Without ``indent`` it is
+#: the C encoder, several times faster than the pure-Python one that
+#: ``indent`` (or ``json.dump``'s streaming) forces.
+_MANIFEST_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                                     default=str)
+
+
 def write_json(payload, path):
-    """Write any manifest to ``path`` (stable key order)."""
+    """Write any manifest to ``path``: compact JSON, sorted keys.
+
+    The text is what ``json.dumps(payload, sort_keys=True,
+    separators=(",", ":"), default=str)`` returns, written one
+    top-level value, and one item of a top-level list, at a time: a
+    sweep manifest's text is never held whole next to the manifest.
+    """
+    encode = _MANIFEST_ENCODER.encode
     with open(path, "w") as handle:
-        json.dump(payload, handle, indent=1, sort_keys=True, default=str)
+        if not (isinstance(payload, dict)
+                and all(isinstance(key, str) for key in payload)):
+            handle.write(encode(payload))
+            return path
+        handle.write("{")
+        for index, key in enumerate(sorted(payload)):
+            value = payload[key]
+            handle.write("%s%s:" % ("," if index else "", encode(key)))
+            if isinstance(value, (list, tuple)):
+                handle.write("[")
+                for position, item in enumerate(value):
+                    if position:
+                        handle.write(",")
+                    handle.write(encode(item))
+                handle.write("]")
+            else:
+                handle.write(encode(value))
+        handle.write("}")
     return path
 
 
 def write_json_atomic(payload, path):
-    """:func:`write_json` via rename, for files a server may be reading.
+    """Write ``payload`` to ``path`` via rename, for files a server may
+    be reading: ``indent=1``, sorted keys.
 
-    Byte-identical output to :func:`write_json` (same dump arguments);
-    the tmp-write + ``os.replace`` means a concurrent reader sees the
-    old complete file or the new complete file, never a torn one.
+    These are the figure-series artifacts, whose bytes are pinned and
+    served verbatim, so their layout stays as it is.  The tmp-write +
+    ``os.replace`` means a concurrent reader sees the old complete file
+    or the new complete file, never a torn one.
     """
     from repro.sim.checkpoint import atomic_write_text
 

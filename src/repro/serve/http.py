@@ -4,6 +4,9 @@
 thread per connection is plenty for a figure server whose hot path is
 an ``open()`` + ``read()``.  The handler only routes and serialises;
 every decision lives in the service, which is what the tests drive.
+Each response leaves in one write on a ``TCP_NODELAY`` socket, so a
+keep-alive client never waits for a delayed ACK (``docs/serving.md``,
+"Latency").
 
 Routes (GET only):
 
@@ -45,6 +48,7 @@ def make_handler(service):
     class Handler(BaseHTTPRequestHandler):
         server_version = "repro-serve/1"
         protocol_version = "HTTP/1.1"
+        disable_nagle_algorithm = True
 
         def log_message(self, format, *args):
             service.log("%s %s" % (self.address_string(),
@@ -65,7 +69,12 @@ def make_handler(service):
                          if isinstance(body, dict) else None)
                 if retry:
                     self.send_header("Retry-After", str(retry))
-            self.end_headers()
+            # end_headers() would send the header block on its own, and
+            # the body after it as a second write; send both in one.
+            if self.request_version != "HTTP/0.9":
+                self._headers_buffer.append(b"\r\n")
+                payload = b"".join(self._headers_buffer) + payload
+                self._headers_buffer = []
             self.wfile.write(payload)
 
         def do_GET(self):

@@ -74,49 +74,105 @@ def atomic_write_text(path, text):
 JOURNAL_VERSION = 2
 
 
-def _line_crc(raw, stored):
-    """The CRC32 :func:`completion_line` sealed a line with: that of
-    the line's text with the ``crc32`` field cut out.
+#: The sealed field's key, as :func:`completion_line` writes it.
+_CRC_KEY = b'"crc32": '
 
-    A valid line is the exact canonical text as written (sorted keys,
-    so ``crc32`` is never last); any other text fails the check.
+
+def _is_sealed(raw):
+    """True when ``raw`` is the exact text :func:`completion_line`
+    sealed: the CRC32 of the line with its ``crc32`` field cut out
+    equals the value that field holds.
+
+    A valid line is the canonical text as written (sorted keys, so
+    ``crc32`` is never last, and the digits are the integer's own
+    text); any other text fails.
     """
-    if isinstance(raw, str):
-        raw = raw.encode()
-    return zlib.crc32(raw.strip().replace(b'"crc32": %d, ' % stored, b"", 1))
+    raw = raw.strip()
+    start = raw.find(_CRC_KEY)
+    end = raw.find(b", ", start)
+    if start < 0 or end < 0:
+        return False
+    digits = raw[start + len(_CRC_KEY):end]
+    if not digits.isdigit() or digits != b"%d" % int(digits):
+        return False
+    return zlib.crc32(raw[:start] + raw[end + 2:]) == int(digits)
 
 
-#: :func:`parse_record` reason for a structurally sound line written by
+def _field(raw, prefix, end):
+    """The text between a line's first ``prefix`` and the next
+    ``end``, or None when either is missing."""
+    start = raw.find(prefix)
+    if start < 0:
+        return None
+    start += len(prefix)
+    stop = raw.find(end, start)
+    return raw[start:stop] if stop >= 0 else None
+
+
+#: :func:`check_line` reason for a structurally sound line written by
 #: a different ``journal_version`` -- ignorable in place, never corrupt.
 INCOMPATIBLE_VERSION = "incompatible journal_version"
 
 
-def parse_record(raw):
-    """Validate one journal line; returns ``(record, reason)``.
+def check_line(raw):
+    """Check one journal line's bytes; returns ``(job_id, reason)``.
 
-    A valid current-version line returns ``(dict, None)``; anything
-    else returns ``(None, reason)``.  ``reason`` is
-    :data:`INCOMPATIBLE_VERSION` for foreign-version lines (keep them
-    in place) and a quarantine reason string otherwise.  Pure and
-    read-only -- safe on a journal another process is appending to,
-    which is what the distributed driver's segment tailer needs.
+    A sealed current-version line returns ``(job_id, None)`` without
+    being parsed: its CRC, ``journal_version`` and ``job_id`` are read
+    off the canonical bytes.  Anything else returns ``(None,
+    reason)``: :data:`INCOMPATIBLE_VERSION` for foreign-version lines
+    (keep them in place) and a quarantine reason string otherwise,
+    found by parsing the line (a rare path: only lines that fail the
+    check take it).  Pure and read-only.
     """
+    if isinstance(raw, str):
+        raw = raw.encode()
+    if _is_sealed(raw):
+        version = _field(raw, b', "journal_version": ', b",")
+        if version != b"%d" % JOURNAL_VERSION:
+            return None, INCOMPATIBLE_VERSION
+        job_id = _field(raw, b', "job_id": "', b'"')
+        if job_id is None:
+            return None, "missing job_id"
+        return job_id.decode(), None
+    return None, _reject_reason(raw)
+
+
+def _reject_reason(raw):
+    """Why a line that is not sealed fails, in the order a reader
+    meets the faults: syntax, shape, version, then the fields."""
     try:
         record = json.loads(raw)
     except ValueError:
-        return None, "unparseable JSON (torn write?)"
+        return "unparseable JSON (torn write?)"
     if not isinstance(record, dict):
-        return None, "not a JSON object"
+        return "not a JSON object"
     if record.get("journal_version") != JOURNAL_VERSION:
-        return None, INCOMPATIBLE_VERSION
+        return INCOMPATIBLE_VERSION
     if "job_id" not in record:
-        return None, "missing job_id"
+        return "missing job_id"
     stored = record.get("crc32")
     if not isinstance(stored, int):
-        return None, "missing crc32"
-    if stored != _line_crc(raw, stored):
-        return None, "crc32 mismatch (stored %s)" % stored
-    return record, None
+        return "missing crc32"
+    return "crc32 mismatch (stored %s)" % stored
+
+
+def parse_record(raw):
+    """Validate and parse one journal line; returns ``(record, reason)``.
+
+    :func:`check_line`, then one ``json.loads`` of a line that passed:
+    a valid current-version line returns ``(dict, None)``, anything
+    else ``(None, reason)`` with the check's reason.  Pure and
+    read-only -- safe on a journal another process is appending to,
+    which is what the distributed driver's segment tailer needs.
+    """
+    _job_id, reason = check_line(raw)
+    if reason is not None:
+        return None, reason
+    try:
+        return json.loads(raw), None
+    except ValueError:   # a CRC collision: sealed bytes, broken syntax
+        return None, "unparseable JSON (torn write?)"
 
 
 def _text_buckets(stats):
@@ -268,18 +324,22 @@ class JournalTail:
 
     A segment may have a live appender, so it is never rewritten (as
     ``JobJournal``'s quarantine pass would).  :meth:`lines` streams the
-    lines past ``offset``, checks each with :func:`parse_record` and
-    counts the invalid ones in ``bad_lines``; an unterminated tail (a
-    write in flight) is left for the next call.
+    lines past ``offset``, checks each with ``check`` (by default
+    :func:`parse_record`) and counts the invalid ones in
+    ``bad_lines``; an unterminated tail (a write in flight) is left for
+    the next call.
     """
 
-    def __init__(self, path):
+    def __init__(self, path, check=parse_record):
         self.path = os.fspath(path)
+        self.check = check
         self.offset = 0
         self.bad_lines = 0
 
     def lines(self, final=False):
-        """Yield ``(offset, raw line, record, reason)`` per line.
+        """Yield ``(offset, raw line, record, reason)`` per line, where
+        ``(record, reason)`` is what ``check`` returned for the line
+        (:func:`check_line` gives the job_id as the record).
 
         ``final`` also reads an unterminated last line: for a reader
         that owns or audits the file, not one racing its appender.
@@ -297,7 +357,7 @@ class JournalTail:
                 self.offset += len(line)
                 if not line.strip():
                     continue
-                record, reason = parse_record(line)
+                record, reason = self.check(line)
                 if record is None:
                     self.bad_lines += 1
                 yield offset, line, record, reason

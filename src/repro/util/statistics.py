@@ -146,13 +146,23 @@ class StatGroup:
         for stat_name, value in payload.items():
             if isinstance(value, dict):
                 histogram = group.histogram(stat_name)
-                for key, count in value.items():
-                    if isinstance(key, str):
-                        try:
-                            key = int(key)
-                        except ValueError:
-                            pass
-                    histogram.buckets[key] = count
+                try:   # every key a digit string: convert in one pass
+                    histogram.buckets = dict(zip(map(int, value),
+                                                 value.values()))
+                except (TypeError, ValueError):
+                    histogram.buckets = {_bucket_key(key): count
+                                         for key, count in value.items()}
             else:
                 group.counter(stat_name).value = value
         return group
+
+
+def _bucket_key(key):
+    """A histogram bucket key read back from JSON: digit strings
+    become ints, any other key stays as it is."""
+    if isinstance(key, str):
+        try:
+            return int(key)
+        except ValueError:
+            pass
+    return key

@@ -1,6 +1,8 @@
 """Chaos-harness tests: seeded schedules, journal corruption, recovery."""
 
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -21,6 +23,7 @@ from repro.exec.chaos import (
     run_campaign,
 )
 from repro.sim.checkpoint import JobJournal
+from tests.repro_env import repro_env
 
 JOBS = build_jobs(["gzip"], ["decrypt-only", "authen-then-commit",
                              "authen-then-issue"],
@@ -334,6 +337,43 @@ class TestInfraFaults:
         assert report.identical
         assert report.counters["pool_rebuilds"] >= 1
         assert report.failures == []
+
+    def test_injected_initializer_fault_prints_no_traceback(self, capfd):
+        """A healed campaign's stderr is clean.  Run as a subprocess:
+        under pytest, a worker's log records go to the capture handler
+        it forked with, never to its stderr."""
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "chaos", "--campaign", "sweep",
+             "--benchmark", "gzip", "-n", "600", "--warmup", "300",
+             "--faults", "pool-init-failure"],
+            timeout=300, env=repro_env())
+        out, err = capfd.readouterr()
+        assert proc.returncode == 0
+        assert "bit-identical" in out
+        assert "Exception in initializer" not in err
+
+    def test_other_initializer_exceptions_are_still_logged(self, capfd):
+        script = (
+            "import multiprocessing\n"
+            "from concurrent.futures import ProcessPoolExecutor\n"
+            "from repro.exec.chaos import ChaosPlan, _install_in_worker\n"
+            "def init(plan):\n"
+            "    _install_in_worker(plan)\n"
+            "    raise RuntimeError('a real initializer bug')\n"
+            "pool = ProcessPoolExecutor(\n"
+            "    1, multiprocessing.get_context('fork'), initializer=init,\n"
+            "    initargs=(ChaosPlan(0, {}),))\n"
+            "try:\n"
+            "    pool.submit(abs, -1).result(timeout=60)\n"
+            "except Exception as exc:\n"
+            "    print(type(exc).__name__)\n")
+        proc = subprocess.run([sys.executable, "-c", script], timeout=120,
+                              env=repro_env())
+        out, err = capfd.readouterr()
+        assert proc.returncode == 0
+        assert out.strip() == "BrokenProcessPool"
+        assert "Exception in initializer:" in err
+        assert "RuntimeError: a real initializer bug" in err
 
     def test_enospc_campaign_converges(self, tmp_path):
         from repro.exec.chaos import FAULT_JOURNAL_ENOSPC

@@ -130,6 +130,16 @@ class TestStatGroupFromDict:
         rebuilt = StatGroup.from_dict({"h": {"label": 4}})
         assert rebuilt["h"].buckets == {"label": 4}
 
+    def test_mixed_histogram_keys_round_trip(self):
+        """One non-digit key keeps itself; the digit keys still come
+        back as ints, negative ones included."""
+        group = StatGroup("g")
+        for key in (3, -2, "label"):
+            group.histogram("h").add(key, 2)
+        snapshot = json.loads(json.dumps(group.as_dict()))
+        rebuilt = StatGroup.from_dict(snapshot, name="g")
+        assert rebuilt["h"].buckets == {3: 2, -2: 2, "label": 2}
+
 
 class TestJournalIntegrity:
     """v2 hardening: CRC32 seals, quarantine sidecar, compaction."""

@@ -479,6 +479,58 @@ class TestResultSegments:
         assert evidence["entry"] == flipped and "offset" in evidence
         assert heal.load_result(JOBS[1]) is not None
 
+    def test_a_hit_parses_its_line_once(self, tmp_path, computed,
+                                        monkeypatch):
+        """The poll indexes lines by their bytes; only the hit parses."""
+        root = tmp_path / "store"
+        cold = ArtifactStore(root)
+        for job in JOBS:
+            cold.save_result(job, computed[job])
+        parses = []
+        loads = json.loads
+
+        def counting(*args, **kwargs):
+            parses.append(1)
+            return loads(*args, **kwargs)
+
+        monkeypatch.setattr(json, "loads", counting)
+        warm = ArtifactStore(root)
+        for job in JOBS:
+            assert result_digest(warm.load_result(job)) == \
+                result_digest(computed[job])
+        assert warm.counters["result_hits"] == len(JOBS)
+        assert len(parses) == len(JOBS)
+
+    @pytest.mark.parametrize("damage, reason", [
+        (lambda line: line.replace(b'"crc32": ', b'"crc32": 1', 1),
+         "crc32 mismatch (stored 1%d)"),
+        (lambda line: line[:len(line) // 2] + b"\n",
+         "unparseable JSON (torn write?)"),
+    ], ids=["bad-crc", "torn"])
+    def test_bad_line_quarantined_at_poll_with_its_reason(
+            self, tmp_path, computed, damage, reason):
+        root = tmp_path / "store"
+        cold = ArtifactStore(root)
+        for job in JOBS[:2]:
+            cold.save_result(job, computed[job])
+        [path] = [path for path, _ in cold._entries("results")]
+        with open(path, "rb") as handle:
+            first, second = handle.read().splitlines(keepends=True)
+        stored = json.loads(first)["crc32"]
+        with open(path, "wb") as handle:
+            handle.write(damage(first) + second)
+        warm = ArtifactStore(root)
+        # A lookup of the sound line polls the segment: the poll finds
+        # the damaged line and quarantines it with the reason.
+        assert warm.load_result(JOBS[1]) is not None
+        assert warm.counters["quarantined"] == 1
+        with open(root / "quarantine.rej") as handle:
+            [evidence] = [json.loads(line) for line in handle]
+        expected = reason % stored if "%d" in reason else reason
+        assert evidence["reason"] == expected
+        assert evidence["offset"] == 0
+        assert warm.load_result(JOBS[0]) is None
+
     def test_corrupt_line_is_logged_and_counted_once(self, tmp_path,
                                                       computed):
         root = tmp_path / "store"

@@ -1,5 +1,6 @@
 """Serving-tier tests: warm/cold figures, single-flight, sweeps, HTTP."""
 
+import http.client
 import json
 import os
 import threading
@@ -333,6 +334,30 @@ class TestHttp:
         assert status == 200
         assert body == payload
         assert headers["Content-Type"] == JSON_TYPE
+
+    def test_keep_alive_gets_do_not_wait_for_a_delayed_ack(self, server):
+        """Twenty GETs on one connection: each answer leaves in one
+        write on a TCP_NODELAY socket, so none waits ~40 ms for the
+        client's delayed ACK (Nagle's algorithm would hold a second
+        write back until it came)."""
+        service, base = server
+        payload = json.dumps({"kind": "figure-series",
+                              "points": list(range(2000))}).encode()
+        with open(os.path.join(service.out_dir, "fig8.json"), "wb") as fh:
+            fh.write(payload)
+        conn = http.client.HTTPConnection(base.split("//", 1)[1],
+                                          timeout=10)
+        try:
+            start = time.perf_counter()
+            for _ in range(20):
+                conn.request("GET", "/figure/fig8")
+                response = conn.getresponse()
+                assert response.status == 200
+                assert response.read() == payload
+            elapsed = time.perf_counter() - start
+        finally:
+            conn.close()
+        assert elapsed < 0.4
 
     def test_cold_figure_202_sets_retry_after_header(self, server):
         _, base = server

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from repro.cli import main
+from tests.repro_env import repro_env
 
 
 class TestCli:
@@ -259,15 +260,6 @@ class TestGcSize:
         assert _parse_size(text) == size
 
 
-def _repro_env(**env):
-    """The environment that runs ``python -m repro`` from this checkout."""
-    environ = dict(os.environ, **env)
-    environ["PYTHONPATH"] = os.pathsep.join(
-        [p for p in (environ.get("PYTHONPATH"),) if p]
-        + [os.path.join(os.path.dirname(__file__), "..", "..", "src")])
-    return environ
-
-
 class TestNoCompiler:
     """The kernel is required: without a compiler a command fails with
     the compile error on one ``error:`` line, never a traceback."""
@@ -275,7 +267,7 @@ class TestNoCompiler:
     def test_run_fails_with_one_error_line(self, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "repro", "run", "gzip", "-n", "2000"],
-            capture_output=True, timeout=120, env=_repro_env(
+            capture_output=True, timeout=120, env=repro_env(
                 CC="false", REPRO_NATIVE_CACHE=str(tmp_path / "kernel")))
         assert proc.returncode != 0
         [line] = proc.stderr.decode().splitlines()
@@ -299,10 +291,23 @@ class TestBrokenPipe:
             proc = subprocess.run(
                 [sys.executable, "-m", "repro", "trace", "gzip",
                  "-n", "600"],
-                stdout=write_end, stderr=subprocess.PIPE, env=_repro_env(),
+                stdout=write_end, stderr=subprocess.PIPE, env=repro_env(),
                 timeout=120)
         finally:
             os.close(write_end)
         assert proc.returncode != 0
         assert b"Traceback" not in proc.stderr
         assert b"BrokenPipeError" not in proc.stderr
+
+
+def test_importing_the_cli_loads_neither_the_kernel_nor_ctypes():
+    """``import repro, repro.cli`` stays cheap: the native kernel and
+    ``ctypes`` load on the first simulation, not on import."""
+    probe = ("import sys, repro, repro.cli; "
+             "print([m for m in ('repro.cpu.native', 'ctypes') "
+             "if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          capture_output=True, text=True, timeout=60,
+                          env=repro_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
