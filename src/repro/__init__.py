@@ -23,66 +23,23 @@ Experiments (every table/figure of the paper) live in
 :mod:`repro.experiments`; see DESIGN.md for the index.
 """
 
-from repro.config import (
-    CacheConfig,
-    CoreConfig,
-    DramConfig,
-    SecureConfig,
-    SimConfig,
-    table3_parameters,
-)
-from repro.errors import (
-    ConfigError,
-    IntegrityError,
-    IsaError,
-    ReproError,
-    SimulationError,
-)
-from repro.func.loader import load_program
-from repro.func.machine import SecureMachine
-from repro.policies.registry import (
-    FIGURE7_POLICIES,
-    POLICY_NAMES,
-    available_policies,
-    make_policy,
-)
-from repro.sim.runner import run_benchmark, run_trace
-from repro.sim.sweep import PolicySweep
-from repro.workloads.spec import (
-    SPEC2000_PROFILES,
-    fp_benchmarks,
-    get_profile,
-    int_benchmarks,
-)
-from repro.workloads.tracegen import generate_trace
+from repro._lazy import lazy_namespace
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "SimConfig",
-    "CacheConfig",
-    "CoreConfig",
-    "DramConfig",
-    "SecureConfig",
-    "table3_parameters",
-    "ReproError",
-    "ConfigError",
-    "IsaError",
-    "IntegrityError",
-    "SimulationError",
-    "make_policy",
-    "available_policies",
-    "POLICY_NAMES",
-    "FIGURE7_POLICIES",
-    "run_trace",
-    "run_benchmark",
-    "PolicySweep",
-    "SecureMachine",
-    "load_program",
-    "SPEC2000_PROFILES",
-    "get_profile",
-    "int_benchmarks",
-    "fp_benchmarks",
-    "generate_trace",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = lazy_namespace(__name__, {
+    "repro.config": ("SimConfig", "CacheConfig", "CoreConfig", "DramConfig",
+                     "SecureConfig", "table3_parameters"),
+    "repro.errors": ("ReproError", "ConfigError", "IsaError",
+                     "IntegrityError", "SimulationError"),
+    "repro.policies.registry": ("make_policy", "available_policies",
+                                "POLICY_NAMES", "FIGURE7_POLICIES"),
+    "repro.sim.runner": ("run_trace", "run_benchmark"),
+    "repro.sim.sweep": ("PolicySweep",),
+    "repro.func.machine": ("SecureMachine",),
+    "repro.func.loader": ("load_program",),
+    "repro.workloads.spec": ("SPEC2000_PROFILES", "get_profile",
+                             "int_benchmarks", "fp_benchmarks"),
+    "repro.workloads.tracegen": ("generate_trace",),
+})
+__all__.append("__version__")

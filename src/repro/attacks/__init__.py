@@ -9,39 +9,20 @@ The harness scores each (attack, policy) pair as *leaked* or *blocked*
 and reproduces Table 2 empirically.
 """
 
-from repro.attacks.binary_search import BinarySearchAttack
-from repro.attacks.brute_force import BruteForcePageAttack
-from repro.attacks.cbc_malleability import CbcPointerConversionAttack
-from repro.attacks.control_flow import ControlFlowAttack
-from repro.attacks.disclosing_kernel import (
-    DataSpaceKernelAttack,
-    DisclosingKernelAttack,
-    IoKernelAttack,
-)
-from repro.attacks.harness import (
-    AttackResult,
-    empirical_security_matrix,
-    run_attack,
-)
-from repro.attacks.page_mask import PageMaskAttack
-from repro.attacks.pointer_conversion import PointerConversionAttack
-from repro.attacks.replay import ReplayAttack
-from repro.attacks.tamper import flip_word, splice_words
+from repro._lazy import lazy_namespace
 
-__all__ = [
-    "flip_word",
-    "splice_words",
-    "CbcPointerConversionAttack",
-    "ControlFlowAttack",
-    "PointerConversionAttack",
-    "BinarySearchAttack",
-    "DisclosingKernelAttack",
-    "DataSpaceKernelAttack",
-    "IoKernelAttack",
-    "PageMaskAttack",
-    "BruteForcePageAttack",
-    "ReplayAttack",
-    "AttackResult",
-    "run_attack",
-    "empirical_security_matrix",
-]
+__all__, __getattr__, __dir__ = lazy_namespace(__name__, {
+    "repro.attacks.tamper": ("flip_word", "splice_words"),
+    "repro.attacks.cbc_malleability": ("CbcPointerConversionAttack",),
+    "repro.attacks.control_flow": ("ControlFlowAttack",),
+    "repro.attacks.pointer_conversion": ("PointerConversionAttack",),
+    "repro.attacks.binary_search": ("BinarySearchAttack",),
+    "repro.attacks.disclosing_kernel": ("DisclosingKernelAttack",
+                                        "DataSpaceKernelAttack",
+                                        "IoKernelAttack"),
+    "repro.attacks.page_mask": ("PageMaskAttack",),
+    "repro.attacks.brute_force": ("BruteForcePageAttack",),
+    "repro.attacks.replay": ("ReplayAttack",),
+    "repro.attacks.harness": ("AttackResult", "run_attack",
+                              "empirical_security_matrix"),
+})

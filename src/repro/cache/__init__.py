@@ -6,7 +6,9 @@ not data contents -- the timing simulator is trace-driven, and the
 functional machine keeps plaintext in its own structures.
 """
 
-from repro.cache.cache import Cache, CacheAccess, LineState
-from repro.cache.tlb import Tlb
+from repro._lazy import lazy_namespace
 
-__all__ = ["Cache", "CacheAccess", "LineState", "Tlb"]
+__all__, __getattr__, __dir__ = lazy_namespace(__name__, {
+    "repro.cache.cache": ("Cache", "CacheAccess", "LineState"),
+    "repro.cache.tlb": ("Tlb",),
+})

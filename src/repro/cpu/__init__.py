@@ -13,13 +13,10 @@ store buffer; fetch gating serialises dependent misses) while being fast
 enough to sweep 18 benchmarks x 9 policies in pure Python.
 """
 
-from repro.cpu.branch import BimodalPredictor
-from repro.cpu.core import RunResult, TimestampCore
-from repro.cpu.hierarchy import MemoryHierarchy
+from repro._lazy import lazy_namespace
 
-__all__ = [
-    "BimodalPredictor",
-    "TimestampCore",
-    "RunResult",
-    "MemoryHierarchy",
-]
+__all__, __getattr__, __dir__ = lazy_namespace(__name__, {
+    "repro.cpu.branch": ("BimodalPredictor",),
+    "repro.cpu.core": ("TimestampCore", "RunResult"),
+    "repro.cpu.hierarchy": ("MemoryHierarchy",),
+})

@@ -21,7 +21,10 @@ and drives it through :mod:`ctypes`:
   :func:`~repro.workloads.tracegen.generate_trace`, drawing from the
   stream's own ``random.Random`` state exactly as the Python loop in
   ``tests/oracle/tracegen.py`` (its oracle,
-  ``tests/workloads/test_tracegen_oracle.py``) does.
+  ``tests/workloads/test_tracegen_oracle.py``) does;
+- :func:`trace_bounds` is the value half of every trace's check
+  (``PackedTrace._check``), whose oracle is the Python check in
+  ``tests/oracle/trace_check.py``.
 
 Everything is integer arithmetic, so walk plus replay is
 *bit-identical* to the legacy simulator: the differential suite and the
@@ -43,9 +46,9 @@ every replay read them and the trace's own int64 columns as they are.
 import ctypes
 import hashlib
 import os
-import subprocess
 import tempfile
 from array import array
+from collections import Counter
 
 from repro.cpu.core import _CALENDAR_PRUNE_INTERVAL, _UNIT_LATENCY
 from repro.errors import KernelUnavailableError
@@ -1609,8 +1612,58 @@ int64_t repro_tracegen(const double *f, const int64_t *c, int64_t *state,
     state[MT_N] = g.r.index;
     return s;
 }
+
+/* ---- trace bounds: one pass over a trace's columns for
+ * PackedTrace._check, which has checked their lengths (n rows, n + 1
+ * offsets, n_src sources).  Writes the B_* slots; an empty column's
+ * minimum is INT64_MAX and its maximum INT64_MIN, and so is the
+ * lowest load/store address of a trace without one. */
+enum {
+    B_PCS_MIN, B_OPS_MIN, B_OPS_MAX, B_DESTS_MIN, B_DESTS_MAX,
+    B_SRC_VAL_MIN, B_SRC_VAL_MAX, B_SRC_OFF_MONOTONE, B_MEMORY_ADDR_MIN
+};
+
+void repro_trace_bounds(int64_t n, int64_t n_src, const int64_t *pcs,
+                        const int64_t *ops, const int64_t *dests,
+                        const int64_t *addrs, const int64_t *src_off,
+                        const int64_t *src_val, int64_t *out)
+{
+    int64_t i;
+    out[B_PCS_MIN] = out[B_OPS_MIN] = out[B_DESTS_MIN] = INT64_MAX;
+    out[B_SRC_VAL_MIN] = out[B_MEMORY_ADDR_MIN] = INT64_MAX;
+    out[B_OPS_MAX] = out[B_DESTS_MAX] = out[B_SRC_VAL_MAX] = INT64_MIN;
+    out[B_SRC_OFF_MONOTONE] = 1;
+    for (i = 0; i < n; i++) {
+        if (pcs[i] < out[B_PCS_MIN])
+            out[B_PCS_MIN] = pcs[i];
+        if (ops[i] < out[B_OPS_MIN])
+            out[B_OPS_MIN] = ops[i];
+        if (ops[i] > out[B_OPS_MAX])
+            out[B_OPS_MAX] = ops[i];
+        if (dests[i] < out[B_DESTS_MIN])
+            out[B_DESTS_MIN] = dests[i];
+        if (dests[i] > out[B_DESTS_MAX])
+            out[B_DESTS_MAX] = dests[i];
+        if (src_off[i] > src_off[i + 1])
+            out[B_SRC_OFF_MONOTONE] = 0;
+        if ((ops[i] == OP_LOAD || ops[i] == OP_STORE)
+                && addrs[i] < out[B_MEMORY_ADDR_MIN])
+            out[B_MEMORY_ADDR_MIN] = addrs[i];
+    }
+    for (i = 0; i < n_src; i++) {
+        if (src_val[i] < out[B_SRC_VAL_MIN])
+            out[B_SRC_VAL_MIN] = src_val[i];
+        if (src_val[i] > out[B_SRC_VAL_MAX])
+            out[B_SRC_VAL_MAX] = src_val[i];
+    }
+}
 """
 
+
+#: :func:`trace_bounds`' results, in the C source's B_* order.
+TRACE_BOUNDS = ("pcs_min", "ops_min", "ops_max", "dests_min", "dests_max",
+                "src_val_min", "src_val_max", "src_off_monotone",
+                "memory_addr_min")
 
 #: Config-block slots the stats assembly reads back (CFG_* enum above).
 CFG_AUTH_ENABLED = 10
@@ -1647,6 +1700,8 @@ def _ensure_compiled():
     so_path = os.path.join(cache, "repro-kernel-%s.so" % digest)
     if os.path.exists(so_path):
         return so_path
+    import subprocess  # only a machine's first use compiles
+
     os.makedirs(cache, exist_ok=True)
     fd, c_path = tempfile.mkstemp(suffix=".c", dir=cache)
     tmp_so = c_path[:-2] + ".so"
@@ -1696,6 +1751,9 @@ def _load():
             lib.repro_tracegen.argtypes = ([ctypes.c_void_p] * 3
                                            + [ctypes.c_int64]
                                            + [ctypes.c_void_p] * 7)
+            lib.repro_trace_bounds.restype = None
+            lib.repro_trace_bounds.argtypes = ([ctypes.c_int64] * 2
+                                               + [ctypes.c_void_p] * 7)
             _lib = lib
         except Exception as exc:  # no compiler, failed compile, bad .so
             _load_error = exc
@@ -1865,19 +1923,13 @@ def replay(prepass, cfg):
     if rc != 0:
         raise MemoryError("native replay kernel failed to allocate its "
                           "working state (status %d)" % rc)
-    read_lat_buckets = {}
-    for m in range(n_misses):
-        lat = lat_out[m]
-        read_lat_buckets[lat] = read_lat_buckets.get(lat, 0) + 1
-    gap_buckets = {}
-    if cfg[CFG_AUTH_ENABLED]:
-        for m in range(out[11]):
-            gap = gap_out[m]
-            gap_buckets[gap] = gap_buckets.get(gap, 0) + 1
+    # Counted in C (Counter's _count_elements), keys in first-seen order.
+    gap_buckets = (dict(Counter(gap_out[:out[11]]))
+                   if cfg[CFG_AUTH_ENABLED] else {})
     return {
         "cycles": out[0] - out[1],
         "wait_cycles": out[2],
-        "read_lat_buckets": read_lat_buckets,
+        "read_lat_buckets": dict(Counter(lat_out[:n_misses])),
         "gap_buckets": gap_buckets,
         "pad_hidden": out[3],
         "pad_exposed": out[4],
@@ -1925,3 +1977,25 @@ def tracegen(rng, doubles, ints, num_instructions):
     del src_val[count:]
     rng.setstate((version, tuple(state), gauss_next))
     return PackedTrace(*row_columns, src_off, src_val)
+
+
+def trace_bounds(packed):
+    """One C pass over a :class:`~repro.workloads.trace.PackedTrace`'s
+    columns; returns a dict of the :data:`TRACE_BOUNDS` values.
+
+    The value checks of ``PackedTrace._check``, which must have checked
+    the columns' types and lengths first: each column's extremes
+    (``sys.maxsize`` for the minimum and ``-sys.maxsize - 1`` for the
+    maximum of an empty one), whether ``src_off`` never decreases, and
+    the lowest load or store address (``sys.maxsize`` for none).
+    Raises KernelUnavailableError when the kernel cannot load.
+    """
+    lib = _load()
+    out = array("q", bytes(8 * len(TRACE_BOUNDS)))
+    lib.repro_trace_bounds(
+        len(packed.pcs), len(packed.src_val),
+        *[_addr(_int64(column)) for column in (
+            packed.pcs, packed.ops, packed.dests, packed.addrs,
+            packed.src_off, packed.src_val)],
+        _addr(out))
+    return dict(zip(TRACE_BOUNDS, out))

@@ -14,31 +14,14 @@ hash, and the latency model needs only its padded block count.
   simulator (decryption vs authentication gap, Table 1).
 """
 
-from repro.crypto.aes import AES
-from repro.crypto.cbc_mac import cbc_mac
-from repro.crypto.hmac import hmac_sha256, truncated_mac
-from repro.crypto.latency import CryptoLatencyModel, LatencyGap, latency_gap_table
-from repro.crypto.modes import (
-    cbc_decrypt,
-    cbc_encrypt,
-    ctr_keystream,
-    ctr_transform,
-    ecb_decrypt,
-    ecb_encrypt,
-)
+from repro._lazy import lazy_namespace
 
-__all__ = [
-    "AES",
-    "hmac_sha256",
-    "truncated_mac",
-    "cbc_mac",
-    "ecb_encrypt",
-    "ecb_decrypt",
-    "cbc_encrypt",
-    "cbc_decrypt",
-    "ctr_keystream",
-    "ctr_transform",
-    "CryptoLatencyModel",
-    "LatencyGap",
-    "latency_gap_table",
-]
+__all__, __getattr__, __dir__ = lazy_namespace(__name__, {
+    "repro.crypto.aes": ("AES",),
+    "repro.crypto.hmac": ("hmac_sha256", "truncated_mac"),
+    "repro.crypto.cbc_mac": ("cbc_mac",),
+    "repro.crypto.modes": ("ecb_encrypt", "ecb_decrypt", "cbc_encrypt",
+                           "cbc_decrypt", "ctr_keystream", "ctr_transform"),
+    "repro.crypto.latency": ("CryptoLatencyModel", "LatencyGap",
+                             "latency_gap_table"),
+})

@@ -58,6 +58,7 @@ from repro.exec.retry import (
     JobResult,
     attempt_deadline,
 )
+from repro.exec.store import active_store
 from repro.obs.events import (
     BACKEND_DEGRADED,
     HOST_LOST,
@@ -68,6 +69,9 @@ from repro.obs.events import (
     LANE_JOBS,
 )
 from repro.obs.metrics import JobMetrics
+# The evaluation path, imported here so that forked pool workers inherit
+# it loaded instead of each importing it again.
+from repro.sim.runner import evaluate_trace
 
 #: Optional fault-injection hook called as ``hook(job, attempt)`` at the
 #: start of every attempt (in the worker process for the pool backend).
@@ -177,9 +181,6 @@ def iter_group_results(group, skip=(), tracer=None, profiler=None,
     stored: a native walk costs less than reading one back.  Saved
     lines are fsynced once, when the group ends (exception or not).
     """
-    from repro.exec.store import active_store
-    from repro.sim.runner import evaluate_trace
-
     skip = set(skip)
     members = [m for m in group.member_jobs if m.job_id not in skip]
     if not members:

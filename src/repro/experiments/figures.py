@@ -21,8 +21,17 @@ non-zero failure count in the manifest -- the other figures still
 regenerate.
 """
 
+import os
+import time
+
 from repro.exec import executor_scope
-from repro.exec.retry import STATUS_FAILED
+from repro.exec.retry import STATUS_FAILED, JobResult
+from repro.experiments import (ARTIFACT_NAMES, ablations, fig6, fig7, fig8,
+                               fig9, fig10_11, fig12_13, sensitivity,
+                               table1, table2, table3, variance)
+# Called through the module, never bound at import: the benchmark
+# harness wraps its functions to time the export layer.
+from repro.obs import export
 
 
 class _OutcomeRecorder:
@@ -88,8 +97,6 @@ class _OutcomeRecorder:
         machines); dropping them keeps the combined manifest comparable
         across backends.
         """
-        from repro.exec.retry import JobResult
-
         jobs = []
         for job_id in sorted(self.outcomes):
             outcome = self.outcomes[job_id].as_dict()
@@ -115,31 +122,26 @@ class _OutcomeRecorder:
 
 
 def _emit_table1(ctx):
-    from repro.experiments import table1
     return table1.emit(executor=ctx["executor"],
                        failure_policy=ctx["failure_policy"])
 
 
 def _emit_table2(ctx):
-    from repro.experiments import table2
     return table2.emit(executor=ctx["executor"],
                        failure_policy=ctx["failure_policy"])
 
 
 def _emit_table3(ctx):
-    from repro.experiments import table3
     return table3.emit(executor=ctx["executor"],
                        failure_policy=ctx["failure_policy"])
 
 
 def _emit_fig6(ctx):
-    from repro.experiments import fig6
     return fig6.emit(executor=ctx["executor"],
                      failure_policy=ctx["failure_policy"])
 
 
 def _emit_fig7(ctx):
-    from repro.experiments import fig7
     per_suite = None
     if ctx["benchmarks"] is not None:
         per_suite = {"int": list(ctx["benchmarks"]),
@@ -152,7 +154,6 @@ def _emit_fig7(ctx):
 
 
 def _emit_fig8(ctx):
-    from repro.experiments import fig8
     return fig8.emit(num_instructions=ctx["num_instructions"],
                      warmup=ctx["warmup"],
                      benchmarks=ctx["benchmarks"],
@@ -161,7 +162,6 @@ def _emit_fig8(ctx):
 
 
 def _emit_fig9(ctx):
-    from repro.experiments import fig9
     return fig9.emit(num_instructions=ctx["num_instructions"],
                      warmup=ctx["warmup"],
                      benchmarks=ctx["benchmarks"],
@@ -170,7 +170,6 @@ def _emit_fig9(ctx):
 
 
 def _emit_fig10(ctx):
-    from repro.experiments import fig10_11
     return fig10_11.emit(num_instructions=ctx["num_instructions"],
                          warmup=ctx["warmup"],
                          benchmarks=ctx["benchmarks"],
@@ -179,7 +178,6 @@ def _emit_fig10(ctx):
 
 
 def _emit_fig12(ctx):
-    from repro.experiments import fig12_13
     return fig12_13.emit(num_instructions=ctx["num_instructions"],
                          warmup=ctx["warmup"],
                          benchmarks=ctx["benchmarks"],
@@ -188,7 +186,6 @@ def _emit_fig12(ctx):
 
 
 def _emit_ablations(ctx):
-    from repro.experiments import ablations
     kwargs = dict(num_instructions=ctx["num_instructions"],
                   warmup=ctx["warmup"],
                   executor=ctx["executor"],
@@ -199,7 +196,6 @@ def _emit_ablations(ctx):
 
 
 def _emit_variance(ctx):
-    from repro.experiments import variance
     kwargs = dict(num_instructions=ctx["num_instructions"],
                   warmup=ctx["warmup"],
                   executor=ctx["executor"],
@@ -210,7 +206,6 @@ def _emit_variance(ctx):
 
 
 def _emit_sensitivity(ctx):
-    from repro.experiments import sensitivity
     kwargs = dict(num_instructions=ctx["num_instructions"],
                   warmup=ctx["warmup"],
                   executor=ctx["executor"],
@@ -220,25 +215,11 @@ def _emit_sensitivity(ctx):
     return sensitivity.emit(**kwargs)
 
 
-#: Every regenerable artifact, in deterministic regeneration order.
-#: Names match the single-figure CLI subcommands (fig10 renders Figures
-#: 10 and 11; fig12 renders Figures 12 and 13).  Each callable runs the
-#: figure's workload once and returns ``(text, series)`` -- the ``.txt``
-#: render and its machine-readable figure-series twin.
-ARTIFACTS = {
-    "table1": _emit_table1,
-    "table2": _emit_table2,
-    "table3": _emit_table3,
-    "fig6": _emit_fig6,
-    "fig7": _emit_fig7,
-    "fig8": _emit_fig8,
-    "fig9": _emit_fig9,
-    "fig10": _emit_fig10,
-    "fig12": _emit_fig12,
-    "ablations": _emit_ablations,
-    "variance": _emit_variance,
-    "sensitivity": _emit_sensitivity,
-}
+#: Every regenerable artifact, in :data:`~repro.experiments.ARTIFACT_NAMES`
+#: order.  Each callable runs the figure's workload once and returns
+#: ``(text, series)`` -- the ``.txt`` render and its machine-readable
+#: figure-series twin.
+ARTIFACTS = {name: globals()["_emit_" + name] for name in ARTIFACT_NAMES}
 
 
 def run_figures(names, out_dir, num_instructions=12_000, warmup=12_000,
@@ -267,12 +248,6 @@ def run_figures(names, out_dir, num_instructions=12_000, warmup=12_000,
     threaded through every sweep and additionally receives one
     ``repro_figure_jobs_total{figure,status}`` rollup per artifact.
     """
-    import os
-    import time
-
-    from repro.obs.export import (build_figures_manifest, write_json,
-                                  write_json_atomic)
-
     unknown = [name for name in names if name not in ARTIFACTS]
     if unknown:
         raise KeyError("unknown artifact(s): %s (choose from %s)"
@@ -308,8 +283,8 @@ def run_figures(names, out_dir, num_instructions=12_000, warmup=12_000,
             series_artifact = None
             if emit_json:
                 series_artifact = "%s.json" % name
-                write_json_atomic(series,
-                                  os.path.join(out_dir, series_artifact))
+                export.write_json_atomic(
+                    series, os.path.join(out_dir, series_artifact))
             manifest_jobs = recorder.manifest_jobs()
             entries.append({
                 "name": name,
@@ -332,11 +307,11 @@ def run_figures(names, out_dir, num_instructions=12_000, warmup=12_000,
                     % (name, path, len(manifest_jobs), len(failures),
                        time.perf_counter() - started))
         backend = inner.describe()
-    manifest = build_figures_manifest(entries, backend=backend,
-                                      num_instructions=num_instructions,
-                                      warmup=warmup)
+    manifest = export.build_figures_manifest(
+        entries, backend=backend, num_instructions=num_instructions,
+        warmup=warmup)
     manifest_path = os.path.join(out_dir, "figures-manifest.json")
-    write_json(manifest, manifest_path)
+    export.write_json(manifest, manifest_path)
     return {
         "entries": entries,
         "manifest_path": manifest_path,

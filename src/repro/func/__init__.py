@@ -14,7 +14,9 @@ physical access has:
 plus the ciphertext in external memory, which the attack toolkit mutates.
 """
 
-from repro.func.loader import load_program
-from repro.func.machine import BusEvent, MachineResult, SecureMachine
+from repro._lazy import lazy_namespace
 
-__all__ = ["SecureMachine", "MachineResult", "BusEvent", "load_program"]
+__all__, __getattr__, __dir__ = lazy_namespace(__name__, {
+    "repro.func.machine": ("SecureMachine", "MachineResult", "BusEvent"),
+    "repro.func.loader": ("load_program",),
+})

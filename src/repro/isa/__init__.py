@@ -12,29 +12,12 @@ fixed-width words are what makes the disclosing-kernel XOR-splice work.
 - :mod:`repro.isa.disassembler` -- inverse rendering for diagnostics.
 """
 
-from repro.isa.assembler import assemble, assemble_to_bytes
-from repro.isa.disassembler import disassemble, disassemble_word
-from repro.isa.encoding import decode, encode
-from repro.isa.instructions import (
-    FORMATS,
-    OPCODES,
-    Instruction,
-    InstructionFormat,
-    OpClass,
-    op_class,
-)
+from repro._lazy import lazy_namespace
 
-__all__ = [
-    "Instruction",
-    "InstructionFormat",
-    "OpClass",
-    "OPCODES",
-    "FORMATS",
-    "op_class",
-    "encode",
-    "decode",
-    "assemble",
-    "assemble_to_bytes",
-    "disassemble",
-    "disassemble_word",
-]
+__all__, __getattr__, __dir__ = lazy_namespace(__name__, {
+    "repro.isa.instructions": ("Instruction", "InstructionFormat", "OpClass",
+                               "OPCODES", "FORMATS", "op_class"),
+    "repro.isa.encoding": ("encode", "decode"),
+    "repro.isa.assembler": ("assemble", "assemble_to_bytes"),
+    "repro.isa.disassembler": ("disassemble", "disassemble_word"),
+})

@@ -8,16 +8,11 @@ backing store that the functional secure machine (and the attacker)
 actually reads and writes.
 """
 
-from repro.mem.bus import BandwidthBus
-from repro.mem.controller import MemAccess, MemoryController
-from repro.mem.dram import DramModel, PageStatus
-from repro.mem.physical import PhysicalMemory
+from repro._lazy import lazy_namespace
 
-__all__ = [
-    "BandwidthBus",
-    "DramModel",
-    "PageStatus",
-    "MemAccess",
-    "MemoryController",
-    "PhysicalMemory",
-]
+__all__, __getattr__, __dir__ = lazy_namespace(__name__, {
+    "repro.mem.bus": ("BandwidthBus",),
+    "repro.mem.dram": ("DramModel", "PageStatus"),
+    "repro.mem.controller": ("MemAccess", "MemoryController"),
+    "repro.mem.physical": ("PhysicalMemory",),
+})

@@ -4,55 +4,20 @@ See ``docs/observability.md`` for the event taxonomy, sink formats,
 manifest schema and the fleet-telemetry metric taxonomy.
 """
 
-from repro.obs import events
-from repro.obs.export import (
-    build_run_manifest,
-    build_run_set_manifest,
-    build_sweep_manifest,
-    write_json,
-    write_sweep_csv,
-)
-from repro.obs.metrics import (
-    NULL_REGISTRY,
-    JobMetrics,
-    MetricsRegistry,
-    write_metrics,
-)
-from repro.obs.profile import PhaseProfiler
-from repro.obs.progress import ProgressLine, ProgressLog, make_progress
-from repro.obs.report import build_report, render_report
-from repro.obs.sinks import ChromeTraceSink, JsonlSink, MemorySink, Sink
-from repro.obs.timeline import (
-    render_gap_timeline,
-    render_jobs_summary,
-    render_lane_census,
-)
-from repro.obs.tracer import NULL_TRACER, Tracer
+from repro._lazy import lazy_namespace
 
-__all__ = [
-    "events",
-    "Tracer",
-    "NULL_TRACER",
-    "Sink",
-    "MemorySink",
-    "JsonlSink",
-    "ChromeTraceSink",
-    "PhaseProfiler",
-    "MetricsRegistry",
-    "NULL_REGISTRY",
-    "JobMetrics",
-    "write_metrics",
-    "ProgressLine",
-    "ProgressLog",
-    "make_progress",
-    "build_report",
-    "render_report",
-    "build_run_manifest",
-    "build_run_set_manifest",
-    "build_sweep_manifest",
-    "write_json",
-    "write_sweep_csv",
-    "render_gap_timeline",
-    "render_jobs_summary",
-    "render_lane_census",
-]
+__all__, __getattr__, __dir__ = lazy_namespace(__name__, {
+    __name__: ("events",),
+    "repro.obs.tracer": ("Tracer", "NULL_TRACER"),
+    "repro.obs.sinks": ("Sink", "MemorySink", "JsonlSink", "ChromeTraceSink"),
+    "repro.obs.profile": ("PhaseProfiler",),
+    "repro.obs.metrics": ("MetricsRegistry", "NULL_REGISTRY", "JobMetrics",
+                          "write_metrics"),
+    "repro.obs.progress": ("ProgressLine", "ProgressLog", "make_progress"),
+    "repro.obs.report": ("build_report", "render_report"),
+    "repro.obs.export": ("build_run_manifest", "build_run_set_manifest",
+                         "build_sweep_manifest", "write_json",
+                         "write_sweep_csv"),
+    "repro.obs.timeline": ("render_gap_timeline", "render_jobs_summary",
+                           "render_lane_census"),
+})

@@ -6,32 +6,14 @@ both the legacy and the shared-pass path.  Throughput is measured by the
 ``bench/`` harness.
 """
 
-from repro.perf.bench import check_goldens
-from repro.perf.golden import (
-    GOLDEN_BENCHMARKS,
-    GOLDEN_CYCLES,
-    GOLDEN_DIGESTS,
-    GOLDEN_INSTRUCTIONS,
-    GOLDEN_POLICIES,
-    GOLDEN_WARMUP,
-    LEGACY_ONLY_CYCLES,
-    LEGACY_ONLY_DIGESTS,
-    golden_cells,
-    legacy_only_cells,
-    stats_digest,
-)
+from repro._lazy import lazy_namespace
 
-__all__ = [
-    "GOLDEN_BENCHMARKS",
-    "GOLDEN_CYCLES",
-    "GOLDEN_DIGESTS",
-    "GOLDEN_INSTRUCTIONS",
-    "GOLDEN_POLICIES",
-    "GOLDEN_WARMUP",
-    "LEGACY_ONLY_CYCLES",
-    "LEGACY_ONLY_DIGESTS",
-    "check_goldens",
-    "golden_cells",
-    "legacy_only_cells",
-    "stats_digest",
-]
+__all__, __getattr__, __dir__ = lazy_namespace(__name__, {
+    "repro.perf.golden": ("GOLDEN_BENCHMARKS", "GOLDEN_CYCLES",
+                          "GOLDEN_DIGESTS", "GOLDEN_INSTRUCTIONS",
+                          "GOLDEN_POLICIES", "GOLDEN_WARMUP",
+                          "LEGACY_ONLY_CYCLES", "LEGACY_ONLY_DIGESTS",
+                          "golden_cells", "legacy_only_cells",
+                          "stats_digest"),
+    "repro.perf.bench": ("check_goldens",),
+})

@@ -20,33 +20,15 @@ machine both consult the same instance, so the performance results and the
 security results (Table 2) always describe the same mechanism.
 """
 
-from repro.policies.base import AuthPolicy, GatingTerms, SecurityProperties
-from repro.policies.registry import (
-    FIGURE7_POLICIES,
-    POLICY_NAMES,
-    POLICY_REGISTRY,
-    POLICY_SETS,
-    PolicyEntry,
-    available_policies,
-    make_policy,
-    policy_label,
-    policy_set,
-)
-from repro.policies.security import security_matrix, table2_rows
+from repro._lazy import lazy_namespace
 
-__all__ = [
-    "AuthPolicy",
-    "GatingTerms",
-    "SecurityProperties",
-    "PolicyEntry",
-    "POLICY_REGISTRY",
-    "POLICY_SETS",
-    "POLICY_NAMES",
-    "FIGURE7_POLICIES",
-    "available_policies",
-    "make_policy",
-    "policy_label",
-    "policy_set",
-    "security_matrix",
-    "table2_rows",
-]
+__all__, __getattr__, __dir__ = lazy_namespace(__name__, {
+    "repro.policies.base": ("AuthPolicy", "GatingTerms",
+                            "SecurityProperties"),
+    "repro.policies.registry": ("PolicyEntry", "POLICY_REGISTRY",
+                                "POLICY_SETS", "POLICY_NAMES",
+                                "FIGURE7_POLICIES", "available_policies",
+                                "make_policy", "policy_label",
+                                "policy_set"),
+    "repro.policies.security": ("security_matrix", "table2_rows"),
+})

@@ -13,27 +13,15 @@ The gap between the two is the security window the authentication control
 points (:mod:`repro.policies`) manage.
 """
 
-from repro.secure.auth_queue import AuthQueue, NO_REQUEST
-from repro.secure.counter_cache import CounterCache
-from repro.secure.decryption import DecryptionEngine
-from repro.secure.engine import ProtectedFetch, SecureMemoryEngine
-from repro.secure.hash_tree import HashTreeTiming, MerkleTree
-from repro.secure.metadata import MetadataLayout
-from repro.secure.remap import AddressObfuscator, RemapTable
-from repro.secure.verifier import MacVerifier
+from repro._lazy import lazy_namespace
 
-__all__ = [
-    "AuthQueue",
-    "NO_REQUEST",
-    "CounterCache",
-    "DecryptionEngine",
-    "MacVerifier",
-    "MerkleTree",
-    "HashTreeTiming",
-    "MetadataLayout",
-    "RemapTable",
-    "AddressObfuscator",
-    "MetadataLayout",
-    "ProtectedFetch",
-    "SecureMemoryEngine",
-]
+__all__, __getattr__, __dir__ = lazy_namespace(__name__, {
+    "repro.secure.auth_queue": ("AuthQueue", "NO_REQUEST"),
+    "repro.secure.counter_cache": ("CounterCache",),
+    "repro.secure.decryption": ("DecryptionEngine",),
+    "repro.secure.verifier": ("MacVerifier",),
+    "repro.secure.hash_tree": ("MerkleTree", "HashTreeTiming"),
+    "repro.secure.metadata": ("MetadataLayout",),
+    "repro.secure.remap": ("RemapTable", "AddressObfuscator"),
+    "repro.secure.engine": ("ProtectedFetch", "SecureMemoryEngine"),
+})

@@ -10,16 +10,10 @@ machine, :mod:`repro.serve.http` is the stdlib HTTP skin, and
 runs produced.
 """
 
-from repro.serve.diff import diff_figures, load_series_dir, render_diff
-from repro.serve.http import make_server, serve_forever
-from repro.serve.service import RETRY_AFTER_SECONDS, FigureService
+from repro._lazy import lazy_namespace
 
-__all__ = [
-    "FigureService",
-    "RETRY_AFTER_SECONDS",
-    "diff_figures",
-    "load_series_dir",
-    "make_server",
-    "render_diff",
-    "serve_forever",
-]
+__all__, __getattr__, __dir__ = lazy_namespace(__name__, {
+    "repro.serve.service": ("FigureService", "RETRY_AFTER_SECONDS"),
+    "repro.serve.diff": ("diff_figures", "load_series_dir", "render_diff"),
+    "repro.serve.http": ("make_server", "serve_forever"),
+})

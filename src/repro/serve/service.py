@@ -36,6 +36,13 @@ import os
 import threading
 import time
 
+# The warm paths' imports.  A regeneration imports ``run_figures`` (and
+# with it every experiment driver and the simulator) when it starts, so
+# a server over a warm store never loads them.
+from repro.errors import ConfigError
+from repro.exec.job import build_jobs
+from repro.experiments import ARTIFACT_NAMES
+
 #: Hint clients how long to back off while a figure warms.  Regenerating
 #: a figure takes seconds-to-minutes; anything shorter just burns polls.
 RETRY_AFTER_SECONDS = 5
@@ -177,10 +184,9 @@ class FigureService:
 
     def list_figures(self):
         """``GET /figures``: every registered artifact and its state."""
-        from repro.experiments.figures import ARTIFACTS
         with self._lock:
             figures = [{"name": name, "state": self.figure_state(name)}
-                       for name in ARTIFACTS]
+                       for name in ARTIFACT_NAMES]
         self._count("figures", 200)
         return 200, {"kind": "figure-list", "figures": figures,
                      "out_dir": self.out_dir}, JSON_TYPE
@@ -194,11 +200,11 @@ class FigureService:
         after its artifact is on disk.  A parked failure is reported
         once (500) and cleared so the next request retries.
         """
-        from repro.experiments.figures import ARTIFACTS
-        if name not in ARTIFACTS:
+        if name not in ARTIFACT_NAMES:
             self._count("figure", 404)
-            return 404, {"error": "unknown figure %r (choose from %s)"
-                                  % (name, ", ".join(ARTIFACTS))}, JSON_TYPE
+            error = ("unknown figure %r (choose from %s)"
+                     % (name, ", ".join(ARTIFACT_NAMES)))
+            return 404, {"error": error}, JSON_TYPE
         if fmt not in ("json", "txt"):
             self._count("figure", 400)
             return 400, {"error": "unknown format %r (json or txt)"
@@ -249,8 +255,6 @@ class FigureService:
             self._count("sweep", 400)
             return 400, {"error": "sweep serving requires an artifact "
                                   "store (start with --store)"}, JSON_TYPE
-        from repro.errors import ConfigError
-        from repro.exec.job import build_jobs
         n = num_instructions or self.num_instructions
         warm = self.warmup if warmup is None else warmup
         try:
@@ -293,7 +297,6 @@ class FigureService:
 
     def health(self):
         """``GET /healthz``: liveness plus queue/warm state."""
-        from repro.experiments.figures import ARTIFACTS
         with self._lock:
             body = {
                 "status": "ok",
@@ -304,7 +307,7 @@ class FigureService:
                 "failed": sorted("/".join(str(part) for part in key[:2])
                                  for key in self._failed),
                 "regenerations": self.regenerations,
-                "warm_figures": [name for name in ARTIFACTS
+                "warm_figures": [name for name in ARTIFACT_NAMES
                                  if os.path.exists(
                                      self._artifact(name, "json"))],
                 "out_dir": self.out_dir,

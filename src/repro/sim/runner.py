@@ -3,10 +3,14 @@
 from contextlib import nullcontext
 
 from repro.config import SimConfig
-from repro.cpu.core import TimestampCore
-from repro.cpu.hierarchy import MemoryHierarchy
+# The kernel path.  Its functions are looked up on these modules at call
+# time, never bound at import: the benchmark harness wraps them to time
+# each layer.
+from repro.cpu import prepass as walks
+from repro.cpu import shared_kernel
 from repro.exec.cache import cached_trace
 from repro.policies.registry import make_policy
+from repro.sim import metrics
 from repro.util.rng import DeterministicRng
 from repro.util.statistics import StatGroup
 
@@ -20,6 +24,10 @@ def build_simulator(config=None, policy="decrypt-only", tracer=None):
     :class:`~repro.obs.tracer.Tracer`) is threaded through every layer;
     None keeps the zero-overhead disabled path.
     """
+    # The legacy timing model, imported only by the runs that take it.
+    from repro.cpu.core import TimestampCore
+    from repro.cpu.hierarchy import MemoryHierarchy
+
     config = config or SimConfig()
     if isinstance(policy, str):
         policy = make_policy(policy)
@@ -49,12 +57,6 @@ def evaluate_trace(trace, config, policies, warmup=0, tracer=None,
     (``"native"`` or ``"legacy"``); a policy runs when its result is
     requested.
     """
-    # Looked up at call time, never bound at import: the benchmark
-    # harness wraps these module attributes to time each layer.
-    from repro.cpu import prepass as walks
-    from repro.cpu import shared_kernel
-    from repro.sim import metrics
-
     policies = [make_policy(p) if isinstance(p, str) else p
                 for p in policies]
     path = "legacy" if tracer is not None and tracer.enabled else "native"

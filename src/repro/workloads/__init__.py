@@ -12,24 +12,12 @@ one :class:`PackedTrace`, seven int64 columns the generators pack once
 and every consumer reads.
 """
 
-from repro.workloads.spec import (
-    BenchmarkProfile,
-    SPEC2000_PROFILES,
-    fp_benchmarks,
-    get_profile,
-    int_benchmarks,
-)
-from repro.workloads.trace import Op, PackedTrace, Trace
-from repro.workloads.tracegen import generate_trace
+from repro._lazy import lazy_namespace
 
-__all__ = [
-    "Op",
-    "Trace",
-    "PackedTrace",
-    "BenchmarkProfile",
-    "SPEC2000_PROFILES",
-    "get_profile",
-    "int_benchmarks",
-    "fp_benchmarks",
-    "generate_trace",
-]
+__all__, __getattr__, __dir__ = lazy_namespace(__name__, {
+    "repro.workloads.trace": ("Op", "Trace", "PackedTrace"),
+    "repro.workloads.spec": ("BenchmarkProfile", "SPEC2000_PROFILES",
+                             "get_profile", "int_benchmarks",
+                             "fp_benchmarks"),
+    "repro.workloads.tracegen": ("generate_trace",),
+})

@@ -8,7 +8,7 @@ redirect penalty (standard practice for trace-driven models).
 import struct
 from array import array
 from collections import Counter
-from itertools import accumulate, chain, compress, islice
+from itertools import accumulate, chain, islice
 
 
 class Op:
@@ -41,8 +41,6 @@ NUM_REGS = 64
 
 #: Rows packed per :func:`struct.pack` call in :func:`_int64_array`.
 _PACK_ROWS = 4096
-
-_MEMORY_OPS = frozenset((Op.LOAD, Op.STORE))
 
 
 def _int64_array(values):
@@ -112,7 +110,10 @@ class PackedTrace:
         unless the row columns have equal lengths, ``src_off`` runs
         monotonically from 0 to ``len(src_val)``, ops are :class:`Op`
         codes, registers are in range and pcs and load/store addresses
-        are at least 0."""
+        are at least 0.  The values are checked in one C pass
+        (:func:`repro.cpu.native.trace_bounds`)."""
+        from repro.cpu import native  # loads ctypes: only when checking
+
         for name in self.COLUMNS:
             column = getattr(self, name)
             if not isinstance(column, array) or column.typecode != "q":
@@ -121,25 +122,25 @@ class PackedTrace:
         if any(len(getattr(self, name)) != rows
                for name in ("ops", "dests", "addrs", "mispredicts")):
             raise ValueError("the row columns differ in length")
-        offsets = self.src_off.tolist()
+        offsets = self.src_off
+        # The C pass reads rows + 1 offsets: it runs once they are there.
         if (len(offsets) != rows + 1 or offsets[0] != 0
                 or offsets[-1] != len(self.src_val)
-                or sorted(offsets) != offsets):
+                or not (bounds := native.trace_bounds(self))[
+                    "src_off_monotone"]):
             raise ValueError("src_off is not a monotone run of %d offsets "
                              "from 0 to len(src_val) = %d"
                              % (rows + 1, len(self.src_val)))
-        if self.pcs and min(self.pcs) < 0:
-            raise ValueError("pcs holds %d, below 0" % min(self.pcs))
+        if bounds["pcs_min"] < 0:
+            raise ValueError("pcs holds %d, below 0" % bounds["pcs_min"])
         for name, low, high in (("ops", 0, len(Op.NAMES)),
                                 ("dests", -1, NUM_REGS),
                                 ("src_val", 0, NUM_REGS)):
-            column = getattr(self, name)
-            if column and (min(column) < low or max(column) >= high):
+            least, most = bounds[name + "_min"], bounds[name + "_max"]
+            if getattr(self, name) and (least < low or most >= high):
                 raise ValueError("%s holds %d..%d, outside [%d, %d)"
-                                 % (name, min(column), max(column), low,
-                                    high))
-        if min(compress(self.addrs, map(_MEMORY_OPS.__contains__, self.ops)),
-               default=0) < 0:
+                                 % (name, least, most, low, high))
+        if bounds["memory_addr_min"] < 0:
             raise ValueError("a load or store has a negative address")
 
     def __len__(self):

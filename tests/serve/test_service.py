@@ -3,6 +3,8 @@
 import http.client
 import json
 import os
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
@@ -15,6 +17,7 @@ from repro.experiments.figures import ARTIFACTS, run_figures
 from repro.obs.metrics import MetricsRegistry
 from repro.serve import FigureService, make_server
 from repro.serve.service import JSON_TYPE, RETRY_AFTER_SECONDS, TEXT_TYPE
+from tests.repro_env import repro_env
 
 SCALE = dict(num_instructions=600, warmup=300)
 BENCHMARKS = ("gzip",)
@@ -380,3 +383,48 @@ class TestHttp:
         assert json.loads(body)["status"] == "ok"
         status, _, _ = _get(base, "/metricsz")
         assert status == 200
+
+
+#: A fresh interpreter serves /healthz and a warm /figure/fig8 over
+#: HTTP, then prints the status codes, whether the figure's body is the
+#: artifact's bytes, and every module it must not have loaded.
+_WARM_START = """
+import http.client, os, sys, threading
+from repro.exec.store import ArtifactStore
+from repro.obs import MetricsRegistry
+from repro.serve import FigureService, make_server
+
+out, store = sys.argv[1:]
+service = FigureService(out, store=ArtifactStore(store),
+                        metrics=MetricsRegistry())
+httpd = make_server(service)
+threading.Thread(target=httpd.serve_forever, daemon=True).start()
+conn = http.client.HTTPConnection(*httpd.server_address, timeout=30)
+answers = []
+for path in ("/healthz", "/figure/fig8"):
+    conn.request("GET", path)
+    response = conn.getresponse()
+    answers.append((response.status, response.read()))
+httpd.shutdown()
+service.close()
+with open(os.path.join(out, "fig8.json"), "rb") as handle:
+    print([status for status, _ in answers], answers[1][1] == handle.read())
+print(sorted(m for m in sys.modules
+             if m.startswith(("repro.experiments.", "repro.func",
+                              "repro.cpu.hierarchy", "repro.cpu.native"))))
+"""
+
+
+def test_a_warm_server_never_imports_the_simulator(tmp_path):
+    """Serving warm figures loads no experiment driver, no functional
+    machine, no legacy memory hierarchy and no kernel: only a
+    regeneration imports them."""
+    out = tmp_path / "out"
+    run_figures(["fig8"], str(out), benchmarks=BENCHMARKS, jobs=1,
+                emit_json=True, **SCALE)
+    proc = subprocess.run(
+        [sys.executable, "-c", _WARM_START, str(out),
+         str(tmp_path / "store")], capture_output=True, text=True,
+        timeout=120, env=repro_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[200, 200] True", "[]"]

@@ -300,14 +300,30 @@ class TestBrokenPipe:
         assert b"BrokenPipeError" not in proc.stderr
 
 
+#: Modules the CLI's import and ``repro sweep --help`` must not load:
+#: the kernel (and ctypes), and every package a sweep never runs.
+_NOT_AT_START = ("repro.cpu.native", "ctypes", "repro.func",
+                 "repro.exec.dist", "repro.serve", "repro.obs.report",
+                 "repro.crypto", "repro.experiments", "repro.cpu.hierarchy")
+
+_SWEEP_HELP = """import runpy
+sys.argv = ['repro', 'sweep', '--help']
+try:
+    runpy.run_module('repro', run_name='__main__')
+except SystemExit:
+    pass"""
+
+
 def test_importing_the_cli_loads_neither_the_kernel_nor_ctypes():
-    """``import repro, repro.cli`` stays cheap: the native kernel and
-    ``ctypes`` load on the first simulation, not on import."""
-    probe = ("import sys, repro, repro.cli; "
-             "print([m for m in ('repro.cpu.native', 'ctypes') "
-             "if m in sys.modules])")
-    proc = subprocess.run([sys.executable, "-c", probe],
-                          capture_output=True, text=True, timeout=60,
-                          env=repro_env())
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    """``import repro, repro.cli`` and ``repro sweep --help`` stay
+    cheap: the native kernel and ``ctypes`` load on the first
+    simulation, and no package a sweep does not run loads at all."""
+    for start in ("import repro, repro.cli", _SWEEP_HELP):
+        probe = ("import sys\n%s\n"
+                 "print([m for m in sys.modules if m.startswith(%r)])"
+                 % (start, _NOT_AT_START))
+        proc = subprocess.run([sys.executable, "-c", probe],
+                              capture_output=True, text=True, timeout=60,
+                              env=repro_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]", start

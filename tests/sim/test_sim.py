@@ -1,5 +1,7 @@
 """Simulation driver tests: runner, sweep, report, config."""
 
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
@@ -12,6 +14,7 @@ from repro.sim.report import render_table, series_rows
 from repro.sim.runner import build_simulator, run_benchmark, run_trace
 from repro.sim.sweep import PolicySweep, normalized_ipc_table, speedup_over
 from repro.workloads.trace import Op
+from tests.repro_env import repro_env
 from tests.traces import row, trace_from_rows
 
 
@@ -124,6 +127,24 @@ class TestEvaluationPath:
         assert traced.accounting["path"] == "legacy"
         assert plain.cycles == traced.cycles
         assert plain_metrics.as_dict() == traced_metrics.as_dict()
+
+    def test_only_the_traced_path_loads_the_legacy_model(self):
+        """An untraced run never imports the legacy memory hierarchy; a
+        traced one imports it and takes the legacy path."""
+        probe = (
+            "import sys\n"
+            "from repro.obs import MemorySink, Tracer\n"
+            "from repro.sim.runner import run_benchmark\n"
+            "def run(**kw):\n"
+            "    result = run_benchmark('gzip', 600, **kw)\n"
+            "    return (result.accounting['path'],\n"
+            "            'repro.cpu.hierarchy' in sys.modules)\n"
+            "print(run(), run(tracer=Tracer([MemorySink()])))\n")
+        proc = subprocess.run([sys.executable, "-c", probe],
+                              capture_output=True, text=True, timeout=120,
+                              env=repro_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "('native', False) ('legacy', True)"
 
     def test_required_kernel_never_falls_back(self, no_compiler):
         with pytest.raises(KernelUnavailableError, match="compile `false"):
