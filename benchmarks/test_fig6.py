@@ -8,6 +8,6 @@ from repro.experiments import fig6
 
 def test_fig6(benchmark):
     timelines = once(benchmark, lambda: fig6.run(compute_latency=30))
-    print("\n" + fig6.render(compute_latency=30))
+    print("\n" + fig6.emit(compute_latency=30)[0])
     assert (timelines["authen-then-fetch"].finish
             <= timelines["authen-then-issue"].finish)

@@ -16,7 +16,7 @@ from repro.experiments import fig6
 
 def main():
     compute = int(sys.argv[1]) if len(sys.argv) > 1 else 30
-    print(fig6.render(compute_latency=compute))
+    print(fig6.emit(compute_latency=compute)[0])
     print()
     print("Sweep of the compute latency between the two fetches:")
     print("%10s %22s %22s %10s" % ("compute", "issue finishes",

@@ -76,29 +76,21 @@ def _scale(args):
     return dict(num_instructions=args.instructions, warmup=warmup)
 
 
+#: The single-figure flags, each stored under its ``emit`` keyword.
+_FIGURE_OPTIONS = ("memory_fetch_latency", "empirical", "compute_latency",
+                   "ruu_entries")
+
+
 def _cmd_figure(args):
-    from repro.experiments import (fig6, fig7, fig8, fig9, fig10_11,
-                                   fig12_13, table1, table2, table3)
+    """Print one artifact: the text ``repro figures`` writes for it."""
+    from repro import experiments
 
     name = args.command
-    if name == "table1":
-        print(table1.render(memory_fetch_latency=args.memory_latency))
-    elif name == "table2":
-        print(table2.render(empirical=not args.static))
-    elif name == "table3":
-        print(table3.render())
-    elif name == "fig6":
-        print(fig6.render(compute_latency=args.compute_latency))
-    elif name == "fig7":
-        print(fig7.render(**_scale(args)))
-    elif name == "fig8":
-        print(fig8.render(**_scale(args)))
-    elif name == "fig9":
-        print(fig9.render(**_scale(args)))
-    elif name == "fig10":
-        print(fig10_11.render(args.ruu, **_scale(args)))
-    elif name == "fig12":
-        print(fig12_13.render(**_scale(args)))
+    kwargs = {key: getattr(args, key) for key in _FIGURE_OPTIONS
+              if hasattr(args, key)}
+    if name not in experiments.ANALYTIC:
+        kwargs.update(_scale(args))
+    print(getattr(experiments, experiments.DRIVERS[name]).emit(**kwargs)[0])
     return 0
 
 
@@ -163,6 +155,24 @@ def _add_store(parser):
                              "~/.cache/repro/store)")
 
 
+def _add_metrics_out(parser):
+    parser.add_argument("--metrics-out", metavar="FILE",
+                        help="write the fleet-telemetry snapshot (JSON, "
+                             "or Prometheus text for .prom/.txt)")
+
+
+def _add_failure_policy(parser, on_error_help, default="fail"):
+    """``--timeout/--retries/--on-error``, read by :func:`_failure_policy`."""
+    parser.add_argument("--timeout", type=float, default=None,
+                        metavar="SECS",
+                        help="per-attempt wall-clock budget for one job")
+    parser.add_argument("--retries", type=int, default=0, metavar="N",
+                        help="re-run a failed/timed-out job up to N more "
+                             "times (with backoff) before giving up")
+    parser.add_argument("--on-error", choices=("fail", "skip", "retry"),
+                        default=default, help=on_error_help)
+
+
 def _add_spool(parser):
     parser.add_argument("--spool", metavar="DIR", default=None,
                         help="execute through the multi-host "
@@ -185,19 +195,32 @@ def _dist_executor(args):
     return DistExecutor(spool)
 
 
+def _add_sim_config(parser):
+    parser.add_argument("--l2", type=int, default=256,
+                        help="L2 size in KB")
+    parser.add_argument("--hash-tree", action="store_true")
+
+
+def _sim_config(args):
+    """The SimConfig the ``--l2``/``--hash-tree`` flags describe."""
+    from repro.config import SimConfig
+
+    config = SimConfig().with_l2_size(args.l2 * 1024)
+    if args.hash_tree:
+        config = config.with_secure(hash_tree_enabled=True)
+    return config
+
+
 def _cmd_run(args):
     import time
 
-    from repro.config import SimConfig
     from repro.exec import (MultiPolicySimJob, ParallelExecutor,
                             SerialExecutor, execute_job)
     from repro.obs import (ChromeTraceSink, JobMetrics, PhaseProfiler,
                            Tracer, build_run_manifest,
                            build_run_set_manifest, write_json)
 
-    config = SimConfig().with_l2_size(args.l2 * 1024)
-    if args.hash_tree:
-        config = config.with_secure(hash_tree_enabled=True)
+    config = _sim_config(args)
     policies = list(dict.fromkeys(args.policy or _DEFAULT_POLICIES))
     scale = _scale(args)
     profiler = PhaseProfiler()
@@ -304,16 +327,13 @@ def _failure_policy(args):
 def _cmd_sweep(args):
     import time
 
-    from repro.config import SimConfig
     from repro.exec import make_executor
     from repro.obs import PhaseProfiler, build_sweep_manifest, write_json
     from repro.sim.checkpoint import JobJournal
     from repro.sim.report import failure_footer, render_table, series_rows
     from repro.sim.sweep import BASELINE, PolicySweep, normalized_ipc_table
 
-    config = SimConfig().with_l2_size(args.l2 * 1024)
-    if args.hash_tree:
-        config = config.with_secure(hash_tree_enabled=True)
+    config = _sim_config(args)
     policies = args.policy or list(_DEFAULT_POLICIES)
     scale = _scale(args)
     profiler = PhaseProfiler()
@@ -731,22 +751,25 @@ def build_parser():
         p = sub.add_parser(name, help="regenerate %s" % name)
         _add_scale(p)
         if name == "table1":
-            p.add_argument("--memory-latency", type=int, default=200)
+            p.add_argument("--memory-latency", type=int, default=200,
+                           dest="memory_fetch_latency",
+                           metavar="MEMORY_LATENCY")
         if name == "table2":
-            p.add_argument("--static", action="store_true",
+            p.add_argument("--static", action="store_false",
+                           dest="empirical",
                            help="skip the empirical attack runs")
         if name == "fig6":
             p.add_argument("--compute-latency", type=int, default=30)
         if name == "fig10":
-            p.add_argument("--ruu", type=int, default=64)
+            p.add_argument("--ruu", type=int, default=64,
+                           dest="ruu_entries", metavar="RUU")
         p.set_defaults(func=_cmd_figure)
 
     p = sub.add_parser("run", help="simulate one benchmark")
     p.add_argument("benchmark", choices=sorted(SPEC2000_PROFILES))
     p.add_argument("-p", "--policy", action="append",
                    choices=available_policies())
-    p.add_argument("--l2", type=int, default=256, help="L2 size in KB")
-    p.add_argument("--hash-tree", action="store_true")
+    _add_sim_config(p)
     p.add_argument("--trace-out", metavar="FILE",
                    help="record a Chrome trace-event JSON (Perfetto)")
     p.add_argument("--emit-json", metavar="FILE",
@@ -754,9 +777,7 @@ def build_parser():
                         "timings, full stats snapshot)")
     p.add_argument("-j", "--jobs", type=int, default=1,
                    help="worker processes (default 1: serial backend)")
-    p.add_argument("--metrics-out", metavar="FILE",
-                   help="write the fleet-telemetry snapshot (JSON, or "
-                        "Prometheus text for .prom/.txt)")
+    _add_metrics_out(p)
     _add_store(p)
     _add_spool(p)
     _add_scale(p)
@@ -774,8 +795,7 @@ def build_parser():
                         "results are bit-identical either way)")
     p.add_argument("--seed", type=int, default=None,
                    help="trace-generation seed (default: config seed)")
-    p.add_argument("--l2", type=int, default=256, help="L2 size in KB")
-    p.add_argument("--hash-tree", action="store_true")
+    _add_sim_config(p)
     p.add_argument("--no-baseline", action="store_true",
                    help="do not inject the decrypt-only baseline")
     p.add_argument("--checkpoint", metavar="FILE",
@@ -790,19 +810,10 @@ def build_parser():
                    help="live progress on stderr: a rewriting status "
                         "line (done/total, ETA, retries, cache hit "
                         "rate) on a TTY, per-job lines otherwise")
-    p.add_argument("--metrics-out", metavar="FILE",
-                   help="write the fleet-telemetry snapshot (JSON, or "
-                        "Prometheus text for .prom/.txt)")
-    p.add_argument("--timeout", type=float, default=None, metavar="SECS",
-                   help="per-attempt wall-clock budget for one job")
-    p.add_argument("--retries", type=int, default=0, metavar="N",
-                   help="re-run a failed/timed-out job up to N more "
-                        "times (with backoff) before giving up")
-    p.add_argument("--on-error", choices=("fail", "skip", "retry"),
-                   default="fail",
-                   help="terminal-failure policy: abort the sweep "
-                        "(fail, default), skip the job and report it "
-                        "(skip), or retry then skip (retry)")
+    _add_metrics_out(p)
+    _add_failure_policy(p, "terminal-failure policy: abort the sweep "
+                           "(fail, default), skip the job and report it "
+                           "(skip), or retry then skip (retry)")
     p.add_argument("--compact", action="store_true",
                    help="before running, rewrite --checkpoint keeping "
                         "only records for this sweep's job grid")
@@ -828,19 +839,10 @@ def build_parser():
                    help="worker processes shared by every figure "
                         "(default 1: serial backend; artifacts are "
                         "byte-identical either way)")
-    p.add_argument("--timeout", type=float, default=None, metavar="SECS",
-                   help="per-attempt wall-clock budget for one job")
-    p.add_argument("--retries", type=int, default=0, metavar="N",
-                   help="re-run a failed/timed-out job up to N more "
-                        "times (with backoff) before giving up")
-    p.add_argument("--on-error", choices=("fail", "skip", "retry"),
-                   default="fail",
-                   help="terminal-failure policy: abort (fail, "
-                        "default), skip the job and render -- cells "
-                        "(skip), or retry then skip (retry)")
-    p.add_argument("--metrics-out", metavar="FILE",
-                   help="write the fleet-telemetry snapshot (JSON, or "
-                        "Prometheus text for .prom/.txt)")
+    _add_failure_policy(p, "terminal-failure policy: abort (fail, "
+                           "default), skip the job and render -- cells "
+                           "(skip), or retry then skip (retry)")
+    _add_metrics_out(p)
     p.add_argument("--emit-json", action="store_true",
                    help="also write each artifact's machine-readable "
                         "figure-series twin to <name>.json (the format "
@@ -867,16 +869,9 @@ def build_parser():
     p.add_argument("--warm", metavar="CSV", default=None,
                    help="regenerate these figures synchronously before "
                         "binding (e.g. fig8,table1)")
-    p.add_argument("--timeout", type=float, default=None, metavar="SECS",
-                   help="per-attempt wall-clock budget for one job")
-    p.add_argument("--retries", type=int, default=0, metavar="N",
-                   help="re-run a failed/timed-out job up to N more "
-                        "times (with backoff) before giving up")
-    p.add_argument("--on-error", choices=("fail", "skip", "retry"),
-                   default="skip",
-                   help="terminal-failure policy for regenerations "
-                        "(default skip: a bad cell renders -- instead "
-                        "of wedging the server)")
+    _add_failure_policy(p, "terminal-failure policy for regenerations "
+                           "(default skip: a bad cell renders -- instead "
+                           "of wedging the server)", default="skip")
     p.add_argument("--quiet", action="store_true",
                    help="suppress per-request/regeneration log lines")
     _add_store(p)

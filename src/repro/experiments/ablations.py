@@ -13,9 +13,9 @@ Not figures from the paper -- these probe the knobs the paper fixes:
   gated schemes -- it should cost nearly nothing and protect nothing.
 
 Every grid accepts ``executor=`` (one backend, and therefore one warm
-worker pool, shared across its configurations) and ``failure_policy=``
-(a :class:`~repro.exec.retry.FailurePolicy`); a grid point whose jobs
-all failed under a skipping policy reports None and renders as ``--``.
+worker pool, shared across its configurations); a grid point whose jobs
+all failed under a skipping failure policy reports None and renders as
+``--``.
 """
 
 from repro.config import SimConfig
@@ -26,27 +26,25 @@ DEFAULT_BENCHMARKS = ("mcf", "twolf", "swim", "mgrid", "ammp", "gcc")
 
 
 def _sweep(benchmarks, policies, config, num_instructions, warmup,
-           executor, include_baseline=True, failure_policy=None):
+           executor, include_baseline=True):
     """One grid point through the shared executor."""
     return PolicySweep(list(benchmarks), list(policies), config=config,
                        num_instructions=num_instructions,
                        warmup=warmup).run(include_baseline=include_baseline,
-                                          executor=executor,
-                                          failure_policy=failure_policy)
+                                          executor=executor)
 
 
 def _average(config, policy, benchmarks, num_instructions, warmup,
-             executor=None, failure_policy=None):
+             executor=None):
     sweep = _sweep(benchmarks, [policy], config, num_instructions,
-                   warmup, executor, failure_policy=failure_policy)
+                   warmup, executor)
     return sweep.average_normalized(policy)
 
 
 def mac_latency_sweep(latencies=(20, 74, 150, 300),
                       policy="authen-then-commit",
                       benchmarks=DEFAULT_BENCHMARKS,
-                      num_instructions=8000, warmup=8000, executor=None,
-                      failure_policy=None):
+                      num_instructions=8000, warmup=8000, executor=None):
     """Normalized IPC of ``policy`` as the MAC latency grows.
 
     Every grid function here shares one executor (and therefore one
@@ -59,45 +57,40 @@ def mac_latency_sweep(latencies=(20, 74, 150, 300),
         for latency in latencies:
             config = SimConfig().with_secure(hmac_latency=latency)
             out[latency] = _average(config, policy, benchmarks,
-                                    num_instructions, warmup, executor=ex,
-                                    failure_policy=failure_policy)
+                                    num_instructions, warmup, executor=ex)
     return out
 
 
 def queue_depth_sweep(depths=(2, 4, 16, 64),
                       policy="authen-then-commit",
                       benchmarks=DEFAULT_BENCHMARKS,
-                      num_instructions=8000, warmup=8000, executor=None,
-                      failure_policy=None):
+                      num_instructions=8000, warmup=8000, executor=None):
     """Normalized IPC vs authentication-queue depth (backpressure)."""
     out = {}
     with executor_scope(executor) as ex:
         for depth in depths:
             config = SimConfig().with_secure(auth_queue_depth=depth)
             out[depth] = _average(config, policy, benchmarks,
-                                  num_instructions, warmup, executor=ex,
-                                  failure_policy=failure_policy)
+                                  num_instructions, warmup, executor=ex)
     return out
 
 
 def store_buffer_sweep(entries=(2, 8, 32),
                        benchmarks=DEFAULT_BENCHMARKS,
-                       num_instructions=8000, warmup=8000, executor=None,
-                       failure_policy=None):
+                       num_instructions=8000, warmup=8000, executor=None):
     """authen-then-write vs the unverified-store buffer size."""
     out = {}
     with executor_scope(executor) as ex:
         for count in entries:
             config = SimConfig().with_secure(store_buffer_entries=count)
             out[count] = _average(config, "authen-then-write", benchmarks,
-                                  num_instructions, warmup, executor=ex,
-                                  failure_policy=failure_policy)
+                                  num_instructions, warmup, executor=ex)
     return out
 
 
 def fetch_variant_comparison(benchmarks=DEFAULT_BENCHMARKS,
                              num_instructions=8000, warmup=8000,
-                             executor=None, failure_policy=None):
+                             executor=None):
     """Tag vs drain vs precise variants of authen-then-fetch.
 
     A noteworthy (and initially counter-intuitive) finding: the
@@ -114,8 +107,7 @@ def fetch_variant_comparison(benchmarks=DEFAULT_BENCHMARKS,
     sweep = _sweep(benchmarks,
                    ["authen-then-fetch", "authen-then-fetch-drain",
                     "authen-then-fetch-precise"],
-                   None, num_instructions, warmup, executor,
-                   failure_policy=failure_policy)
+                   None, num_instructions, warmup, executor)
     return {
         "tag": sweep.average_normalized("authen-then-fetch"),
         "drain": sweep.average_normalized("authen-then-fetch-drain"),
@@ -128,7 +120,7 @@ def encryption_mode_comparison(benchmarks=DEFAULT_BENCHMARKS,
                                          "authen-then-issue",
                                          "authen-then-commit"),
                                num_instructions=8000, warmup=8000,
-                               executor=None, failure_policy=None):
+                               executor=None):
     """Counter mode + HMAC vs CBC + CBC-MAC (Table 1, as performance).
 
     Returns ``{mode: {policy: avg IPC}}`` (absolute IPC, shared traces).
@@ -144,8 +136,7 @@ def encryption_mode_comparison(benchmarks=DEFAULT_BENCHMARKS,
             config = SimConfig().with_secure(encryption_mode=mode)
             sweep = _sweep(benchmarks, policies, config,
                            num_instructions, warmup, ex,
-                           include_baseline=False,
-                           failure_policy=failure_policy)
+                           include_baseline=False)
             out[mode] = {
                 policy: sum(sweep.ipc(b, policy) for b in benchmarks)
                 / len(benchmarks)
@@ -159,7 +150,7 @@ def mac_scheme_comparison(benchmarks=DEFAULT_BENCHMARKS,
                                     "authen-then-commit",
                                     "commit+fetch"),
                           num_instructions=8000, warmup=8000,
-                          executor=None, failure_policy=None):
+                          executor=None):
     """HMAC vs GMAC verification (the direction later work took).
 
     A Galois MAC closes the decrypt-to-verify gap to a few cycles, which
@@ -171,8 +162,7 @@ def mac_scheme_comparison(benchmarks=DEFAULT_BENCHMARKS,
         for scheme in ("hmac", "gmac"):
             config = SimConfig().with_secure(mac_scheme=scheme)
             sweep = _sweep(benchmarks, policies, config,
-                           num_instructions, warmup, ex,
-                           failure_policy=failure_policy)
+                           num_instructions, warmup, ex)
             out[scheme] = {p: sweep.average_normalized(p)
                            for p in policies}
     return out
@@ -182,8 +172,7 @@ def prefetch_sweep(degrees=(0, 2, 4),
                    policies=("decrypt-only", "authen-then-issue",
                              "authen-then-commit"),
                    benchmarks=("swim", "mgrid", "applu"),
-                   num_instructions=8000, warmup=8000, executor=None,
-                   failure_policy=None):
+                   num_instructions=8000, warmup=8000, executor=None):
     """Stream prefetching vs the authentication gap.
 
     Prefetched lines start verification the moment they arrive, usually
@@ -200,8 +189,7 @@ def prefetch_sweep(degrees=(0, 2, 4),
                                          prefetch_degree=degree)
             sweep = _sweep(benchmarks, policies, config,
                            num_instructions, warmup, ex,
-                           include_baseline=False,
-                           failure_policy=failure_policy)
+                           include_baseline=False)
             out[degree] = {
                 policy: sum(sweep.ipc(b, policy) for b in benchmarks)
                 / len(benchmarks)
@@ -213,7 +201,7 @@ def prefetch_sweep(degrees=(0, 2, 4),
 def split_counter_comparison(benchmarks=DEFAULT_BENCHMARKS,
                              policy="authen-then-commit",
                              num_instructions=8000, warmup=8000,
-                             executor=None, failure_policy=None):
+                             executor=None):
     """Monolithic vs split (major/minor) counters, with prediction off so
     the counter-cache coverage difference is visible.
 
@@ -228,8 +216,7 @@ def split_counter_comparison(benchmarks=DEFAULT_BENCHMARKS,
                                              counter_prediction_rate=0.0)
             sweep = _sweep(benchmarks, [policy], config,
                            num_instructions, warmup, ex,
-                           include_baseline=False,
-                           failure_policy=failure_policy)
+                           include_baseline=False)
             out["split" if split else "monolithic"] = sum(
                 sweep.ipc(b, policy) for b in benchmarks) \
                 / len(benchmarks)
@@ -237,12 +224,10 @@ def split_counter_comparison(benchmarks=DEFAULT_BENCHMARKS,
 
 
 def lazy_comparison(benchmarks=DEFAULT_BENCHMARKS,
-                    num_instructions=8000, warmup=8000, executor=None,
-                    failure_policy=None):
+                    num_instructions=8000, warmup=8000, executor=None):
     """Lazy authentication vs commit gating (performance side of [25])."""
     sweep = _sweep(benchmarks, ["lazy", "authen-then-commit"], None,
-                   num_instructions, warmup, executor,
-                   failure_policy=failure_policy)
+                   num_instructions, warmup, executor)
     return {
         "lazy": sweep.average_normalized("lazy"),
         "authen-then-commit": sweep.average_normalized(
@@ -250,73 +235,44 @@ def lazy_comparison(benchmarks=DEFAULT_BENCHMARKS,
     }
 
 
-def to_series(mac, depth, lazy, benchmarks=DEFAULT_BENCHMARKS):
-    """Machine-readable twin of the three rendered grids."""
-    from repro.obs.export import (build_figure_series, series_panel)
-    title = ("Ablations -- normalized IPC of authen-then-commit "
-             "(averaged over %s)" % ", ".join(benchmarks))
-
-    def grid_series(grid):
-        return [{"name": "normalized ipc",
-                 "points": [{"x": key, "y": grid[key]}
-                            for key in sorted(grid)]}]
-
-    return build_figure_series(
-        "ablations", title,
-        [series_panel("mac-latency", "MAC latency sweep",
-                      grid_series(mac), x_label="hmac_latency"),
-         series_panel("queue-depth", "Authentication-queue depth sweep",
-                      grid_series(depth), x_label="queue_depth"),
-         series_panel("lazy", "Lazy authentication vs commit gating",
-                      grid_series(lazy), x_label="policy")])
-
-
-def emit(num_instructions=8000, warmup=8000,
-         benchmarks=DEFAULT_BENCHMARKS, executor=None,
-         failure_policy=None):
+def emit(*, executor=None, num_instructions=8000, warmup=8000,
+         benchmarks=None):
     """Both artifact forms for ``repro figures``: ``(text, series)``.
 
     Covers the three grids DESIGN.md leans on most -- MAC latency,
     authentication-queue depth and the lazy-vs-gated comparison -- under
-    one shared executor.  The exhaustive grids remain importable
+    one shared executor, over ``benchmarks`` (default
+    :data:`DEFAULT_BENCHMARKS`).  The exhaustive grids remain importable
     functions; this keeps the regenerated artifact bounded.
     """
+    from repro.obs.export import build_figure_series, series_panel
     from repro.sim.report import render_table
 
+    if benchmarks is None:
+        benchmarks = DEFAULT_BENCHMARKS
+    scale = dict(benchmarks=benchmarks, num_instructions=num_instructions,
+                 warmup=warmup)
     with executor_scope(executor) as ex:
-        mac = mac_latency_sweep(benchmarks=benchmarks,
-                                num_instructions=num_instructions,
-                                warmup=warmup, executor=ex,
-                                failure_policy=failure_policy)
-        depth = queue_depth_sweep(benchmarks=benchmarks,
-                                  num_instructions=num_instructions,
-                                  warmup=warmup, executor=ex,
-                                  failure_policy=failure_policy)
-        lazy = lazy_comparison(benchmarks=benchmarks,
-                               num_instructions=num_instructions,
-                               warmup=warmup, executor=ex,
-                               failure_policy=failure_policy)
-    out = [
-        "Ablations -- normalized IPC of authen-then-commit "
-        "(averaged over %s)" % ", ".join(benchmarks),
-        "",
-        "MAC latency sweep:",
-        render_table(["hmac_latency", "normalized ipc"],
-                     [[latency, mac[latency]] for latency in sorted(mac)]),
-        "",
-        "Authentication-queue depth sweep:",
-        render_table(["queue_depth", "normalized ipc"],
-                     [[d, depth[d]] for d in sorted(depth)]),
-        "",
-        "Lazy authentication vs commit gating:",
-        render_table(["policy", "normalized ipc"],
-                     [[name, lazy[name]] for name in sorted(lazy)]),
-    ]
-    return "\n".join(out), to_series(mac, depth, lazy, benchmarks)
-
-
-def render(num_instructions=8000, warmup=8000,
-           benchmarks=DEFAULT_BENCHMARKS, executor=None,
-           failure_policy=None):
-    return emit(num_instructions, warmup, benchmarks=benchmarks,
-                executor=executor, failure_policy=failure_policy)[0]
+        grids = [
+            ("mac-latency", "MAC latency sweep", "hmac_latency",
+             mac_latency_sweep(executor=ex, **scale)),
+            ("queue-depth", "Authentication-queue depth sweep",
+             "queue_depth", queue_depth_sweep(executor=ex, **scale)),
+            ("lazy", "Lazy authentication vs commit gating", "policy",
+             lazy_comparison(executor=ex, **scale)),
+        ]
+    title = ("Ablations -- normalized IPC of authen-then-commit "
+             "(averaged over %s)" % ", ".join(benchmarks))
+    out = [title]
+    panels = []
+    for name, grid_title, x_label, grid in grids:
+        out += ["", grid_title + ":",
+                render_table([x_label, "normalized ipc"],
+                             [[key, grid[key]] for key in sorted(grid)])]
+        panels.append(series_panel(
+            name, grid_title,
+            [{"name": "normalized ipc",
+              "points": [{"x": key, "y": grid[key]}
+                         for key in sorted(grid)]}],
+            x_label=x_label))
+    return "\n".join(out), build_figure_series("ablations", title, panels)

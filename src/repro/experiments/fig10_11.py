@@ -5,13 +5,14 @@ Figure 11: speedup of authen-then-commit and commit+fetch over
 authen-then-issue with the 64-entry RUU.  The paper finds the same
 performance ranking as with 128 entries.
 
-Both figures come from one sweep, so ``executor=``/``failure_policy=``
-thread straight through to it; failed cells render as ``--``.
+Both figures come from one sweep, so ``executor=`` threads straight
+through to it; under a skipping failure policy, failed cells render as
+``--``.
 """
 
 from repro.config import SimConfig
 from repro.policies.registry import policy_set
-from repro.sim.report import render_table, series_rows
+from repro.sim.report import render_panels
 from repro.sim.sweep import PolicySweep, normalized_ipc_table, speedup_over
 from repro.workloads.spec import fp_benchmarks, int_benchmarks
 
@@ -19,15 +20,13 @@ FIG10_POLICIES = policy_set("figure10")
 
 
 def run(ruu_entries=64, num_instructions=12_000, warmup=12_000,
-        l2_bytes=256 * 1024, benchmarks=None, executor=None,
-        failure_policy=None):
+        l2_bytes=256 * 1024, benchmarks=None, executor=None):
     if benchmarks is None:
         benchmarks = int_benchmarks() + fp_benchmarks()
     config = SimConfig().with_l2_size(l2_bytes).with_ruu(ruu_entries)
     sweep = PolicySweep(benchmarks, list(FIG10_POLICIES), config=config,
                         num_instructions=num_instructions,
-                        warmup=warmup).run(executor=executor,
-                                           failure_policy=failure_policy)
+                        warmup=warmup).run(executor=executor)
     fig10 = normalized_ipc_table(sweep, list(FIG10_POLICIES))
     fig11 = speedup_over(sweep, "authen-then-issue",
                          ["authen-then-commit", "commit+fetch"])
@@ -38,49 +37,17 @@ FIG11_POLICIES = ("authen-then-commit", "commit+fetch")
 TITLE = "Figures 10 and 11 -- RUU-size sensitivity"
 
 
-def to_series(fig10, fig11, ruu_entries=64):
-    """Machine-readable twin of the two rendered tables."""
-    from repro.obs.export import (build_figure_series, series_from_rows,
-                                  series_panel)
-    return build_figure_series(
-        "fig10", TITLE,
-        [series_panel("fig10",
-                      "Figure 10 -- normalized IPC, %d-entry RUU "
-                      "(256KB L2)" % ruu_entries,
-                      series_from_rows(fig10, list(FIG10_POLICIES))),
-         series_panel("fig11",
-                      "Figure 11 -- speedup over authen-then-issue, "
-                      "%d-entry RUU" % ruu_entries,
-                      series_from_rows(fig11, list(FIG11_POLICIES)))])
-
-
-def emit(ruu_entries=64, num_instructions=12_000, warmup=12_000,
-         benchmarks=None, executor=None, failure_policy=None):
+def emit(*, executor=None, num_instructions=12_000, warmup=12_000,
+         benchmarks=None, ruu_entries=64):
     """One workload run, both artifact forms: ``(text, series)``."""
     _, fig10, fig11 = run(ruu_entries, num_instructions, warmup,
-                          benchmarks=benchmarks, executor=executor,
-                          failure_policy=failure_policy)
-    out = [
-        "Figure 10 -- normalized IPC, %d-entry RUU (256KB L2)" % ruu_entries,
-        render_table(["benchmark"] + list(FIG10_POLICIES),
-                     series_rows(fig10, list(FIG10_POLICIES))),
-        "",
-        "Figure 11 -- speedup over authen-then-issue, %d-entry RUU"
-        % ruu_entries,
-        render_table(
-            ["benchmark"] + list(FIG11_POLICIES),
-            series_rows(fig11, list(FIG11_POLICIES)),
-        ),
-    ]
-    return "\n".join(out), to_series(fig10, fig11, ruu_entries)
-
-
-def render(ruu_entries=64, num_instructions=12_000, warmup=12_000,
-           benchmarks=None, executor=None, failure_policy=None):
-    return emit(ruu_entries, num_instructions, warmup,
-                benchmarks=benchmarks, executor=executor,
-                failure_policy=failure_policy)[0]
+                          benchmarks=benchmarks, executor=executor)
+    return render_panels("fig10", TITLE, [
+        ("fig10", "Figure 10 -- normalized IPC, %d-entry RUU (256KB L2)"
+         % ruu_entries, fig10, FIG10_POLICIES),
+        ("fig11", "Figure 11 -- speedup over authen-then-issue, "
+                  "%d-entry RUU" % ruu_entries, fig11, FIG11_POLICIES)])
 
 
 if __name__ == "__main__":
-    print(render())
+    print(emit()[0])

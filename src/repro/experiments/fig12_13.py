@@ -7,13 +7,14 @@ between authen-then-write / commit / fetch compress -- while the ranking
 stays the same.  Figure 13: speedup of commit and commit+fetch over
 authen-then-issue under the tree.
 
-Both figures come from one sweep, so ``executor=``/``failure_policy=``
-thread straight through to it; failed cells render as ``--``.
+Both figures come from one sweep, so ``executor=`` threads straight
+through to it; under a skipping failure policy, failed cells render as
+``--``.
 """
 
 from repro.config import SimConfig
 from repro.policies.registry import policy_set
-from repro.sim.report import render_table, series_rows
+from repro.sim.report import render_panels
 from repro.sim.sweep import PolicySweep, normalized_ipc_table, speedup_over
 from repro.workloads.spec import fp_benchmarks, int_benchmarks
 
@@ -21,8 +22,7 @@ FIG12_POLICIES = policy_set("figure12")
 
 
 def run(num_instructions=12_000, warmup=12_000, l2_bytes=256 * 1024,
-        tree_cache_bytes=8 * 1024, benchmarks=None, executor=None,
-        failure_policy=None):
+        tree_cache_bytes=8 * 1024, benchmarks=None, executor=None):
     if benchmarks is None:
         benchmarks = int_benchmarks() + fp_benchmarks()
     config = (SimConfig().with_l2_size(l2_bytes)
@@ -30,8 +30,7 @@ def run(num_instructions=12_000, warmup=12_000, l2_bytes=256 * 1024,
                            hash_tree_cache_bytes=tree_cache_bytes))
     sweep = PolicySweep(benchmarks, list(FIG12_POLICIES), config=config,
                         num_instructions=num_instructions,
-                        warmup=warmup).run(executor=executor,
-                                           failure_policy=failure_policy)
+                        warmup=warmup).run(executor=executor)
     fig12 = normalized_ipc_table(sweep, list(FIG12_POLICIES))
     fig13 = speedup_over(sweep, "authen-then-issue",
                          ["authen-then-commit", "commit+fetch"])
@@ -46,44 +45,15 @@ FIG12_TITLE = ("Figure 12 -- normalized IPC under CHTree hash-tree "
 FIG13_TITLE = "Figure 13 -- speedup over authen-then-issue, hash tree"
 
 
-def to_series(fig12, fig13):
-    """Machine-readable twin of the two rendered tables."""
-    from repro.obs.export import (build_figure_series, series_from_rows,
-                                  series_panel)
-    return build_figure_series(
-        "fig12", TITLE,
-        [series_panel("fig12", FIG12_TITLE,
-                      series_from_rows(fig12, list(FIG12_POLICIES))),
-         series_panel("fig13", FIG13_TITLE,
-                      series_from_rows(fig13, list(FIG13_POLICIES)))])
-
-
-def emit(num_instructions=12_000, warmup=12_000, benchmarks=None,
-         executor=None, failure_policy=None):
+def emit(*, executor=None, num_instructions=12_000, warmup=12_000,
+         benchmarks=None):
     """One workload run, both artifact forms: ``(text, series)``."""
     _, fig12, fig13 = run(num_instructions, warmup,
-                          benchmarks=benchmarks, executor=executor,
-                          failure_policy=failure_policy)
-    out = [
-        "Figure 12 -- normalized IPC under CHTree hash-tree authentication"
-        " (256KB L2, 8KB tree cache; baseline: decryption only)",
-        render_table(["benchmark"] + list(FIG12_POLICIES),
-                     series_rows(fig12, list(FIG12_POLICIES))),
-        "",
-        FIG13_TITLE,
-        render_table(
-            ["benchmark"] + list(FIG13_POLICIES),
-            series_rows(fig13, list(FIG13_POLICIES)),
-        ),
-    ]
-    return "\n".join(out), to_series(fig12, fig13)
-
-
-def render(num_instructions=12_000, warmup=12_000, benchmarks=None,
-           executor=None, failure_policy=None):
-    return emit(num_instructions, warmup, benchmarks=benchmarks,
-                executor=executor, failure_policy=failure_policy)[0]
+                          benchmarks=benchmarks, executor=executor)
+    return render_panels("fig12", TITLE, [
+        ("fig12", FIG12_TITLE, fig12, FIG12_POLICIES),
+        ("fig13", FIG13_TITLE, fig13, FIG13_POLICIES)])
 
 
 if __name__ == "__main__":
-    print(render())
+    print(emit()[0])

@@ -77,44 +77,20 @@ MILESTONES = ("fetch1_issue", "data1", "verify1", "fetch2_issue",
               "data2", "verify2")
 
 
-def to_series(timelines, compute_latency=30):
-    """Machine-readable twin of the timeline render.
-
-    One series per scheme, one point per milestone (cycle numbers),
-    plus the headline cycle advantage in ``extra``.
-    """
-    from repro.obs.export import build_figure_series, series_panel
-    title = ("Figure 6 -- two dependent external fetches "
-             "(compute latency between them: %d cycles)"
-             % compute_latency)
-    series = [
-        {"name": scheme,
-         "points": [{"x": milestone,
-                     "y": getattr(timelines[scheme], milestone)}
-                    for milestone in MILESTONES]}
-        for scheme in ("authen-then-issue", "authen-then-fetch")
-    ]
-    advantage = (timelines["authen-then-issue"].finish
-                 - timelines["authen-then-fetch"].finish)
-    return build_figure_series(
-        "fig6", title,
-        [series_panel("fig6", title, series, x_label="milestone")],
-        extra={"advantage_cycles": advantage,
-               "compute_latency": compute_latency})
-
-
-def emit(compute_latency=30, config=None, executor=None,
-         failure_policy=None):
+def emit(compute_latency=30, config=None):
     """Both artifact forms of the Figure 6 timeline: ``(text, series)``.
 
-    ``executor``/``failure_policy`` are accepted for interface
-    uniformity with the sweep-backed figures (``repro figures`` passes
-    them to every artifact) but unused: this figure is two analytic
-    engine timelines, not simulation jobs.
+    The series has one series per scheme, one point per milestone
+    (cycle numbers), plus the headline cycle advantage in ``extra``.
     """
+    from repro.obs.export import build_figure_series, series_panel
     timelines = run(compute_latency, config)
-    lines = ["Figure 6 -- two dependent external fetches "
-             "(compute latency between them: %d cycles)" % compute_latency]
+    title = ("Figure 6 -- two dependent external fetches "
+             "(compute latency between them: %d cycles)" % compute_latency)
+    advantage = (timelines["authen-then-issue"].finish
+                 - timelines["authen-then-fetch"].finish)
+    lines = [title]
+    series = []
     for scheme in ("authen-then-issue", "authen-then-fetch"):
         t = timelines[scheme]
         lines.append(
@@ -123,17 +99,17 @@ def emit(compute_latency=30, config=None, executor=None,
             % (t.scheme, t.fetch1_issue, t.data1, t.verify1,
                t.fetch2_issue, t.data2)
         )
-    advantage = (timelines["authen-then-issue"].finish
-                 - timelines["authen-then-fetch"].finish)
+        series.append({"name": scheme,
+                       "points": [{"x": milestone,
+                                   "y": getattr(t, milestone)}
+                                  for milestone in MILESTONES]})
     lines.append("authen-then-fetch finishes %d cycles earlier" % advantage)
-    return "\n".join(lines), to_series(timelines, compute_latency)
-
-
-def render(compute_latency=30, config=None, executor=None,
-           failure_policy=None):
-    return emit(compute_latency, config, executor=executor,
-                failure_policy=failure_policy)[0]
+    return "\n".join(lines), build_figure_series(
+        "fig6", title,
+        [series_panel("fig6", title, series, x_label="milestone")],
+        extra={"advantage_cycles": advantage,
+               "compute_latency": compute_latency})
 
 
 if __name__ == "__main__":
-    print(render())
+    print(emit()[0])

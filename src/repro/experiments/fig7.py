@@ -6,15 +6,15 @@ decrypt-only baseline, plus the per-suite averages the paper quotes
 
 Every entry point accepts ``executor=`` (a
 :func:`repro.exec.make_executor` backend, shared across panels so one
-warm worker pool serves the whole figure) and ``failure_policy=`` (a
-:class:`~repro.exec.retry.FailurePolicy`); under a skipping policy a
-failed job renders as a ``--`` cell instead of aborting the figure.
+warm worker pool serves the whole figure).  Under the skipping failure
+policy ``repro figures`` gives that executor, a failed job renders as a
+``--`` cell instead of aborting the figure.
 """
 
 from repro.config import SimConfig
 from repro.exec import executor_scope
 from repro.policies.registry import FIGURE7_POLICIES
-from repro.sim.report import render_table, series_rows
+from repro.sim.report import render_panels, render_table, series_rows
 from repro.sim.sweep import PolicySweep, normalized_ipc_table
 from repro.workloads.spec import fp_benchmarks, int_benchmarks
 
@@ -24,32 +24,30 @@ DEFAULT_WARMUP = 12_000
 
 def run(l2_bytes=256 * 1024, suite="int", num_instructions=DEFAULT_N,
         warmup=DEFAULT_WARMUP, policies=FIGURE7_POLICIES, benchmarks=None,
-        executor=None, failure_policy=None):
+        executor=None):
     """One panel of Figure 7; returns (sweep, table_rows)."""
     if benchmarks is None:
         benchmarks = int_benchmarks() if suite == "int" else fp_benchmarks()
     config = SimConfig().with_l2_size(l2_bytes)
     sweep = PolicySweep(benchmarks, list(policies), config=config,
                         num_instructions=num_instructions,
-                        warmup=warmup).run(executor=executor,
-                                           failure_policy=failure_policy)
+                        warmup=warmup).run(executor=executor)
     return sweep, normalized_ipc_table(sweep, list(policies))
 
 
 def run_all_panels(num_instructions=DEFAULT_N, warmup=DEFAULT_WARMUP,
-                   policies=FIGURE7_POLICIES, benchmarks_per_suite=None,
-                   executor=None, failure_policy=None):
-    """All four panels; returns {(suite, l2): table_rows}."""
+                   policies=FIGURE7_POLICIES, benchmarks=None,
+                   executor=None):
+    """All four panels; returns {(suite, l2): table_rows}.
+
+    ``benchmarks`` (default: each suite's own) serves both suites.
+    """
     panels = {}
     with executor_scope(executor) as active:
         for l2 in (256 * 1024, 1024 * 1024):
             for suite in ("int", "fp"):
-                benchmarks = None
-                if benchmarks_per_suite is not None:
-                    benchmarks = benchmarks_per_suite[suite]
                 _, rows = run(l2, suite, num_instructions, warmup,
-                              policies, benchmarks, executor=active,
-                              failure_policy=failure_policy)
+                              policies, benchmarks, executor=active)
                 panels[(suite, l2)] = rows
     return panels
 
@@ -72,42 +70,16 @@ PANELS = {("int", 256 * 1024): ("fig7a", "Figure 7(a) SPEC2000 INT, "
 TITLE = "Figure 7 -- normalized IPC of the six schemes"
 
 
-def _panel_order():
-    return sorted(PANELS, key=lambda k: (k[1], k[0]))
-
-
-def to_series(panels, policies=FIGURE7_POLICIES):
-    """Machine-readable twin of the four rendered panels."""
-    from repro.obs.export import (build_figure_series, series_from_rows,
-                                  series_panel)
-    return build_figure_series(
-        "fig7", TITLE,
-        [series_panel(PANELS[key][0], PANELS[key][1],
-                      series_from_rows(panels[key], list(policies)))
-         for key in _panel_order()])
-
-
-def emit(num_instructions=DEFAULT_N, warmup=DEFAULT_WARMUP,
-         policies=FIGURE7_POLICIES, benchmarks_per_suite=None,
-         executor=None, failure_policy=None):
+def emit(*, executor=None, num_instructions=DEFAULT_N,
+         warmup=DEFAULT_WARMUP, benchmarks=None):
     """One workload run, both artifact forms: ``(text, series)``."""
-    panels = run_all_panels(num_instructions, warmup, policies,
-                            benchmarks_per_suite, executor=executor,
-                            failure_policy=failure_policy)
-    out = []
-    for key in _panel_order():
-        out.append(render_panel(panels[key], PANELS[key][1], policies))
-        out.append("")
-    return "\n".join(out), to_series(panels, policies)
-
-
-def render(num_instructions=DEFAULT_N, warmup=DEFAULT_WARMUP,
-           policies=FIGURE7_POLICIES, benchmarks_per_suite=None,
-           executor=None, failure_policy=None):
-    return emit(num_instructions, warmup, policies,
-                benchmarks_per_suite, executor=executor,
-                failure_policy=failure_policy)[0]
+    panels = run_all_panels(num_instructions, warmup,
+                            benchmarks=benchmarks, executor=executor)
+    text, series = render_panels("fig7", TITLE, [
+        PANELS[key] + (panels[key], FIGURE7_POLICIES)
+        for key in sorted(PANELS, key=lambda k: (k[1], k[0]))])
+    return text + "\n", series
 
 
 if __name__ == "__main__":
-    print(render())
+    print(emit()[0])

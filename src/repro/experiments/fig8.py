@@ -5,14 +5,14 @@ commit+fetch against the conservative authen-then-issue baseline:
 commit ~ +12% average, write ~ +14%, commit+fetch ~ +10% for several
 benchmarks.
 
-``executor=``/``failure_policy=`` thread through to the underlying
+``executor=`` threads through to the underlying
 :class:`~repro.sim.sweep.PolicySweep`; a job that fails terminally
-under a skipping policy renders as a ``--`` cell.
+under a skipping failure policy renders as a ``--`` cell.
 """
 
 from repro.config import SimConfig
 from repro.policies.registry import policy_set
-from repro.sim.report import render_table, series_rows
+from repro.sim.report import render_panels
 from repro.sim.sweep import PolicySweep, speedup_over
 from repro.workloads.spec import fp_benchmarks, int_benchmarks
 
@@ -22,45 +22,24 @@ TITLE = "Figure 8 -- IPC speedup over authen-then-issue (256KB L2)"
 
 
 def run(num_instructions=12_000, warmup=12_000, l2_bytes=256 * 1024,
-        benchmarks=None, compared=COMPARED, executor=None,
-        failure_policy=None):
+        benchmarks=None, compared=COMPARED, executor=None):
     if benchmarks is None:
         benchmarks = int_benchmarks() + fp_benchmarks()
     config = SimConfig().with_l2_size(l2_bytes)
     sweep = PolicySweep(benchmarks, [REFERENCE] + list(compared),
                         config=config, num_instructions=num_instructions,
                         warmup=warmup).run(include_baseline=False,
-                                           executor=executor,
-                                           failure_policy=failure_policy)
+                                           executor=executor)
     return sweep, speedup_over(sweep, REFERENCE, list(compared))
 
 
-def to_series(rows):
-    """Machine-readable twin of the rendered table (same numbers)."""
-    from repro.obs.export import (build_figure_series, series_from_rows,
-                                  series_panel)
-    return build_figure_series(
-        "fig8", TITLE,
-        [series_panel("fig8", TITLE, series_from_rows(rows,
-                                                      list(COMPARED)))])
-
-
-def emit(num_instructions=12_000, warmup=12_000, benchmarks=None,
-         executor=None, failure_policy=None):
+def emit(*, executor=None, num_instructions=12_000, warmup=12_000,
+         benchmarks=None):
     """One workload run, both artifact forms: ``(text, series)``."""
     _, rows = run(num_instructions, warmup, benchmarks=benchmarks,
-                  executor=executor, failure_policy=failure_policy)
-    headers = ["benchmark"] + list(COMPARED)
-    text = TITLE + "\n" + render_table(headers,
-                                       series_rows(rows, list(COMPARED)))
-    return text, to_series(rows)
-
-
-def render(num_instructions=12_000, warmup=12_000, benchmarks=None,
-           executor=None, failure_policy=None):
-    return emit(num_instructions, warmup, benchmarks=benchmarks,
-                executor=executor, failure_policy=failure_policy)[0]
+                  executor=executor)
+    return render_panels("fig8", TITLE, [("fig8", TITLE, rows, COMPARED)])
 
 
 if __name__ == "__main__":
-    print(render())
+    print(emit()[0])

@@ -4,8 +4,8 @@ Address obfuscation + authen-then-commit at three re-map cache sizes;
 IPC improves with the size of the re-map cache.
 
 ``executor=`` shares one backend (and warm worker pool) across all
-sizes; ``failure_policy=`` governs per-job retries/skips, with failed
-cells rendered as ``--`` and excluded from the averages.
+sizes; under a skipping failure policy, failed cells render as ``--``
+and are excluded from the averages.
 """
 
 from repro.config import SimConfig
@@ -18,8 +18,7 @@ DEFAULT_SIZES = (16 * 1024, 64 * 1024, 256 * 1024)
 
 
 def run(sizes=DEFAULT_SIZES, benchmarks=None, num_instructions=12_000,
-        warmup=12_000, l2_bytes=256 * 1024, executor=None,
-        failure_policy=None):
+        warmup=12_000, l2_bytes=256 * 1024, executor=None):
     """Returns ``{size: {benchmark: normalized ipc}}`` plus averages."""
     if benchmarks is None:
         from repro.workloads.spec import fp_benchmarks, int_benchmarks
@@ -32,9 +31,7 @@ def run(sizes=DEFAULT_SIZES, benchmarks=None, num_instructions=12_000,
                       .with_secure(remap_cache_bytes=size))
             sweep = PolicySweep(benchmarks, [POLICY], config=config,
                                 num_instructions=num_instructions,
-                                warmup=warmup).run(
-                                    executor=active,
-                                    failure_policy=failure_policy)
+                                warmup=warmup).run(executor=active)
             results[size] = sweep.normalized_series(POLICY)
     return results
 
@@ -63,32 +60,21 @@ def _table(results, sizes):
     return headers, rows
 
 
-def to_series(results, sizes=DEFAULT_SIZES):
-    """Machine-readable twin of the rendered table (same numbers)."""
+def emit(*, executor=None, num_instructions=12_000, warmup=12_000,
+         benchmarks=None, sizes=DEFAULT_SIZES):
+    """One workload run, both artifact forms: ``(text, series)``."""
     from repro.obs.export import (build_figure_series, series_from_matrix,
                                   series_panel)
-    headers, rows = _table(results, sizes)
-    return build_figure_series(
-        "fig9", TITLE,
-        [series_panel("fig9", TITLE, series_from_matrix(headers, rows))])
-
-
-def emit(sizes=DEFAULT_SIZES, num_instructions=12_000, warmup=12_000,
-         benchmarks=None, executor=None, failure_policy=None):
-    """One workload run, both artifact forms: ``(text, series)``."""
     results = run(sizes, benchmarks=benchmarks,
                   num_instructions=num_instructions, warmup=warmup,
-                  executor=executor, failure_policy=failure_policy)
+                  executor=executor)
     headers, rows = _table(results, sizes)
     return (TITLE + "\n" + render_table(headers, rows),
-            to_series(results, sizes))
-
-
-def render(sizes=DEFAULT_SIZES, num_instructions=12_000, warmup=12_000,
-           benchmarks=None, executor=None, failure_policy=None):
-    return emit(sizes, num_instructions, warmup, benchmarks=benchmarks,
-                executor=executor, failure_policy=failure_policy)[0]
+            build_figure_series(
+                "fig9", TITLE,
+                [series_panel("fig9", TITLE,
+                              series_from_matrix(headers, rows))]))
 
 
 if __name__ == "__main__":
-    print(render())
+    print(emit()[0])

@@ -2,7 +2,7 @@
 
 One registry maps every artifact the reproduction produces -- the three
 tables, the five figure families, and the ablation / variance /
-sensitivity studies -- to a callable that renders its text form.
+sensitivity studies -- to the driver module whose ``emit`` renders it.
 :func:`run_figures` regenerates any subset under **one** shared
 executor (``executor_scope`` spans all requested figures, so a warm
 worker pool and the trace cache are reused across them), writes
@@ -24,11 +24,10 @@ regenerate.
 import os
 import time
 
+from repro import experiments
 from repro.exec import executor_scope
 from repro.exec.retry import STATUS_FAILED, JobResult
-from repro.experiments import (ARTIFACT_NAMES, ablations, fig6, fig7, fig8,
-                               fig9, fig10_11, fig12_13, sensitivity,
-                               table1, table2, table3, variance)
+from repro.experiments import ANALYTIC, DRIVERS
 # Called through the module, never bound at import: the benchmark
 # harness wraps its functions to time the export layer.
 from repro.obs import export
@@ -38,10 +37,10 @@ class _OutcomeRecorder:
     """Executor proxy that audits one figure's jobs.
 
     Delegates ``run()`` to the shared inner executor, injects the
-    figure-level failure policy whenever the callee did not supply one,
-    and accumulates every job's outcome across the (possibly many)
-    sweeps a single figure runs.  This keeps per-figure bookkeeping out
-    of the experiment modules: they just thread ``executor=`` through.
+    figure-level failure policy into every call, and accumulates every
+    job's outcome across the (possibly many) sweeps a single figure
+    runs.  This keeps per-figure bookkeeping and failure handling out of
+    the experiment modules: they just thread ``executor=`` through.
     """
 
     def __init__(self, inner, failure_policy=None, metrics=None):
@@ -53,8 +52,7 @@ class _OutcomeRecorder:
 
     def run(self, jobs, **kwargs):
         jobs = list(jobs)
-        if kwargs.get("failure_policy") is None:
-            kwargs["failure_policy"] = self._failure_policy
+        kwargs["failure_policy"] = self._failure_policy
         if kwargs.get("metrics") is None:
             kwargs["metrics"] = self._metrics
         results = self._inner.run(jobs, **kwargs)
@@ -121,105 +119,14 @@ class _OutcomeRecorder:
         return counts
 
 
-def _emit_table1(ctx):
-    return table1.emit(executor=ctx["executor"],
-                       failure_policy=ctx["failure_policy"])
-
-
-def _emit_table2(ctx):
-    return table2.emit(executor=ctx["executor"],
-                       failure_policy=ctx["failure_policy"])
-
-
-def _emit_table3(ctx):
-    return table3.emit(executor=ctx["executor"],
-                       failure_policy=ctx["failure_policy"])
-
-
-def _emit_fig6(ctx):
-    return fig6.emit(executor=ctx["executor"],
-                     failure_policy=ctx["failure_policy"])
-
-
-def _emit_fig7(ctx):
-    per_suite = None
-    if ctx["benchmarks"] is not None:
-        per_suite = {"int": list(ctx["benchmarks"]),
-                     "fp": list(ctx["benchmarks"])}
-    return fig7.emit(num_instructions=ctx["num_instructions"],
-                     warmup=ctx["warmup"],
-                     benchmarks_per_suite=per_suite,
-                     executor=ctx["executor"],
-                     failure_policy=ctx["failure_policy"])
-
-
-def _emit_fig8(ctx):
-    return fig8.emit(num_instructions=ctx["num_instructions"],
-                     warmup=ctx["warmup"],
-                     benchmarks=ctx["benchmarks"],
-                     executor=ctx["executor"],
-                     failure_policy=ctx["failure_policy"])
-
-
-def _emit_fig9(ctx):
-    return fig9.emit(num_instructions=ctx["num_instructions"],
-                     warmup=ctx["warmup"],
-                     benchmarks=ctx["benchmarks"],
-                     executor=ctx["executor"],
-                     failure_policy=ctx["failure_policy"])
-
-
-def _emit_fig10(ctx):
-    return fig10_11.emit(num_instructions=ctx["num_instructions"],
-                         warmup=ctx["warmup"],
-                         benchmarks=ctx["benchmarks"],
-                         executor=ctx["executor"],
-                         failure_policy=ctx["failure_policy"])
-
-
-def _emit_fig12(ctx):
-    return fig12_13.emit(num_instructions=ctx["num_instructions"],
-                         warmup=ctx["warmup"],
-                         benchmarks=ctx["benchmarks"],
-                         executor=ctx["executor"],
-                         failure_policy=ctx["failure_policy"])
-
-
-def _emit_ablations(ctx):
-    kwargs = dict(num_instructions=ctx["num_instructions"],
-                  warmup=ctx["warmup"],
-                  executor=ctx["executor"],
-                  failure_policy=ctx["failure_policy"])
-    if ctx["benchmarks"] is not None:
-        kwargs["benchmarks"] = tuple(ctx["benchmarks"])
-    return ablations.emit(**kwargs)
-
-
-def _emit_variance(ctx):
-    kwargs = dict(num_instructions=ctx["num_instructions"],
-                  warmup=ctx["warmup"],
-                  executor=ctx["executor"],
-                  failure_policy=ctx["failure_policy"])
-    if ctx["benchmarks"] is not None:
-        kwargs["benchmarks"] = tuple(ctx["benchmarks"])
-    return variance.emit(**kwargs)
-
-
-def _emit_sensitivity(ctx):
-    kwargs = dict(num_instructions=ctx["num_instructions"],
-                  warmup=ctx["warmup"],
-                  executor=ctx["executor"],
-                  failure_policy=ctx["failure_policy"])
-    if ctx["benchmarks"] is not None:
-        kwargs["benchmarks"] = tuple(ctx["benchmarks"])
-    return sensitivity.emit(**kwargs)
-
-
 #: Every regenerable artifact, in :data:`~repro.experiments.ARTIFACT_NAMES`
-#: order.  Each callable runs the figure's workload once and returns
-#: ``(text, series)`` -- the ``.txt`` render and its machine-readable
-#: figure-series twin.
-ARTIFACTS = {name: globals()["_emit_" + name] for name in ARTIFACT_NAMES}
+#: order, mapped to its driver module.  Each driver's ``emit`` runs the
+#: artifact's workload once and returns ``(text, series)`` -- the
+#: ``.txt`` render and its machine-readable figure-series twin.  It is
+#: looked up at call time, so a wrapper installed on a driver's ``emit``
+#: (the benchmark harness times ``table2.emit``) sees every call.
+ARTIFACTS = {name: getattr(experiments, module)
+             for name, module in DRIVERS.items()}
 
 
 def run_figures(names, out_dir, num_instructions=12_000, warmup=12_000,
@@ -263,14 +170,10 @@ def run_figures(names, out_dir, num_instructions=12_000, warmup=12_000,
             recorder = _OutcomeRecorder(inner,
                                         failure_policy=failure_policy,
                                         metrics=metrics)
-            ctx = {
-                "num_instructions": num_instructions,
-                "warmup": warmup,
-                "executor": recorder,
-                "failure_policy": None,  # recorder injects per sweep
-                "benchmarks": benchmarks,
-            }
-            text, series = ARTIFACTS[name](ctx)
+            scale = {} if name in ANALYTIC else dict(
+                executor=recorder, num_instructions=num_instructions,
+                warmup=warmup, benchmarks=benchmarks)
+            text, series = ARTIFACTS[name].emit(**scale)
             failures = recorder.failure_lines()
             if failures:
                 text += ("\n\n%d job(s) failed terminally and are "

@@ -19,25 +19,23 @@ BENCHMARKS = ("mcf", "twolf", "swim", "mgrid")
 
 
 def _averages(config, benchmarks, num_instructions, warmup,
-              policies=POLICIES, executor=None, failure_policy=None):
+              policies=POLICIES, executor=None):
     sweep = PolicySweep(list(benchmarks), list(policies), config=config,
                         num_instructions=num_instructions,
-                        warmup=warmup).run(executor=executor,
-                                           failure_policy=failure_policy)
+                        warmup=warmup).run(executor=executor)
     return {p: sweep.average_normalized(p) for p in policies}
 
 
 def decrypt_latency_sweep(latencies=(40, 80, 160),
                           benchmarks=BENCHMARKS,
                           num_instructions=8000, warmup=8000,
-                          executor=None, failure_policy=None):
+                          executor=None):
     """AES pipeline latency: mostly hidden behind the fetch, so the
     policy ranking should barely move."""
     return {
         latency: _averages(
             SimConfig().with_secure(decrypt_latency=latency),
-            benchmarks, num_instructions, warmup, executor=executor,
-            failure_policy=failure_policy)
+            benchmarks, num_instructions, warmup, executor=executor)
         for latency in latencies
     }
 
@@ -45,7 +43,7 @@ def decrypt_latency_sweep(latencies=(40, 80, 160),
 def memory_speed_sweep(cas_values=(10, 20, 40),
                        benchmarks=BENCHMARKS,
                        num_instructions=8000, warmup=8000,
-                       executor=None, failure_policy=None):
+                       executor=None):
     """Memory CAS latency (bus clocks): slower memory widens every
     miss but shrinks verification's *relative* share."""
     import dataclasses
@@ -57,15 +55,13 @@ def memory_speed_sweep(cas_values=(10, 20, 40),
             config, dram=dataclasses.replace(config.dram,
                                              cas_bus_clocks=cas))
         out[cas] = _averages(config, benchmarks, num_instructions, warmup,
-                             executor=executor,
-                             failure_policy=failure_policy)
+                             executor=executor)
     return out
 
 
 def mshr_sweep(entries=(2, 8, 16),
                benchmarks=BENCHMARKS,
-               num_instructions=8000, warmup=8000, executor=None,
-               failure_policy=None):
+               num_instructions=8000, warmup=8000, executor=None):
     """Outstanding-miss slots: fewer MSHRs serialise misses, which makes
     fetch gating relatively cheaper (the misses were serial anyway)."""
     import dataclasses
@@ -74,85 +70,60 @@ def mshr_sweep(entries=(2, 8, 16),
     for count in entries:
         config = dataclasses.replace(SimConfig(), mshr_entries=count)
         out[count] = _averages(config, benchmarks, num_instructions,
-                               warmup, executor=executor,
-                               failure_policy=failure_policy)
+                               warmup, executor=executor)
     return out
 
 
 def ruu_sweep(sizes=(32, 64, 128, 256),
               benchmarks=BENCHMARKS,
-              num_instructions=8000, warmup=8000, executor=None,
-              failure_policy=None):
+              num_instructions=8000, warmup=8000, executor=None):
     """Window size beyond the paper's 128/64 pair."""
     return {
         size: _averages(SimConfig().with_ruu(size), benchmarks,
-                        num_instructions, warmup, executor=executor,
-                        failure_policy=failure_policy)
+                        num_instructions, warmup, executor=executor)
         for size in sizes
     }
 
 
-def to_series(grids, benchmarks=BENCHMARKS):
-    """Machine-readable twin of the four rendered sweep tables."""
-    from repro.obs.export import build_figure_series, series_panel
-    title = ("Sensitivity -- average normalized IPC per policy "
-             "(benchmarks: %s)" % ", ".join(benchmarks))
-    panels = []
-    for grid_title, grid in grids:
-        series = [
-            {"name": policy,
-             "points": [{"x": value, "y": grid[value][policy]}
-                        for value in sorted(grid)]}
-            for policy in POLICIES
-        ]
-        panels.append(series_panel(grid_title, grid_title, series,
-                                   x_label=grid_title))
-    return build_figure_series("sensitivity", title, panels)
-
-
-def emit(num_instructions=8000, warmup=8000, benchmarks=BENCHMARKS,
-         executor=None, failure_policy=None):
+def emit(*, executor=None, num_instructions=8000, warmup=8000,
+         benchmarks=None):
     """Both artifact forms for ``repro figures``: all four sensitivity
-    sweeps under one shared executor, one table per varied parameter;
-    returns ``(text, series)``."""
+    sweeps over ``benchmarks`` (default :data:`BENCHMARKS`) under one
+    shared executor, one table per varied parameter; returns
+    ``(text, series)``."""
     from repro.exec import executor_scope
+    from repro.obs.export import build_figure_series, series_panel
     from repro.sim.report import render_table
 
+    if benchmarks is None:
+        benchmarks = BENCHMARKS
+    scale = dict(benchmarks=benchmarks, num_instructions=num_instructions,
+                 warmup=warmup)
     with executor_scope(executor) as ex:
         grids = [
             ("decrypt latency (cycles)",
-             decrypt_latency_sweep(benchmarks=benchmarks,
-                                   num_instructions=num_instructions,
-                                   warmup=warmup, executor=ex,
-                                   failure_policy=failure_policy)),
+             decrypt_latency_sweep(executor=ex, **scale)),
             ("memory CAS (bus clocks)",
-             memory_speed_sweep(benchmarks=benchmarks,
-                                num_instructions=num_instructions,
-                                warmup=warmup, executor=ex,
-                                failure_policy=failure_policy)),
-            ("MSHR entries",
-             mshr_sweep(benchmarks=benchmarks,
-                        num_instructions=num_instructions,
-                        warmup=warmup, executor=ex,
-                        failure_policy=failure_policy)),
-            ("RUU size",
-             ruu_sweep(benchmarks=benchmarks,
-                       num_instructions=num_instructions,
-                       warmup=warmup, executor=ex,
-                       failure_policy=failure_policy)),
+             memory_speed_sweep(executor=ex, **scale)),
+            ("MSHR entries", mshr_sweep(executor=ex, **scale)),
+            ("RUU size", ruu_sweep(executor=ex, **scale)),
         ]
-    out = ["Sensitivity -- average normalized IPC per policy "
-           "(benchmarks: %s)" % ", ".join(benchmarks)]
-    for title, grid in grids:
-        out.append("")
-        out.append("%s:" % title)
-        rows = [[value] + [grid[value][p] for p in POLICIES]
-                for value in sorted(grid)]
-        out.append(render_table([title] + list(POLICIES), rows))
-    return "\n".join(out), to_series(grids, benchmarks)
-
-
-def render(num_instructions=8000, warmup=8000, benchmarks=BENCHMARKS,
-           executor=None, failure_policy=None):
-    return emit(num_instructions, warmup, benchmarks=benchmarks,
-                executor=executor, failure_policy=failure_policy)[0]
+    title = ("Sensitivity -- average normalized IPC per policy "
+             "(benchmarks: %s)" % ", ".join(benchmarks))
+    out = [title]
+    panels = []
+    for grid_title, grid in grids:
+        values = sorted(grid)
+        out += ["", "%s:" % grid_title,
+                render_table([grid_title] + list(POLICIES),
+                             [[value] + [grid[value][p] for p in POLICIES]
+                              for value in values])]
+        panels.append(series_panel(
+            grid_title, grid_title,
+            [{"name": policy,
+              "points": [{"x": value, "y": grid[value][policy]}
+                         for value in values]}
+             for policy in POLICIES],
+            x_label=grid_title))
+    return "\n".join(out), build_figure_series("sensitivity", title,
+                                               panels)

@@ -17,8 +17,9 @@ HEADERS = ["scheme", "decrypt (critical)", "decrypt (full line)",
            "authenticate", "gap"]
 
 
-def to_series(rows, memory_fetch_latency=200):
-    """Machine-readable twin of the rendered table (same numbers)."""
+def emit(memory_fetch_latency=200):
+    """Both artifact forms: ``(text, series)``, the series being the
+    machine-readable twin of the rendered table (same numbers)."""
     from repro.obs.export import (build_figure_series, series_from_matrix,
                                   series_panel)
     title = ("Table 1 -- decryption vs authentication latency "
@@ -26,36 +27,14 @@ def to_series(rows, memory_fetch_latency=200):
     table = [
         [r.scheme, r.decryption_latency, r.full_decryption_latency,
          r.authentication_latency, r.gap]
-        for r in rows
+        for r in run(memory_fetch_latency)
     ]
-    return build_figure_series(
+    series = build_figure_series(
         "table1", title,
         [series_panel("table1", title, series_from_matrix(HEADERS, table),
                       x_label="scheme")])
-
-
-def emit(memory_fetch_latency=200, executor=None, failure_policy=None):
-    """Both artifact forms: ``(text, series)``.
-
-    executor/failure_policy: interface uniformity only -- this table
-    is computed from the analytic crypto latency model, no jobs run.
-    """
-    rows = run(memory_fetch_latency)
-    table = [
-        [r.scheme, r.decryption_latency, r.full_decryption_latency,
-         r.authentication_latency, r.gap]
-        for r in rows
-    ]
-    title = ("Table 1 -- decryption vs authentication latency "
-             "(memory fetch = %d cycles)" % memory_fetch_latency)
-    return (title + "\n" + render_table(HEADERS, table),
-            to_series(rows, memory_fetch_latency))
-
-
-def render(memory_fetch_latency=200, executor=None, failure_policy=None):
-    return emit(memory_fetch_latency, executor=executor,
-                failure_policy=failure_policy)[0]
+    return title + "\n" + render_table(HEADERS, table), series
 
 
 if __name__ == "__main__":
-    print(render())
+    print(emit()[0])

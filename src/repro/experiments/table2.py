@@ -41,46 +41,25 @@ def _empirical_table(policies, matrix):
     return headers, table
 
 
-def to_series(rows, matrix=None, policies=TABLE2_POLICIES):
-    """Machine-readable twin of the rendered tables (string cells)."""
+def emit(policies=TABLE2_POLICIES, empirical=True):
+    """Both artifact forms: ``(text, series)``, the series holding the
+    rendered tables' string cells."""
     from repro.obs.export import (build_figure_series, series_from_matrix,
                                   series_panel)
+    rows = run_static(policies)
+    out = [TITLE, render_table(rows[0], rows[1:])]
     panels = [series_panel("static", TITLE,
                            series_from_matrix(rows[0], rows[1:]),
                            x_label=rows[0][0])]
-    if matrix is not None:
-        headers, table = _empirical_table(policies, matrix)
+    if empirical:
+        headers, table = _empirical_table(policies,
+                                          run_empirical(policies))
+        out += ["", EMPIRICAL_TITLE + ":", render_table(headers, table)]
         panels.append(series_panel("empirical", EMPIRICAL_TITLE,
                                    series_from_matrix(headers, table),
                                    x_label="scheme"))
-    return build_figure_series("table2", TITLE, panels)
-
-
-def emit(policies=TABLE2_POLICIES, empirical=True, executor=None,
-         failure_policy=None):
-    """Both artifact forms: ``(text, series)``.
-
-    executor/failure_policy: interface uniformity only -- the
-    empirical column runs the functional attack harness in-process,
-    not SimJobs through the executor.
-    """
-    rows = run_static(policies)
-    out = [TITLE, render_table(rows[0], rows[1:])]
-    matrix = None
-    if empirical:
-        matrix = run_empirical(policies)
-        headers, table = _empirical_table(policies, matrix)
-        out.append("")
-        out.append(EMPIRICAL_TITLE + ":")
-        out.append(render_table(headers, table))
-    return "\n".join(out), to_series(rows, matrix, policies)
-
-
-def render(policies=TABLE2_POLICIES, empirical=True, executor=None,
-           failure_policy=None):
-    return emit(policies, empirical, executor=executor,
-                failure_policy=failure_policy)[0]
+    return "\n".join(out), build_figure_series("table2", TITLE, panels)
 
 
 if __name__ == "__main__":
-    print(render())
+    print(emit()[0])

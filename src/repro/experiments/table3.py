@@ -11,34 +11,19 @@ def run(config=None):
 TITLE = "Table 3 -- processor model parameters"
 
 
-def to_series(rows):
-    """Machine-readable twin of the rendered table (string cells)."""
+def emit(config=None):
+    """Both artifact forms: ``(text, series)``, the series holding the
+    rendered table's string cells."""
     from repro.obs.export import (build_figure_series, series_from_matrix,
                                   series_panel)
-    return build_figure_series(
+    headers = ["parameter", "value"]
+    table = [list(r) for r in run(config)]
+    series = build_figure_series(
         "table3", TITLE,
-        [series_panel("table3", TITLE,
-                      series_from_matrix(["parameter", "value"],
-                                         [list(r) for r in rows]),
+        [series_panel("table3", TITLE, series_from_matrix(headers, table),
                       x_label="parameter")])
-
-
-def emit(config=None, executor=None, failure_policy=None):
-    """Both artifact forms: ``(text, series)``.
-
-    executor/failure_policy: interface uniformity only -- the table
-    prints SimConfig defaults, no jobs run.
-    """
-    rows = run(config)
-    return (TITLE + "\n"
-            + render_table(["parameter", "value"], [list(r) for r in rows]),
-            to_series(rows))
-
-
-def render(config=None, executor=None, failure_policy=None):
-    return emit(config, executor=executor,
-                failure_policy=failure_policy)[0]
+    return TITLE + "\n" + render_table(headers, table), series
 
 
 if __name__ == "__main__":
-    print(render())
+    print(emit()[0])

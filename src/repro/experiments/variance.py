@@ -18,13 +18,12 @@ DEFAULT_BENCHMARKS = ("mcf", "twolf", "swim", "mgrid")
 
 def run(seeds=(2006, 7, 42), policies=DEFAULT_POLICIES,
         benchmarks=DEFAULT_BENCHMARKS, num_instructions=8000,
-        warmup=8000, l2_bytes=256 * 1024, executor=None,
-        failure_policy=None):
+        warmup=8000, l2_bytes=256 * 1024, executor=None):
     """Per-policy normalized-IPC samples across seeds.
 
     ``executor`` (a :func:`repro.exec.make_executor` backend) fans each
     seed's sweep out over worker processes; results are bit-identical to
-    the serial default.  Under a skipping ``failure_policy`` a seed whose
+    the serial default.  Under a skipping failure policy a seed whose
     jobs all failed contributes a None sample, kept in place so samples
     stay seed-aligned across policies; mean/std are computed over the
     surviving samples (None when none survived).
@@ -37,8 +36,7 @@ def run(seeds=(2006, 7, 42), policies=DEFAULT_POLICIES,
                             config=SimConfig().with_l2_size(l2_bytes),
                             num_instructions=num_instructions,
                             warmup=warmup, seed=seed).run(
-                                executor=executor,
-                                failure_policy=failure_policy)
+                                executor=executor)
         for policy in policies:
             samples[policy].append(sweep.average_normalized(policy))
     out = {}
@@ -132,7 +130,12 @@ def render(result):
     return "\n".join(lines)
 
 
-def emit(**kwargs):
-    """Both artifact forms: ``(text, series)`` from one :func:`run`."""
-    result = run(**kwargs)
+def emit(*, executor=None, num_instructions=8000, warmup=8000,
+         benchmarks=None):
+    """Both artifact forms: ``(text, series)`` from one :func:`run` over
+    ``benchmarks`` (default :data:`DEFAULT_BENCHMARKS`)."""
+    if benchmarks is None:
+        benchmarks = DEFAULT_BENCHMARKS
+    result = run(benchmarks=benchmarks, num_instructions=num_instructions,
+                 warmup=warmup, executor=executor)
     return render(result), to_series(result)

@@ -51,6 +51,27 @@ def series_rows(table_rows, policies):
     return out
 
 
+def render_panels(figure, title, panels):
+    """Both artifact forms, ``(text, series)``, of a figure made of
+    sweep tables.
+
+    ``panels`` lists ``(name, title, table_rows, policies)``: each panel
+    renders as its title over its table, blank-line separated, and is
+    one panel of the figure-series twin (same numbers).
+    """
+    from repro.obs.export import (build_figure_series, series_from_rows,
+                                  series_panel)
+    blocks = []
+    series = []
+    for name, panel_title, rows, policies in panels:
+        policies = list(policies)
+        blocks.append(panel_title + "\n" + render_table(
+            ["benchmark"] + policies, series_rows(rows, policies)))
+        series.append(series_panel(name, panel_title,
+                                   series_from_rows(rows, policies)))
+    return "\n\n".join(blocks), build_figure_series(figure, title, series)
+
+
 def failure_footer(sweep):
     """Table footer summarising a sweep's terminal failures, or "".
 

@@ -27,7 +27,7 @@ class TestTables:
         assert ctr.decryption_latency < cbc.decryption_latency
 
     def test_table1_render(self):
-        text = table1.render()
+        text = table1.emit()[0]
         assert "counter+hmac" in text and "gap" in text
 
     def test_table2_static_rows(self):
@@ -36,7 +36,7 @@ class TestTables:
         assert len(rows) == 6  # header + 5 schemes
 
     def test_table2_render_without_empirical(self):
-        text = table2.render(empirical=False)
+        text = table2.emit(empirical=False)[0]
         assert "authen-then-issue" in text
 
     def test_table2_empirical_agrees(self):
@@ -48,7 +48,7 @@ class TestTables:
         assert not matrix["commit+fetch"]["pointer-conversion"].leaked
 
     def test_table3_contains_core_parameters(self):
-        text = table3.render()
+        text = table3.emit()[0]
         assert "1.0 GHz" in text and "RUU" in text
 
 
@@ -65,7 +65,7 @@ class TestFig6:
         assert 0 <= advantage <= 20 + 1
 
     def test_render(self):
-        assert "cycles earlier" in fig6.render()
+        assert "cycles earlier" in fig6.emit()[0]
 
 
 class TestFig7:

@@ -108,29 +108,69 @@ class TestRunFigures:
         assert want == (tmp_path / "b" / "fig8.txt").read_bytes()
 
 
+#: Every artifact that runs jobs.  None of their drivers takes a failure
+#: policy: the figure-level one must reach every sweep they run.
+JOB_ARTIFACTS = ("fig7", "fig8", "fig9", "fig10", "fig12", "ablations",
+                 "variance", "sensitivity")
+
+
 class TestFigureFailures:
+    @pytest.mark.parametrize("name", JOB_ARTIFACTS)
     def test_failed_job_yields_placeholder_and_footer(self, hook,
-                                                      tmp_path):
+                                                      tmp_path, name):
+        # One benchmark, so a failed job empties every average it feeds
+        # and shows as -- even in the averaged studies.  The failing job
+        # comes from a reference run's manifest: a fixed cell would miss
+        # artifacts that never run it (fig9 runs one policy).
+        scale = dict(benchmarks=("mcf",), **SCALE)
+        reference = run_figures([name], str(tmp_path / "reference"),
+                                **scale)
+        assert reference["total_failures"] == 0
+        jobs = sorted(reference["entries"][0]["jobs"],
+                      key=lambda job: job["job_id"])
+        target = jobs[len(jobs) // 2]
+
         def fail_one(job, attempt):
-            if (job.benchmark, job.policy) == ("mcf",
-                                               "authen-then-commit"):
+            if job.job_id == target["job_id"]:
                 raise RuntimeError("injected terminal failure")
 
         hook(fail_one)
         summary = run_figures(
-            ["fig8"], str(tmp_path), benchmarks=BENCHMARKS,
-            failure_policy=FailurePolicy(mode=SKIP_AND_REPORT), **SCALE)
-        text = (tmp_path / "fig8.txt").read_text()
+            [name], str(tmp_path),
+            failure_policy=FailurePolicy(mode=SKIP_AND_REPORT), **scale)
+        text = (tmp_path / ("%s.txt" % name)).read_text()
         assert "--" in text
         assert "failed terminally" in text
-        assert "mcf/authen-then-commit" in text
+        assert "%s/%s" % (target["benchmark"], target["policy"]) in text
         assert summary["total_failures"] == 1
         manifest = json.loads(
             (tmp_path / "figures-manifest.json").read_text())
         assert manifest["total_failures"] == 1
         failure = manifest["figures"][0]["failures"][0]
-        assert failure["benchmark"] == "mcf"
-        assert failure["policy"] == "authen-then-commit"
+        assert failure["job_id"] == target["job_id"]
+        assert failure["benchmark"] == target["benchmark"]
+        assert failure["policy"] == target["policy"]
+
+    @pytest.mark.parametrize("name", JOB_ARTIFACTS)
+    def test_every_job_failing_still_renders(self, hook, tmp_path, name):
+        # A sweep that bypassed the figure's executor would run under
+        # the default fail-fast policy and abort, or go unaudited.
+        reference = run_figures([name], str(tmp_path / "reference"),
+                                benchmarks=("mcf",), **SCALE)
+        job_ids = {job["job_id"] for job in reference["entries"][0]["jobs"]}
+
+        def fail_all(job, attempt):
+            raise RuntimeError("injected terminal failure")
+
+        hook(fail_all)
+        summary = run_figures(
+            [name], str(tmp_path), benchmarks=("mcf",),
+            failure_policy=FailurePolicy(mode=SKIP_AND_REPORT), **SCALE)
+        assert summary["total_failures"] == len(job_ids)
+        assert {job["job_id"] for job in summary["entries"][0]["failures"]
+                } == job_ids
+        text = (tmp_path / ("%s.txt" % name)).read_text()
+        assert "%d job(s) failed terminally" % len(job_ids) in text
 
 
 class TestFiguresCli:
@@ -164,6 +204,19 @@ class TestFiguresCli:
                      "--out", str(tmp_path)])
         assert code == 2
         assert "mutually exclusive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["table1", "table3", "fig6", "fig8"])
+    def test_single_figure_command_prints_the_artifact(self, capsys,
+                                                       tmp_path, name):
+        from repro.cli import main
+
+        scale = ["-n", "300", "--warmup", "300"]
+        assert main(["figures", "--only", name, "--out", str(tmp_path)]
+                    + scale) == 0
+        capsys.readouterr()
+        assert main([name] + scale) == 0
+        printed = capsys.readouterr().out.encode()
+        assert printed == (tmp_path / ("%s.txt" % name)).read_bytes()
 
     def test_cli_failure_exits_one(self, capsys, hook, tmp_path):
         from repro.cli import main
