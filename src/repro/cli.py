@@ -76,6 +76,10 @@ def _scale(args):
     return dict(num_instructions=args.instructions, warmup=warmup)
 
 
+#: ``repro.experiments.ANALYTIC``, named here so that building the
+#: parser imports no experiment package: these commands take no scale.
+_ANALYTIC = ("table1", "table2", "table3", "fig6")
+
 #: The single-figure flags, each stored under its ``emit`` keyword.
 _FIGURE_OPTIONS = ("memory_fetch_latency", "empirical", "compute_latency",
                    "ruu_entries")
@@ -349,7 +353,8 @@ def _cmd_sweep(args):
     if args.checkpoint:
         journal = JobJournal(args.checkpoint)
         if journal.quarantined_lines:
-            print("journal: quarantined %d corrupt line(s) to %s"
+            print("journal: quarantined %d corrupt line(s) in place "
+                  "(logged to %s)"
                   % (journal.quarantined_lines, journal.rej_path))
         if journal.incompatible_lines:
             print("journal: ignored %d line(s) from an incompatible "
@@ -749,7 +754,8 @@ def build_parser():
     for name in ("table1", "table2", "table3", "fig6", "fig7", "fig8",
                  "fig9", "fig10", "fig12"):
         p = sub.add_parser(name, help="regenerate %s" % name)
-        _add_scale(p)
+        if name not in _ANALYTIC:
+            _add_scale(p)
         if name == "table1":
             p.add_argument("--memory-latency", type=int, default=200,
                            dest="memory_fetch_latency",

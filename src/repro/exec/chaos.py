@@ -794,7 +794,7 @@ def _store_phases(run):
     trace_path = os.path.join(store_dir, "traces", trace_entry)
     with open(trace_path, "r+b") as handle:
         handle.truncate(max(os.path.getsize(trace_path) // 3, 40))
-    result_path, at, length = populate_store._index[victim.job_id]
+    result_path, at, length = populate_store._index.entries[victim.job_id]
     at += length // 2   # the middle of the victim's line
     with open(result_path, "r+b") as handle:
         handle.seek(at)
@@ -869,15 +869,16 @@ def _dist_phases(run):
        member executed *exactly once* across all journal segments.
     2. *Split journal*: two daemons share one ``--host-id`` so their
        appends interleave in a single segment, which then gets a torn
-       partial record appended.  Re-opening it must quarantine exactly
-       the tear, and a serial heal run must resume every member.
+       partial record appended.  Opening it as a journal (one poll of
+       its index) must log exactly the tear, in place, and a serial heal
+       run must resume every member from it.
     3. *Degrade to local*: a driver over an empty spool with no workers
        must degrade to in-process execution.
     """
     import multiprocessing
 
     from repro.exec import dist
-    from repro.sim.checkpoint import JobJournal, JournalTail
+    from repro.sim.checkpoint import JobJournal, SegmentIndex
 
     groups = run.groups()
     member_ids = set(run.job_ids)
@@ -920,11 +921,12 @@ def _dist_phases(run):
                                   [worker(spool_death, "survivor")])
     counts = collections.Counter()
     victim_records = 0
+    index = SegmentIndex()
     for host_id, path in dist.segments(spool_death):
-        records = JournalTail(path).poll()
-        counts.update(record["job_id"] for record in records)
+        journaled = index.poll([path])   # every sound line's job_id
+        counts.update(journaled)
         if host_id == "victim":
-            victim_records = len(records)
+            victim_records = len(journaled)
     duplicates = sorted(job_id for job_id, n in counts.items() if n > 1)
     if duplicates:
         run.notes.append("executed more than once: %s"
@@ -940,11 +942,10 @@ def _dist_phases(run):
         # A mid-write kill: valid prefix of a record, no newline.
         handle.write(b'{"journal_version": 2, "job_id": "torn-wri')
     run.injected["shared.journal"] = "torn-append"
-    journal = JobJournal(segment)   # workers are gone: safe to rewrite
+    journal = JobJournal(segment)   # logs the tear, rewrites nothing
     split_quarantined = journal.quarantined_lines
-    journal.compact(keep_ids=member_ids)
     healer = SerialExecutor()
-    healed = healer.run(run.jobs, journal=JobJournal(segment),
+    healed = healer.run(run.jobs, journal=journal,
                         failure_policy=run.policy)
     run.settle(healer)
     split_resumed = sum(1 for outcome in healer.last_outcomes.values()

@@ -11,15 +11,16 @@ shared filesystem (NFS, a bind mount, or plain ``/tmp`` for tests):
 - **Workers** (``repro worker --spool DIR --host-id NAME``, i.e.
   :func:`run_worker`) claim units with the store's single-flight
   ``O_CREAT|O_EXCL`` lease protocol, heartbeat the lease's mtime while
-  executing, and append each member result to their *own* per-host
-  CRC-sealed segment (``<spool>/journals/<host_id>.journal``).
-- The driver tails every segment **read-only** through
-  :class:`~repro.sim.checkpoint.JournalTail`, the one completion-line
-  reader the artifact store's result tier also uses, rebuilds each
-  record into a live ``RunResult``, and re-journals it into its own
-  ``--checkpoint`` journal: the merge *is* the cross-host resume.  A
-  tailed file must never be rewritten, so a segment is append-only on
-  both sides: ``JobJournal``'s quarantine pass is off-limits here.
+  executing, and journal each member result to their *own* per-host
+  segment (``<spool>/journals/<host_id>.journal``, a
+  :class:`~repro.sim.checkpoint.JobJournal`).  A worker's skip set is a
+  :class:`~repro.sim.checkpoint.SegmentIndex` over every segment,
+  polled before each claim, so it checks each line once.
+- The driver tails every segment **read-only** through a
+  :class:`~repro.sim.checkpoint.SegmentIndex`, parses the line of each
+  member it still waits for into a live ``RunResult``, and re-journals
+  it into its own ``--checkpoint`` journal: the merge *is* the
+  cross-host resume.  No reader rewrites a segment.
 
 Host loss is a first-class fault, not a hang: a worker that stops
 heartbeating past ``lease_timeout`` has its lease released back to the
@@ -37,6 +38,7 @@ Spool layout::
     <spool>/jobs/<unit_id>.job        pickled unit (atomic write)
     <spool>/leases/<unit_id>.lease    claim file; mtime = heartbeat
     <spool>/journals/<host>.journal   per-host append-only segment
+    <spool>/journals/<host>.journal.rej  its corrupt lines, by offset
     <spool>/hosts/<host>.json         worker census; mtime = heartbeat
     <spool>/errors/<unit_id>.err      worker-reported attempt failures
     <spool>/skip/<unit_id>.skip       driver verdict: stop claiming
@@ -55,13 +57,11 @@ from repro.errors import ReproError
 from repro.exec.executor import Executor, iter_group_results
 from repro.exec.retry import attempt_deadline
 from repro.sim.checkpoint import (
-    JournalTail,
+    JobJournal,
+    SegmentIndex,
     append_line,
-    append_record,
     atomic_write_text,
     result_from_record,
-    sync_file,
-    terminate_tail,
 )
 
 HOSTNAME = socket.gethostname()
@@ -242,16 +242,6 @@ def segments(spool):
             for name in names if name.endswith(".journal")]
 
 
-def completed_job_ids(spool):
-    """Member job_ids journaled by *any* host (read-only segment scan).
-
-    What a claiming worker uses as its skip set, so a re-claimed group
-    only re-runs the members its previous owner never published.
-    """
-    return {record["job_id"] for _, path in segments(spool)
-            for record in JournalTail(path).poll()}
-
-
 # ---- worker side ------------------------------------------------------
 
 
@@ -292,36 +282,30 @@ def _write_spool_policy(spool, policy):
          "max_attempts": policy.max_attempts}, sort_keys=True))
 
 
-def _execute_unit(unit, segment, done_ids, timeout=None, on_record=None,
+def _execute_unit(unit, journal, done_ids, timeout=None, on_record=None,
                   heartbeat=None):
-    """Run one claimed unit, appending each member to ``segment``;
-    returns #published.
+    """Run one claimed unit, recording each member in ``journal`` (this
+    host's segment); returns #published.
 
-    Members another host already journaled are skipped (the re-claimed
-    half-finished group case).  ``on_record(member, result)`` fires
-    after each append -- the chaos harness's die-mid-unit hook.  A
+    Members in ``done_ids`` (journaled by any host) are skipped: the
+    re-claimed half-finished group case.  ``on_record(member, result)``
+    fires after each append -- the chaos harness's die-mid-unit hook.  A
     heartbeat that reports ``lost`` aborts publication: the lease was
     broken, so the rest of the unit belongs to its next claimant.
     """
     count = 0
-
-    def publish(member, result):
-        nonlocal count
-        append_record(segment, member, result)
-        count += 1
-        if on_record is not None:
-            on_record(member, result)
-
     skip = done_ids & {m.job_id for m in unit.member_jobs}
     try:
         with attempt_deadline(timeout):
             for member, result in iter_group_results(unit, skip=skip):
                 if heartbeat is not None and heartbeat.lost:
                     break
-                publish(member, result)
+                journal.record(member, result)
+                count += 1
+                if on_record is not None:
+                    on_record(member, result)
     finally:
-        if count:
-            sync_file(segment)   # once per unit
+        journal.sync()   # once per unit
     return count
 
 
@@ -344,8 +328,8 @@ def run_worker(spool, host_id=None, poll=0.25,
     spool = ensure_spool(spool)
     host_id = host_id or "%s-%d" % (HOSTNAME, os.getpid())
     started = time.time()
-    segment = segment_path(spool, host_id)
-    terminate_tail(segment)   # never rewritten: the driver tails it
+    journal = JobJournal(segment_path(spool, host_id))
+    done = SegmentIndex()   # the skip set: members any host journaled
     units = members = errors = 0
     cooldown = {}   # unit_id -> monotonic time to leave it for others
     idle_since = time.monotonic()
@@ -398,9 +382,10 @@ def run_worker(spool, host_id=None, poll=0.25,
                     errors += 1
                     cooldown[unit_id] = time.monotonic() + 2 * lease_timeout
                     continue
+                done.poll(path for _, path in segments(spool))
                 try:
                     members += _execute_unit(
-                        unit, segment, completed_job_ids(spool),
+                        unit, journal, done.entries.keys(),
                         timeout=timeout, on_record=on_record,
                         heartbeat=heartbeat)
                 except Exception as exc:
@@ -519,11 +504,11 @@ class DistExecutor(Executor):
         state.jm.spooled.set(len(outstanding))
         attempts = {}       # unit_id -> failed attempts charged so far
         error_lines = {}    # unit_id -> error-file lines consumed
-        tails = {}          # segment path -> JournalTail
+        index = SegmentIndex()
         spooled_at = {unit_id: time.perf_counter() for unit_id in units}
         last_alive = time.monotonic()
         while outstanding:
-            progressed = self._merge_segments(tails, members, outstanding,
+            progressed = self._merge_segments(index, members, outstanding,
                                               results, state, attempts,
                                               spooled_at)
             if self._consume_errors(error_lines, units, members,
@@ -557,20 +542,22 @@ class DistExecutor(Executor):
         if not ids:
             del outstanding[unit_id]
 
-    def _merge_segments(self, tails, members, outstanding, results,
+    def _merge_segments(self, index, members, outstanding, results,
                         state, attempts, spooled_at):
         """Pull fresh records from every per-host segment into results."""
         progressed = False
         for host_id, path in segments(self.spool):
-            tail = tails.setdefault(path, JournalTail(path))
-            for record in tail.poll():
-                entry = members.get(record["job_id"])
+            for job_id in index.poll([path]):
+                entry = members.get(job_id)
                 if entry is None:
                     continue  # another run's record sharing the spool
                 unit_id, member = entry
-                if record["job_id"] not in outstanding.get(unit_id, ()):
+                if job_id not in outstanding.get(unit_id, ()):
                     continue  # settled already (duplicates are benign:
                               # re-runs are bit-identical by construction)
+                record, _reason = index.read(index.entries[job_id])
+                if record is None:
+                    continue
                 result = result_from_record(record)
                 results[member] = result
                 self._settle(outstanding, unit_id, member.job_id)

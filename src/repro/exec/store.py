@@ -73,11 +73,11 @@ from repro.sim.checkpoint import (
     INCOMPATIBLE_VERSION,
     JOURNAL_VERSION,
     JournalTail,
+    SegmentIndex,
     append_line,
     atomic_write_text,
     check_line,
     completion_line,
-    parse_record,
     result_from_record,
     sync_file,
 )
@@ -290,17 +290,6 @@ _PREPASS_SCALARS = ("num_instructions", "warmup", "n_accesses", "n_misses",
                     "remap_entry_fetches", "remap_reshuffles")
 
 
-def _listed(rej_path, name, offset):
-    """True when the quarantine log already lists this result line."""
-    try:
-        with open(rej_path) as handle:
-            logged = [json.loads(line) for line in handle]
-    except (OSError, ValueError):
-        return False
-    return any(evidence.get("entry") == name
-               and evidence.get("offset") == offset for evidence in logged)
-
-
 class ArtifactStore:
     """One store root: three content-addressed tiers plus locks.
 
@@ -328,12 +317,12 @@ class ArtifactStore:
             "quarantined": 0, "write_errors": 0,
             "lock_waits": 0, "lock_breaks": 0,
         }
-        # Result tier: job_id -> (segment, offset, length), filled by the
-        # first lookup and by each save; segment -> (inode, tail) of the
-        # last poll, or of this process's last append to it; this
-        # process's own segment, created by its first save; segments
-        # appended to since the last sync_results.
-        self._index, self._tails, self._unsynced = {}, {}, set()
+        # Result tier: where each line is, filled by the first lookup and
+        # by each save; this process's own segment, created by its first
+        # save; segments appended to since the last sync_results.
+        self._index = SegmentIndex(os.path.join(self.root, "quarantine.rej"),
+                                   self._quarantined)
+        self._unsynced = set()
         self._segment, self._pid, self._lock = \
             None, os.getpid(), threading.Lock()
         self._bind_metrics(metrics)
@@ -378,35 +367,22 @@ class ArtifactStore:
         self.counters["bytes_written"] += nbytes
         self._m_bytes_written.inc(nbytes)
 
-    def _quarantine(self, path, reason, offset=None):
-        """Move a failed entry aside; keep the evidence, report a miss.
-
-        A result line (``offset`` given) stays in its segment, which is
-        never rewritten; the evidence records where it is, once.  A line
-        ``quarantine.rej`` already lists is neither logged nor counted
-        again, so ``counters["quarantined"]`` counts first sightings
-        (two stores that find one line at the same moment both count it).
+    def _quarantine(self, path, reason):
+        """Move a failed entry aside and log it in ``quarantine.rej``
+        (a result line stays in its segment: the index logs it once).
+        ``counters["quarantined"]`` counts what this store logged first.
         """
-        name = os.path.basename(path)
-        evidence = {"entry": name, "reason": reason}
-        rej_path = os.path.join(self.root, "quarantine.rej")
-        if offset is not None:
-            if _listed(rej_path, name, offset):
-                return
-            evidence["offset"] = offset
-        else:
-            try:
-                os.replace(path, os.path.join(self.root, "quarantine",
-                                              name))
-            except OSError:
-                try:
-                    os.unlink(path)
-                except OSError:
-                    return
         try:
-            append_line(rej_path, json.dumps(evidence))
+            os.replace(path, os.path.join(self.root, "quarantine",
+                                          os.path.basename(path)))
         except OSError:
-            pass
+            try:
+                os.unlink(path)
+            except OSError:
+                return
+        self._index.reject(path, reason)
+
+    def _quarantined(self):
         self.counters["quarantined"] += 1
         self._m_quarantined.inc()
 
@@ -563,38 +539,18 @@ class ArtifactStore:
         return self._lock
 
     def _poll_results(self):
-        """Index where each current-fingerprint line appended since the
-        last poll is (never the record).
-
-        A line is checked by its bytes (:func:`check_line`), not parsed:
-        its CRC, version and job_id are read off the canonical text, so
-        a hit parses its line once, in :meth:`load_result`.
-
-        Segments of other code fingerprints are skipped by name, and a
-        segment is read only past where the last poll stopped, or past
-        this process's own last append to it (:meth:`save_result`
-        indexes those lines itself).  A name
-        on a new inode, or shorter than that point, is a segment gc
-        removed and a process recreated: it is read again from its
-        start, and the index entries into the old file are dropped.
-        """
+        """Index the lines appended to this code fingerprint's segments
+        since the last poll (:meth:`SegmentIndex.poll`, which checks a
+        line by its bytes: a hit parses its line once); segments of
+        other fingerprints are skipped by name."""
         prefix = code_fingerprint("result") + "-"
-        for path, st in self._entries("results"):
-            if not os.path.basename(path).startswith(prefix):
-                continue
-            inode, tail = self._tails.get(path, (None, None))
-            if inode != st.st_ino or st.st_size < tail.offset:
-                tail = JournalTail(path, check_line)
-                self._tails[path] = (st.st_ino, tail)
-                self._index = {job_id: entry for job_id, entry
-                               in self._index.items() if entry[0] != path}
-            elif st.st_size == tail.offset:
-                continue
-            for offset, line, job_id, reason in tail.lines():
-                if job_id is not None:
-                    self._index[job_id] = (path, offset, len(line))
-                elif reason != INCOMPATIBLE_VERSION:
-                    self._quarantine(path, reason, offset)
+        directory = os.path.join(self.root, "results")
+        try:
+            names = sorted(os.listdir(directory))
+        except OSError:
+            return
+        self._index.poll(os.path.join(directory, name) for name in names
+                         if name.startswith(prefix))
 
     def load_result(self, job):
         """Rebuild the completed run for ``job``, or None.
@@ -606,30 +562,28 @@ class ArtifactStore:
         that fails the check is quarantined unless a poll shows that
         its segment was recreated since it was indexed.
         """
+        entries = self._index.entries
         with self._result_lock():
-            if job.job_id not in self._index:
+            entry = entries.get(job.job_id)
+            if entry is None:
                 self._poll_results()
-            entry = self._index.get(job.job_id)
+                entry = entries.get(job.job_id)
         record = reason = None
         if entry is not None:
-            path, offset, length = entry
-            try:
-                with open(path, "rb") as handle:
-                    handle.seek(offset)
-                    record, reason = parse_record(handle.read(length))
-            except OSError:
-                pass   # the segment was evicted by gc
+            record, reason = self._index.read(entry)
         if (record is None or record["job_id"] != job.job_id
                 or record.get("fingerprint") != code_fingerprint("result")):
             if reason not in (None, INCOMPATIBLE_VERSION):
                 with self._result_lock():
                     self._poll_results()   # a recreated segment?
-                    moved = self._index.get(job.job_id) != entry
+                    moved = entries.get(job.job_id) != entry
                 if not moved:
-                    self._quarantine(path, reason, offset)
-            self._index.pop(job.job_id, None)
+                    path, offset, _length = entry
+                    self._index.reject(path, reason, offset)
+            entries.pop(job.job_id, None)
             self._miss("result")
             return None
+        path, _offset, length = entry
         self._hit("result", length)
         self._touch(path)
         return result_from_record(record)
@@ -667,30 +621,9 @@ class ArtifactStore:
                         return False
             self._segment = path
             self._unsynced.add(path)
-            self._index[job.job_id] = (path, offset, length)
-            self._skip_own_line(path, new, offset, length)
+            self._index.appended(job.job_id, path, offset, length)
         self._wrote(length)
         return True
-
-    def _skip_own_line(self, path, new, offset, length):
-        """Move ``path``'s poll tail past the line this process just
-        appended, which the index already holds.
-
-        A segment has one writer (its name carries host, pid and a
-        counter), so when the tail stood at the line's offset nothing
-        unread lies before it; a new segment's tail starts at its
-        inode's first byte.  Otherwise, as for a name a poll saw on an
-        earlier inode, the next poll reads as before.
-        """
-        if new and path not in self._tails:
-            try:
-                self._tails[path] = (os.stat(path).st_ino,
-                                     JournalTail(path, check_line))
-            except OSError:
-                return   # evicted already: a poll will not list it
-        _inode, tail = self._tails.get(path, (None, None))
-        if tail is not None and tail.offset == offset:
-            tail.offset = offset + length
 
     def sync_results(self):
         """fsync every segment appended to since the last call.
@@ -898,7 +831,7 @@ class ArtifactStore:
                     final=True):
                 report["checked"] += 1
                 if record is None and reason != INCOMPATIBLE_VERSION:
-                    self._quarantine(path, "verify: %s" % reason, offset)
+                    self._index.reject(path, "verify: %s" % reason, offset)
                     report["corrupt"] += 1
                 elif record and record.get("fingerprint") == current:
                     report["ok"] += 1

@@ -270,16 +270,15 @@ def _ingest_journal(report, journal_path, top):
         # runs start); for a report that would silently hide a typo'd
         # path, so fail loudly instead.
         raise ReproError("journal not found: %s" % journal_path)
-    tail = JournalTail(journal_path)
-    records = {record["job_id"]: record
-               for _, _, record, _ in tail.lines(final=True)
-               if record is not None}
-    report["journal"] = {"records": len(records),
-                         "skipped_lines": tail.bad_lines}
-    if tail.bad_lines:
+    lines = [record for _, _, record, _
+             in JournalTail(journal_path).lines(final=True)]
+    records = {record["job_id"]: record for record in lines if record}
+    skipped = lines.count(None)
+    report["journal"] = {"records": len(records), "skipped_lines": skipped}
+    if skipped:
         report["degradations"].append(
             "journal: %d line(s) skipped (corrupt or another format)"
-            % tail.bad_lines)
+            % skipped)
     key_names = {job_id: (info["benchmark"], info["policy"])
                  for job_id, info in records.items()}
     wall_hist = HistogramMetric(resolution=1e-3)

@@ -1,19 +1,23 @@
-"""Completion records: the resume journal, its line reader and writer.
+"""Completion records: the resume journal, its line index and writer.
 
 Experiment runs are minutes-long; :class:`JobJournal` is an append-only
 JSONL journal the executors write one line to per completed
 :class:`~repro.exec.job.SimJob`.  An interrupted sweep re-run against
 the same journal skips every ``job_id`` already on disk and rebuilds
 those results without simulating, each with its full
-:class:`~repro.util.statistics.StatGroup` snapshot.  Records are
-CRC32-sealed; corrupt lines are quarantined into a ``.rej`` sidecar
-instead of silently trusted or fatally rejected (see
-``docs/robustness.md``).  Rewrites go through :func:`atomic_write_text`
-(write-then-rename, never a torn file).  The store's result segments
-and the dist per-host segments share the line format, its encoder
-(:func:`completion_line`), its writer (:func:`append_line`, fsynced
-once per group by :func:`sync_file`) and its read-only reader
-(:class:`JournalTail`).
+:class:`~repro.util.statistics.StatGroup` snapshot.
+
+The journal, the store's result segments and the dist per-host segments
+are one kind of file: append-only, in one line format with one encoder
+(:func:`completion_line`), one writer (:func:`append_line`, fsynced
+once per group by :func:`sync_file`) and one index
+(:class:`SegmentIndex`), which reads each file past its last offset
+with :class:`JournalTail`.  Records are CRC32-sealed and checked by
+their bytes; a corrupt line is neither trusted nor fatal: it stays in
+place and is logged once, by offset, to a ``.rej`` log (see
+``docs/robustness.md``).  Reading a completion file never rewrites it;
+only :meth:`JobJournal.compact` does, through :func:`atomic_write_text`
+(write-then-rename, never a torn file).
 """
 
 import errno
@@ -301,40 +305,20 @@ def terminate_tail(path):
         append_line(path)
 
 
-def append_record(path, job, result):
-    """Append ``job``'s sealed journal line to ``path``; returns it.
-
-    The line is written but not fsynced: the writer syncs ``path`` once
-    per group (:func:`sync_file`), so a power loss costs at most the
-    lines of the group in flight, which re-simulate deterministically.
-    ``accounting`` (per-job wall/tracegen seconds, cache hit, path,
-    peak RSS) is an *additive* v2 field: old readers ignore it, old
-    records come back with accounting None, and it is CRC-covered like
-    everything else.
-    """
-    line = completion_line(
-        job, result, journal_version=JOURNAL_VERSION,
-        accounting=getattr(result, "accounting", None))
-    append_line(path, line, sync=False)
-    return line
-
-
 class JournalTail:
-    """Incremental read-only reader of one journal segment.
+    """Incremental read-only reader of one segment of completion lines.
 
-    A segment may have a live appender, so it is never rewritten (as
-    ``JobJournal``'s quarantine pass would).  :meth:`lines` streams the
-    lines past ``offset``, checks each with ``check`` (by default
-    :func:`parse_record`) and counts the invalid ones in
-    ``bad_lines``; an unterminated tail (a write in flight) is left for
-    the next call.
+    A segment may have a live appender, and no reader rewrites one.
+    :meth:`lines` streams the lines past ``offset`` and checks each with
+    ``check`` (by default :func:`parse_record`); an unterminated tail (a
+    write in flight) is left for the next call.  :class:`SegmentIndex`
+    keeps one per segment; an audit reads a file in one pass of its own.
     """
 
     def __init__(self, path, check=parse_record):
         self.path = os.fspath(path)
         self.check = check
         self.offset = 0
-        self.bad_lines = 0
 
     def lines(self, final=False):
         """Yield ``(offset, raw line, record, reason)`` per line, where
@@ -358,14 +342,127 @@ class JournalTail:
                 if not line.strip():
                     continue
                 record, reason = self.check(line)
-                if record is None:
-                    self.bad_lines += 1
                 yield offset, line, record, reason
 
-    def poll(self):
-        """Validated records appended since the last poll."""
-        return [record for _, _, record, _ in self.lines()
-                if record is not None]
+
+class SegmentIndex:
+    """``entries``: ``job_id -> (path, offset, length)`` over append-only
+    segments, for the journal, the store's result tier and the dist spool.
+
+    :meth:`poll` reads each segment past where it stopped on that inode,
+    checks each line by its bytes (:func:`check_line`) and indexes the
+    sound ones (a job_id's last line wins); :meth:`read` parses a line
+    when its record is asked for.  A segment on a new inode, or shorter
+    than that point, was made again: it is read from its start.
+
+    No file is rewritten.  A corrupt line stays in place and
+    :meth:`reject` logs it once, by offset, to ``rej_path`` (None: no
+    log), calling ``on_reject`` when it logged it first.  ``skipped``
+    counts the lines not indexed, ``incompatible`` those of another
+    ``journal_version``, ``rejected`` those this index logged first.
+    """
+
+    def __init__(self, rej_path=None, on_reject=None):
+        self.rej_path = rej_path
+        self.on_reject = on_reject
+        self.entries = {}
+        self._tails = {}   # path -> (inode, JournalTail)
+        self.skipped = self.incompatible = self.rejected = 0
+
+    def poll(self, paths):
+        """Index the lines appended to ``paths`` since the last poll;
+        returns their job_ids in file order."""
+        new = []
+        for path in paths:
+            try:
+                st = os.stat(path)
+            except OSError:
+                continue
+            inode, tail = self._tails.get(path, (None, None))
+            if inode != st.st_ino or st.st_size < tail.offset:
+                if tail is not None:   # made again: its entries are gone
+                    for job_id in [job_id for job_id, entry
+                                   in self.entries.items()
+                                   if entry[0] == path]:
+                        del self.entries[job_id]
+                tail = JournalTail(path, check_line)
+                self._tails[path] = (st.st_ino, tail)
+            elif st.st_size == tail.offset:
+                continue
+            for offset, line, job_id, reason in tail.lines():
+                if job_id is not None:
+                    self.entries[job_id] = (path, offset, len(line))
+                    new.append(job_id)
+                    continue
+                self.skipped += 1
+                if reason == INCOMPATIBLE_VERSION:
+                    self.incompatible += 1
+                else:
+                    self.reject(path, reason, offset)
+        return new
+
+    def appended(self, job_id, path, offset, length):
+        """Index the line this process just appended to ``path``, and
+        move the tail past it if it stood there: the next poll need not
+        read it back.  A file's first line starts the file's tail."""
+        self.entries[job_id] = (path, offset, length)
+        if offset == 0 and path not in self._tails:
+            try:
+                self._tails[path] = (os.stat(path).st_ino,
+                                     JournalTail(path, check_line))
+            except OSError:
+                return   # removed already: a poll will not list it
+        _inode, tail = self._tails.get(path, (None, None))
+        if tail is not None and tail.offset == offset:
+            tail.offset = offset + length
+
+    @staticmethod
+    def line(entry):
+        """The bytes of the line at ``entry``, newline included."""
+        path, offset, length = entry
+        with open(path, "rb") as handle:
+            handle.seek(offset)
+            return handle.read(length)
+
+    def read(self, entry):
+        """``(record, reason)`` of the line at ``entry``
+        (:func:`parse_record`); ``(None, None)`` if its file is gone."""
+        try:
+            return parse_record(self.line(entry))
+        except OSError:
+            return None, None
+
+    def reject(self, path, reason, offset=None):
+        """Log a bad line (at ``offset``) or file; True if this logged it.
+
+        The evidence is one JSON line: the file's name, the reason and a
+        line's offset.  A line the log lists already is not logged again
+        (two readers that meet it at the same moment may both log it);
+        the log is matched by its bytes, so a torn line, or evidence
+        appended onto one, hides nothing.
+        """
+        if self.rej_path is None:
+            return False
+        evidence = {"entry": os.path.basename(path), "reason": reason}
+        if offset is not None:
+            evidence["offset"] = offset
+            head = '{"entry": %s, ' % json.dumps(evidence["entry"])
+            tail = ', "offset": %d}\n' % offset
+            try:
+                with open(self.rej_path) as handle:
+                    if any(head in line and line.endswith(tail)
+                           for line in handle):
+                        return False
+            except OSError:
+                pass
+        try:
+            append_line(self.rej_path, json.dumps(evidence))
+        except OSError:
+            pass
+        self.rejected += 1
+        if self.on_reject is not None:
+            self.on_reject()
+        return True
 
 
 class JobJournal:
@@ -378,78 +475,59 @@ class JobJournal:
     CRC32 of its canonical JSON, so a torn write, bit rot or
     hand-editing is caught on open -- not trusted into a resumed sweep.
 
-    Integrity triage on open:
-
-    - *Corrupt* lines (unparseable JSON -- e.g. a truncated tail from a
-      mid-write kill -- missing ``job_id``/``crc32``, or a CRC
-      mismatch) are **quarantined**: moved into a ``<path>.rej``
-      sidecar with their reason, and the journal is rewritten
-      (atomically) without them, so the rerun regenerates those jobs
-      and the sidecar preserves the evidence.
-    - Lines written by a different ``journal_version`` are structurally
-      sound, just foreign: they are *ignored in place* (counted in
-      ``incompatible_lines``), which keeps old-format journals readable
-      by newer builds without destroying them.
-    - A sound last line that lost its newline gets one back.
-
-    ``skipped_lines`` counts everything not loaded (quarantined plus
-    incompatible), which is what ``repro sweep`` reports.
+    The journal is one segment of a :class:`SegmentIndex`.  Opening it
+    ends a torn last line (:func:`terminate_tail`) and polls it once;
+    it never rewrites the file.  A *corrupt* line (unparseable JSON from
+    a mid-write kill, a missing ``job_id``/``crc32``, a CRC mismatch)
+    stays in place, logged once to the ``<path>.rej`` sidecar
+    (``quarantined_lines`` counts those this open logged first), and the
+    rerun regenerates its job.  A line of another ``journal_version`` is
+    ignored in place (``incompatible_lines``), so newer builds never
+    destroy old records.  ``skipped_lines`` counts both.  A resumed
+    record is parsed once, by :meth:`result`.
     """
 
     def __init__(self, path):
         self.path = os.fspath(path)
         self.rej_path = self.path + ".rej"
-        self._lines = {}  # job_id -> its journal line, as on disk
         self._unsynced = False
-        self.quarantined_lines = 0
-        self.incompatible_lines = 0
-        if os.path.exists(self.path):
-            self._load()
+        self._open()
 
-    @property
-    def skipped_lines(self):
-        """Total lines ignored on open (quarantined + incompatible)."""
-        return self.quarantined_lines + self.incompatible_lines
-
-    def _load(self):
-        kept = []        # raw lines preserved verbatim (incl. foreign)
-        rejected = []    # (reason, raw line)
-        for _, line, record, reason in JournalTail(self.path).lines(
-                final=True):
-            raw = line.rstrip(b"\n").decode(errors="replace")
-            if record is not None:
-                kept.append(raw)
-                self._lines[record["job_id"]] = raw
-            elif reason == INCOMPATIBLE_VERSION:
-                self.incompatible_lines += 1
-                kept.append(raw)
-            else:
-                rejected.append((reason, raw))
-        for reason, raw in rejected:   # quarantine: .rej sidecar, rewrite
-            append_line(self.rej_path,
-                        json.dumps({"reason": reason, "line": raw}))
-        self.quarantined_lines = len(rejected)
-        if rejected:
-            atomic_write_text(self.path,
-                              "".join(raw + "\n" for raw in kept))
-        else:
-            terminate_tail(self.path)
+    def _open(self):
+        self._index = SegmentIndex(self.rej_path)
+        terminate_tail(self.path)
+        self._index.poll([self.path])
+        self.quarantined_lines = self._index.rejected
+        self.skipped_lines = self._index.skipped
+        self.incompatible_lines = self._index.incompatible
 
     @property
     def completed_ids(self):
         """job_ids with a fully recorded result."""
-        return set(self._lines)
+        return set(self._index.entries)
 
     def __len__(self):
-        return len(self._lines)
+        return len(self._index.entries)
 
     def __contains__(self, job_id):
-        return job_id in self._lines
+        return job_id in self._index.entries
 
     def record(self, job, result):
-        """Append one completed job (:func:`append_record`); durable
-        after the next :meth:`sync`."""
-        self._lines[job.job_id] = append_record(self.path, job, result)
+        """Append ``job``'s sealed line, durable after the next
+        :meth:`sync`.
+
+        The executor syncs once per group, so a power loss costs at most
+        the lines of the group in flight, which re-simulate
+        deterministically.  ``accounting`` (per-job wall/tracegen
+        seconds, cache hit, path, peak RSS) is an *additive* v2 field:
+        old readers ignore it, old records come back with accounting
+        None, and it is CRC-covered like everything else.
+        """
+        line = completion_line(
+            job, result, journal_version=JOURNAL_VERSION,
+            accounting=getattr(result, "accounting", None))
+        offset, length = append_line(self.path, line, sync=False)
+        self._index.appended(job.job_id, self.path, offset, length)
         self._unsynced = True
 
     def sync(self):
@@ -461,31 +539,30 @@ class JobJournal:
     def result(self, job):
         """Rebuild the RunResult for ``job`` (:func:`result_from_record`),
         or None if not journaled."""
-        line = self._lines.get(job.job_id)
-        if line is None:
+        entry = self._index.entries.get(job.job_id)
+        record = self._index.read(entry)[0] if entry else None
+        if record is None or record["job_id"] != job.job_id:
             return None
-        return result_from_record(json.loads(line))
+        return result_from_record(record)
 
     def compact(self, keep_ids=None):
         """Rewrite the journal with only current-format, live records.
 
-        Drops incompatible-version lines and -- when ``keep_ids`` is
-        given -- records whose job_id is not in it (the ROADMAP's
-        superseded-spec cleanup: compact against the requested grid).
-        The rewrite is atomic; quarantined lines stay in the sidecar.
-        Returns the number of records dropped.
+        The one rewrite of a completion file, run by its owner on
+        request: it writes back, atomically, the line the index holds
+        for each job_id -- only those in ``keep_ids`` when given (the
+        superseded-spec cleanup: compact against the requested grid) --
+        so corrupt and incompatible-version lines go; the ``.rej``
+        sidecar keeps its evidence.  Returns the number of lines
+        dropped, not counting a job_id's superseded lines.
         """
-        if keep_ids is not None:
-            keep_ids = set(keep_ids)
-            dropped = [job_id for job_id in self._lines
-                       if job_id not in keep_ids]
-            for job_id in dropped:
-                del self._lines[job_id]
-        else:
-            dropped = []
-        dropped_lines = self.incompatible_lines + len(dropped)
-        atomic_write_text(self.path, "".join(
-            line + "\n" for line in self._lines.values()))
+        entries = self._index.entries
+        keep_ids = set(entries if keep_ids is None else keep_ids)
+        kept = [entry for job_id, entry in entries.items()
+                if job_id in keep_ids]
+        dropped = self._index.skipped + len(entries) - len(kept)
+        atomic_write_text(self.path,
+                          b"".join(map(SegmentIndex.line, kept)))
         self._unsynced = False
-        self.incompatible_lines = 0
-        return dropped_lines
+        self._open()
+        return dropped

@@ -79,6 +79,7 @@ class TestDriverCrashResume:
         data = path.read_bytes().rstrip(b"\n")
         cut = data.rfind(b"\n") + 1
         path.write_bytes(data[:cut + (len(data) - cut) // 2])
+        torn = path.read_bytes()
 
         journal = JobJournal(path)
         assert journal.quarantined_lines == 1
@@ -86,11 +87,15 @@ class TestDriverCrashResume:
         rej = json.loads(
             (tmp_path / "journal.jsonl.rej").read_text().splitlines()[0])
         assert "unparseable" in rej["reason"]
+        assert rej["offset"] == cut
 
         results = SerialExecutor().run(JOBS, journal=journal)
         clean = SerialExecutor().run(JOBS)
         for job in JOBS:
             assert results[job].cycles == clean[job].cycles
+        # The resume only appended: the tear stays, ended by a newline.
+        assert path.read_bytes().startswith(torn + b"\n")
+        assert len(JobJournal(path)) == len(JOBS)
 
 
 class TestWorkerCrashResume:

@@ -10,6 +10,7 @@ invariant every test holds is the repo-wide one: results bit-identical
 to ``SerialExecutor``.
 """
 
+import collections
 import json
 import os
 import threading
@@ -26,17 +27,18 @@ from repro.exec import (
 )
 from repro.exec.chaos import result_digest, run_campaign
 from repro.exec.dist import (
-    completed_job_ids,
     ensure_spool,
     lease_age,
     release_lease,
     request_stop,
     segment_path,
+    segments,
     spool_jobs,
     try_claim,
 )
 from repro.exec.retry import RETRY_THEN_SKIP, FailurePolicy
-from repro.sim.checkpoint import JOURNAL_VERSION, JobJournal, JournalTail
+from repro.sim import checkpoint
+from repro.sim.checkpoint import JOURNAL_VERSION, JobJournal, SegmentIndex
 
 N = 800
 WARMUP = 400
@@ -91,39 +93,81 @@ class TestSpoolProtocol:
                              lease_timeout=1.0, max_units=1)
         assert summary["units"] == 1
         assert summary["members"] == len(POLICIES)
-        done = completed_job_ids(spool)
-        assert len(done) == len(POLICIES)
+        done = SegmentIndex()
+        done.poll(path for _, path in segments(spool))
+        assert len(done.entries) == len(POLICIES)
         # The claimed unit's job file is gone, its lease released.
         remaining = os.listdir(os.path.join(spool, "jobs"))
         assert len(remaining) == len(groups) - 1
         assert os.listdir(os.path.join(spool, "leases")) == []
 
+    def test_worker_checks_each_segment_line_once(self, tmp_path,
+                                                  monkeypatch):
+        """The skip set is an index polled before each claim: a segment
+        line is checked once, however many units the worker claims."""
+        spool = ensure_spool(tmp_path / "spool")
+        groups = build_job_groups(BENCHMARKS + ["gcc"], POLICIES,
+                                  num_instructions=N, warmup=WARMUP)
+        seeded = groups[0].member_jobs
+        results = SerialExecutor().run(seeded)
+        other = JobJournal(segment_path(spool, "other"))
+        for job in seeded:
+            other.record(job, results[job])
+        with open(segment_path(spool, "other"), "rb") as handle:
+            seeded_lines = handle.read().splitlines(keepends=True)
+        spool_jobs(spool, groups)
+        checked = collections.Counter()
+        check_line = checkpoint.check_line
 
-class TestJournalTail:
+        def counting(raw):
+            checked[bytes(raw)] += 1
+            return check_line(raw)
+
+        monkeypatch.setattr(checkpoint, "check_line", counting)
+        summary = run_worker(spool, host_id="solo", poll=0.01,
+                             lease_timeout=1.0, max_units=3)
+        assert summary["units"] == 3
+        # The seeded group's members were skipped, not re-run.
+        assert summary["members"] == 2 * len(POLICIES)
+        assert all(checked[line] == 1 for line in seeded_lines)
+        # The second claim's own lines were checked by the third's poll.
+        assert sum(checked.values()) == len(seeded_lines) + len(POLICIES)
+        assert set(checked.values()) == {1}
+
+
+class TestSegmentPolls:
     def test_incremental_polls_and_torn_tail(self, tmp_path):
         jobs = _jobs()[:2]
         results = SerialExecutor().run(jobs)
         path = str(tmp_path / "seg.journal")
         journal = JobJournal(path)
         journal.record(jobs[0], results[jobs[0]])
-        tail = JournalTail(path)
-        first = tail.poll()
-        assert [r["job_id"] for r in first] == [jobs[0].job_id]
-        assert tail.poll() == []          # nothing new
+        index = SegmentIndex()
+        assert index.poll([path]) == [jobs[0].job_id]
+        assert index.poll([path]) == []   # nothing new
         journal.record(jobs[1], results[jobs[1]])
-        assert [r["job_id"] for r in tail.poll()] == [jobs[1].job_id]
+        assert index.poll([path]) == [jobs[1].job_id]
+        record, _ = index.read(index.entries[jobs[1].job_id])
+        assert record["policy"] == jobs[1].policy
 
     def test_unterminated_line_waits_corrupt_line_counts(self, tmp_path):
         path = str(tmp_path / "seg.journal")
-        tail = JournalTail(path)
-        assert tail.poll() == []          # missing file: nothing yet
+        index = SegmentIndex(str(tmp_path / "seg.rej"))
+        assert index.poll([path]) == []   # missing file: nothing yet
         with open(path, "ab") as handle:
             handle.write(b'{"journal_version": 2, "job_id": "half')
-        assert tail.poll() == []          # write in flight: wait
+        assert index.poll([path]) == []   # write in flight: wait
+        assert index.skipped == 0
         with open(path, "ab") as handle:
             handle.write(b'"}\n')
-        assert tail.poll() == []          # complete but CRC-less
-        assert tail.bad_lines == 1
+        assert index.poll([path]) == []   # complete but CRC-less
+        assert (index.skipped, index.rejected) == (1, 1)
+        [evidence] = [json.loads(line)
+                      for line in open(tmp_path / "seg.rej")]
+        assert (evidence["entry"], evidence["offset"]) == ("seg.journal", 0)
+        # Another reader meets the line again; it is logged once.
+        again = SegmentIndex(str(tmp_path / "seg.rej"))
+        assert again.poll([path]) == [] and again.rejected == 0
 
 
 class TestWorkerSegment:
@@ -144,32 +188,33 @@ class TestWorkerSegment:
             handle.write(json.dumps({"journal_version": JOURNAL_VERSION,
                                      "job_id": "bad", "crc32": 0})
                          .encode() + b"\n")
-        tail = JournalTail(segment)
-        assert [r["job_id"] for r in tail.poll()] == [seeded.job_id]
-        assert tail.bad_lines == 1
-        size = os.path.getsize(segment)
-        assert tail.offset == size
+        index = SegmentIndex()
+        assert index.poll([segment]) == [seeded.job_id]
+        assert index.skipped == 1
+        with open(segment, "rb") as handle:
+            before = handle.read()
         spool_jobs(spool, _groups())
         summary = run_worker(spool, host_id="h", poll=0.01,
                              lease_timeout=1.0, max_units=1)
         assert summary["members"] > 0
-        assert os.path.getsize(segment) > size
-        assert len(tail.poll()) == summary["members"]
-        assert tail.bad_lines == 1
+        with open(segment, "rb") as handle:
+            assert handle.read().startswith(before)
+        assert len(index.poll([segment])) == summary["members"]
+        assert index.skipped == 1
 
     def test_restarted_worker_terminates_a_torn_tail(self, tmp_path):
         spool = ensure_spool(tmp_path / "spool")
         seeded, segment = self._seeded_segment(spool)
         with open(segment, "ab") as handle:
             handle.write(b'{"journal_version": 2, "job_')
-        tail = JournalTail(segment)
-        assert [r["job_id"] for r in tail.poll()] == [seeded.job_id]
+        index = SegmentIndex()
+        assert index.poll([segment]) == [seeded.job_id]
         spool_jobs(spool, _groups())
         summary = run_worker(spool, host_id="h", poll=0.01,
                              lease_timeout=1.0, max_units=1)
         assert summary["members"] > 0
-        assert len(tail.poll()) == summary["members"]
-        assert tail.bad_lines == 1    # the torn line, now terminated
+        assert len(index.poll([segment])) == summary["members"]
+        assert index.skipped == 1    # the torn line, now terminated
 
 
 class TestDistExecutor:
@@ -214,8 +259,8 @@ class TestDistExecutor:
                                 degrade_after=0.1)
         results = executor.run(_groups())
         _assert_identical(results, reference)
-        tail = JournalTail(segment_path(spool, "pre"))
-        assert [r["job_id"] for r in tail.poll()] == [seeded.job_id]
+        index = SegmentIndex()
+        assert index.poll([segment_path(spool, "pre")]) == [seeded.job_id]
 
     def test_worker_errors_charge_retries_then_skip(self, tmp_path):
         spool = str(tmp_path / "spool")

@@ -4,7 +4,8 @@ Two dist workers sharing one ``--host-id`` append to the *same*
 journal segment.  The v2 append path writes each CRC-sealed record as
 one ``os.write`` on an ``O_APPEND`` fd, so concurrent appends
 interleave at line granularity: a reload must see every record intact,
-and only a genuinely torn line (a mid-write kill) may be quarantined.
+and only a genuinely torn line (a mid-write kill) may be quarantined --
+logged, and left where it is.
 """
 
 import multiprocessing
@@ -65,10 +66,14 @@ class TestConcurrentAppend:
         jobs = _fill_concurrently(path)
         with open(path, "ab") as handle:
             handle.write(b'{"journal_version": 2, "job_id": "torn')
+        with open(path, "rb") as handle:
+            before = handle.read()
         journal = JobJournal(path)
         assert journal.quarantined_lines == 1
         assert len(journal) == len(jobs)
         assert os.path.exists(journal.rej_path)
+        with open(path, "rb") as handle:
+            assert handle.read() == before + b"\n"
 
     def test_compact_then_resume_bit_identical(self, tmp_path):
         path = str(tmp_path / "shared.journal")

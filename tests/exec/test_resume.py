@@ -1,6 +1,7 @@
 """Checkpoint-journal resume tests: skip completed jobs, rebuild results."""
 
 import json
+import sys
 
 import pytest
 
@@ -142,7 +143,7 @@ class TestStatGroupFromDict:
 
 
 class TestJournalIntegrity:
-    """v2 hardening: CRC32 seals, quarantine sidecar, compaction."""
+    """v2 hardening: CRC32 seals, in-place quarantine, compaction."""
 
     def _flip_crc_protected_digit(self, line):
         # Flip a digit INSIDE the cycles value (never its first digit,
@@ -162,12 +163,55 @@ class TestJournalIntegrity:
         journal = JobJournal(path)
         assert journal.quarantined_lines == 1
         assert len(journal) == len(JOBS) - 1
-        rej = json.loads(
-            (tmp_path / "journal.jsonl.rej").read_text().splitlines()[0])
+        rej_path = tmp_path / "journal.jsonl.rej"
+        [rej] = [json.loads(line)
+                 for line in rej_path.read_text().splitlines()]
         assert "crc32 mismatch" in rej["reason"]
-        # The journal itself was rewritten clean: reopening sees no
-        # corruption and the sidecar preserves the evidence.
-        assert JobJournal(path).skipped_lines == 0
+        assert (rej["entry"], rej["offset"]) == ("journal.jsonl", 0)
+        # The line stays in place, and the sidecar lists it once:
+        # reopening skips it without logging or counting it again.
+        reopened = JobJournal(path)
+        assert reopened.skipped_lines == 1
+        assert reopened.quarantined_lines == 0
+        assert len(rej_path.read_text().splitlines()) == 1
+
+    def test_open_leaves_bytes_and_inode_alone(self, tmp_path):
+        """A CRC-bad line and a torn tail: opening only ends the torn
+        line with a newline, so the next record starts a line of its
+        own; it rewrites nothing."""
+        path = tmp_path / "journal.jsonl"
+        SerialExecutor().run(JOBS, journal=JobJournal(path))
+        lines = path.read_text().splitlines(keepends=True)
+        lines[0] = self._flip_crc_protected_digit(lines[0])
+        path.write_text("".join(lines)
+                        + '{"journal_version": %d, "job_id": "de'
+                        % JOURNAL_VERSION)
+        before, inode = path.read_bytes(), path.stat().st_ino
+        journal = JobJournal(path)
+        assert journal.quarantined_lines == 2
+        assert len(journal) == len(JOBS) - 1
+        assert path.stat().st_ino == inode
+        assert path.read_bytes() == before + b"\n"
+
+    def test_resume_parses_each_record_once(self, tmp_path, monkeypatch):
+        """Open checks lines by their bytes; only a resumed job's
+        result() parses its line."""
+        path = tmp_path / "journal.jsonl"
+        SerialExecutor().run(JOBS, journal=JobJournal(path))
+        parses = []
+        loads = json.loads
+
+        def counting(*args, **kwargs):
+            if sys._getframe(1).f_globals["__name__"] == \
+                    "repro.sim.checkpoint":
+                parses.append(1)
+            return loads(*args, **kwargs)
+
+        monkeypatch.setattr(json, "loads", counting)
+        resumed = CountingExecutor()
+        resumed.run(JOBS, journal=JobJournal(path))
+        assert resumed.executed == 0
+        assert len(parses) == len(JOBS)
 
     def test_missing_crc_is_quarantined(self, tmp_path):
         path = tmp_path / "journal.jsonl"

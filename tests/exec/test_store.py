@@ -551,6 +551,22 @@ class TestResultSegments:
         assert stats["tiers"]["results"]["records"] == 1
         assert stats["quarantined_entries"] == 1
 
+    def test_a_torn_log_line_hides_no_evidence(self, tmp_path, computed):
+        root = tmp_path / "store"
+        cold = ArtifactStore(root)
+        cold.save_result(JOBS[0], computed[JOBS[0]])
+        _flip_line(cold, JOBS[0])
+        with open(root / "quarantine.rej", "w") as handle:
+            handle.write('{"entry": "torn')     # a log append cut short
+        first, second = ArtifactStore(root), ArtifactStore(root)
+        assert first.load_result(JOBS[0]) is None
+        assert second.load_result(JOBS[0]) is None
+        assert first.counters["quarantined"] == 1
+        assert second.counters["quarantined"] == 0
+        with open(root / "quarantine.rej") as handle:
+            # The evidence fused onto the torn line, and is there once.
+            assert handle.read().count('"offset": 0}') == 1
+
     def test_other_fingerprints_segments_are_not_read(
             self, store, computed, monkeypatch):
         with monkeypatch.context() as patch:
@@ -560,8 +576,17 @@ class TestResultSegments:
         [name] = _segments(store)
         assert name.startswith("f" * 16 + "-")
         fresh = ArtifactStore(store.root)
-        assert fresh.load_result(JOBS[0]) is None
-        assert fresh._tails == {}
+        read = []
+        lines = JournalTail.lines
+
+        def counting_lines(tail, final=False):
+            read.append(tail.path)
+            yield from lines(tail, final)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(JournalTail, "lines", counting_lines)
+            assert fresh.load_result(JOBS[0]) is None
+        assert read == []
         assert fresh.verify()["stale"] == 1
 
     def test_gc_evicted_segment_is_never_recreated(self, tmp_path,

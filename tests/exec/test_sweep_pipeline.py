@@ -47,9 +47,9 @@ class TestBaselineOrdering:
         journal = JobJournal(tmp_path / "sweep.jsonl")
         sweep = small_sweep().run(journal=journal)
         assert sweep.executed_policies == ["authen-then-commit", BASELINE]
-        journaled = JournalTail(tmp_path / "sweep.jsonl").poll()
-        assert sorted(record["policy"] for record in journaled) == \
-            sorted(["authen-then-commit", BASELINE])
+        journaled = JournalTail(tmp_path / "sweep.jsonl").lines()
+        assert sorted(record["policy"] for _, _, record, _ in journaled) \
+            == sorted(["authen-then-commit", BASELINE])
 
 
 class TestManifestJobMetadata:

@@ -21,6 +21,18 @@ class TestCli:
         assert main(["table1"]) == 0
         assert "counter+hmac" in capsys.readouterr().out
 
+    def test_analytic_commands_take_no_scale(self, capsys):
+        from repro import cli, experiments
+
+        assert cli._ANALYTIC == experiments.ANALYTIC
+        with pytest.raises(SystemExit) as exc:
+            main(["table1", "-n", "300"])
+        assert exc.value.code == 2
+        assert "-n 300" in capsys.readouterr().err
+        for name in experiments.ANALYTIC:
+            with pytest.raises(SystemExit):
+                main([name, "--warmup", "300"])
+
     def test_table3(self, capsys):
         assert main(["table3"]) == 0
         assert "RUU" in capsys.readouterr().out
