@@ -17,6 +17,6 @@ from repro._lazy import lazy_namespace
 
 __all__, __getattr__, __dir__ = lazy_namespace(__name__, {
     "repro.cpu.branch": ("BimodalPredictor",),
-    "repro.cpu.core": ("TimestampCore", "RunResult"),
+    "repro.cpu.core": ("TimestampCore",),
     "repro.cpu.hierarchy": ("MemoryHierarchy",),
 })

@@ -27,8 +27,8 @@ to.
 
 from time import perf_counter
 
-from repro.cpu.core import RunResult
 from repro.cpu import native
+from repro.sim.result import RunResult
 from repro.util.statistics import StatGroup
 
 

@@ -17,7 +17,7 @@ shared filesystem (NFS, a bind mount, or plain ``/tmp`` for tests):
   :class:`~repro.sim.checkpoint.SegmentIndex` over every segment,
   polled before each claim, so it checks each line once.
 - The driver tails every segment **read-only** through a
-  :class:`~repro.sim.checkpoint.SegmentIndex`, parses the line of each
+  :class:`~repro.sim.checkpoint.SegmentIndex`, reads the line of each
   member it still waits for into a live ``RunResult``, and re-journals
   it into its own ``--checkpoint`` journal: the merge *is* the
   cross-host resume.  No reader rewrites a segment.
@@ -61,7 +61,6 @@ from repro.sim.checkpoint import (
     SegmentIndex,
     append_line,
     atomic_write_text,
-    result_from_record,
 )
 
 HOSTNAME = socket.gethostname()
@@ -555,10 +554,9 @@ class DistExecutor(Executor):
                 if job_id not in outstanding.get(unit_id, ()):
                     continue  # settled already (duplicates are benign:
                               # re-runs are bit-identical by construction)
-                record, _reason = index.read(index.entries[job_id])
-                if record is None:
+                result, _reason = index.read(index.entries[job_id], job_id)
+                if result is None:
                     continue
-                result = result_from_record(record)
                 results[member] = result
                 self._settle(outstanding, unit_id, member.job_id)
                 self.hosts_seen.add(host_id)

@@ -4,7 +4,7 @@ The unit of work is a :class:`~repro.exec.job.MultiPolicySimJob`: one
 benchmark trace evaluated under N policies.  :meth:`Executor.run`
 normalises every plain :class:`~repro.exec.job.SimJob` into its
 one-member group at entry, so :func:`iter_group_results` is the single
-place a job becomes a :class:`~repro.cpu.core.RunResult`: one cached
+place a job becomes a :class:`~repro.sim.result.RunResult`: one cached
 trace handed to :func:`~repro.sim.runner.evaluate_trace`.  It is a pure
 function of the group (all simulator state is private to the call),
 which is what makes the

@@ -78,7 +78,6 @@ from repro.sim.checkpoint import (
     atomic_write_text,
     check_line,
     completion_line,
-    result_from_record,
     sync_file,
 )
 from repro.workloads.trace import PackedTrace, Trace
@@ -556,11 +555,14 @@ class ArtifactStore:
         """Rebuild the completed run for ``job``, or None.
 
         A job missing from the index polls the segments first, so other
-        processes' appends are found.  A hit re-reads and re-checks its
-        line and rebuilds it as journal resume does; the record carries
-        no accounting (the caller attaches this store hit's).  A line
-        that fails the check is quarantined unless a poll shows that
-        its segment was recreated since it was indexed.
+        processes' appends are found.  A hit re-reads its line and makes
+        every check on its bytes (CRC, version, job_id and this code's
+        fingerprint), then returns it as journal resume does
+        (:func:`~repro.sim.checkpoint.read_result`): the stats are
+        decoded on first access, and the record carries no accounting
+        (the caller attaches this store hit's).  A line that fails the
+        check is quarantined here, never at that first access, unless a
+        poll shows that its segment was recreated since it was indexed.
         """
         entries = self._index.entries
         with self._result_lock():
@@ -568,11 +570,11 @@ class ArtifactStore:
             if entry is None:
                 self._poll_results()
                 entry = entries.get(job.job_id)
-        record = reason = None
+        result = reason = None
         if entry is not None:
-            record, reason = self._index.read(entry)
-        if (record is None or record["job_id"] != job.job_id
-                or record.get("fingerprint") != code_fingerprint("result")):
+            result, reason = self._index.read(entry, job.job_id,
+                                              code_fingerprint("result"))
+        if result is None:
             if reason not in (None, INCOMPATIBLE_VERSION):
                 with self._result_lock():
                     self._poll_results()   # a recreated segment?
@@ -586,7 +588,7 @@ class ArtifactStore:
         path, _offset, length = entry
         self._hit("result", length)
         self._touch(path)
-        return result_from_record(record)
+        return result
 
     def save_result(self, job, result):
         """Append ``job``'s record to this process's own segment.

@@ -42,7 +42,7 @@ def git_describe():
 
 def build_run_manifest(result, metrics=None, config=None, seed=None,
                        profiler=None, extra=None):
-    """Manifest for one :class:`~repro.cpu.core.RunResult`."""
+    """Manifest for one :class:`~repro.sim.result.RunResult`."""
     manifest = {
         "format_version": MANIFEST_VERSION,
         "kind": "run",

@@ -24,9 +24,13 @@ import errno
 import itertools
 import json
 import os
+import re
 import socket
 import zlib
+from json.decoder import scanstring
 
+from repro.sim.metrics import RunMetrics
+from repro.sim.result import RunResult
 from repro.util.statistics import StatGroup
 
 _HOST = socket.gethostname()
@@ -167,8 +171,9 @@ def parse_record(raw):
     :func:`check_line`, then one ``json.loads`` of a line that passed:
     a valid current-version line returns ``(dict, None)``, anything
     else ``(None, reason)`` with the check's reason.  Pure and
-    read-only -- safe on a journal another process is appending to,
-    which is what the distributed driver's segment tailer needs.
+    read-only -- safe on a journal another process is appending to.
+    The audits (``repro report --journal``, ``repro store verify``)
+    read whole records this way; a result is read by :func:`read_result`.
     """
     _job_id, reason = check_line(raw)
     if reason is not None:
@@ -202,8 +207,7 @@ def completion_line(job, result, **envelope):
     canonical -- sorted keys, text-sorted histogram buckets -- and
     encoded once: ``crc32`` is the CRC of the line without it, spliced
     in at its sorted place (after ``benchmark``, before ``cycles``, so
-    both halves are never empty).  :func:`result_from_record` is the
-    inverse of the parsed line.
+    both halves are never empty).  :func:`read_result` is its inverse.
     """
     record = dict(
         envelope,
@@ -231,31 +235,99 @@ def completion_line(job, result, **envelope):
     return '%s, "crc32": %d, %s' % (head, crc, tail)
 
 
-def result_from_record(record):
-    """Rebuild a live RunResult from one validated completion record.
+#: The scalars a hit reads off a sealed line: the top-level keys from
+#: ``crc32`` to ``instructions``, which sort together with no container
+#: between them (``fingerprint`` only on a store line).
+_HEAD = re.compile(
+    rb'"crc32": \d+, "cycles": (\d+), '
+    rb'(?:"fingerprint": ("(?:[^"\\]|\\.)*"), )?"instructions": (\d+), ')
 
-    The rebuilt result carries a real :class:`StatGroup` and the
-    persisted :class:`~repro.sim.metrics.RunMetrics`, so sweep
-    accessors and manifests work the same whether a run was simulated,
-    resumed locally, merged from another host's journal segment or
-    served from the store (whose records carry no ``accounting``).
+#: The names a hit reads off a sealed line: the run of string-valued
+#: top-level keys between ``miss_rates`` and ``seed``.  A string never
+#: holds an unescaped quote, and the containers between
+#: ``instructions`` and the run (``metrics``, ``miss_rates``) hold no
+#: string values, so the first match past ``_HEAD`` is the top-level one.
+_NAMES = re.compile(
+    rb', "name": ("(?:[^"\\]|\\.)*"), "policy": "(?:[^"\\]|\\.)*", '
+    rb'"policy_name": ("(?:[^"\\]|\\.)*"), "seed": ')
+
+
+def _text(literal):
+    """The str a JSON string literal (quotes included) encodes."""
+    if b"\\" not in literal:
+        return literal[1:-1].decode()
+    return scanstring(literal.decode(), 1)[0]
+
+
+class StoredResult(RunResult):
+    """A :class:`RunResult` rebuilt from its sealed completion line.
+
+    ``name``, ``policy_name``, ``instructions`` and ``cycles`` were read
+    off the line's text by :func:`read_result`.  ``stats``,
+    ``miss_summary``, ``metrics`` and ``accounting`` are decoded on
+    first access of any of them, with one ``json.loads`` of the line;
+    one assigned before that keeps its value (the executor sets a store
+    hit's ``accounting``).  A never-accessed result pickles with its
+    line, undecoded.
     """
-    from repro.cpu.core import RunResult
 
-    result = RunResult(
-        record["name"],
-        record["policy_name"],
-        record["instructions"],
-        record["cycles"],
-        StatGroup.from_dict(record["stats"], name="sim"),
-        dict(record["miss_rates"]),
-    )
-    if record.get("metrics") is not None:
-        from repro.sim.metrics import RunMetrics
+    _DECODED = frozenset(("stats", "miss_summary", "metrics", "accounting"))
 
-        result.metrics = RunMetrics(**record["metrics"])
-    result.accounting = record.get("accounting")
-    return result
+    def __init__(self, line, name, policy_name, instructions, cycles):
+        self.name = name
+        self.policy_name = policy_name
+        self.instructions = instructions
+        self.cycles = cycles
+        self._line = line
+
+    def __getattr__(self, attr):
+        # Only reached for an attribute the instance does not hold yet.
+        if attr not in self._DECODED:
+            raise AttributeError(attr)
+        state = self.__dict__
+        line = state.get("_line")
+        if line is not None:
+            record = json.loads(line)
+            if "stats" not in state:
+                state["stats"] = StatGroup.from_dict(record["stats"],
+                                                     name="sim")
+            state.setdefault("miss_summary", record["miss_rates"])
+            metrics = record.get("metrics")
+            state.setdefault("metrics", None if metrics is None
+                             else RunMetrics(**metrics))
+            state.setdefault("accounting", record.get("accounting"))
+            state.pop("_line", None)
+        return state[attr]
+
+
+def read_result(raw, job_id, fingerprint=None):
+    """The one decoder of a completion line: ``(result, reason)``.
+
+    Every check is made on the line's bytes, now: :func:`check_line`
+    (CRC, ``journal_version``, ``job_id``), that the line is ``job_id``'s
+    and, when ``fingerprint`` is given, that it carries that store
+    fingerprint.  A line that fails the check returns ``(None,
+    reason)``; one for another job or fingerprint ``(None, None)``.  A
+    sound line returns a :class:`StoredResult` and no line is parsed.
+
+    One failure is left for the first access: a CRC collision over
+    broken JSON (a 2**-32 chance per damaged line) passes every byte
+    check, and its decode raises ``ValueError``.
+    """
+    line_id, reason = check_line(raw)
+    if reason is not None:
+        return None, reason
+    if line_id != job_id:
+        return None, None
+    head = _HEAD.search(raw)
+    names = head and _NAMES.search(raw, head.end())
+    if not names:
+        return None, "malformed record"
+    if fingerprint is not None and (head[2] is None
+                                    or _text(head[2]) != fingerprint):
+        return None, None
+    return StoredResult(raw, _text(names[1]), _text(names[2]),
+                        int(head[3]), int(head[1])), None
 
 
 def append_line(path, text="", create=os.O_CREAT, sync=True):
@@ -351,9 +423,9 @@ class SegmentIndex:
 
     :meth:`poll` reads each segment past where it stopped on that inode,
     checks each line by its bytes (:func:`check_line`) and indexes the
-    sound ones (a job_id's last line wins); :meth:`read` parses a line
-    when its record is asked for.  A segment on a new inode, or shorter
-    than that point, was made again: it is read from its start.
+    sound ones (a job_id's last line wins); :meth:`read` turns a line
+    into a result when it is asked for.  A segment on a new inode, or
+    shorter than that point, was made again: it is read from its start.
 
     No file is rewritten.  A corrupt line stays in place and
     :meth:`reject` logs it once, by offset, to ``rej_path`` (None: no
@@ -424,13 +496,14 @@ class SegmentIndex:
             handle.seek(offset)
             return handle.read(length)
 
-    def read(self, entry):
-        """``(record, reason)`` of the line at ``entry``
-        (:func:`parse_record`); ``(None, None)`` if its file is gone."""
+    def read(self, entry, job_id, fingerprint=None):
+        """``(result, reason)`` of ``job_id``'s line at ``entry``
+        (:func:`read_result`); ``(None, None)`` if its file is gone."""
         try:
-            return parse_record(self.line(entry))
+            raw = self.line(entry)
         except OSError:
             return None, None
+        return read_result(raw, job_id, fingerprint)
 
     def reject(self, path, reason, offset=None):
         """Log a bad line (at ``offset``) or file; True if this logged it.
@@ -484,7 +557,7 @@ class JobJournal:
     rerun regenerates its job.  A line of another ``journal_version`` is
     ignored in place (``incompatible_lines``), so newer builds never
     destroy old records.  ``skipped_lines`` counts both.  A resumed
-    record is parsed once, by :meth:`result`.
+    result (:meth:`result`) parses its line on first access, if ever.
     """
 
     def __init__(self, path):
@@ -537,13 +610,10 @@ class JobJournal:
             self._unsynced = False
 
     def result(self, job):
-        """Rebuild the RunResult for ``job`` (:func:`result_from_record`),
-        or None if not journaled."""
+        """The RunResult journaled for ``job`` (:func:`read_result`), or
+        None if not journaled."""
         entry = self._index.entries.get(job.job_id)
-        record = self._index.read(entry)[0] if entry else None
-        if record is None or record["job_id"] != job.job_id:
-            return None
-        return result_from_record(record)
+        return self._index.read(entry, job.job_id)[0] if entry else None
 
     def compact(self, keep_ids=None):
         """Rewrite the journal with only current-format, live records.

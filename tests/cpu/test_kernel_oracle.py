@@ -20,6 +20,7 @@ kernel bug: pin the counterexample below as an ``@example``.
 
 from dataclasses import replace
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -162,6 +163,7 @@ def assert_lockstep(config, policy_name, trace, warmup):
     assert kernel.instructions == legacy.instructions
     assert kernel.stats.as_dict() == legacy.stats.as_dict()
     assert kernel.miss_summary == legacy.miss_summary
+    return kernel
 
 
 def _recycled_node_case():
@@ -195,6 +197,42 @@ def _recycled_prefetch_case():
             "warmup_share": 0.0}
 
 
+def _queue_full_case():
+    """A one-entry authentication queue under mcf's misses: a line's
+    verification waits for the one before it (``auth_queue_full``)."""
+    return {"config": SimConfig().with_secure(auth_queue_depth=1),
+            "trace": generate_trace(get_profile("mcf"), 2000, seed=1),
+            "warmup_share": 0.0}
+
+
+def _reshuffle_case():
+    """Stores to eight pages through a two-line L2 under address
+    obfuscation: every second writeback of a chunk reshuffles it
+    (``remap_reshuffles``)."""
+    config = replace(SimConfig(), l2=CacheConfig("l2", 2 * 64, 64, 2, 4)
+                     ).with_secure(obfuscation_enabled=True,
+                                   remap_shuffle_period=2)
+    rows = [row(0x1000 + 4 * i, Op.STORE, -1, (), (i % 8) * 4096)
+            for i in range(64)]
+    return {"config": config, "trace": trace_from_rows(rows),
+            "warmup_share": 0.0}
+
+
+#: The issue calendar's first capacity in the kernel (``cal_init``).
+CALENDAR_SLOTS = 1 << 14
+
+
+def _calendar_growth_case():
+    """A dependent multiply chain longer than the issue calendar's first
+    capacity: each issues in its own cycle, far ahead of the fetch
+    frontier, so a prune keeps nearly every slot and the calendar
+    doubles."""
+    rows = [row(0x1000 + 4 * (i % 256), Op.IMUL, 1, (1,))
+            for i in range(CALENDAR_SLOTS + 116)]
+    return {"config": SimConfig(), "trace": trace_from_rows(rows),
+            "warmup_share": 0.0}
+
+
 @settings(deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow,
                                  HealthCheck.data_too_large])
@@ -202,9 +240,25 @@ def _recycled_prefetch_case():
 @example(policy_name="authen-then-issue", **_recycled_node_case())
 @example(policy_name="lazy", **_recycled_prefetch_case())
 @example(policy_name="authen-then-issue", **_recycled_prefetch_case())
+@example(policy_name="authen-then-commit", **_queue_full_case())
+@example(policy_name="authen-then-write", **_reshuffle_case())
+@example(policy_name="authen-then-commit", **_calendar_growth_case())
 @given(config=configs(), policy_name=st.sampled_from(available_policies()),
        trace=st.one_of(profile_traces, corner_rows()),
        warmup_share=st.sampled_from((0.0, 0.25, 0.5, 1.0)))
 def test_kernel_equals_legacy(config, policy_name, trace, warmup_share):
     assert_lockstep(config, policy_name, trace,
                     int(len(trace) * warmup_share))
+
+
+@pytest.mark.parametrize("case, counter", [
+    (_queue_full_case, "auth_queue_full"),
+    (_reshuffle_case, "remap_reshuffles"),
+], ids=["queue-full", "reshuffle"])
+def test_pinned_cases_reach_their_mechanism(case, counter):
+    """The examples above run the kernel paths no drawn case reaches in
+    a derandomised run, and both models count them."""
+    case = case()
+    kernel = assert_lockstep(case["config"], "authen-then-commit",
+                             case["trace"], 0)
+    assert kernel.stats[counter].value > 0

@@ -147,8 +147,11 @@ class TestSegmentPolls:
         assert index.poll([path]) == []   # nothing new
         journal.record(jobs[1], results[jobs[1]])
         assert index.poll([path]) == [jobs[1].job_id]
-        record, _ = index.read(index.entries[jobs[1].job_id])
-        assert record["policy"] == jobs[1].policy
+        result, _ = index.read(index.entries[jobs[1].job_id],
+                               jobs[1].job_id)
+        assert result.cycles == results[jobs[1]].cycles
+        assert index.read(index.entries[jobs[1].job_id],
+                          jobs[0].job_id) == (None, None)
 
     def test_unterminated_line_waits_corrupt_line_counts(self, tmp_path):
         path = str(tmp_path / "seg.journal")

@@ -32,7 +32,7 @@ from repro.exec.store import (
     code_fingerprint,
     default_store_path,
 )
-from repro.sim.checkpoint import JournalTail, completion_line
+from repro.sim.checkpoint import JournalTail, SegmentIndex, completion_line
 from repro.workloads.spec import get_profile
 from repro.workloads.trace import Trace
 from repro.workloads.tracegen import generate_trace
@@ -361,6 +361,11 @@ def _flip_line(store, job):
     raise AssertionError("no line for %s" % job.job_id)
 
 
+def _line_of(store, job):
+    """The bytes of the line ``store`` indexed for ``job``."""
+    return SegmentIndex.line(store._index.entries[job.job_id])
+
+
 def _save_child(store, job, result):
     """Forked child: save through the store inherited from the parent."""
     store.save_result(job, result)
@@ -500,6 +505,28 @@ class TestResultSegments:
                 result_digest(computed[job])
         assert warm.counters["result_hits"] == len(JOBS)
         assert len(parses) == len(JOBS)
+
+    def test_damage_after_indexing_is_rejected_at_the_hit(
+            self, tmp_path, computed):
+        """A line damaged after the poll indexed it fails at the hit,
+        which re-checks its bytes; a hit already returned holds its own
+        bytes, so its first access never rejects anything."""
+        root = tmp_path / "store"
+        cold = ArtifactStore(root)
+        for job in JOBS[:2]:
+            cold.save_result(job, computed[job])
+        warm = ArtifactStore(root)
+        early = warm.load_result(JOBS[0])     # indexes both lines
+        stored = json.loads(_line_of(warm, JOBS[0]))["crc32"]
+        _flip_line(warm, JOBS[0])
+        assert warm.load_result(JOBS[0]) is None
+        assert warm.counters["quarantined"] == 1
+        with open(root / "quarantine.rej") as handle:
+            [evidence] = [json.loads(line) for line in handle]
+        assert evidence["reason"] == "crc32 mismatch (stored %d)" % stored
+        assert evidence["offset"] == 0
+        assert result_digest(early) == result_digest(computed[JOBS[0]])
+        assert warm.load_result(JOBS[1]) is not None
 
     @pytest.mark.parametrize("damage, reason", [
         (lambda line: line.replace(b'"crc32": ', b'"crc32": 1', 1),
@@ -700,6 +727,95 @@ class TestResultSegments:
         assert before and after == before
         assert warm.counters["result_misses"] == 0
         assert warm.counters["result_hits"] > 0
+
+
+class TestLazyHit:
+    """A hit reads its scalars off the line and decodes the rest once,
+    on first access."""
+
+    @pytest.fixture
+    def warm(self, tmp_path, computed):
+        cold = ArtifactStore(tmp_path / "store")
+        for job in JOBS:
+            cold.save_result(job, computed[job])
+        return ArtifactStore(tmp_path / "store")
+
+    def test_a_hit_reads_its_scalars_without_a_parse(self, warm, computed,
+                                                     parses):
+        for job in JOBS:
+            hit = warm.load_result(job)
+            assert (hit.name, hit.policy_name, hit.instructions,
+                    hit.cycles, hit.ipc) == (
+                computed[job].name, computed[job].policy_name,
+                computed[job].instructions, computed[job].cycles,
+                computed[job].ipc)
+        assert parses == {"loads": 0, "from_dict": 0}
+        hit.stats
+        assert parses == {"loads": 1, "from_dict": 1}
+        hit.stats, hit.miss_summary, hit.metrics, hit.accounting
+        assert parses == {"loads": 1, "from_dict": 1}
+        assert hit.metrics == computed[job].metrics
+        assert hit.accounting is None    # a store line carries none
+
+    def test_accounting_set_before_first_access_survives(self, warm,
+                                                         computed):
+        hit = warm.load_result(JOBS[0])
+        hit.accounting = {"path": "store", "store_hit": True}
+        assert result_digest(hit) == result_digest(computed[JOBS[0]])
+        assert hit.accounting == {"path": "store", "store_hit": True}
+
+    def test_a_never_accessed_hit_pickles_whole(self, warm, computed):
+        """A pool worker's store hit crosses back to the main process
+        before anything read its stats."""
+        import pickle
+
+        hit = warm.load_result(JOBS[1])
+        hit.accounting = {"path": "store"}
+        clone = pickle.loads(pickle.dumps(hit))
+        assert result_digest(clone) == result_digest(computed[JOBS[1]])
+        assert clone.accounting == {"path": "store"}
+        assert (clone.name, clone.cycles) == (hit.name, hit.cycles)
+
+    def test_a_warm_figure_run_parses_no_line(self, tmp_path, parses):
+        from repro.experiments.figures import run_figures
+
+        kwargs = dict(num_instructions=600, warmup=300, benchmarks=("gzip",))
+        previous = set_active_store(ArtifactStore(tmp_path / "store"))
+        try:
+            run_figures(["fig8"], str(tmp_path / "cold"), **kwargs)
+            warm = ArtifactStore(tmp_path / "store")
+            set_active_store(warm)
+            parses.update(loads=0, from_dict=0)
+            run_figures(["fig8"], str(tmp_path / "warm"), **kwargs)
+        finally:
+            set_active_store(previous)
+        assert warm.counters["result_hits"] == 4
+        assert parses == {"loads": 0, "from_dict": 0}
+        with open(tmp_path / "cold" / "fig8.txt", "rb") as handle:
+            assert handle.read() == (tmp_path / "warm" /
+                                     "fig8.txt").read_bytes()
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """Counts of ``json.loads`` and ``StatGroup.from_dict`` calls."""
+    from repro.util.statistics import StatGroup
+
+    counts = {"loads": 0, "from_dict": 0}
+    loads, from_dict = json.loads, StatGroup.from_dict.__func__
+
+    def counting_loads(*args, **kwargs):
+        counts["loads"] += 1
+        return loads(*args, **kwargs)
+
+    def counting_from_dict(cls, *args, **kwargs):
+        counts["from_dict"] += 1
+        return from_dict(cls, *args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", counting_loads)
+    monkeypatch.setattr(StatGroup, "from_dict",
+                        classmethod(counting_from_dict))
+    return counts
 
 
 class TestFingerprintInvalidation:

@@ -8,6 +8,7 @@ import sys
 import threading
 import time
 import urllib.error
+import urllib.parse
 import urllib.request
 
 import pytest
@@ -385,46 +386,55 @@ class TestHttp:
         assert status == 200
 
 
-#: A fresh interpreter serves /healthz and a warm /figure/fig8 over
-#: HTTP, then prints the status codes, whether the figure's body is the
-#: artifact's bytes, and every module it must not have loaded.
+#: A fresh interpreter serves /healthz, a warm /figure/fig8 and a /sweep
+#: GET over the figure's grid over HTTP, then prints the status codes,
+#: whether the figure's body is the artifact's bytes, the sweep's miss
+#: count, and every module it must not have loaded.
 _WARM_START = """
-import http.client, os, sys, threading
+import http.client, json, os, sys, threading
 from repro.exec.store import ArtifactStore
 from repro.obs import MetricsRegistry
 from repro.serve import FigureService, make_server
 
-out, store = sys.argv[1:]
+out, store, sweep = sys.argv[1:]
 service = FigureService(out, store=ArtifactStore(store),
                         metrics=MetricsRegistry())
 httpd = make_server(service)
 threading.Thread(target=httpd.serve_forever, daemon=True).start()
 conn = http.client.HTTPConnection(*httpd.server_address, timeout=30)
 answers = []
-for path in ("/healthz", "/figure/fig8"):
+for path in ("/healthz", "/figure/fig8", sweep):
     conn.request("GET", path)
     response = conn.getresponse()
     answers.append((response.status, response.read()))
 httpd.shutdown()
 service.close()
 with open(os.path.join(out, "fig8.json"), "rb") as handle:
-    print([status for status, _ in answers], answers[1][1] == handle.read())
+    print([status for status, _ in answers], answers[1][1] == handle.read(),
+          json.loads(answers[2][1])["misses"])
 print(sorted(m for m in sys.modules
              if m.startswith(("repro.experiments.", "repro.func",
-                              "repro.cpu.hierarchy", "repro.cpu.native"))))
+                              "repro.cpu.core", "repro.cpu.hierarchy",
+                              "repro.cpu.native"))))
 """
 
 
-def test_a_warm_server_never_imports_the_simulator(tmp_path):
-    """Serving warm figures loads no experiment driver, no functional
-    machine, no legacy memory hierarchy and no kernel: only a
-    regeneration imports them."""
+def test_a_warm_server_never_imports_the_simulator(tmp_path, active):
+    """Serving warm figures and a warm sweep loads no experiment driver,
+    no functional machine, no timing model, no legacy memory hierarchy
+    and no kernel: only a regeneration imports them."""
+    from repro.experiments import fig8
+
     out = tmp_path / "out"
     run_figures(["fig8"], str(out), benchmarks=BENCHMARKS, jobs=1,
                 emit_json=True, **SCALE)
+    sweep = "/sweep?" + urllib.parse.urlencode({
+        "benchmark": ",".join(BENCHMARKS),
+        "policy": ",".join((fig8.REFERENCE,) + fig8.COMPARED),
+        "n": SCALE["num_instructions"], "warmup": SCALE["warmup"]})
     proc = subprocess.run(
         [sys.executable, "-c", _WARM_START, str(out),
-         str(tmp_path / "store")], capture_output=True, text=True,
+         str(tmp_path / "store"), sweep], capture_output=True, text=True,
         timeout=120, env=repro_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[200, 200] True", "[]"]
+    assert proc.stdout.splitlines() == ["[200, 200, 200] True 0", "[]"]
