@@ -19,6 +19,11 @@ from repro.attacks.disclosing_kernel import (
 from repro.attacks.page_mask import PageMaskAttack
 from repro.attacks.pointer_conversion import PointerConversionAttack
 from repro.policies.registry import make_policy
+# Re-exported: the names are defined with Table 2's policies.
+from repro.policies.security import (  # noqa: F401
+    ALL_ATTACKS,
+    FETCH_CHANNEL_ATTACKS,
+)
 from repro.secure.metadata import MetadataLayout
 from repro.secure.remap import AddressObfuscator
 from repro.util.rng import DeterministicRng
@@ -33,21 +38,6 @@ class AttackResult:
     leaked: bool            # secret reached an adversary-visible channel
     detected: bool          # integrity exception was raised
     details: dict = field(default_factory=dict)
-
-
-FETCH_CHANNEL_ATTACKS = (
-    "pointer-conversion",
-    "binary-search",
-    "disclosing-kernel",
-    "disclosing-kernel-data",
-    "page-mask",
-)
-
-ALL_ATTACKS = FETCH_CHANNEL_ATTACKS + (
-    "disclosing-kernel-io",
-    "cbc-pointer-conversion",
-    "control-flow",
-)
 
 
 def _make_obfuscator(machine_bytes=1 << 24):

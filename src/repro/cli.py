@@ -736,7 +736,7 @@ def _cmd_worker(args):
 
 
 def _cmd_list(args):
-    from repro.attacks.harness import ALL_ATTACKS
+    from repro.policies.security import ALL_ATTACKS
 
     print("benchmarks: " + ", ".join(sorted(SPEC2000_PROFILES)))
     print("policies:   " + ", ".join(available_policies()))

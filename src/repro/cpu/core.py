@@ -21,6 +21,8 @@ External fetches triggered by any level are gated through the policy's
 
 from time import perf_counter
 
+# Read as this module's own globals, so a test may re-bind the interval.
+from repro.cpu.native import _CALENDAR_PRUNE_INTERVAL, _UNIT_LATENCY
 from repro.obs.events import (
     COMMIT,
     FETCH_ISSUED,
@@ -35,25 +37,6 @@ from repro.obs.events import (
 from repro.sim.result import RunResult
 from repro.util.statistics import StatGroup
 from repro.workloads.trace import NUM_REGS, Op
-
-_UNIT_LATENCY = {
-    Op.IALU: 1,
-    Op.IMUL: 3,
-    Op.FPU: 4,
-    Op.BRANCH: 1,
-    Op.JUMP: 1,
-    Op.SYSTEM: 1,
-    Op.STORE: 1,  # address generation; data is written at commit
-}
-
-# The issue calendar (issue cycle -> instructions issued that cycle) is
-# pruned every this-many instructions: entries behind the fetch frontier
-# plus pipeline depth can never be probed again (every future probe is at
-# ``>= fetch_frontier + depth`` and the frontier is monotonic), so
-# dropping them is timing-neutral while keeping the dict's size bounded
-# by the prune interval plus the in-flight issue spread instead of
-# growing with the run length.
-_CALENDAR_PRUNE_INTERVAL = 4096
 
 
 class TimestampCore:

@@ -50,9 +50,29 @@ import tempfile
 from array import array
 from collections import Counter
 
-from repro.cpu.core import _CALENDAR_PRUNE_INTERVAL, _UNIT_LATENCY
 from repro.errors import KernelUnavailableError
-from repro.workloads.trace import NUM_REGS, PackedTrace
+from repro.workloads.trace import NUM_REGS, Op, PackedTrace
+
+#: Functional-unit latency per op code, in the replay's config block
+#: and in the legacy core (``cpu/core.py``), which imports both constants.
+_UNIT_LATENCY = {
+    Op.IALU: 1,
+    Op.IMUL: 3,
+    Op.FPU: 4,
+    Op.BRANCH: 1,
+    Op.JUMP: 1,
+    Op.SYSTEM: 1,
+    Op.STORE: 1,  # address generation; data is written at commit
+}
+
+# The issue calendar (issue cycle -> instructions issued that cycle) is
+# pruned every this-many instructions: entries behind the fetch frontier
+# plus pipeline depth can never be probed again (every future probe is at
+# ``>= fetch_frontier + depth`` and the frontier is monotonic), so
+# dropping them is timing-neutral while keeping the dict's size bounded
+# by the prune interval plus the in-flight issue spread instead of
+# growing with the run length.
+_CALENDAR_PRUNE_INTERVAL = 4096
 
 #: Output block size -- keep in lockstep with the OUT_* enum in the C
 #: source (config_block() follows its CFG_* enum the same way).

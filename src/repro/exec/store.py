@@ -1,4 +1,5 @@
-"""Persistent content-addressed artifact store: traces, prepasses, results.
+"""Persistent content-addressed artifact store: traces, prepasses,
+results and attack outcomes.
 
 The decode-once pipeline left trace generation and the structural
 prepass as the dominant cold-start cost -- and both were recomputed in
@@ -23,6 +24,11 @@ instead of once per process:
   code fingerprint, indexed by job_id on the first lookup (segments of
   other fingerprints are never read), so a repeat sweep or figure run
   short-circuits simulation entirely and becomes I/O-bound.
+- **Attack-outcome tier** (``<root>/attacks``): Table 2's empirical
+  ``{policy: {attack: leaked}}`` matrix, one header-only entry per
+  (policies, attacks) key under a fingerprint of every package the
+  attack harness runs, so a warm Table 2 runs no exploit on the
+  functional machine.
 - **Single-flight generation** (``<root>/locks``): ``O_CREAT|O_EXCL``
   lock files coalesce concurrent requests for the same missing entry,
   so K workers asking for one trace cost one generation.  Locks are
@@ -96,7 +102,7 @@ _MAGIC = b"RPAS"
 _PREAMBLE = struct.Struct("<4sIIIQI")
 _PREAMBLE_LEN = 32
 
-_TIERS = ("traces", "prepass", "results")
+_TIERS = ("traces", "prepass", "results", "attacks")
 
 #: Numbers the result segments of one process (one per store).
 _SEGMENTS = itertools.count()
@@ -142,23 +148,25 @@ _FINGERPRINT_FILES = {
     ),
 }
 #: Result fingerprints hash whole packages: anything that can move a
-#: cycle count invalidates stored results.
+#: cycle count invalidates stored results.  Attack fingerprints hash
+#: every package the attack harness runs on the functional machine (the
+#: hash tree's and re-map unit's caches load ``cache`` and ``config.py``).
 _FINGERPRINT_DIRS = {
     "result": ("cpu", "secure", "mem", "cache", "crypto", "policies",
                "workloads", "util"),
+    "attacks": ("attacks", "func", "isa", "crypto", "policies", "secure",
+                "mem", "cache", "util"),
 }
 _FINGERPRINT_EXTRA = {
     "result": ("config.py", "errors.py", "sim/runner.py", "sim/metrics.py"),
+    "attacks": ("config.py", "errors.py"),
 }
 
 _fingerprint_cache = {}
 
 
-def code_fingerprint(kind):
-    """Hash of the source files tier ``kind`` artifacts depend on."""
-    cached = _fingerprint_cache.get(kind)
-    if cached is not None:
-        return cached
+def _fingerprint_files(kind):
+    """``(root, [relative path])`` of the sources tier ``kind`` hashes."""
     import repro
 
     root = os.path.dirname(os.path.abspath(repro.__file__))
@@ -169,8 +177,17 @@ def code_fingerprint(kind):
             if entry.endswith(".py"):
                 rels.append("%s/%s" % (package, entry))
     rels.extend(_FINGERPRINT_EXTRA.get(kind, ()))
+    return root, sorted(set(rels))
+
+
+def code_fingerprint(kind):
+    """Hash of the source files tier ``kind`` artifacts depend on."""
+    cached = _fingerprint_cache.get(kind)
+    if cached is not None:
+        return cached
+    root, rels = _fingerprint_files(kind)
     hasher = hashlib.sha256()
-    for rel in sorted(set(rels)):
+    for rel in rels:
         path = os.path.join(root, rel)
         try:
             with open(path, "rb") as handle:
@@ -265,6 +282,10 @@ def _read_entry(path):
     return header, columns
 
 
+def _attacks_key(policies, attacks):
+    return {"policies": list(policies), "attacks": list(attacks)}
+
+
 def _packed(columns):
     """The :class:`PackedTrace` over an entry's columns; raises
     :class:`CorruptEntryError` when they fail its check."""
@@ -290,7 +311,8 @@ _PREPASS_SCALARS = ("num_instructions", "warmup", "n_accesses", "n_misses",
 
 
 class ArtifactStore:
-    """One store root: three content-addressed tiers plus locks.
+    """One store root: four content-addressed tiers (traces, prepasses,
+    results, attack outcomes) plus locks.
 
     Thread/process-safe by construction: entries are immutable once
     published (atomic rename; result segments only grow), readers
@@ -312,6 +334,7 @@ class ArtifactStore:
             "trace_hits": 0, "trace_misses": 0,
             "prepass_hits": 0, "prepass_misses": 0,
             "result_hits": 0, "result_misses": 0,
+            "attacks_hits": 0, "attacks_misses": 0,
             "bytes_read": 0, "bytes_written": 0,
             "quarantined": 0, "write_errors": 0,
             "lock_waits": 0, "lock_breaks": 0,
@@ -410,32 +433,52 @@ class ArtifactStore:
     def _path(self, tier, name):
         return os.path.join(self.root, tier, name)
 
+    def _load(self, kind, path, decode):
+        """The ``kind`` entry at ``path`` as ``decode(header, columns)``,
+        or None.  A missing entry is a miss; one that fails a check (its
+        CRCs, its kind, this code's fingerprint, or ``decode`` raising
+        :class:`CorruptEntryError`) is quarantined and a miss."""
+        try:
+            header, cols = _read_entry(path)
+            if (header.get("kind") != kind
+                    or header.get("fingerprint") != code_fingerprint(kind)):
+                raise CorruptEntryError("key/fingerprint mismatch")
+            value = decode(header, cols)
+        except FileNotFoundError:
+            self._miss(kind)
+            return None
+        except (CorruptEntryError, OSError) as exc:
+            self._quarantine(path, str(exc))
+            self._miss(kind)
+            return None
+        self._hit(kind, os.path.getsize(path))
+        self._touch(path)
+        return value
+
+    def _save(self, tier, name, header, columns):
+        """Publish one entry; False (counted) if the write failed."""
+        try:
+            self._wrote(_write_entry(self._path(tier, name), header, columns))
+        except OSError:
+            self.counters["write_errors"] += 1
+            return False
+        return True
+
     # -- trace tier -----------------------------------------------------
 
     def load_trace(self, benchmark, trace_length, seed):
         """The stored trace for this key, or None (miss or quarantined)."""
-        path = self._path("traces", self.trace_name(benchmark, trace_length,
-                                                    seed))
-        try:
-            header, cols = _read_entry(path)
-            if (header.get("kind") != "trace"
-                    or header.get("fingerprint") != code_fingerprint("trace")
-                    or len(cols.get("pcs", ())) != header.get("rows", -1)):
+        def decode(header, cols):
+            if len(cols.get("pcs", ())) != header.get("rows", -1):
                 raise CorruptEntryError("key/fingerprint mismatch")
             packed = _packed(cols)
-        except FileNotFoundError:
-            self._miss("trace")
-            return None
-        except (CorruptEntryError, OSError) as exc:
-            self._quarantine(path, str(exc))
-            self._miss("trace")
-            return None
-        self._hit("trace", os.path.getsize(path))
-        self._touch(path)
-        meta = header.get("meta", {})
-        return Trace(meta.get("name", benchmark), packed,
-                     footprint_bytes=meta.get("footprint_bytes", 0),
-                     suite=meta.get("suite", ""))
+            meta = header.get("meta", {})
+            return Trace(meta.get("name", benchmark), packed,
+                         footprint_bytes=meta.get("footprint_bytes", 0),
+                         suite=meta.get("suite", ""))
+
+        return self._load("trace", self._path("traces", self.trace_name(
+            benchmark, trace_length, seed)), decode)
 
     def save_trace(self, trace, benchmark, trace_length, seed):
         """Publish one generated trace; False if the write failed."""
@@ -450,14 +493,8 @@ class ArtifactStore:
                      "footprint_bytes": trace.footprint_bytes,
                      "suite": trace.suite},
         }
-        path = self._path("traces", self.trace_name(benchmark, trace_length,
-                                                    seed))
-        try:
-            self._wrote(_write_entry(path, header, columns))
-        except OSError:
-            self.counters["write_errors"] += 1
-            return False
-        return True
+        return self._save("traces", self.trace_name(
+            benchmark, trace_length, seed), header, columns)
 
     # -- prepass tier ---------------------------------------------------
     # The executor no longer reads or writes this tier (a native walk is
@@ -472,36 +509,23 @@ class ArtifactStore:
         prepass file stores only the derived columns, since the trace
         is content-addressed separately and already in hand.
         """
-        path = self._path("prepass", self.prepass_name(
-            benchmark, trace_length, seed, config, warmup))
-        try:
-            header, cols = _read_entry(path)
-        except FileNotFoundError:
-            self._miss("prepass")
-            return None
-        except (CorruptEntryError, OSError) as exc:
-            self._quarantine(path, str(exc))
-            self._miss("prepass")
-            return None
-        scalars = header.get("scalars", {})
-        if (header.get("kind") != "prepass"
-                or header.get("fingerprint") != code_fingerprint("prepass")
-                or scalars.get("num_instructions") != len(packed)):
-            self._quarantine(path, "key/fingerprint mismatch")
-            self._miss("prepass")
-            return None
-        from repro.cpu.prepass import TracePrepass
+        def decode(header, cols):
+            scalars = header.get("scalars", {})
+            if scalars.get("num_instructions") != len(packed):
+                raise CorruptEntryError("key/fingerprint mismatch")
+            from repro.cpu.prepass import TracePrepass
 
-        pre = TracePrepass()
-        pre.packed = packed
-        for name in _PREPASS_SCALARS:
-            setattr(pre, name, scalars[name])
-        pre.miss_summary = header["miss_summary"]
-        for name in _PREPASS_COLUMNS:
-            setattr(pre, name, cols[name])
-        self._hit("prepass", os.path.getsize(path))
-        self._touch(path)
-        return pre
+            pre = TracePrepass()
+            pre.packed = packed
+            for name in _PREPASS_SCALARS:
+                setattr(pre, name, scalars[name])
+            pre.miss_summary = header["miss_summary"]
+            for name in _PREPASS_COLUMNS:
+                setattr(pre, name, cols[name])
+            return pre
+
+        return self._load("prepass", self._path("prepass", self.prepass_name(
+            benchmark, trace_length, seed, config, warmup)), decode)
 
     def save_prepass(self, prepass, benchmark, trace_length, seed, config,
                      warmup):
@@ -518,14 +542,53 @@ class ArtifactStore:
             # shortest round-tripping form, so load == build bitwise.
             "miss_summary": prepass.miss_summary,
         }
-        path = self._path("prepass", self.prepass_name(
-            benchmark, trace_length, seed, config, warmup))
-        try:
-            self._wrote(_write_entry(path, header, columns))
-        except OSError:
-            self.counters["write_errors"] += 1
-            return False
-        return True
+        return self._save("prepass", self.prepass_name(
+            benchmark, trace_length, seed, config, warmup), header, columns)
+
+    # -- attack-outcome tier --------------------------------------------
+    # Table 2's empirical column: which attacks leak under which policy
+    # on the functional machine.  One header-only entry per name lists.
+
+    def attacks_name(self, policies, attacks):
+        """Entry filename (= content address) for one pair of name lists."""
+        return _key_hash(dict(_attacks_key(policies, attacks), kind="attacks",
+                              fingerprint=code_fingerprint("attacks")))
+
+    def load_attacks(self, policies, attacks):
+        """The stored ``{policy: {attack: leaked}}`` matrix, or None."""
+        key = _attacks_key(policies, attacks)
+
+        def decode(header, _cols):
+            leaked = header.get("leaked")
+            try:
+                matrix = {policy: {attack: leaked[policy][attack]
+                                   for attack in key["attacks"]}
+                          for policy in key["policies"]}
+            except (KeyError, TypeError):
+                matrix = None
+            if (header.get("key") != key or matrix is None
+                    or any(type(cell) is not bool
+                           for row in matrix.values()
+                           for cell in row.values())):
+                raise CorruptEntryError("attack matrix does not match its key")
+            return matrix
+
+        return self._load("attacks", self._path(
+            "attacks", self.attacks_name(policies, attacks)), decode)
+
+    def save_attacks(self, policies, attacks, leaked):
+        """Publish one attack-outcome matrix; False if the write failed."""
+        key = _attacks_key(policies, attacks)
+        header = {
+            "kind": "attacks",
+            "fingerprint": code_fingerprint("attacks"),
+            "key": key,
+            "leaked": {policy: {attack: bool(leaked[policy][attack])
+                                for attack in key["attacks"]}
+                       for policy in key["policies"]},
+        }
+        return self._save("attacks", self.attacks_name(policies, attacks),
+                          header, [])
 
     # -- result tier ----------------------------------------------------
 
@@ -813,8 +876,9 @@ class ArtifactStore:
         """
         report = {"checked": 0, "ok": 0, "corrupt": 0, "stale": 0}
         fingerprints = {"traces": code_fingerprint("trace"),
-                        "prepass": code_fingerprint("prepass")}
-        for tier in ("traces", "prepass"):
+                        "prepass": code_fingerprint("prepass"),
+                        "attacks": code_fingerprint("attacks")}
+        for tier in ("traces", "prepass", "attacks"):
             for path, _ in list(self._entries(tier)):
                 report["checked"] += 1
                 try:

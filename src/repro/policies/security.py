@@ -2,12 +2,29 @@
 
 The static matrix mirrors the paper's analysis; the *empirical* version of
 the same table is produced by running the attack suite against each policy
-(:mod:`repro.attacks.harness`), and a test asserts the two agree.
+(:mod:`repro.attacks.harness`), and a test asserts the two agree.  The
+attack names live here, with no attack code, so naming them (``repro
+list``, Table 2's store key) loads no functional machine.
 """
 
 from repro.policies.registry import make_policy, policy_set
 
 TABLE2_POLICIES = policy_set("table2")
+
+#: The exploits that decide Table 2's first column.
+FETCH_CHANNEL_ATTACKS = (
+    "pointer-conversion",
+    "binary-search",
+    "disclosing-kernel",
+    "disclosing-kernel-data",
+    "page-mask",
+)
+
+ALL_ATTACKS = FETCH_CHANNEL_ATTACKS + (
+    "disclosing-kernel-io",
+    "cbc-pointer-conversion",
+    "control-flow",
+)
 
 COLUMNS = (
     ("prevents active fetch side-channel", "prevents_fetch_side_channel"),

@@ -23,3 +23,20 @@ def no_compiler(tmp_path, monkeypatch):
     native.reset()
     yield
     native.reset()
+
+
+@pytest.fixture
+def attack_runs(monkeypatch):
+    """The ``(attack, policy)`` of every ``run_attack`` call the attack
+    harness makes while the test runs."""
+    from repro.attacks import harness
+
+    calls = []
+    run_attack = harness.run_attack
+
+    def counting(attack, policy, **kwargs):
+        calls.append((attack, policy))
+        return run_attack(attack, policy, **kwargs)
+
+    monkeypatch.setattr(harness, "run_attack", counting)
+    return calls

@@ -29,6 +29,7 @@ from repro.exec.store import (
     _PREAMBLE,
     _PREAMBLE_LEN,
     STORE_ENV,
+    _fingerprint_files,
     code_fingerprint,
     default_store_path,
 )
@@ -860,6 +861,143 @@ class TestFingerprintInvalidation:
         rel = os.path.relpath(os.path.abspath(native.__file__), root)
         assert "repro_tracegen" in native._C_SOURCE
         assert rel.replace(os.sep, "/") in _FINGERPRINT_FILES["trace"]
+
+
+POLICIES = ("authen-then-issue", "commit+fetch")
+ATTACKS = ("pointer-conversion", "page-mask")
+LEAKED = {"authen-then-issue": {"pointer-conversion": True,
+                                "page-mask": False},
+          "commit+fetch": {"pointer-conversion": False, "page-mask": False}}
+
+#: ``repro`` files an attack run loads that the attack fingerprint does
+#: not hash, each with the reason it cannot change an outcome.
+ATTACK_UNHASHED = {
+    "__init__.py": "the root package's map of public names",
+    "_lazy.py": "resolves a package's public names on first use",
+}
+
+ATTACK_PROBE = """
+import os, sys
+import repro
+from repro.attacks.harness import run_attack
+from repro.policies.security import ALL_ATTACKS, TABLE2_POLICIES
+for attack in ALL_ATTACKS:
+    for policy in TABLE2_POLICIES:
+        run_attack(attack, policy)
+root = os.path.dirname(os.path.abspath(repro.__file__))
+for module in list(sys.modules.values()):
+    path = os.path.abspath(getattr(module, "__file__", None) or "/")
+    if path.startswith(root + os.sep):
+        print(os.path.relpath(path, root).replace(os.sep, "/"))
+"""
+
+
+def _attacks_path(store, policies=POLICIES):
+    return store._path("attacks", store.attacks_name(policies, ATTACKS))
+
+
+class TestAttackTier:
+    """Table 2's attack outcomes: one header-only entry per key."""
+
+    def test_round_trip(self, store):
+        assert store.load_attacks(POLICIES, ATTACKS) is None
+        assert store.save_attacks(POLICIES, ATTACKS, LEAKED)
+        assert store.load_attacks(POLICIES, ATTACKS) == LEAKED
+        assert store.load_attacks(POLICIES[:1], ATTACKS) is None
+        assert (store.counters["attacks_hits"],
+                store.counters["attacks_misses"]) == (1, 2)
+        tier = store.stats()["tiers"]["attacks"]
+        assert tier["entries"] == 1
+        assert tier["bytes"] == os.path.getsize(_attacks_path(store))
+
+    @pytest.mark.parametrize("damage", ["truncate", "bitflip"])
+    def test_damaged_entry_is_quarantined_recomputed_and_republished(
+            self, active, attack_runs, damage):
+        from repro.experiments import table2
+
+        cold = table2.emit()
+        runs = len(attack_runs)
+        (path,) = [p for p, _ in active._entries("attacks")]
+        with open(path, "r+b") as handle:
+            if damage == "truncate":
+                handle.truncate(os.path.getsize(path) // 2)
+            else:
+                handle.seek(_PREAMBLE_LEN + 4)
+                byte = handle.read(1)
+                handle.seek(_PREAMBLE_LEN + 4)
+                handle.write(bytes([byte[0] ^ 0x01]))
+        assert table2.emit() == cold
+        assert len(attack_runs) == 2 * runs
+        assert active.counters["quarantined"] == 1
+        assert os.path.exists(os.path.join(active.root, "quarantine",
+                                           os.path.basename(path)))
+        assert table2.emit() == cold            # served by the new entry
+        assert len(attack_runs) == 2 * runs
+        assert active.counters["attacks_hits"] == 1
+
+    @pytest.mark.parametrize("edit", [
+        lambda header: header["leaked"]["commit+fetch"].pop("page-mask"),
+        lambda header: header["leaked"]["commit+fetch"].update(
+            {"page-mask": 0}),
+        lambda header: header["key"].update(attacks=["page-mask"]),
+        lambda header: header.pop("leaked"),
+    ], ids=["missing-cell", "non-bool-cell", "other-key", "no-matrix"])
+    def test_a_matrix_unlike_its_key_is_quarantined(self, store, edit):
+        store.save_attacks(POLICIES, ATTACKS, LEAKED)
+        _rewrite_header(_attacks_path(store), edit)
+        assert store.load_attacks(POLICIES, ATTACKS) is None
+        assert store.counters["quarantined"] == 1
+
+    def test_a_foreign_fingerprint_is_a_stale_miss(self, store,
+                                                   monkeypatch):
+        with monkeypatch.context() as patch:
+            patch.setattr("repro.exec.store.code_fingerprint",
+                          lambda kind: "f" * 16)
+            store.save_attacks(POLICIES, ATTACKS, LEAKED)
+        assert store.load_attacks(POLICIES, ATTACKS) is None
+        assert store.counters["quarantined"] == 0
+        assert store.stats()["tiers"]["attacks"]["entries"] == 1
+        assert store.verify() == {"checked": 1, "ok": 0, "corrupt": 0,
+                                  "stale": 1}
+
+    def test_verify_counts_ok_stale_and_corrupt(self, store, monkeypatch):
+        store.save_attacks(POLICIES, ATTACKS, LEAKED)
+        store.save_attacks(POLICIES[:1], ATTACKS, LEAKED)
+        with open(_attacks_path(store, POLICIES[:1]), "r+b") as handle:
+            handle.truncate(10)
+        with monkeypatch.context() as patch:
+            patch.setattr("repro.exec.store.code_fingerprint",
+                          lambda kind: "f" * 16)
+            store.save_attacks(POLICIES, ATTACKS, LEAKED)
+        assert store.verify() == {"checked": 3, "ok": 1, "corrupt": 1,
+                                  "stale": 1}
+        stats = store.stats()
+        assert stats["tiers"]["attacks"]["entries"] == 2
+        assert stats["quarantined_entries"] == 1
+
+    def test_gc_evicts_an_attack_entry(self, store):
+        store.save_attacks(POLICIES, ATTACKS, LEAKED)
+        old = time.time() - store.stale_lock_seconds - 1
+        os.utime(_attacks_path(store), (old, old))
+        assert store.gc(max_bytes=0)["evicted"] == 1
+        assert store.stats()["total_bytes"] == 0
+
+    def test_fingerprint_covers_every_file_an_attack_runs(self):
+        """An edit to any code an attack ran moves the tier's key, so it
+        can never serve a stale cell."""
+        import subprocess
+        import sys
+
+        from tests.repro_env import repro_env
+
+        proc = subprocess.run([sys.executable, "-c", ATTACK_PROBE],
+                              capture_output=True, text=True, timeout=120,
+                              env=repro_env())
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stdout.split())
+        assert "func/machine.py" in loaded
+        _root, hashed = _fingerprint_files("attacks")
+        assert sorted(loaded - set(hashed)) == sorted(ATTACK_UNHASHED)
 
 
 class TestSingleFlight:

@@ -7,8 +7,10 @@ import pytest
 
 from repro.exec import (
     SKIP_AND_REPORT,
+    ArtifactStore,
     FailurePolicy,
     make_executor,
+    set_active_store,
     set_attempt_hook,
 )
 from repro.experiments.figures import ARTIFACTS, run_figures
@@ -171,6 +173,41 @@ class TestFigureFailures:
                 } == job_ids
         text = (tmp_path / ("%s.txt" % name)).read_text()
         assert "%d job(s) failed terminally" % len(job_ids) in text
+
+
+class TestTable2Store:
+    """Table 2 runs its 25 attacks (5 fetch-channel exploits x 5
+    policies) once per store: a warm run reads their outcome."""
+
+    def _run(self, tmp_path, name, store):
+        previous = set_active_store(store)
+        try:
+            run_figures(["table2"], str(tmp_path / name), emit_json=True)
+        finally:
+            set_active_store(previous)
+        return [(tmp_path / name / ("table2" + ext)).read_bytes()
+                for ext in (".txt", ".json")]
+
+    def test_a_warm_run_makes_no_attack(self, tmp_path, attack_runs):
+        cold = self._run(tmp_path, "cold", ArtifactStore(tmp_path / "s"))
+        assert len(attack_runs) == 25
+        warm_store = ArtifactStore(tmp_path / "s")
+        warm = self._run(tmp_path, "warm", warm_store)
+        assert len(attack_runs) == 25
+        assert (warm_store.counters["attacks_hits"],
+                warm_store.counters["attacks_misses"]) == (1, 0)
+        assert self._run(tmp_path, "none", None) == warm == cold
+        assert len(attack_runs) == 50
+
+    def test_without_a_store_every_run_attacks(self, tmp_path, attack_runs,
+                                               monkeypatch):
+        saves = []
+        monkeypatch.setattr(ArtifactStore, "save_attacks",
+                            lambda self, *args: saves.append(args))
+        first = self._run(tmp_path, "first", None)
+        assert self._run(tmp_path, "second", None) == first
+        assert len(attack_runs) == 50
+        assert saves == []
 
 
 class TestFiguresCli:

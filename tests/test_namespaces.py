@@ -55,3 +55,26 @@ def test_importing_a_package_loads_none_of_its_modules():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == str(
         ["repro._lazy", "repro.exec", "repro.experiments", "repro.obs"])
+
+
+def _loaded_after(module):
+    """The ``repro`` modules a fresh interpreter holds after importing
+    ``module``."""
+    probe = ("import sys, %s; print('\\n'.join(sorted(m for m in sys.modules "
+             "if m.startswith('repro.'))))" % module)
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, timeout=60, env=repro_env())
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+def test_the_kernel_loads_no_legacy_timing_model():
+    assert "repro.cpu.core" not in _loaded_after("repro.cpu.native")
+
+
+def test_the_figures_entry_point_loads_no_attack_code():
+    """Table 2 imports its attack harness only when it runs attacks."""
+    loaded = _loaded_after("repro.experiments.figures")
+    assert "repro.experiments.table2" in loaded
+    assert [m for m in loaded if m.split(".")[1] in
+            ("attacks", "func", "isa")] == []
